@@ -13,6 +13,7 @@ import json
 import sys
 
 from dynel.harness import ordering_experiment
+from dynel.rewards import REWARD_KINDS
 
 
 def main(argv=None) -> int:
@@ -29,8 +30,7 @@ def main(argv=None) -> int:
     parser.add_argument("--lr", type=float, default=0.01)
     parser.add_argument("--rl-weight", type=float, default=1e-4)
     parser.add_argument("--gamma", type=float, default=0.9)
-    parser.add_argument("--reward", default="r1",
-                        choices=("r1", "r2-1", "r2-2", "r3"))
+    parser.add_argument("--reward", default="r1", choices=REWARD_KINDS)
     parser.add_argument("--out", default=None, help="optional CSV path")
     args = parser.parse_args(argv)
 

@@ -49,7 +49,6 @@ __all__ = [
     "cols",
     "hstack",
     "item",
-    "bilinear_score",
 ]
 
 
@@ -451,18 +450,6 @@ class DiagonalBilinear:
     @property
     def dim(self) -> int:
         return self.diag.data.size
-
-    def score(self, x: Tensor, y: Tensor) -> Tensor:
-        return bilinear_score(x, self, y)
-
-
-def bilinear_score(x: Tensor, b: DiagonalBilinear, y: Tensor) -> Tensor:
-    x, y = as_tensor(x), as_tensor(y)
-    if x.data.shape != y.data.shape or x.data.shape != b.diag.data.shape:
-        raise ShapeError(
-            f"bilinear_score dims differ: x{x.shape} diag{b.diag.shape} y{y.shape}"
-        )
-    return tsum(mul(mul(x, b.diag), y))
 
 
 # ---------------------------------------------------------------------------

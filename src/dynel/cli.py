@@ -23,8 +23,9 @@ from .harness import (
     sweep,
     write_sweep_csv,
 )
-from .model import build_model, load_checkpoint, save_checkpoint
+from .model import load_checkpoint, save_checkpoint
 from .rewards import (
+    REWARD_KINDS,
     EpisodeOutcome,
     error_indices,
     first_error_index,
@@ -37,7 +38,6 @@ from .rewards import (
 )
 from .synthetic import SyntheticSpec, generate_synthetic
 from .trainer import TrainConfig, evaluate, train
-from .local_transformer import TransformerConfig
 
 
 def _echo_config(config: TrainConfig) -> None:
@@ -50,24 +50,11 @@ def _load_config(path: str) -> TrainConfig:
         return TrainConfig.from_dict(json.load(fh))
 
 
-def _build_from_config(store, config: TrainConfig):
-    rng = np.random.default_rng(config.seed).spawn(1)[0]
-    tcfg = None
-    if config.local_model == "transformer":
-        tcfg = TransformerConfig(
-            layers=config.encoder_layers, heads=config.attention_heads,
-            head_dim=config.head_dim, model_dim=config.model_dim,
-            ff_dim=config.encoder_ff_dim, hidden=config.head_hidden,
-            max_seq_len=config.max_seq_len, max_candidates=config.max_candidates,
-            drop_rate=config.drop_rate,
-        )
-    return build_model(
-        store, rng, local_model=config.local_model, top_words=config.top_words,
-        policy_top_k=config.policy_top_k, selector_top_k=config.selector_top_k,
-        fusion_hidden=config.fusion_hidden, features=config.features,
-        feature_norm=config.feature_norm, fusion=config.fusion,
-        transformer_config=tcfg,
-    )
+def _load_model(store, config: TrainConfig, checkpoint: str):
+    """Build the model ``config`` describes and restore ``checkpoint`` into it."""
+    params = config.build_model(store, np.random.default_rng(config.seed))
+    load_checkpoint(params, checkpoint)
+    return params
 
 
 def _cmd_gen_corpus(args) -> int:
@@ -111,8 +98,7 @@ def _cmd_link(args) -> int:
     config = _load_config(args.config)
     _echo_config(config)
     docs, store = load_corpus(args.corpus)
-    params = _build_from_config(store, config)
-    load_checkpoint(params, args.checkpoint)
+    params = _load_model(store, config, args.checkpoint)
     episodes = evaluate(docs, store, params, config)
     with open(args.out, "w") as fh:
         for doc, ep in zip(docs, episodes):
@@ -142,8 +128,7 @@ def _cmd_eval(args) -> int:
                                         "window": "L" if window is None else window})
     _echo_config(config)
     docs, store = load_corpus(args.corpus)
-    params = _build_from_config(store, config)
-    load_checkpoint(params, args.checkpoint)
+    params = _load_model(store, config, args.checkpoint)
     report = run_baseline(docs, store, params, config, args.order, seed=config.seed)
     payload = report.to_json()
     if args.out:
@@ -170,6 +155,9 @@ def _cmd_sweep(args) -> int:
         elif args.axis == "gamma1":
             grid = [float(g) for g in raw]
         else:
+            unknown = [g for g in raw if g not in REWARD_KINDS]
+            if unknown:
+                raise ValueError(f"unknown reward kinds {unknown}; choose from {REWARD_KINDS}")
             grid = raw
     seeds = [int(s) for s in args.seeds.split(",")]
     rows = sweep(train_docs, val_docs, test_docs, store, config, args.axis,

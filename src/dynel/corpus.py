@@ -13,6 +13,7 @@ and diffed:
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -136,6 +137,10 @@ class EmbeddingStore:
         except KeyError:
             raise CorpusError(f"unknown entity id {entity_id!r}") from None
 
+    def entities(self, entity_ids: Iterable[str]) -> np.ndarray:
+        """The vectors of ``entity_ids`` stacked as rows, in the given order."""
+        return np.stack([self.entity(e) for e in entity_ids])
+
     def neighbors(self, entity_id: str) -> frozenset[str]:
         return self.kg_adjacency.get(entity_id, frozenset())
 
@@ -178,10 +183,46 @@ def _mention_from_json(obj: dict, line: int) -> Mention:
         raise CorpusError(f"docs.jsonl line {line}: bad mention record ({err})") from None
 
 
+def _check_ids(docs: list[Document], store: EmbeddingStore) -> None:
+    """Refuse ids that the text files cannot carry back unchanged.
+
+    Word and entity ids are written into whitespace-separated columns, so
+    they must be non-empty and free of whitespace.  Mention ids key
+    ``type_vecs.tsv`` by themselves, so they must be unique across the
+    corpus and free of tabs and line breaks; document ids must be unique.
+    """
+    word_ids = itertools.chain(store.word_vecs, *store.entity_surface.values())
+    entity_ids = itertools.chain(
+        store.entity_vecs, store.entity_surface, store.kg_adjacency,
+        *store.kg_adjacency.values(), (eid for _, eid in store.type_vecs),
+    )
+    for kind, ids in (("word", word_ids), ("entity", entity_ids)):
+        for i in ids:
+            if not i or any(c.isspace() for c in i):
+                raise CorpusError(f"{kind} id {i!r} is empty or contains whitespace")
+    doc_ids: set[str] = set()
+    mention_ids: set[str] = set()
+    for doc in docs:
+        if doc.id in doc_ids:
+            raise CorpusError(f"duplicate document id {doc.id!r}")
+        doc_ids.add(doc.id)
+        for m in doc.mentions:
+            if m.id in mention_ids:
+                raise CorpusError(f"duplicate mention id {m.id!r}")
+            mention_ids.add(m.id)
+    for mid in itertools.chain(mention_ids, (mid for mid, _ in store.type_vecs)):
+        if any(c in "\t\r\n" for c in mid):
+            raise CorpusError(f"mention id {mid!r} contains a tab or line break")
+
+
 def save_corpus(docs: Iterable[Document], store: EmbeddingStore, path: str | Path) -> None:
+    """Write a corpus directory; raises ``CorpusError`` before writing any
+    file if an id could not be read back unchanged."""
+    docs = list(docs)
+    _check_ids(docs, store)
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    with open(path / "docs.jsonl", "w") as fh:
+    with open(path / "docs.jsonl", "w", encoding="utf-8") as fh:
         for doc in docs:
             rec = {
                 "id": doc.id,
@@ -191,22 +232,22 @@ def save_corpus(docs: Iterable[Document], store: EmbeddingStore, path: str | Pat
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
     def write_vecs(name: str, table: Mapping[str, np.ndarray]) -> None:
-        with open(path / name, "w") as fh:
+        with open(path / name, "w", encoding="utf-8") as fh:
             for key in sorted(table):
                 vals = " ".join(repr(float(v)) for v in table[key])
                 fh.write(f"{key} {vals}\n")
 
     write_vecs("words.vec", store.word_vecs)
     write_vecs("entities.vec", store.entity_vecs)
-    with open(path / "entity_surfaces.tsv", "w") as fh:
+    with open(path / "entity_surfaces.tsv", "w", encoding="utf-8") as fh:
         for key in sorted(store.entity_surface):
             fh.write(f"{key}\t{' '.join(store.entity_surface[key])}\n")
-    with open(path / "kg_edges.tsv", "w") as fh:
+    with open(path / "kg_edges.tsv", "w", encoding="utf-8") as fh:
         for src in sorted(store.kg_adjacency):
             for dst in sorted(store.kg_adjacency[src]):
                 fh.write(f"{src}\t{dst}\n")
     if store.type_vecs:
-        with open(path / "type_vecs.tsv", "w") as fh:
+        with open(path / "type_vecs.tsv", "w", encoding="utf-8") as fh:
             for (mid, eid) in sorted(store.type_vecs):
                 vals = " ".join(repr(float(v)) for v in store.type_vecs[(mid, eid)])
                 fh.write(f"{mid}\t{eid}\t{vals}\n")
@@ -214,11 +255,13 @@ def save_corpus(docs: Iterable[Document], store: EmbeddingStore, path: str | Pat
 
 def _load_vecs(path: Path) -> dict[str, np.ndarray]:
     table: dict[str, np.ndarray] = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
             if len(parts) < 2:
                 raise CorpusError(f"{path.name} line {lineno}: expected id + floats")
+            if parts[0] in table:
+                raise CorpusError(f"{path.name} line {lineno}: duplicate id {parts[0]!r}")
             try:
                 table[parts[0]] = np.array([float(x) for x in parts[1:]])
             except ValueError:
@@ -231,11 +274,15 @@ def load_corpus(
 ) -> tuple[list[Document], EmbeddingStore]:
     """Load and cross-validate a corpus directory.
 
-    Every word/entity referenced anywhere must have an embedding; violations
-    are reported with the file and line they came from.  ``context_radius``
+    Every word/entity referenced anywhere must have an embedding, every id
+    must be unique (mention ids across the whole corpus) and every mention
+    needs a non-empty context window; violations are reported with the file
+    and line they came from.  ``context_radius``
     caps each mention's window to the nearest ``radius`` words on each side
     (None keeps the stored windows untouched, preserving save/load identity).
     """
+    if context_radius is not None and context_radius < 0:
+        raise ValueError(f"context_radius must be >= 0, got {context_radius}")
     path = Path(path)
     word_vecs = _load_vecs(path / "words.vec")
     entity_vecs = _load_vecs(path / "entities.vec")
@@ -243,7 +290,7 @@ def load_corpus(
     surfaces: dict[str, tuple[str, ...]] = {}
     surf_path = path / "entity_surfaces.tsv"
     if surf_path.exists():
-        with open(surf_path) as fh:
+        with open(surf_path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
@@ -263,7 +310,7 @@ def load_corpus(
     adjacency: dict[str, set[str]] = {}
     edges_path = path / "kg_edges.tsv"
     if edges_path.exists():
-        with open(edges_path) as fh:
+        with open(edges_path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
@@ -281,7 +328,7 @@ def load_corpus(
     type_vecs: dict[tuple[str, str], np.ndarray] = {}
     types_path = path / "type_vecs.tsv"
     if types_path.exists():
-        with open(types_path) as fh:
+        with open(types_path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
@@ -305,7 +352,9 @@ def load_corpus(
     )
 
     docs: list[Document] = []
-    with open(path / "docs.jsonl") as fh:
+    doc_lines: dict[str, int] = {}       # first line of each document / mention id
+    mention_lines: dict[str, int] = {}
+    with open(path / "docs.jsonl", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -329,7 +378,8 @@ def load_corpus(
                             id=m.id,
                             surface=m.surface,
                             position=m.position,
-                            context_before=m.context_before[-context_radius:],
+                            context_before=m.context_before[
+                                max(0, len(m.context_before) - context_radius):],
                             context_after=m.context_after[:context_radius],
                             candidates=m.candidates,
                             gold=m.gold,
@@ -337,7 +387,19 @@ def load_corpus(
                         for m in doc.mentions
                     ),
                 )
+            if doc.id in doc_lines:
+                raise CorpusError(f"docs.jsonl line {lineno}: duplicate document id "
+                                  f"{doc.id!r} (first on line {doc_lines[doc.id]})")
+            doc_lines[doc.id] = lineno
             for m in doc.mentions:
+                if m.id in mention_lines:
+                    raise CorpusError(f"docs.jsonl line {lineno}: duplicate mention id "
+                                      f"{m.id!r} (first on line {mention_lines[m.id]})")
+                mention_lines[m.id] = lineno
+                if not m.context_window:
+                    raise CorpusError(
+                        f"docs.jsonl line {lineno}: mention {m.id!r} has an empty context window"
+                    )
                 for w in m.surface + m.context_window:
                     if w not in word_vecs:
                         raise CorpusError(

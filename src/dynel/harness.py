@@ -19,10 +19,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import Document, EmbeddingStore
-from .local_attn import context_feature
 from .local_transformer import TransformerConfig, local_scores_transformer
-from .model import ModelParams, build_model
-from .trainer import Episode, TrainConfig, _DocCache, rollout, train
+from .model import EncodedDocument, ModelParams, build_model, encode_document
+from .rewards import REWARD_KINDS
+from .trainer import Episode, TrainConfig, rollout, train
 
 __all__ = [
     "STRATEGIES",
@@ -33,7 +33,6 @@ __all__ = [
     "sweep",
     "WINDOW_GRID",
     "GAMMA1_GRID",
-    "REWARD_GRID",
     "ordering_experiment",
     "grad_check",
     "random_check_world",
@@ -44,9 +43,8 @@ __all__ = [
 STRATEGIES = ("offset", "size", "random", "similarity", "dynamic", "exhaustive-best")
 EXHAUSTIVE_MAX_MENTIONS = 9
 
-WINDOW_GRID: tuple[int | None, ...] = (2, 3, 4, 5, 6, 7, None)
+WINDOW_GRID: tuple[int | None, ...] = (2, 3, 4, 5, 6, 7, None)   # None = whole document
 GAMMA1_GRID = (1e-3, 7.5e-4, 5e-4, 2.5e-4, 1e-4)
-REWARD_GRID = ("r1", "r2-1", "r2-2", "r3")
 
 
 def micro_f1(predictions: Sequence[str], golds: Sequence[str]) -> float:
@@ -113,16 +111,13 @@ def _report_from_episodes(
     )
 
 
-def _similarity_order(doc: Document, store: EmbeddingStore, params: ModelParams) -> list[int]:
-    feats = {
-        m.position: context_feature(m, store, params.local_attn).data for m in doc.mentions
-    }
+def _similarity_order(encoded: EncodedDocument) -> list[int]:
     def unit(v):
         n = np.linalg.norm(v)
         return v / n if n > 0 else v
-    units = {p: unit(v) for p, v in feats.items()}
-    order = [doc.mentions[0].position]
-    remaining = [m.position for m in doc.mentions[1:]]
+    units = {p: unit(feat.data) for p, feat in encoded.mention_repr.items()}
+    first, *remaining = units
+    order = [first]
     while remaining:
         prev = units[order[-1]]
         sims = [float(prev @ units[p]) for p in remaining]
@@ -132,18 +127,23 @@ def _similarity_order(doc: Document, store: EmbeddingStore, params: ModelParams)
 
 
 def _exhaustive_best_order(
-    doc: Document, store: EmbeddingStore, params: ModelParams, config: TrainConfig
+    doc: Document,
+    store: EmbeddingStore,
+    params: ModelParams,
+    config: TrainConfig,
+    encoded: EncodedDocument | None,
 ) -> list[int]:
     n = len(doc.mentions)
     if n > EXHAUSTIVE_MAX_MENTIONS:
         raise ValueError(
             f"exhaustive-best supports at most {EXHAUSTIVE_MAX_MENTIONS} mentions, got {n}"
         )
+    if encoded is None:
+        encoded = encode_document(doc, store, params)
     positions = [m.position for m in doc.mentions]
-    cache = _DocCache(doc, store, params, "eval", None)
     best_order, best_acc = None, -1.0
     for perm in itertools.permutations(positions):
-        ep = rollout(doc, store, params, config, mode="eval", order=perm, cache=cache)
+        ep = rollout(doc, store, params, config, mode="eval", order=perm, encoded=encoded)
         acc = sum(ep.flags) / len(ep.flags)
         if acc > best_acc:
             best_order, best_acc = list(perm), acc
@@ -157,8 +157,12 @@ def ordering_for(
     params: ModelParams,
     config: TrainConfig,
     rng: np.random.Generator | None = None,
+    encoded: EncodedDocument | None = None,
 ) -> list[int] | None:
-    """Mention order for a fixed strategy; None means "use the policy"."""
+    """Mention order for a fixed strategy; None means "use the policy".
+
+    ``encoded`` reuses an eval-mode ``encode_document`` pass of ``doc``.
+    """
     positions = [m.position for m in doc.mentions]
     if strategy == "dynamic":
         return None
@@ -174,9 +178,11 @@ def ordering_for(
             raise ValueError("random strategy needs an rng")
         return [positions[int(i)] for i in rng.permutation(len(positions))]
     if strategy == "similarity":
-        return _similarity_order(doc, store, params)
+        if encoded is None:
+            encoded = encode_document(doc, store, params)
+        return _similarity_order(encoded)
     if strategy == "exhaustive-best":
-        return _exhaustive_best_order(doc, store, params, config)
+        return _exhaustive_best_order(doc, store, params, config, encoded)
     raise ValueError(f"unknown ordering strategy {strategy!r}")
 
 
@@ -195,8 +201,10 @@ def run_baseline(
     episodes = []
     with ad.no_grad():
         for doc in docs:
-            order = ordering_for(doc, strategy, store, params, config, rng)
-            episodes.append(rollout(doc, store, params, config, mode="eval", order=order))
+            encoded = encode_document(doc, store, params)
+            order = ordering_for(doc, strategy, store, params, config, rng, encoded)
+            episodes.append(rollout(doc, store, params, config, mode="eval", order=order,
+                                    encoded=encoded))
     return _report_from_episodes(episodes, strategy, config, seed)
 
 
@@ -222,7 +230,7 @@ def sweep(
         grid = GAMMA1_GRID if grid is None else grid
         make = lambda cfg, v: replace(cfg, rl_weight=float(v))
     elif axis == "reward":
-        grid = REWARD_GRID if grid is None else grid
+        grid = REWARD_KINDS if grid is None else grid
         make = lambda cfg, v: replace(cfg, reward=str(v))
     else:
         raise ValueError(f"unknown sweep axis {axis!r}")

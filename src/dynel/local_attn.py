@@ -37,17 +37,13 @@ class LocalAttnParams:
         }
 
 
-def _candidate_matrix(mention: Mention, store: EmbeddingStore) -> Tensor:
-    return Tensor(np.stack([store.entity(c.entity_id) for c in mention.candidates]))
-
-
 def context_feature(mention: Mention, store: EmbeddingStore, params: LocalAttnParams) -> Tensor:
     """Softmax-weighted sum of the top-scoring context word vectors."""
     window = mention.context_window
     if not window:
         raise ValueError(f"mention {mention.id!r} has an empty context window")
     words = Tensor(np.stack([store.word(w) for w in window]))
-    cand = _candidate_matrix(mention, store)
+    cand = Tensor(store.entities(mention.candidate_ids))
     # word score = max over candidates of <entity, diag * word>
     table = ad.matmul(cand, ad.transpose(ad.mul(words, params.word_scorer.diag)))
     scores = ad.tmax(table, axis=0)
@@ -73,5 +69,5 @@ def local_scores_attn(
     """
     if feat is None:
         feat = context_feature(mention, store, params)
-    cand = _candidate_matrix(mention, store)
+    cand = Tensor(store.entities(mention.candidate_ids))
     return ad.matmul(cand, ad.mul(params.entity_context.diag, feat))

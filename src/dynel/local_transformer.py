@@ -276,9 +276,7 @@ def local_scores_transformer(
     if "drop_n2" in params.ablations:
         similarity = Tensor(np.zeros(n))
     else:
-        cand_mat = Tensor(
-            np.stack([store.entity(c.entity_id) for c in mention.candidates])
-        )
+        cand_mat = Tensor(store.entities(mention.candidate_ids))
         similarity = ad.matmul(cand_mat, o_mention)
 
     pair = ad.transpose(ad.stack([context_head, similarity]))

@@ -1,8 +1,10 @@
-"""Bundle of all trainable parameters plus shared scoring glue.
+"""Bundle of all trainable parameters and the per-document encoding.
 
-The policy's mention representation is always the hard-attention context
-feature (dimension d), regardless of which local scorer produces the
-candidate weights; it is the one mention-level vector both scorers share.
+``encode_document`` is the one forward pass over a document's mentions
+that every episode over the document shares.  The policy's mention
+representation is always the hard-attention context feature (dimension
+d), regardless of which local scorer produces the candidate weights; it
+is the one mention-level vector both scorers share.
 """
 
 from __future__ import annotations
@@ -14,17 +16,24 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .corpus import EmbeddingStore, Mention
+from .corpus import Document, EmbeddingStore
 from .local_attn import LocalAttnParams, context_feature, local_scores_attn
 from .local_transformer import (
     TransformerConfig,
     TransformerLocalParams,
     local_scores_transformer,
 )
-from .policy import PolicyParams
+from .policy import PolicyParams, action_representation
 from .selector import SelectorParams
 
-__all__ = ["ModelParams", "build_model", "save_checkpoint", "load_checkpoint"]
+__all__ = [
+    "ModelParams",
+    "EncodedDocument",
+    "build_model",
+    "encode_document",
+    "save_checkpoint",
+    "load_checkpoint",
+]
 
 CHECKPOINT_VERSION = 1
 
@@ -62,31 +71,6 @@ class ModelParams:
             if arrays[k].shape != t.data.shape:
                 raise ValueError(f"shape mismatch restoring {k!r}")
             t.data[...] = arrays[k]
-
-    # scoring glue -----------------------------------------------------
-    def mention_representation(self, mention: Mention, store: EmbeddingStore) -> Tensor:
-        return context_feature(mention, store, self.local_attn)
-
-    def local_scores(
-        self,
-        mention: Mention,
-        store: EmbeddingStore,
-        mode: str = "eval",
-        rng: np.random.Generator | None = None,
-    ) -> tuple[Tensor, Tensor]:
-        """(feature_scores, action_weights) per candidate.
-
-        The attention scorer emits unbounded bilinear scores, so its action
-        weights are softmax-normalised; the transformer head is already a
-        distribution and is used as-is for both roles.
-        """
-        if self.local_model == "attn":
-            raw = local_scores_attn(mention, store, self.local_attn)
-            return raw, ad.softmax(raw)
-        if self.transformer is None:
-            raise ValueError("model was built without the transformer scorer")
-        dist = local_scores_transformer(mention, store, self.transformer, mode=mode, rng=rng)
-        return dist, dist
 
 
 def build_model(
@@ -126,6 +110,50 @@ def build_model(
         ),
         transformer=transformer,
     )
+
+
+@dataclass(frozen=True)
+class EncodedDocument:
+    """Forward tensors of one document, keyed by mention position in document order."""
+
+    mention_repr: dict[int, Tensor]    # context feature; the policy's mention half
+    local_feature: dict[int, Tensor]   # local score column the selector fuses
+    action_rep: dict[int, Tensor]      # action summary the policy scores
+
+
+def encode_document(
+    doc: Document,
+    store: EmbeddingStore,
+    params: ModelParams,
+    mode: str = "eval",
+    rng: np.random.Generator | None = None,
+) -> EncodedDocument:
+    """Encode every mention once: context feature, local scores, action summary.
+
+    The attention scorer emits unbounded bilinear scores over the context
+    feature, so its action weights are softmax-normalised; the transformer
+    head is already a distribution and is used as-is for both roles
+    (``mode`` and ``rng`` drive its dropout).
+    """
+    if params.local_model == "transformer" and params.transformer is None:
+        raise ValueError("model was built without the transformer scorer")
+    mention_repr: dict[int, Tensor] = {}
+    local_feature: dict[int, Tensor] = {}
+    action_rep: dict[int, Tensor] = {}
+    for m in doc.mentions:
+        feat = context_feature(m, store, params.local_attn)
+        if params.local_model == "attn":
+            local = local_scores_attn(m, store, params.local_attn, feat=feat)
+            weights = ad.softmax(local)
+        else:
+            local = local_scores_transformer(m, store, params.transformer, mode=mode, rng=rng)
+            weights = local
+        mention_repr[m.position] = feat
+        local_feature[m.position] = local
+        action_rep[m.position] = action_representation(
+            feat, Tensor(store.entities(m.candidate_ids)), weights
+        )
+    return EncodedDocument(mention_repr, local_feature, action_rep)
 
 
 def save_checkpoint(params: ModelParams, path: str, meta: dict | None = None) -> None:

@@ -83,7 +83,7 @@ class FeedForward:
         for i, (w, b, act) in enumerate(zip(self.weights, self.biases, self.activations)):
             if x.data.shape[-1] != w.data.shape[0]:
                 raise ad.ShapeError(
-                    f"feed_forward layer {i}: input width {x.data.shape[-1]} "
+                    f"feed-forward layer {i}: input width {x.data.shape[-1]} "
                     f"!= weight rows {w.data.shape[0]}"
                 )
             x = linear(x, w, b)
@@ -97,19 +97,6 @@ class FeedForward:
 
     def parameters(self) -> list[Tensor]:
         return list(self.weights) + list(self.biases)
-
-
-def feed_forward(
-    x: Tensor,
-    layers: list[tuple[Tensor, Tensor]],
-    activations: list[str],
-    drop_rate: float = 0.0,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> Tensor:
-    """Functional form: ``layers`` is a list of (weight, bias) pairs."""
-    ff = FeedForward([w for w, _ in layers], [b for _, b in layers], list(activations), drop_rate)
-    return ff.apply(x, training=training, rng=rng)
 
 
 @dataclass
@@ -238,15 +225,3 @@ class EncoderLayer:
             + self.norm2.parameters()
             + self.ffn.parameters()
         )
-
-
-def self_attention_block(
-    seq: Tensor,
-    layer: EncoderLayer,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> Tensor:
-    """One encoder block applied to a sequence matrix (n x model_dim)."""
-    if seq.data.ndim != 2 or seq.data.shape[0] == 0:
-        raise ad.ShapeError("self_attention_block needs at least one row")
-    return layer.apply(seq, training=training, rng=rng)

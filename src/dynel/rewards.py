@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 __all__ = [
+    "REWARD_KINDS",
     "EpisodeOutcome",
     "TransitionRewards",
     "STATIC_TRANSITIONS",
@@ -30,6 +31,8 @@ __all__ = [
     "reward_r3",
     "reward_trace",
 ]
+
+REWARD_KINDS = ("r1", "r2-1", "r2-2", "r3")   # the names ``reward_trace`` accepts
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ __all__ = [
     "SelectorParams",
     "FEATURE_NAMES",
     "linked_context_feature",
-    "coherence_score",
     "coherence_scores",
     "neighborhood_scores",
     "candidate_distribution",
@@ -107,12 +106,8 @@ def linked_context_feature(
     """Pooled vector of previously linked entities; zeros when none exist."""
     if not linked_ids:
         return Tensor(np.zeros(store.dim))
-    vecs = np.stack([store.entity(e) for e in linked_ids])
+    vecs = store.entities(linked_ids)
     return _attention_pool(cand_mat, vecs, params.linked_coherence, params.top_entities)
-
-
-def coherence_score(candidate_vec: Tensor, pooled: Tensor, params: SelectorParams) -> Tensor:
-    return ad.bilinear_score(candidate_vec, params.linked_coherence, pooled)
 
 
 def coherence_scores(cand_mat: Tensor, pooled: Tensor, params: SelectorParams) -> Tensor:
@@ -130,7 +125,7 @@ def neighborhood_scores(
     neighbor_ids = sorted(set().union(*[store.neighbors(e) for e in linked_ids], set()))
     if not neighbor_ids:
         return Tensor(np.zeros(n))
-    vecs = np.stack([store.entity(e) for e in neighbor_ids])
+    vecs = store.entities(neighbor_ids)
     pooled = _attention_pool(cand_mat, vecs, params.neighborhood_coherence, params.top_entities)
     return ad.matmul(cand_mat, ad.mul(params.neighborhood_coherence.diag, pooled))
 
@@ -154,7 +149,7 @@ def candidate_distribution(
 ) -> Tensor:
     """Probability over the mention's candidates, in candidate order."""
     n = len(mention.candidates)
-    cand_mat = Tensor(np.stack([store.entity(c.entity_id) for c in mention.candidates]))
+    cand_mat = Tensor(store.entities(mention.candidate_ids))
     if local_scores.data.shape != (n,):
         raise ad.ShapeError("local_scores must hold one value per candidate")
 

@@ -6,7 +6,7 @@ correctness flags record what the selector would actually have picked;
 during evaluation predicted entities populate the history and action
 selection is greedy.  The combined update descends
 
-    margin_loss  -  rl_weight * mean_episodes( sum_t R(t) * log pi(a_t) )
+    margin  -  rl_weight * mean_episodes( sum_t R(t) * log pi(a_t) )
 
 which realises the ascent rule on the ordering objective alongside the
 supervised entity loss.
@@ -25,20 +25,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import Document, EmbeddingStore
-from .local_attn import context_feature, local_scores_attn
-from .model import ModelParams, build_model, save_checkpoint
-from .policy import (
-    ActionWindow,
-    LinkingState,
-    action_representation,
-    advance,
-    select_action,
-)
-from .rewards import (
-    EpisodeOutcome,
-    TransitionRewards,
-    reward_trace,
-)
+from .local_transformer import TransformerConfig
+from .model import EncodedDocument, ModelParams, build_model, encode_document, save_checkpoint
+from .policy import ActionWindow, LinkingState, advance, select_action
+from .rewards import REWARD_KINDS, EpisodeOutcome, TransitionRewards, reward_trace
 from .selector import candidate_distribution
 
 __all__ = [
@@ -48,16 +38,11 @@ __all__ = [
     "rollout",
     "policy_objective",
     "reinforce_step",
-    "margin_loss",
     "train",
     "TrainResult",
 ]
 
 log = logging.getLogger(__name__)
-
-GAMMA1_GRID = (1e-3, 7.5e-4, 5e-4, 2.5e-4, 1e-4)
-WINDOW_GRID = (2, 3, 4, 5, 6, 7, None)  # None = whole document
-REWARD_KINDS = ("r1", "r2-1", "r2-2", "r3")
 
 
 @dataclass(frozen=True)
@@ -135,6 +120,25 @@ class TrainConfig:
     def transition_rewards(self) -> TransitionRewards:
         return TransitionRewards(*self.transition)
 
+    def build_model(self, store: EmbeddingStore, rng: np.random.Generator) -> ModelParams:
+        """The model this config describes, initialised from ``rng``."""
+        transformer = None
+        if self.local_model == "transformer":
+            transformer = TransformerConfig(
+                layers=self.encoder_layers, heads=self.attention_heads,
+                head_dim=self.head_dim, model_dim=self.model_dim,
+                ff_dim=self.encoder_ff_dim, hidden=self.head_hidden,
+                max_seq_len=self.max_seq_len, max_candidates=self.max_candidates,
+                drop_rate=self.drop_rate,
+            )
+        return build_model(
+            store, rng, local_model=self.local_model, top_words=self.top_words,
+            policy_top_k=self.policy_top_k, selector_top_k=self.selector_top_k,
+            fusion_hidden=self.fusion_hidden, features=self.features,
+            feature_norm=self.feature_norm, fusion=self.fusion,
+            transformer_config=transformer,
+        )
+
 
 @dataclass
 class Episode:
@@ -153,28 +157,6 @@ class Episode:
     margin_terms: int = 0
 
 
-class _DocCache:
-    """Per-document forward tensors shared by the episodes of one update."""
-
-    def __init__(self, doc: Document, store: EmbeddingStore, params: ModelParams,
-                 mode: str, rng: np.random.Generator | None):
-        self.doc = doc
-        self.mention_repr: dict[int, Tensor] = {}
-        self.local_feature: dict[int, Tensor] = {}
-        self.action_rep: dict[int, Tensor] = {}
-        for m in doc.mentions:
-            feat = context_feature(m, store, params.local_attn)
-            self.mention_repr[m.position] = feat
-            if params.local_model == "attn":
-                raw = local_scores_attn(m, store, params.local_attn, feat=feat)
-                local_feat, weights = raw, ad.softmax(raw)
-            else:
-                local_feat, weights = params.local_scores(m, store, mode=mode, rng=rng)
-            self.local_feature[m.position] = local_feat
-            cand_mat = Tensor(np.stack([store.entity(c.entity_id) for c in m.candidates]))
-            self.action_rep[m.position] = action_representation(feat, cand_mat, weights)
-
-
 def rollout(
     doc: Document,
     store: EmbeddingStore,
@@ -184,7 +166,7 @@ def rollout(
     rng: np.random.Generator | None = None,
     order: Sequence[int] | None = None,
     score_order: bool = False,
-    cache: _DocCache | None = None,
+    encoded: EncodedDocument | None = None,
 ) -> Episode:
     """Roll one episode; ``order`` forces the mention sequence.
 
@@ -193,6 +175,7 @@ def rollout(
     action's log-probability recorded (the order must then respect the
     window discipline).  Train mode samples actions and teacher-forces gold
     entities into the history; eval mode is greedy with predicted history.
+    ``encoded`` reuses an ``encode_document`` pass made in the same mode.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -205,8 +188,8 @@ def rollout(
         if sorted(order) != sorted(mentions):
             raise ValueError("forced order must be a permutation of mention positions")
 
-    if cache is None:
-        cache = _DocCache(doc, store, params, mode, rng)
+    if encoded is None:
+        encoded = encode_document(doc, store, params, mode, rng)
 
     window_size = config.window if config.window is not None else n_mentions
     window = ActionWindow(window_size, tuple(sorted(mentions)))
@@ -225,7 +208,7 @@ def rollout(
             pos = order[step]
         else:
             pos, logp, _ = select_action(
-                state, window, cache.action_rep, params.policy,
+                state, window, encoded.action_rep, params.policy,
                 mode="sample" if training else "greedy", rng=rng,
                 force=order[step] if order is not None else None,
             )
@@ -238,7 +221,7 @@ def rollout(
             tuple(history_entities),
             store,
             params.selector,
-            cache.local_feature[pos],
+            encoded.local_feature[pos],
             training=training,
             rng=rng,
         )
@@ -266,7 +249,7 @@ def rollout(
             assert linked_id == mention.gold  # teacher forcing invariant
         history_entities.append(linked_id)
         if order is None or score_order:
-            pair = ad.concat([cache.mention_repr[pos], Tensor(store.entity(linked_id))])
+            pair = ad.concat([encoded.mention_repr[pos], Tensor(store.entity(linked_id))])
             state, window = advance(state, window, pos, pair, mention.id, linked_id)
         else:
             # bypassed orders skip the policy state and its window discipline
@@ -280,12 +263,6 @@ def rollout(
         per_step_prob=tuple(predicted_prob),
     )
 
-    margin = None
-    if margin_terms:
-        margin = margin_terms[0]
-        for term in margin_terms[1:]:
-            margin = ad.add(margin, term)
-
     return Episode(
         doc_id=doc.id,
         order=tuple(chosen_order),
@@ -296,29 +273,28 @@ def rollout(
         history_entities=tuple(history_entities),
         rewards=rewards,
         sampled=training and order is None,
-        margin=margin,
+        margin=_chain_sum(margin_terms) if margin_terms else None,
         margin_terms=len(margin_terms),
     )
+
+
+def _chain_sum(terms: Sequence[Tensor]) -> Tensor:
+    """Left-to-right sum of one or more tensors."""
+    total = terms[0]
+    for term in terms[1:]:
+        total = ad.add(total, term)
+    return total
 
 
 def policy_objective(episodes: Sequence[Episode]) -> Tensor:
     """Monte-Carlo ordering objective: mean over episodes of sum_t R(t) log pi."""
     if not episodes:
         raise ValueError("no episodes")
-    terms: list[Tensor] = []
-    for ep in episodes:
-        total: Tensor | None = None
-        for r, logp in zip(ep.rewards, ep.log_probs):
-            piece = logp * r
-            total = piece if total is None else ad.add(total, piece)
-        if total is not None:
-            terms.append(total)
+    terms = [_chain_sum([logp * r for r, logp in zip(ep.rewards, ep.log_probs)])
+             for ep in episodes if ep.log_probs]
     if not terms:
         return Tensor(0.0)
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = ad.add(acc, t)
-    return acc * (1.0 / len(episodes))
+    return _chain_sum(terms) * (1.0 / len(episodes))
 
 
 def reinforce_step(episodes: Sequence[Episode], scale: float = 1.0) -> float:
@@ -337,19 +313,6 @@ def reinforce_step(episodes: Sequence[Episode], scale: float = 1.0) -> float:
     obj = policy_objective(episodes)
     ad.backward(obj * (-scale))
     return float(obj.data)
-
-
-def margin_loss(
-    doc: Document,
-    store: EmbeddingStore,
-    params: ModelParams,
-    config: TrainConfig,
-    rng: np.random.Generator | None = None,
-) -> Tensor:
-    """Hinge ranking loss over one teacher-forced pass of the document."""
-    rng = rng if rng is not None else np.random.default_rng(config.seed)
-    ep = rollout(doc, store, params, config, mode="train", rng=rng)
-    return ep.margin if ep.margin is not None else Tensor(0.0)
 
 
 class Adam:
@@ -414,33 +377,9 @@ def train(
     checkpoint_on_divergence: str | None = None,
 ) -> TrainResult:
     """Full training loop; returns the best-validation parameters."""
-    from .local_transformer import TransformerConfig
-
     init_rng, data_rng = np.random.default_rng(config.seed).spawn(2)
     if params is None:
-        params = build_model(
-            store,
-            init_rng,
-            local_model=config.local_model,
-            top_words=config.top_words,
-            policy_top_k=config.policy_top_k,
-            selector_top_k=config.selector_top_k,
-            fusion_hidden=config.fusion_hidden,
-            features=config.features,
-            feature_norm=config.feature_norm,
-            fusion=config.fusion,
-            transformer_config=TransformerConfig(
-                layers=config.encoder_layers,
-                heads=config.attention_heads,
-                head_dim=config.head_dim,
-                model_dim=config.model_dim,
-                ff_dim=config.encoder_ff_dim,
-                hidden=config.head_hidden,
-                max_seq_len=config.max_seq_len,
-                max_candidates=config.max_candidates,
-                drop_rate=config.drop_rate,
-            ) if config.local_model == "transformer" else None,
-        )
+        params = config.build_model(store, init_rng)
     optimizer = Adam(params.parameters())
 
     metrics: list[dict] = []
@@ -455,18 +394,14 @@ def train(
         epoch_objective = 0.0
         for di in doc_order:
             doc = train_docs[int(di)]
-            cache = _DocCache(doc, store, params, "train", data_rng)
+            encoded = encode_document(doc, store, params, "train", data_rng)
             episodes = [
-                rollout(doc, store, params, config, mode="train", rng=data_rng, cache=cache)
+                rollout(doc, store, params, config, mode="train", rng=data_rng,
+                        encoded=encoded)
                 for _ in range(config.episodes_per_doc)
             ]
             margins = [ep.margin for ep in episodes if ep.margin is not None]
-            loss: Tensor = Tensor(0.0)
-            if margins:
-                acc = margins[0]
-                for m in margins[1:]:
-                    acc = ad.add(acc, m)
-                loss = acc * (1.0 / len(margins))
+            loss = _chain_sum(margins) * (1.0 / len(margins)) if margins else Tensor(0.0)
             obj = policy_objective(episodes)
             loss = ad.add(loss, obj * (-config.rl_weight))
             if not np.isfinite(loss.data):

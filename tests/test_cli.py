@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from dynel.cli import main
@@ -148,3 +149,35 @@ def test_sweep_cli_writes_csv(corpus_dir, config_path, tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "axis,value,seed,micro_f1,config_hash"
     assert len(lines) > 2
+
+
+def test_transformer_train_link_eval_round_trip(corpus_dir, tmp_path, capsys):
+    cfg = TrainConfig(local_model="transformer", encoder_layers=1, attention_heads=2,
+                      head_dim=4, model_dim=20, encoder_ff_dim=12, head_hidden=6,
+                      max_seq_len=64, max_candidates=4, window=2, epochs=1, lr=0.01,
+                      fusion_hidden=8, episodes_per_doc=1, seed=0)
+    config_path = tmp_path / "transformer.json"
+    config_path.write_text(json.dumps(cfg.to_dict()))
+    ckpt = tmp_path / "model.npz"
+    common = ["--config", str(config_path), "--corpus", str(corpus_dir)]
+    assert main(["train", *common, "--out", str(ckpt)]) == 0
+    capsys.readouterr()
+
+    linked = tmp_path / "links.jsonl"
+    assert main(["link", *common, "--checkpoint", str(ckpt), "--out", str(linked)]) == 0
+    capsys.readouterr()
+    rows = [json.loads(line) for line in linked.read_text().splitlines()]
+    assert main(["eval", *common, "--checkpoint", str(ckpt), "--order", "dynamic"]) == 0
+    report = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert report["config_echo"]["local_model"] == "transformer"
+
+    # link and eval restore the same trained model: both report the same links
+    docs, _ = load_corpus(corpus_dir)
+    golds = {m.id: m.gold for doc in docs for m in doc.mentions}
+    for row, order, flags in zip(rows, report["orders"], report["flags"]):
+        by_step = sorted(row["links"], key=lambda link: link["step"])
+        assert [link["step"] for link in by_step] == list(range(len(order)))
+        assert [int(link["predicted"] == golds[link["mention"]]) for link in by_step] == flags
+    # and the checkpoint holds the transformer's parameters
+    with np.load(ckpt) as data:
+        assert "transformer.word_embed" in data.files

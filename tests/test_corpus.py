@@ -1,7 +1,11 @@
 import json
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynel.corpus import (
     CandidateEntity,
@@ -154,3 +158,163 @@ def test_type_score_defaults_to_zero():
     )
     assert store.type_score("m", "e") == 0.75
     assert store.type_score("m", "other") == 0.0
+
+
+def one_mention_corpus(context_before=("w0",), context_after=()):
+    store = EmbeddingStore(word_vecs={"w0": np.ones(2)},
+                           entity_vecs={"e0": np.ones(2), "e1": np.zeros(2)})
+    m = Mention("m0", ("w0",), 0, tuple(context_before), tuple(context_after),
+                (CandidateEntity("e0", 0.5), CandidateEntity("e1", 0.5)), "e0")
+    return [Document("d0", ("w0",), (m,))], store
+
+
+def test_empty_context_window_rejected_at_load(tmp_path):
+    docs, store = one_mention_corpus(context_before=())
+    save_corpus(docs, store, tmp_path)
+    with pytest.raises(CorpusError, match="docs.jsonl line 1: mention 'm0' has an "
+                                          "empty context window"):
+        load_corpus(tmp_path)
+
+
+def test_context_radius_zero_empties_every_window(tmp_path):
+    docs, store = one_mention_corpus()
+    save_corpus(docs, store, tmp_path)
+    assert load_corpus(tmp_path)[0] == docs
+    with pytest.raises(CorpusError, match="line 1: mention 'm0' has an empty context"):
+        load_corpus(tmp_path, context_radius=0)
+
+
+@pytest.mark.parametrize("table, bad", [
+    ("word_vecs", "w a"), ("word_vecs", ""), ("entity_vecs", "e\ta"),
+    ("entity_vecs", "e\n"),
+])
+def test_save_refuses_ids_with_whitespace_before_writing(tmp_path, table, bad):
+    docs, store = one_mention_corpus()
+    getattr(store, table)[bad] = np.ones(2)
+    with pytest.raises(CorpusError, match=re.escape(repr(bad))):
+        save_corpus(docs, store, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_save_refuses_mention_ids_with_tab_or_newline(tmp_path):
+    docs, store = one_mention_corpus()
+    for bad in ("m\t0", "m\n0"):
+        renamed = [Document("d0", ("w0",), (replace(docs[0].mentions[0], id=bad),))]
+        with pytest.raises(CorpusError, match=re.escape(repr(bad))):
+            save_corpus(renamed, store, tmp_path)
+    spaced = [Document("d0", ("w0",), (replace(docs[0].mentions[0], id="m 0"),))]
+    save_corpus(spaced, store, tmp_path)
+    assert load_corpus(tmp_path)[0] == spaced
+
+
+def _duplicate_line(path, index):
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines + [lines[index]]) + "\n")
+    return len(lines) + 1
+
+
+@pytest.mark.parametrize("name", ["words.vec", "entities.vec"])
+def test_duplicate_vector_id_rejected_with_line(tmp_path, name):
+    docs, store = small_corpus()
+    save_corpus(docs, store, tmp_path)
+    lineno = _duplicate_line(tmp_path / name, 0)
+    with pytest.raises(CorpusError, match=f"{name} line {lineno}: duplicate id"):
+        load_corpus(tmp_path)
+
+
+def test_duplicate_document_id_rejected_with_line(tmp_path):
+    docs, store = small_corpus()
+    save_corpus(docs, store, tmp_path)
+    lineno = _duplicate_line(tmp_path / "docs.jsonl", 1)
+    with pytest.raises(CorpusError, match=f"docs.jsonl line {lineno}: duplicate document "
+                                          f"id '{docs[1].id}' \\(first on line 2\\)"):
+        load_corpus(tmp_path)
+
+
+def test_duplicate_mention_id_across_documents_rejected(tmp_path):
+    docs, store = small_corpus()
+    save_corpus(docs, store, tmp_path)
+    lines = (tmp_path / "docs.jsonl").read_text().splitlines()
+    rec = json.loads(lines[2])
+    rec["mentions"][0]["id"] = docs[0].mentions[1].id
+    lines[2] = json.dumps(rec)
+    (tmp_path / "docs.jsonl").write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorpusError, match=f"docs.jsonl line 3: duplicate mention id "
+                                          f"'{docs[0].mentions[1].id}' \\(first on line 1\\)"):
+        load_corpus(tmp_path)
+
+
+def test_save_refuses_duplicate_document_and_mention_ids(tmp_path):
+    docs, store = small_corpus()
+    with pytest.raises(CorpusError, match="duplicate document id"):
+        save_corpus([docs[0], docs[0]], store, tmp_path)
+    clash = replace(docs[1], mentions=(docs[0].mentions[0],) + docs[1].mentions[1:])
+    with pytest.raises(CorpusError, match="duplicate mention id"):
+        save_corpus([docs[0], clash], store, tmp_path)
+
+
+def test_entities_stacks_rows_in_order():
+    store = EmbeddingStore(word_vecs={}, entity_vecs={"a": np.zeros(2), "b": np.ones(2)})
+    assert np.array_equal(store.entities(["b", "a", "b"]), [[1, 1], [0, 0], [1, 1]])
+    with pytest.raises(CorpusError, match="unknown entity id 'c'"):
+        store.entities(["a", "c"])
+
+
+# ---------------------------------------------------------------------------
+# save/load round trip over generated ids
+# ---------------------------------------------------------------------------
+
+ids = st.text(min_size=0, max_size=4)
+vectors = st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64),
+                   min_size=2, max_size=2).map(np.array)
+
+
+@st.composite
+def corpora(draw):
+    words = draw(st.dictionaries(ids, vectors, min_size=1, max_size=4))
+    entities = draw(st.dictionaries(ids, vectors, min_size=1, max_size=4))
+    word_ids, entity_ids = sorted(words), sorted(entities)
+    surfaces = draw(st.dictionaries(st.sampled_from(entity_ids),
+                                    st.lists(st.sampled_from(word_ids), max_size=2)
+                                    .map(tuple), max_size=2))
+    kg = draw(st.dictionaries(st.sampled_from(entity_ids),
+                              st.frozensets(st.sampled_from(entity_ids), min_size=1),
+                              max_size=2))
+    mention_ids = draw(st.lists(ids, min_size=1, max_size=3, unique=True))
+    types = draw(st.dictionaries(st.tuples(st.sampled_from(mention_ids),
+                                           st.sampled_from(entity_ids)),
+                                 vectors, max_size=2))
+    doc_ids = draw(st.lists(ids, min_size=len(mention_ids), max_size=len(mention_ids),
+                            unique=True))
+    word, entity = st.sampled_from(word_ids), st.sampled_from(entity_ids)
+    docs = []
+    for did, mid in zip(doc_ids, mention_ids):
+        cands = draw(st.lists(entity, min_size=1, max_size=2))
+        mention = Mention(mid, (draw(word),), 0, (draw(word),), (),
+                          tuple(CandidateEntity(c, 0.5) for c in cands), draw(entity))
+        docs.append(Document(did, (draw(word),), (mention,)))
+    store = EmbeddingStore(words, entities, surfaces, kg, types)
+    return docs, store
+
+
+def _same_store(a: EmbeddingStore, b: EmbeddingStore) -> bool:
+    def same_vecs(x, y):
+        return x.keys() == y.keys() and all(np.array_equal(x[k], y[k]) for k in x)
+    return (same_vecs(a.word_vecs, b.word_vecs) and same_vecs(a.entity_vecs, b.entity_vecs)
+            and same_vecs(a.type_vecs, b.type_vecs) and a.entity_surface == b.entity_surface
+            and a.kg_adjacency == b.kg_adjacency)
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpus=corpora())
+def test_save_load_round_trip_or_refusal(tmp_path_factory, corpus):
+    docs, store = corpus
+    path = tmp_path_factory.mktemp("corpus")
+    try:
+        save_corpus(docs, store, path)
+    except CorpusError:
+        assert not any(path.iterdir())
+        return
+    docs2, store2 = load_corpus(path)
+    assert docs2 == docs
+    assert _same_store(store, store2)

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from dynel import model
 from dynel.harness import (
     GAMMA1_GRID,
-    REWARD_GRID,
     WINDOW_GRID,
     grad_check,
     micro_f1,
@@ -16,6 +16,7 @@ from dynel.harness import (
     write_sweep_csv,
 )
 from dynel.model import build_model
+from dynel.rewards import REWARD_KINDS
 from dynel.synthetic import SyntheticSpec, generate_synthetic
 from dynel.trainer import TrainConfig
 
@@ -113,6 +114,18 @@ class TestStrategies:
             for b, o in zip(best.per_doc_accuracy, other.per_doc_accuracy):
                 assert b >= o - 1e-12
 
+    def test_similarity_baseline_encodes_each_mention_once(self, monkeypatch):
+        calls = []
+        real = model.context_feature
+
+        def counted(mention, *args, **kwargs):
+            calls.append(mention.id)
+            return real(mention, *args, **kwargs)
+
+        monkeypatch.setattr(model, "context_feature", counted)
+        run_baseline(self.docs, self.store, self.params, self.cfg, "similarity")
+        assert sorted(calls) == sorted(m.id for doc in self.docs for m in doc.mentions)
+
     def test_exhaustive_best_rejects_long_documents(self):
         mentions = tuple(make_mention(f"m{i}", position=i) for i in range(10))
         doc = Document("d", ("w0",), mentions)
@@ -137,7 +150,7 @@ class TestSweep:
     def test_default_grids(self):
         assert WINDOW_GRID == (2, 3, 4, 5, 6, 7, None)
         assert GAMMA1_GRID == (1e-3, 7.5e-4, 5e-4, 2.5e-4, 1e-4)
-        assert REWARD_GRID == ("r1", "r2-1", "r2-2", "r3")
+        assert REWARD_KINDS == ("r1", "r2-1", "r2-2", "r3")
 
     def test_sweep_rows_and_csv_round_trip(self, tmp_path):
         docs, store = anchored_world(num_docs=6, mentions=4, seed=2)

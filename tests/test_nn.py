@@ -8,8 +8,6 @@ from dynel.nn import (
     FeedForward,
     LayerNorm,
     dropout,
-    feed_forward,
-    self_attention_block,
 )
 
 import oracles
@@ -28,7 +26,7 @@ def test_feed_forward_identity_passthrough():
 def test_feed_forward_hand_relu():
     w = ad.parameter(np.array([[1.0, 1.0], [1.0, -1.0]]))
     b = ad.parameter(np.zeros(2))
-    out = feed_forward(Tensor([1.0, 2.0]), [(w, b)], ["relu"])
+    out = FeedForward([w], [b], ["relu"]).apply(Tensor([1.0, 2.0]))
     assert np.allclose(out.data, [3.0, 0.0])
 
 
@@ -36,7 +34,7 @@ def test_feed_forward_shape_mismatch():
     w = ad.parameter(np.zeros((3, 2)))
     b = ad.parameter(np.zeros(2))
     with pytest.raises(ShapeError):
-        feed_forward(Tensor([1.0, 2.0]), [(w, b)], ["none"])
+        FeedForward([w], [b], ["none"]).apply(Tensor([1.0, 2.0]))
 
 
 def test_dropout_eval_mode_is_identity(rng):
@@ -58,7 +56,7 @@ def test_dropout_train_mode_scales_and_masks(rng):
 def test_attention_single_token_weight_is_one(rng):
     layer = EncoderLayer.build(6, heads=2, head_dim=3, ff_dim=8, rng=rng)
     x = Tensor(rng.normal(size=(1, 6)))
-    out = self_attention_block(x, layer)
+    out = layer.apply(x)
     assert out.data.shape == (1, 6)
     # softmax over a single key is exactly 1, so attention passes v through
     q = ad.matmul(x, layer.attn.wq)
@@ -70,14 +68,14 @@ def test_attention_identical_rows_identical_outputs(rng):
     layer = EncoderLayer.build(4, heads=2, head_dim=2, ff_dim=6, rng=rng)
     row = rng.normal(size=4)
     x = Tensor(np.stack([row, row, rng.normal(size=4)]))
-    out = self_attention_block(x, layer).data
+    out = layer.apply(x).data
     assert np.allclose(out[0], out[1], atol=1e-12)
 
 
 def test_attention_empty_sequence_rejected(rng):
     layer = EncoderLayer.build(4, heads=1, head_dim=4, ff_dim=4, rng=rng)
     with pytest.raises(ShapeError):
-        self_attention_block(Tensor(np.zeros((0, 4))), layer)
+        layer.apply(Tensor(np.zeros((0, 4))))
 
 
 def test_attention_permutation_equivariance(rng):
@@ -85,8 +83,8 @@ def test_attention_permutation_equivariance(rng):
     layer = EncoderLayer.build(4, heads=2, head_dim=3, ff_dim=5, rng=rng)
     x = rng.normal(size=(4, 4))
     perm = [2, 0, 3, 1]
-    out = self_attention_block(Tensor(x), layer).data
-    out_p = self_attention_block(Tensor(x[perm]), layer).data
+    out = layer.apply(Tensor(x)).data
+    out_p = layer.apply(Tensor(x[perm])).data
     assert np.allclose(out[perm], out_p, atol=1e-12)
 
 
@@ -96,9 +94,9 @@ def test_encoder_gradients_match_finite_differences(rng):
     mix = rng.normal(size=(3, 4))
 
     def forward():
-        return float(ad.tsum(self_attention_block(x, layer) * Tensor(mix)).data)
+        return float(ad.tsum(layer.apply(x) * Tensor(mix)).data)
 
-    out = ad.tsum(self_attention_block(x, layer) * Tensor(mix))
+    out = ad.tsum(layer.apply(x) * Tensor(mix))
     params = layer.parameters() + [x]
     ad.zero_grad(params)
     ad.backward(out)

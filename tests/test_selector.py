@@ -7,7 +7,6 @@ from dynel.corpus import EmbeddingStore
 from dynel.selector import (
     SelectorParams,
     candidate_distribution,
-    coherence_score,
     coherence_scores,
     linked_context_feature,
     neighborhood_scores,
@@ -32,7 +31,7 @@ def build_params(dim, rng, **kw) -> SelectorParams:
 
 
 def cand_matrix(store, ids):
-    return Tensor(np.stack([store.entity_vecs[e] for e in ids]))
+    return Tensor(store.entities(ids))
 
 
 class TestLinkedContextFeature:
@@ -89,16 +88,15 @@ class TestCoherence:
         params = build_params(4, rng)
         pooled = Tensor(np.array([0.5, 0.5, -0.5, 0.5]))
         unit = pooled.data / np.linalg.norm(pooled.data)
-        assert coherence_score(Tensor(unit), pooled, params).item() == pytest.approx(
-            np.linalg.norm(pooled.data)
-        )
+        score = ad.item(coherence_scores(Tensor([unit]), pooled, params), 0)
+        assert score.item() == pytest.approx(np.linalg.norm(pooled.data))
 
     def test_random_instance_hand_arithmetic(self, rng):
         params = build_params(3, rng)
         diag = rng.normal(size=3)
         params.linked_coherence.diag.data[...] = diag
         e, f = rng.normal(size=3), rng.normal(size=3)
-        got = coherence_score(Tensor(e), Tensor(f), params).item()
+        got = ad.item(coherence_scores(Tensor([e]), Tensor(f), params), 0).item()
         assert got == pytest.approx(float(np.sum(e * diag * f)))
 
 

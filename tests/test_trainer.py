@@ -3,7 +3,8 @@ import pytest
 
 from dynel import autodiff as ad
 from dynel.autodiff import Tensor
-from dynel.model import build_model, load_checkpoint, save_checkpoint
+from dynel.local_transformer import TransformerConfig
+from dynel.model import build_model, encode_document, load_checkpoint, save_checkpoint
 from dynel.selector import candidate_distribution
 from dynel.synthetic import SyntheticSpec, generate_synthetic
 from dynel.trainer import (
@@ -11,7 +12,6 @@ from dynel.trainer import (
     Episode,
     TrainConfig,
     evaluate,
-    margin_loss,
     policy_objective,
     reinforce_step,
     rollout,
@@ -124,9 +124,10 @@ class TestOrderingConstruction:
         with ad.no_grad():
             for doc in self.docs:
                 golds = [m.gold for m in doc.mentions]
+                encoded = encode_document(doc, self.store, self.params)
                 for i, m in enumerate(doc.mentions):
                     linked = tuple(g for j, g in enumerate(golds) if j != i)
-                    local = self.params.local_scores(m, self.store)[0]
+                    local = encoded.local_feature[m.position]
                     probs = candidate_distribution(
                         m, linked, self.store, self.params.selector, local
                     )
@@ -155,11 +156,12 @@ class TestMarginLoss:
         hinge = ad.relu(probs - ad.item(probs, 0) + beta)
         assert np.allclose(hinge.data, beta)
 
-    def test_margin_loss_zero_when_gold_dominates(self):
+    def test_rollout_margin_zero_when_gold_dominates(self):
         docs, store = unambiguous_world()
         cfg = oracle_selector_config(margin=0.01)
         params = build(store, cfg)
-        loss = margin_loss(docs[0], store, params, cfg)
+        loss = rollout(docs[0], store, params, cfg, mode="train",
+                       rng=np.random.default_rng(cfg.seed)).margin
         # every mention contributes at least the gold term beta
         n_mentions = len(docs[0].mentions)
         assert loss.item() == pytest.approx(n_mentions * cfg.margin, abs=1e-9)
@@ -372,3 +374,23 @@ def test_config_round_trip_and_hash():
     assert TrainConfig(seed=1).config_hash() != TrainConfig(seed=2).config_hash()
     with pytest.raises(ValueError, match="reward"):
         TrainConfig(reward="r7")
+
+
+def test_config_builds_the_transformer_it_describes():
+    docs, store = unambiguous_world(num_docs=1)
+    cfg = TrainConfig(local_model="transformer", encoder_layers=1, attention_heads=2,
+                      head_dim=3, model_dim=store.dim, encoder_ff_dim=5, head_hidden=4,
+                      max_seq_len=40, max_candidates=5, drop_rate=0.2, top_words=9,
+                      policy_top_k=3, selector_top_k=2, fusion_hidden=6)
+    params = cfg.build_model(store, np.random.default_rng(0))
+    assert params.transformer.config == TransformerConfig(
+        layers=1, heads=2, head_dim=3, model_dim=store.dim, ff_dim=5, hidden=4,
+        max_seq_len=40, max_candidates=5, drop_rate=0.2)
+    assert (params.local_attn.top_words, params.policy.top_k,
+            params.selector.top_entities) == (9, 3, 2)
+    assert params.selector.fusion.weights[0].data.shape == (5, 6)
+    # train builds the same initial model from the first spawned stream
+    init = TrainConfig(epochs=0, seed=4).build_model(
+        store, np.random.default_rng(4).spawn(2)[0])
+    trained = train(docs, [], store, TrainConfig(epochs=0, seed=4)).params
+    assert all(np.array_equal(a, trained.snapshot()[k]) for k, a in init.snapshot().items())

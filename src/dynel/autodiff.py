@@ -439,7 +439,13 @@ def item(a: Tensor, i: int) -> Tensor:
 
 @dataclass
 class DiagonalBilinear:
-    """A d x d matrix stored as its diagonal: score(x, y) = sum_i x_i d_i y_i."""
+    """A d x d matrix stored as its diagonal: score(x, y) = sum_i x_i d_i y_i.
+
+    ``pool`` is the one hard-attention pool of the linker (Ganea & Hofmann
+    2017): the context feature pools context words against the candidates,
+    the selector pools linked entities and KG neighbours against them, and
+    the policy pools the linked-pair history against the window's actions.
+    """
 
     diag: Tensor
 
@@ -450,6 +456,27 @@ class DiagonalBilinear:
     @property
     def dim(self) -> int:
         return self.diag.data.size
+
+    def scores(self, rows: Tensor, vec: Tensor) -> Tensor:
+        """``rows @ (diag * vec)``: one score per row."""
+        return matmul(rows, mul(self.diag, vec))
+
+    def match(self, queries: Tensor, rows: Tensor) -> Tensor:
+        """Each row's best score against any query row."""
+        return tmax(matmul(queries, transpose(mul(rows, self.diag))), axis=0)
+
+    def pool(self, queries: Tensor, rows: Tensor, top_k: int) -> Tensor:
+        """Softmax-weighted sum of the ``top_k`` best-matching rows.
+
+        The kept rows stay in their original order; ties in the match score
+        keep the earlier row.
+        """
+        scores = self.match(queries, rows)
+        if rows.data.shape[0] > top_k:
+            keep = np.sort(np.argsort(-scores.data, kind="stable")[:top_k])
+            scores = gather(scores, keep)
+            rows = gather_rows(rows, keep)
+        return matmul(softmax(scores), rows)
 
 
 # ---------------------------------------------------------------------------

@@ -215,11 +215,68 @@ def _check_ids(docs: list[Document], store: EmbeddingStore) -> None:
             raise CorpusError(f"mention id {mid!r} contains a tab or line break")
 
 
+def _check_references(
+    docs: list[Document], store: EmbeddingStore, lines: dict[str, dict] | None = None
+) -> None:
+    """Refuse a corpus whose records name what it does not hold.
+
+    Every word and entity that a mention, an entity surface, a KG edge or a
+    type vector names needs a vector.  A KG neighbour set must be non-empty,
+    since ``kg_edges.tsv`` cannot carry an empty one.  A type vector must be
+    keyed by a mention of the corpus and be as wide as the first one.
+    ``save_corpus`` and ``load_corpus`` both call this, so what saves also
+    loads.  ``lines[file][key]`` is the line each record was read from; a
+    record that was not read from a file is named by its key.
+    """
+    def fail(file: str, key, problem: str):
+        where = f"line {lines[file][key]}" if lines is not None else f"record {key!r}"
+        raise CorpusError(f"{file} {where}: {problem}")
+
+    words, entities = store.word_vecs, store.entity_vecs
+    for doc in docs:
+        for m in doc.mentions:
+            for w in m.surface + m.context_window:
+                if w not in words:
+                    fail("docs.jsonl", m.id, f"unknown word {w!r} in {m.id!r}")
+            for c in m.candidates:
+                if c.entity_id not in entities:
+                    fail("docs.jsonl", m.id, f"unknown entity {c.entity_id!r}")
+            if m.gold not in entities:
+                fail("docs.jsonl", m.id, f"unknown gold entity {m.gold!r}")
+    for eid, surface in store.entity_surface.items():
+        if eid not in entities:
+            fail("entity_surfaces.tsv", eid, f"unknown entity {eid!r}")
+        for w in surface:
+            if w not in words:
+                fail("entity_surfaces.tsv", eid, f"unknown word {w!r}")
+    for src, dsts in store.kg_adjacency.items():
+        if not dsts:
+            fail("kg_edges.tsv", src, f"entity {src!r} has an empty neighbour set")
+        for dst in sorted(dsts):
+            for eid in (src, dst):
+                if eid not in entities:
+                    fail("kg_edges.tsv", (src, dst), f"unknown entity {eid!r}")
+    mention_ids = {m.id for doc in docs for m in doc.mentions}
+    width = None
+    for key, vec in store.type_vecs.items():
+        mid, eid = key
+        if mid not in mention_ids:
+            fail("type_vecs.tsv", key, f"mention {mid!r} is in no document")
+        if eid not in entities:
+            fail("type_vecs.tsv", key, f"unknown entity {eid!r}")
+        if width is None:
+            width = vec.size
+        elif vec.size != width:
+            fail("type_vecs.tsv", key, f"width {vec.size} differs from the first row's {width}")
+
+
 def save_corpus(docs: Iterable[Document], store: EmbeddingStore, path: str | Path) -> None:
     """Write a corpus directory; raises ``CorpusError`` before writing any
-    file if an id could not be read back unchanged."""
+    file if an id could not be read back unchanged or ``load_corpus`` would
+    reject a reference."""
     docs = list(docs)
     _check_ids(docs, store)
+    _check_references(docs, store)
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     with open(path / "docs.jsonl", "w", encoding="utf-8") as fh:
@@ -253,7 +310,11 @@ def save_corpus(docs: Iterable[Document], store: EmbeddingStore, path: str | Pat
                 fh.write(f"{mid}\t{eid}\t{vals}\n")
 
 
-def _load_vecs(path: Path) -> dict[str, np.ndarray]:
+def _load_vecs(
+    path: Path, width: int | None = None, width_of: str = ""
+) -> dict[str, np.ndarray]:
+    """Read ``<id> <f1> ... <fd>`` rows, each as wide as the first row, or
+    ``width`` wide (the width of ``width_of``) when given."""
     table: dict[str, np.ndarray] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -263,9 +324,15 @@ def _load_vecs(path: Path) -> dict[str, np.ndarray]:
             if parts[0] in table:
                 raise CorpusError(f"{path.name} line {lineno}: duplicate id {parts[0]!r}")
             try:
-                table[parts[0]] = np.array([float(x) for x in parts[1:]])
+                vec = np.array([float(x) for x in parts[1:]])
             except ValueError:
                 raise CorpusError(f"{path.name} line {lineno}: non-numeric value") from None
+            if width is None:
+                width, width_of = vec.size, f"line {lineno}"
+            elif vec.size != width:
+                raise CorpusError(f"{path.name} line {lineno}: width {vec.size} differs "
+                                  f"from {width_of} ({width})")
+            table[parts[0]] = vec
     return table
 
 
@@ -274,10 +341,11 @@ def load_corpus(
 ) -> tuple[list[Document], EmbeddingStore]:
     """Load and cross-validate a corpus directory.
 
-    Every word/entity referenced anywhere must have an embedding, every id
-    must be unique (mention ids across the whole corpus) and every mention
-    needs a non-empty context window; violations are reported with the file
-    and line they came from.  ``context_radius``
+    Every word/entity referenced anywhere must have an embedding, all word
+    and entity vectors one width, every id must be unique (mention ids
+    across the whole corpus), every type vector must name a mention of the
+    corpus, and every mention needs a non-empty context window; violations
+    are reported with the file and line they came from.  ``context_radius``
     caps each mention's window to the nearest ``radius`` words on each side
     (None keeps the stored windows untouched, preserving save/load identity).
     """
@@ -285,8 +353,12 @@ def load_corpus(
         raise ValueError(f"context_radius must be >= 0, got {context_radius}")
     path = Path(path)
     word_vecs = _load_vecs(path / "words.vec")
-    entity_vecs = _load_vecs(path / "entities.vec")
+    entity_vecs = _load_vecs(path / "entities.vec",
+                             next((v.size for v in word_vecs.values()), None), "words.vec")
 
+    # the line each record came from, for ``_check_references``
+    lines: dict[str, dict] = {name: {} for name in (
+        "docs.jsonl", "entity_surfaces.tsv", "kg_edges.tsv", "type_vecs.tsv")}
     surfaces: dict[str, tuple[str, ...]] = {}
     surf_path = path / "entity_surfaces.tsv"
     if surf_path.exists():
@@ -295,17 +367,8 @@ def load_corpus(
                 if not line.strip():
                     continue
                 eid, _, rest = line.rstrip("\n").partition("\t")
-                words = tuple(rest.split())
-                if eid not in entity_vecs:
-                    raise CorpusError(
-                        f"entity_surfaces.tsv line {lineno}: unknown entity {eid!r}"
-                    )
-                for w in words:
-                    if w not in word_vecs:
-                        raise CorpusError(
-                            f"entity_surfaces.tsv line {lineno}: unknown word {w!r}"
-                        )
-                surfaces[eid] = words
+                surfaces[eid] = tuple(rest.split())
+                lines["entity_surfaces.tsv"][eid] = lineno
 
     adjacency: dict[str, set[str]] = {}
     edges_path = path / "kg_edges.tsv"
@@ -318,12 +381,8 @@ def load_corpus(
                 if len(parts) != 2:
                     raise CorpusError(f"kg_edges.tsv line {lineno}: expected 'src dst'")
                 src, dst = parts
-                for eid in (src, dst):
-                    if eid not in entity_vecs:
-                        raise CorpusError(
-                            f"kg_edges.tsv line {lineno}: unknown entity {eid!r}"
-                        )
                 adjacency.setdefault(src, set()).add(dst)
+                lines["kg_edges.tsv"][(src, dst)] = lineno
 
     type_vecs: dict[tuple[str, str], np.ndarray] = {}
     types_path = path / "type_vecs.tsv"
@@ -342,6 +401,7 @@ def load_corpus(
                     raise CorpusError(
                         f"type_vecs.tsv line {lineno}: non-numeric value"
                     ) from None
+                lines["type_vecs.tsv"][(mid, eid)] = lineno
 
     store = EmbeddingStore(
         word_vecs=word_vecs,
@@ -353,7 +413,7 @@ def load_corpus(
 
     docs: list[Document] = []
     doc_lines: dict[str, int] = {}       # first line of each document / mention id
-    mention_lines: dict[str, int] = {}
+    mention_lines = lines["docs.jsonl"]
     with open(path / "docs.jsonl", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -400,23 +460,10 @@ def load_corpus(
                     raise CorpusError(
                         f"docs.jsonl line {lineno}: mention {m.id!r} has an empty context window"
                     )
-                for w in m.surface + m.context_window:
-                    if w not in word_vecs:
-                        raise CorpusError(
-                            f"docs.jsonl line {lineno}: unknown word {w!r} in {m.id!r}"
-                        )
-                for c in m.candidates:
-                    if c.entity_id not in entity_vecs:
-                        raise CorpusError(
-                            f"docs.jsonl line {lineno}: unknown entity {c.entity_id!r}"
-                        )
-                if m.gold not in entity_vecs:
-                    raise CorpusError(
-                        f"docs.jsonl line {lineno}: unknown gold entity {m.gold!r}"
-                    )
             docs.append(doc)
     if not docs:
         raise CorpusError("docs.jsonl contains no documents")
+    _check_references(docs, store, lines)
     return docs, store
 
 

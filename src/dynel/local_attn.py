@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import DiagonalBilinear, Tensor
 from .corpus import EmbeddingStore, Mention
 
@@ -44,17 +43,7 @@ def context_feature(mention: Mention, store: EmbeddingStore, params: LocalAttnPa
         raise ValueError(f"mention {mention.id!r} has an empty context window")
     words = Tensor(np.stack([store.word(w) for w in window]))
     cand = Tensor(store.entities(mention.candidate_ids))
-    # word score = max over candidates of <entity, diag * word>
-    table = ad.matmul(cand, ad.transpose(ad.mul(words, params.word_scorer.diag)))
-    scores = ad.tmax(table, axis=0)
-    kept_words = words
-    if len(window) > params.top_words:
-        keep = np.argsort(-scores.data, kind="stable")[: params.top_words]
-        keep = np.sort(keep)
-        scores = ad.gather(scores, keep)
-        kept_words = ad.gather_rows(words, keep)
-    weights = ad.softmax(scores)
-    return ad.matmul(weights, kept_words)
+    return params.word_scorer.pool(cand, words, params.top_words)
 
 
 def local_scores_attn(
@@ -70,4 +59,4 @@ def local_scores_attn(
     if feat is None:
         feat = context_feature(mention, store, params)
     cand = Tensor(store.entities(mention.candidate_ids))
-    return ad.matmul(cand, ad.mul(params.entity_context.diag, feat))
+    return params.entity_context.scores(cand, feat)

@@ -24,7 +24,6 @@ __all__ = [
     "LinkingState",
     "ActionWindow",
     "action_representation",
-    "state_relevance",
     "select_action",
     "advance",
 ]
@@ -114,25 +113,6 @@ def action_representation(mention_repr: Tensor, cand_vecs: Tensor, psi: Tensor) 
     return ad.concat([mention_half, entity_half])
 
 
-def _match_table(state: LinkingState, action_reps: list[Tensor], params: PolicyParams) -> Tensor:
-    """(actions x history) table of diagonal-bilinear match scores."""
-    hist = state.stacked()
-    acts = ad.stack(action_reps)
-    scaled = ad.mul(hist, params.history_match.diag)
-    return ad.matmul(acts, ad.transpose(scaled))
-
-
-def state_relevance(
-    state: LinkingState, action_reps: list[Tensor], params: PolicyParams
-) -> Tensor:
-    """Each history element scored by its best-matching available action."""
-    if not action_reps:
-        raise ValueError("state_relevance needs at least one action")
-    if not state.entries:
-        raise ValueError("history is empty; the initial pair must be present")
-    return ad.tmax(_match_table(state, action_reps, params), axis=0)
-
-
 def select_action(
     state: LinkingState,
     window: ActionWindow,
@@ -153,23 +133,9 @@ def select_action(
     acts = window.actions()
     if not acts:
         raise ValueError("cannot select from an empty action window")
-    reps = [action_reps[a] for a in acts]
-
-    relevance = state_relevance(state, reps, params)
-    c_vals = relevance.data
-    if len(c_vals) > params.top_k:
-        keep = np.sort(np.argsort(-c_vals, kind="stable")[: params.top_k])
-        kept_rel = ad.gather(relevance, keep)
-        kept_hist = ad.gather_rows(state.stacked(), keep)
-    else:
-        kept_rel = relevance
-        kept_hist = state.stacked()
-    weights = ad.softmax(kept_rel)
-
-    evidence = ad.matmul(weights, kept_hist)
-    scaled = ad.mul(evidence, params.action_scorer.diag)
-    logits = ad.matmul(ad.stack(reps), scaled)
-    log_probs = ad.log_softmax(logits)
+    reps = ad.stack([action_reps[a] for a in acts])
+    evidence = params.history_match.pool(reps, state.stacked(), params.top_k)
+    log_probs = ad.log_softmax(params.action_scorer.scores(reps, evidence))
     probs = np.exp(log_probs.data)
 
     if force is not None:

@@ -23,7 +23,6 @@ __all__ = [
     "SelectorParams",
     "FEATURE_NAMES",
     "linked_context_feature",
-    "coherence_scores",
     "neighborhood_scores",
     "candidate_distribution",
 ]
@@ -82,21 +81,6 @@ class SelectorParams:
         return out
 
 
-def _attention_pool(
-    cand_mat: Tensor, pool_vecs: np.ndarray, bilinear: DiagonalBilinear, top_k: int
-) -> Tensor:
-    """Pool ``pool_vecs`` rows, attended by their best candidate match."""
-    pool = Tensor(pool_vecs)
-    table = ad.matmul(cand_mat, ad.transpose(ad.mul(pool, bilinear.diag)))
-    scores = ad.tmax(table, axis=0)
-    if pool_vecs.shape[0] > top_k:
-        keep = np.sort(np.argsort(-scores.data, kind="stable")[:top_k])
-        scores = ad.gather(scores, keep)
-        pool = ad.gather_rows(pool, keep)
-    weights = ad.softmax(scores)
-    return ad.matmul(weights, pool)
-
-
 def linked_context_feature(
     cand_mat: Tensor,
     linked_ids: tuple[str, ...],
@@ -106,12 +90,8 @@ def linked_context_feature(
     """Pooled vector of previously linked entities; zeros when none exist."""
     if not linked_ids:
         return Tensor(np.zeros(store.dim))
-    vecs = store.entities(linked_ids)
-    return _attention_pool(cand_mat, vecs, params.linked_coherence, params.top_entities)
-
-
-def coherence_scores(cand_mat: Tensor, pooled: Tensor, params: SelectorParams) -> Tensor:
-    return ad.matmul(cand_mat, ad.mul(params.linked_coherence.diag, pooled))
+    linked = Tensor(store.entities(linked_ids))
+    return params.linked_coherence.pool(cand_mat, linked, params.top_entities)
 
 
 def neighborhood_scores(
@@ -125,9 +105,9 @@ def neighborhood_scores(
     neighbor_ids = sorted(set().union(*[store.neighbors(e) for e in linked_ids], set()))
     if not neighbor_ids:
         return Tensor(np.zeros(n))
-    vecs = store.entities(neighbor_ids)
-    pooled = _attention_pool(cand_mat, vecs, params.neighborhood_coherence, params.top_entities)
-    return ad.matmul(cand_mat, ad.mul(params.neighborhood_coherence.diag, pooled))
+    bilinear = params.neighborhood_coherence
+    pooled = bilinear.pool(cand_mat, Tensor(store.entities(neighbor_ids)), params.top_entities)
+    return bilinear.scores(cand_mat, pooled)
 
 
 def _znorm_columns(mat: Tensor) -> Tensor:
@@ -157,7 +137,7 @@ def candidate_distribution(
     for name in params.features:
         if name == "coherence":
             pooled = linked_context_feature(cand_mat, linked_ids, store, params)
-            columns.append(coherence_scores(cand_mat, pooled, params))
+            columns.append(params.linked_coherence.scores(cand_mat, pooled))
         elif name == "prior":
             columns.append(Tensor(mention.priors))
         elif name == "type":

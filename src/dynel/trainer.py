@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -94,6 +94,9 @@ class TrainConfig:
             raise ValueError(f"reward must be one of {REWARD_KINDS}")
         if self.episodes_per_doc < 1:
             raise ValueError("episodes_per_doc must be >= 1")
+        for cap in ("policy_top_k", "selector_top_k", "top_words"):
+            if getattr(self, cap) < 1:
+                raise ValueError(f"{cap} must be >= 1, got {getattr(self, cap)}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -104,6 +107,9 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         d = dict(d)
         if d.get("window") in ("L", "l"):
             d["window"] = None

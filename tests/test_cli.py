@@ -61,6 +61,21 @@ def test_train_missing_config_fails(corpus_dir, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad, message", [
+    ({"windw": 4}, "error: unknown config keys: windw"),
+    ({"top_words": 0}, "error: top_words must be >= 1, got 0"),
+])
+def test_train_rejects_a_bad_config_with_a_message(corpus_dir, tmp_path, capsys,
+                                                   bad, message):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(bad))
+    rc = main(["train", "--config", str(cfg), "--corpus", str(corpus_dir),
+               "--out", str(tmp_path / "m.npz")])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "m.npz").exists()
+
+
 def test_train_link_eval_pipeline(corpus_dir, config_path, tmp_path, capsys):
     ckpt = tmp_path / "model.npz"
     metrics = tmp_path / "metrics.jsonl"

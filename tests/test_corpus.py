@@ -260,6 +260,61 @@ def test_entities_stacks_rows_in_order():
         store.entities(["a", "c"])
 
 
+def test_mixed_widths_in_one_vector_file_name_the_line(tmp_path):
+    docs, store = small_corpus()
+    save_corpus(docs, store, tmp_path)
+    path = tmp_path / "words.vec"
+    lines = path.read_text().splitlines()
+    lines[1] += " 0.5"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorpusError, match=r"words.vec line 2: width 17 differs from "
+                                          r"line 1 \(16\)"):
+        load_corpus(tmp_path)
+
+
+def test_entity_width_must_match_word_width(tmp_path):
+    docs, store = small_corpus()
+    save_corpus(docs, store, tmp_path)
+    path = tmp_path / "entities.vec"
+    path.write_text("".join(line.rsplit(" ", 1)[0] + "\n"
+                            for line in path.read_text().splitlines()))
+    with pytest.raises(CorpusError, match=r"entities.vec line 1: width 15 differs from "
+                                          r"words.vec \(16\)"):
+        load_corpus(tmp_path)
+
+
+@pytest.mark.parametrize("row, problem", [
+    ("nope\te0\t1.0 2.0", "mention 'nope' is in no document"),
+    ("m0\tzz\t1.0 2.0", "unknown entity 'zz'"),
+    ("m0\te1\t1.0", "width 1 differs from the first row's 2"),
+])
+def test_type_vec_rows_checked_at_load(tmp_path, row, problem):
+    docs, store = one_mention_corpus()
+    save_corpus(docs, store, tmp_path)
+    (tmp_path / "type_vecs.tsv").write_text(f"m0\te0\t0.5 0.5\n{row}\n")
+    with pytest.raises(CorpusError, match=f"type_vecs.tsv line 2: {re.escape(problem)}"):
+        load_corpus(tmp_path)
+
+
+@pytest.mark.parametrize("field, value, problem", [
+    ("entity_surface", {"e0": ("zz",)}, "entity_surfaces.tsv record 'e0': unknown word 'zz'"),
+    ("kg_adjacency", {"e0": frozenset()}, "kg_edges.tsv record 'e0': entity 'e0' has an "
+                                          "empty neighbour set"),
+    ("kg_adjacency", {"e0": frozenset({"zz"})}, "kg_edges.tsv record ('e0', 'zz'): "
+                                                "unknown entity 'zz'"),
+    ("type_vecs", {("m0", "zz"): np.ones(2)}, "type_vecs.tsv record ('m0', 'zz'): "
+                                              "unknown entity 'zz'"),
+    ("type_vecs", {("nope", "e0"): np.ones(2)}, "type_vecs.tsv record ('nope', 'e0'): "
+                                                "mention 'nope' is in no document"),
+])
+def test_save_refuses_what_load_would_reject(tmp_path, field, value, problem):
+    docs, store = one_mention_corpus()
+    setattr(store, field, value)
+    with pytest.raises(CorpusError, match=re.escape(problem)):
+        save_corpus(docs, store, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # save/load round trip over generated ids
 # ---------------------------------------------------------------------------
@@ -271,19 +326,29 @@ vectors = st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64),
 
 @st.composite
 def corpora(draw):
+    # a flawed corpus may name ids that have no vector or mention, hold an empty
+    # KG neighbour set, or mix type vector widths: its save must be refused
+    flawed = draw(st.booleans())
+
+    def ref(known: list[str]):
+        known = st.sampled_from(known)
+        return st.one_of(known, st.text("xyz", min_size=1, max_size=2)) if flawed else known
+
     words = draw(st.dictionaries(ids, vectors, min_size=1, max_size=4))
     entities = draw(st.dictionaries(ids, vectors, min_size=1, max_size=4))
     word_ids, entity_ids = sorted(words), sorted(entities)
-    surfaces = draw(st.dictionaries(st.sampled_from(entity_ids),
-                                    st.lists(st.sampled_from(word_ids), max_size=2)
-                                    .map(tuple), max_size=2))
-    kg = draw(st.dictionaries(st.sampled_from(entity_ids),
-                              st.frozensets(st.sampled_from(entity_ids), min_size=1),
+    surfaces = draw(st.dictionaries(ref(entity_ids),
+                                    st.lists(ref(word_ids), max_size=2).map(tuple),
+                                    max_size=2))
+    kg = draw(st.dictionaries(ref(entity_ids),
+                              st.frozensets(ref(entity_ids), min_size=0 if flawed else 1,
+                                            max_size=2),
                               max_size=2))
     mention_ids = draw(st.lists(ids, min_size=1, max_size=3, unique=True))
-    types = draw(st.dictionaries(st.tuples(st.sampled_from(mention_ids),
-                                           st.sampled_from(entity_ids)),
-                                 vectors, max_size=2))
+    type_vectors = st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64),
+                            min_size=1 if flawed else 2, max_size=2).map(np.array)
+    types = draw(st.dictionaries(st.tuples(ref(mention_ids), ref(entity_ids)),
+                                 type_vectors, max_size=2))
     doc_ids = draw(st.lists(ids, min_size=len(mention_ids), max_size=len(mention_ids),
                             unique=True))
     word, entity = st.sampled_from(word_ids), st.sampled_from(entity_ids)

@@ -13,7 +13,6 @@ from dynel.policy import (
     action_representation,
     advance,
     select_action,
-    state_relevance,
 )
 
 import oracles
@@ -51,13 +50,19 @@ class TestActionRepresentation:
         assert np.allclose(d.data[:4], mention, atol=1e-12)
 
 
+def relevance(state, actions, params):
+    """Each history element's best match against the actions, as ``select_action``
+    computes it."""
+    return params.history_match.match(ad.stack(actions), state.stacked())
+
+
 class TestStateRelevance:
     def test_single_action_is_plain_bilinear(self, rng):
         dim = 3
         params = make_params(dim, rng=rng)
         s = rng.normal(size=(2, 2 * dim))
         a = Tensor(rng.normal(size=2 * dim))
-        c = state_relevance(state_from(s[1:], params), [a], params).data
+        c = relevance(state_from(s[1:], params), [a], params).data
         manual = [
             float(np.sum(a.data * params.history_match.diag.data * params.init_pair.data)),
             float(np.sum(a.data * params.history_match.diag.data * s[1])),
@@ -67,7 +72,7 @@ class TestStateRelevance:
     def test_zero_matrix_zeroes_relevance(self, rng):
         params = make_params(2)
         params.history_match.diag.data[...] = 0.0
-        c = state_relevance(
+        c = relevance(
             state_from(rng.normal(size=(2, 4)), params),
             [Tensor(rng.normal(size=4)) for _ in range(2)],
             params,
@@ -83,7 +88,7 @@ class TestStateRelevance:
         state = LinkingState(
             (HistoryEntry(None, None, Tensor(hist[0])),) + state.entries[1:]
         )
-        got = state_relevance(state, actions, params).data
+        got = relevance(state, actions, params).data
         table = np.array(
             [
                 [float(np.sum(a.data * params.history_match.diag.data * s)) for s in hist]

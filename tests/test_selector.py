@@ -7,7 +7,6 @@ from dynel.corpus import EmbeddingStore
 from dynel.selector import (
     SelectorParams,
     candidate_distribution,
-    coherence_scores,
     linked_context_feature,
     neighborhood_scores,
 )
@@ -40,7 +39,7 @@ class TestLinkedContextFeature:
         params = build_params(4, rng)
         f = linked_context_feature(cand_matrix(store, ["e0", "e1"]), (), store, params)
         assert np.allclose(f.data, 0.0)
-        scores = coherence_scores(cand_matrix(store, ["e0", "e1"]), f, params).data
+        scores = params.linked_coherence.scores(cand_matrix(store, ["e0", "e1"]), f).data
         assert np.allclose(scores, 0.0)
 
     def test_single_linked_entity_is_its_vector(self, rng):
@@ -88,7 +87,7 @@ class TestCoherence:
         params = build_params(4, rng)
         pooled = Tensor(np.array([0.5, 0.5, -0.5, 0.5]))
         unit = pooled.data / np.linalg.norm(pooled.data)
-        score = ad.item(coherence_scores(Tensor([unit]), pooled, params), 0)
+        score = ad.item(params.linked_coherence.scores(Tensor([unit]), pooled), 0)
         assert score.item() == pytest.approx(np.linalg.norm(pooled.data))
 
     def test_random_instance_hand_arithmetic(self, rng):
@@ -96,7 +95,7 @@ class TestCoherence:
         diag = rng.normal(size=3)
         params.linked_coherence.diag.data[...] = diag
         e, f = rng.normal(size=3), rng.normal(size=3)
-        got = ad.item(coherence_scores(Tensor([e]), Tensor(f), params), 0).item()
+        got = ad.item(params.linked_coherence.scores(Tensor([e]), Tensor(f)), 0).item()
         assert got == pytest.approx(float(np.sum(e * diag * f)))
 
 

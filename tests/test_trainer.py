@@ -394,3 +394,16 @@ def test_config_builds_the_transformer_it_describes():
         store, np.random.default_rng(4).spawn(2)[0])
     trained = train(docs, [], store, TrainConfig(epochs=0, seed=4)).params
     assert all(np.array_equal(a, trained.snapshot()[k]) for k, a in init.snapshot().items())
+
+
+@pytest.mark.parametrize("cap", ["policy_top_k", "selector_top_k", "top_words"])
+def test_config_rejects_a_pool_cap_below_one(cap):
+    # a cap of 0 would leave the attention pool with nothing to softmax
+    with pytest.raises(ValueError, match=f"{cap} must be >= 1"):
+        TrainConfig(**{cap: 0})
+    assert getattr(TrainConfig(**{cap: 1}), cap) == 1
+
+
+def test_config_from_dict_names_unknown_keys():
+    with pytest.raises(ValueError, match="unknown config keys: top_k, windw"):
+        TrainConfig.from_dict({"windw": 4, "top_k": 2, "seed": 1})

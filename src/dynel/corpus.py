@@ -220,8 +220,9 @@ def _check_references(
 ) -> None:
     """Refuse a corpus whose records name what it does not hold.
 
-    Every word and entity that a mention, an entity surface, a KG edge or a
-    type vector names needs a vector.  A KG neighbour set must be non-empty,
+    Every mention needs a non-empty context window.  Every word and entity
+    that a mention, an entity surface, a KG edge or a type vector names
+    needs a vector.  A KG neighbour set must be non-empty,
     since ``kg_edges.tsv`` cannot carry an empty one.  A type vector must be
     keyed by a mention of the corpus and be as wide as the first one.
     ``save_corpus`` and ``load_corpus`` both call this, so what saves also
@@ -235,6 +236,8 @@ def _check_references(
     words, entities = store.word_vecs, store.entity_vecs
     for doc in docs:
         for m in doc.mentions:
+            if not m.context_window:
+                fail("docs.jsonl", m.id, f"mention {m.id!r} has an empty context window")
             for w in m.surface + m.context_window:
                 if w not in words:
                     fail("docs.jsonl", m.id, f"unknown word {w!r} in {m.id!r}")
@@ -456,10 +459,6 @@ def load_corpus(
                     raise CorpusError(f"docs.jsonl line {lineno}: duplicate mention id "
                                       f"{m.id!r} (first on line {mention_lines[m.id]})")
                 mention_lines[m.id] = lineno
-                if not m.context_window:
-                    raise CorpusError(
-                        f"docs.jsonl line {lineno}: mention {m.id!r} has an empty context window"
-                    )
             docs.append(doc)
     if not docs:
         raise CorpusError("docs.jsonl contains no documents")

@@ -169,11 +169,22 @@ def one_mention_corpus(context_before=("w0",), context_after=()):
 
 
 def test_empty_context_window_rejected_at_load(tmp_path):
-    docs, store = one_mention_corpus(context_before=())
+    docs, store = one_mention_corpus()
     save_corpus(docs, store, tmp_path)
+    rec = json.loads((tmp_path / "docs.jsonl").read_text())
+    rec["mentions"][0]["context_before"] = []
+    (tmp_path / "docs.jsonl").write_text(json.dumps(rec) + "\n")
     with pytest.raises(CorpusError, match="docs.jsonl line 1: mention 'm0' has an "
                                           "empty context window"):
         load_corpus(tmp_path)
+
+
+def test_save_refuses_empty_context_window(tmp_path):
+    docs, store = one_mention_corpus(context_before=())
+    with pytest.raises(CorpusError, match="docs.jsonl record 'm0': mention 'm0' has an "
+                                          "empty context window"):
+        save_corpus(docs, store, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_context_radius_zero_empties_every_window(tmp_path):
@@ -319,16 +330,19 @@ def test_save_refuses_what_load_would_reject(tmp_path, field, value, problem):
 # save/load round trip over generated ids
 # ---------------------------------------------------------------------------
 
-ids = st.text(min_size=0, max_size=4)
+# ids the text files carry back unchanged, and ids that may be empty or hold
+# whitespace, which save refuses
+good_ids = st.text(st.characters(blacklist_categories=("Z", "C")), min_size=1, max_size=4)
+any_ids = st.text(min_size=0, max_size=4)
 vectors = st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64),
                    min_size=2, max_size=2).map(np.array)
 
 
 @st.composite
-def corpora(draw):
-    # a flawed corpus may name ids that have no vector or mention, hold an empty
-    # KG neighbour set, or mix type vector widths: its save must be refused
-    flawed = draw(st.booleans())
+def corpora(draw, flawed: bool):
+    # a flawed corpus may hold bad ids, name ids that have no vector or mention,
+    # hold an empty KG neighbour set or context window, or mix type vector widths
+    ids = any_ids if flawed and draw(st.booleans()) else good_ids
 
     def ref(known: list[str]):
         known = st.sampled_from(known)
@@ -355,7 +369,8 @@ def corpora(draw):
     docs = []
     for did, mid in zip(doc_ids, mention_ids):
         cands = draw(st.lists(entity, min_size=1, max_size=2))
-        mention = Mention(mid, (draw(word),), 0, (draw(word),), (),
+        before = () if flawed and draw(st.integers(0, 4)) == 4 else (draw(word),)
+        mention = Mention(mid, (draw(word),), 0, before, (),
                           tuple(CandidateEntity(c, 0.5) for c in cands), draw(entity))
         docs.append(Document(did, (draw(word),), (mention,)))
     store = EmbeddingStore(words, entities, surfaces, kg, types)
@@ -370,8 +385,23 @@ def _same_store(a: EmbeddingStore, b: EmbeddingStore) -> bool:
             and a.kg_adjacency == b.kg_adjacency)
 
 
+def _assert_reloads(docs, store, path):
+    docs2, store2 = load_corpus(path)
+    assert docs2 == docs
+    assert _same_store(store, store2)
+
+
 @settings(max_examples=150, deadline=None)
-@given(corpus=corpora())
+@given(corpus=corpora(flawed=False))
+def test_save_load_round_trip(tmp_path_factory, corpus):
+    docs, store = corpus
+    path = tmp_path_factory.mktemp("corpus")
+    save_corpus(docs, store, path)
+    _assert_reloads(docs, store, path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpus=corpora(flawed=True))
 def test_save_load_round_trip_or_refusal(tmp_path_factory, corpus):
     docs, store = corpus
     path = tmp_path_factory.mktemp("corpus")
@@ -380,6 +410,4 @@ def test_save_load_round_trip_or_refusal(tmp_path_factory, corpus):
     except CorpusError:
         assert not any(path.iterdir())
         return
-    docs2, store2 = load_corpus(path)
-    assert docs2 == docs
-    assert _same_store(store, store2)
+    _assert_reloads(docs, store, path)

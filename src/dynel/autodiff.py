@@ -5,13 +5,19 @@ functions on a dynamic graph; ``backward`` walks the graph in reverse
 topological order and accumulates gradients into ``Tensor.grad``.  The op
 set is deliberately minimal: exactly what the linker's scorers, policy
 network and training losses need.  No GPU, no generic dtype support.
+
+Gradients through ``gather_rows`` flow row-sparse, as the gathered rows'
+indices and gradients; they become a dense array only once they reach a
+node, so a word table gathered one token at a time costs one table-sized
+array per ``backward``, not one per token.  The sums are bit-identical to
+adding one dense table per gather.
 """
 
 from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -79,7 +85,8 @@ class Tensor:
     """A dense float64 array plus an optional gradient buffer.
 
     ``grad`` is lazily allocated by ``backward`` and accumulates across
-    repeated backward calls until ``zero_grad`` resets it.
+    repeated backward calls until ``zero_grad`` resets it.  It is always
+    dense: row-sparse gather gradients are scattered into it once per call.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fns")
@@ -380,18 +387,46 @@ def gather(a: Tensor, idx) -> Tensor:
     return _result(ad[idx], (a,), (back,))
 
 
+class _RowPart(NamedTuple):
+    """The gradient of one ``gather_rows``: ``rows[i]`` belongs to row ``idx[i]``."""
+
+    idx: np.ndarray
+    rows: np.ndarray
+
+
+def _add_part(out: np.ndarray, part: _RowPart) -> None:
+    """``out +=`` the dense table of ``part``.
+
+    A row gathered more than once is summed on its own first, as in the
+    part's own table; ``np.add.at`` straight into ``out`` would add the
+    repeats one by one to the running total and round differently.
+    """
+    idx, rows = part
+    if idx.size > 1:
+        uniq, inverse = np.unique(idx, return_inverse=True)
+        if uniq.size < idx.size:
+            sums = np.zeros((uniq.size,) + rows.shape[1:])
+            np.add.at(sums, inverse, rows)
+            out[uniq] += sums
+            return
+    out[idx] += rows
+
+
+def _scatter(parts: list[_RowPart], like: np.ndarray) -> np.ndarray:
+    """The dense sum of row-sparse parts, added one part at a time in order."""
+    out = np.zeros_like(like)
+    np.add.at(out, *parts[0])  # into zeros this is the first part's own table
+    for part in parts[1:]:
+        _add_part(out, part)
+    return out
+
+
 def gather_rows(a: Tensor, idx) -> Tensor:
+    """Rows ``idx`` of a matrix; its gradient flows row-sparse (see ``backward``)."""
     if a.data.ndim != 2:
         raise ShapeError("gather_rows expects a matrix")
     idx = np.asarray(idx, dtype=np.intp)
-    ad = a.data
-
-    def back(g):
-        out = np.zeros_like(ad)
-        np.add.at(out, idx, g)
-        return out
-
-    return _result(ad[idx], (a,), (back,))
+    return _result(a.data[idx], (a,), (lambda g: _RowPart(idx, g),))
 
 
 def cols(a: Tensor, lo: int, hi: int) -> Tensor:
@@ -486,7 +521,10 @@ class DiagonalBilinear:
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(node) into ``grad`` for every node reaching loss.
 
-    Repeated calls without ``zero_grad`` keep accumulating.
+    Repeated calls without ``zero_grad`` keep accumulating.  Each node's
+    incoming gradients are summed in arrival order, left to right; the
+    row-sparse parts from ``gather_rows`` are scattered so that every row
+    gets the same sums, in the same order, as one dense table per gather.
     """
     if loss.data.shape != ():
         raise ShapeError("backward expects a scalar loss")
@@ -510,23 +548,58 @@ def backward(loss: Tensor) -> None:
             if p.requires_grad and id(p) not in seen:
                 stack_.append((p, False))
 
-    flowing: dict[int, np.ndarray] = {id(loss): np.ones(())}
+    # a flowing gradient is a dense array or a list of row-sparse parts;
+    # ``owned`` holds the keys whose dense array backward allocated itself,
+    # the only arrays it adds into in place (a grad function may return its
+    # input, so any other array can be shared with another node)
+    flowing: dict[int, np.ndarray | list[_RowPart]] = {id(loss): np.ones(())}
+    owned: set[int] = set()
     for node in reversed(topo):
-        g = flowing.pop(id(node), None)
+        key = id(node)
+        g = flowing.pop(key, None)
         if g is None:
             continue
+        if type(g) is list:
+            g = _scatter(g, node.data)
+            owned.add(key)
         if node.grad is None:
-            node.grad = np.zeros_like(node.data)
-        node.grad += g
+            if key in owned:
+                node.grad = g
+            else:
+                node.grad = np.zeros_like(node.data)
+                node.grad += g
+        else:
+            node.grad += g
         for parent, fn in zip(node._parents, node._grad_fns):
             if not parent.requires_grad:
                 continue
             contrib = fn(g)
-            key = id(parent)
-            if key in flowing:
-                flowing[key] = flowing[key] + contrib
+            pkey = id(parent)
+            acc = flowing.get(pkey)
+            if type(contrib) is _RowPart:
+                if acc is None:
+                    flowing[pkey] = [contrib]
+                elif type(acc) is list:
+                    acc.append(contrib)
+                else:
+                    if pkey not in owned:
+                        acc = acc.copy()
+                        owned.add(pkey)
+                    _add_part(acc, contrib)
+                    flowing[pkey] = acc
+            elif acc is None:
+                flowing[pkey] = contrib
+            elif pkey in owned:
+                acc += contrib
             else:
-                flowing[key] = contrib
+                if type(acc) is list:
+                    acc = _scatter(acc, parent.data)
+                    acc += contrib
+                else:
+                    # 0-d sums come back as numpy scalars; keep an array to add into
+                    acc = np.asarray(acc + contrib)
+                flowing[pkey] = acc
+                owned.add(pkey)
 
 
 def zero_grad(params: Iterable[Tensor]) -> None:

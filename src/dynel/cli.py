@@ -23,6 +23,7 @@ from .harness import (
     sweep,
     write_sweep_csv,
 )
+from .local_transformer import check_input_caps
 from .model import load_checkpoint, save_checkpoint
 from .rewards import (
     REWARD_KINDS,
@@ -50,8 +51,12 @@ def _load_config(path: str) -> TrainConfig:
         return TrainConfig.from_dict(json.load(fh))
 
 
-def _load_model(store, config: TrainConfig, checkpoint: str):
-    """Build the model ``config`` describes and restore ``checkpoint`` into it."""
+def _load_model(docs, store, config: TrainConfig, checkpoint: str):
+    """Build the model ``config`` describes and restore ``checkpoint`` into it,
+    after checking that the transformer scorer, if any, can encode ``docs``."""
+    transformer = config.transformer_config()
+    if transformer is not None:
+        check_input_caps(docs, transformer)
     params = config.build_model(store, np.random.default_rng(config.seed))
     load_checkpoint(params, checkpoint)
     return params
@@ -98,7 +103,7 @@ def _cmd_link(args) -> int:
     config = _load_config(args.config)
     _echo_config(config)
     docs, store = load_corpus(args.corpus)
-    params = _load_model(store, config, args.checkpoint)
+    params = _load_model(docs, store, config, args.checkpoint)
     episodes = evaluate(docs, store, params, config)
     with open(args.out, "w") as fh:
         for doc, ep in zip(docs, episodes):
@@ -128,7 +133,7 @@ def _cmd_eval(args) -> int:
                                         "window": "L" if window is None else window})
     _echo_config(config)
     docs, store = load_corpus(args.corpus)
-    params = _load_model(store, config, args.checkpoint)
+    params = _load_model(docs, store, config, args.checkpoint)
     report = run_baseline(docs, store, params, config, args.order, seed=config.seed)
     payload = report.to_json()
     if args.out:

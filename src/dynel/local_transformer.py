@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .corpus import EmbeddingStore, Mention
+from .corpus import Document, EmbeddingStore, Mention
 from .nn import EncoderLayer, FeedForward, dropout, glorot, linear
 
 __all__ = [
@@ -35,6 +36,7 @@ __all__ = [
     "InputLayout",
     "ABLATION_FLAGS",
     "build_input",
+    "check_input_caps",
     "local_scores_transformer",
     "transformer_ablation",
 ]
@@ -154,20 +156,44 @@ def _context_tokens(mention: Mention) -> tuple[str, ...]:
     return mention.context_before + mention.surface + mention.context_after
 
 
+def _seq_len(mention: Mention) -> int:
+    """``[CLS] ctx... [SEP]`` plus one candidate row and one ``[SEP]`` per candidate."""
+    return 1 + len(_context_tokens(mention)) + 1 + 2 * len(mention.candidates)
+
+
+def _cap_error(mention: Mention, cfg: TransformerConfig) -> str | None:
+    """Why ``mention`` does not fit the scorer's input caps, or ``None``."""
+    n = len(mention.candidates)
+    if n > cfg.max_candidates:
+        return f"mention {mention.id!r} has {n} candidates; max is {cfg.max_candidates}"
+    seq_len = _seq_len(mention)
+    if seq_len > cfg.max_seq_len:
+        return (f"mention {mention.id!r} has sequence length {seq_len}; "
+                f"max is {cfg.max_seq_len}")
+    return None
+
+
+def check_input_caps(docs: Sequence[Document], cfg: TransformerConfig) -> None:
+    """Raise ``ValueError`` naming the first document and mention that exceeds
+    ``max_candidates`` or ``max_seq_len``; run it before any update."""
+    for doc in docs:
+        for mention in doc.mentions:
+            error = _cap_error(mention, cfg)
+            if error:
+                raise ValueError(f"document {doc.id!r}: {error}")
+
+
 def build_input(
     mention: Mention, store: EmbeddingStore, params: TransformerLocalParams
 ) -> tuple[Tensor, InputLayout]:
     """Sum token/type/segment/position embeddings into the input matrix."""
     cfg = params.config
+    error = _cap_error(mention, cfg)
+    if error:
+        raise ValueError(error)
     n = len(mention.candidates)
-    if n > cfg.max_candidates:
-        raise ValueError(
-            f"mention {mention.id!r} has {n} candidates; max is {cfg.max_candidates}"
-        )
     ctx = _context_tokens(mention)
-    seq_len = 1 + len(ctx) + 1 + 2 * n
-    if seq_len > cfg.max_seq_len:
-        raise ValueError(f"sequence length {seq_len} exceeds max {cfg.max_seq_len}")
+    seq_len = _seq_len(mention)
 
     mention_index = 1 + len(mention.context_before)
 

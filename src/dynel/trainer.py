@@ -25,7 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import Document, EmbeddingStore
-from .local_transformer import TransformerConfig
+from .local_transformer import TransformerConfig, check_input_caps
 from .model import EncodedDocument, ModelParams, build_model, encode_document, save_checkpoint
 from .policy import ActionWindow, LinkingState, advance, select_action
 from .rewards import REWARD_KINDS, EpisodeOutcome, TransitionRewards, reward_trace
@@ -126,23 +126,26 @@ class TrainConfig:
     def transition_rewards(self) -> TransitionRewards:
         return TransitionRewards(*self.transition)
 
+    def transformer_config(self) -> TransformerConfig | None:
+        """The transformer scorer's sizes, or ``None`` for the attn scorer."""
+        if self.local_model != "transformer":
+            return None
+        return TransformerConfig(
+            layers=self.encoder_layers, heads=self.attention_heads,
+            head_dim=self.head_dim, model_dim=self.model_dim,
+            ff_dim=self.encoder_ff_dim, hidden=self.head_hidden,
+            max_seq_len=self.max_seq_len, max_candidates=self.max_candidates,
+            drop_rate=self.drop_rate,
+        )
+
     def build_model(self, store: EmbeddingStore, rng: np.random.Generator) -> ModelParams:
         """The model this config describes, initialised from ``rng``."""
-        transformer = None
-        if self.local_model == "transformer":
-            transformer = TransformerConfig(
-                layers=self.encoder_layers, heads=self.attention_heads,
-                head_dim=self.head_dim, model_dim=self.model_dim,
-                ff_dim=self.encoder_ff_dim, hidden=self.head_hidden,
-                max_seq_len=self.max_seq_len, max_candidates=self.max_candidates,
-                drop_rate=self.drop_rate,
-            )
         return build_model(
             store, rng, local_model=self.local_model, top_words=self.top_words,
             policy_top_k=self.policy_top_k, selector_top_k=self.selector_top_k,
             fusion_hidden=self.fusion_hidden, features=self.features,
             feature_norm=self.feature_norm, fusion=self.fusion,
-            transformer_config=transformer,
+            transformer_config=self.transformer_config(),
         )
 
 
@@ -333,17 +336,30 @@ class Adam:
         self.t = 0
 
     def step(self, lr: float) -> None:
+        """One update in place.  The operations run in the order of the
+        textbook ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
+        ``p -= lr*mhat / (sqrt(vhat) + eps)``, so every bit agrees with it."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for i, p in enumerate(self.params):
+        c1, c2 = 1 - b1**self.t, 1 - b2**self.t
+        for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
             if g is None:
                 continue
-            self.m[i] = b1 * self.m[i] + (1 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
-            mhat = self.m[i] / (1 - b1**self.t)
-            vhat = self.v[i] / (1 - b2**self.t)
-            p.data -= lr * mhat / (np.sqrt(vhat) + self.eps)
+            buf = np.multiply(g, 1 - b1, out=np.empty_like(m))
+            m *= b1
+            m += buf
+            np.multiply(g, 1 - b2, out=buf)
+            buf *= g
+            v *= b2
+            v += buf
+            np.divide(v, c2, out=buf)
+            np.sqrt(buf, out=buf)
+            buf += self.eps
+            step = np.divide(m, c1)
+            step *= lr
+            step /= buf
+            p.data -= step
 
     def zero_grad(self) -> None:
         ad.zero_grad(self.params)
@@ -386,6 +402,8 @@ def train(
     init_rng, data_rng = np.random.default_rng(config.seed).spawn(2)
     if params is None:
         params = config.build_model(store, init_rng)
+    if params.transformer is not None:
+        check_input_caps([*train_docs, *val_docs], params.transformer.config)
     optimizer = Adam(params.parameters())
 
     metrics: list[dict] = []
@@ -396,7 +414,7 @@ def train(
 
     for epoch in range(config.epochs):
         doc_order = data_rng.permutation(len(train_docs))
-        epoch_margin = 0.0
+        epoch_loss = 0.0
         epoch_objective = 0.0
         for di in doc_order:
             doc = train_docs[int(di)]
@@ -420,7 +438,7 @@ def train(
             optimizer.zero_grad()
             ad.backward(loss)
             optimizer.step(lr)
-            epoch_margin += float(loss.data)
+            epoch_loss += float(loss.data)
             epoch_objective += float(obj.data)
 
         val_eps = evaluate(val_docs, store, params, config) if val_docs else []
@@ -434,7 +452,7 @@ def train(
         metrics.append(
             {
                 "epoch": epoch,
-                "train_loss": epoch_margin / max(len(train_docs), 1),
+                "train_loss": epoch_loss / max(len(train_docs), 1),
                 "ordering_objective": epoch_objective / max(len(train_docs), 1),
                 "ordering_objective_abs": abs(epoch_objective) / max(len(train_docs), 1),
                 "val_accuracy": val_acc,

@@ -196,3 +196,21 @@ def test_transformer_train_link_eval_round_trip(corpus_dir, tmp_path, capsys):
     # and the checkpoint holds the transformer's parameters
     with np.load(ckpt) as data:
         assert "transformer.word_embed" in data.files
+
+
+@pytest.mark.parametrize("command", ["link", "eval"])
+def test_link_and_eval_refuse_inputs_over_the_transformer_caps(command, corpus_dir, tmp_path,
+                                                                capsys):
+    cfg = TrainConfig(local_model="transformer", encoder_layers=1, attention_heads=2,
+                      head_dim=4, model_dim=20, encoder_ff_dim=12, head_hidden=6,
+                      max_seq_len=64, max_candidates=2)
+    config_path = tmp_path / "transformer.json"
+    config_path.write_text(json.dumps(cfg.to_dict()))
+    # refused before the checkpoint is read, so it need not exist
+    rc = main([command, "--config", str(config_path), "--corpus", str(corpus_dir),
+               "--checkpoint", str(tmp_path / "none.npz"), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    docs, _ = load_corpus(corpus_dir)
+    first = docs[0].mentions[0]
+    assert capsys.readouterr().err.strip() == (
+        f"error: document {docs[0].id!r}: mention {first.id!r} has 3 candidates; max is 2")

@@ -1,8 +1,12 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from dynel import autodiff as ad
 from dynel.autodiff import Tensor
+from dynel.corpus import CandidateEntity
 from dynel.local_transformer import TransformerConfig
 from dynel.model import build_model, encode_document, load_checkpoint, save_checkpoint
 from dynel.selector import candidate_distribution
@@ -284,6 +288,32 @@ class TestAdam:
             assert np.all(np.isfinite(a.data))
 
 
+    def test_in_place_step_equals_the_textbook_expressions_bitwise(self):
+        rng = np.random.default_rng(7)
+        params = [ad.parameter(rng.normal(size=(4, 3))), ad.parameter(rng.normal(size=5))]
+        opt = Adam(params)
+        b1, b2, eps, lr = opt.beta1, opt.beta2, opt.eps, 0.01
+        want = [p.data.copy() for p in params]
+        m = [np.zeros_like(p) for p in want]
+        v = [np.zeros_like(p) for p in want]
+        for t in range(1, 6):
+            for i, p in enumerate(params):
+                # the vector has no gradient on even steps
+                p.grad = rng.normal(size=p.data.shape) if i == 0 or t % 2 else None
+                g = p.grad
+                if g is None:
+                    continue
+                m[i] = b1 * m[i] + (1 - b1) * g
+                v[i] = b2 * v[i] + (1 - b2) * g * g
+                mhat = m[i] / (1 - b1**t)
+                vhat = v[i] / (1 - b2**t)
+                want[i] = want[i] - lr * mhat / (np.sqrt(vhat) + eps)
+            opt.step(lr)
+            for i, p in enumerate(params):
+                assert np.array_equal(p.data, want[i])
+                assert np.array_equal(opt.m[i], m[i]) and np.array_equal(opt.v[i], v[i])
+
+
 class TestTrainLoop:
     def test_rl_weight_zero_decouples_policy(self):
         docs, store = anchored_world(num_docs=4)
@@ -394,6 +424,47 @@ def test_config_builds_the_transformer_it_describes():
         store, np.random.default_rng(4).spawn(2)[0])
     trained = train(docs, [], store, TrainConfig(epochs=0, seed=4)).params
     assert all(np.array_equal(a, trained.snapshot()[k]) for k, a in init.snapshot().items())
+
+
+def _with_last_mention(doc, **changes):
+    return replace(doc, mentions=doc.mentions[:-1] + (replace(doc.mentions[-1], **changes),))
+
+
+def _caps_config(store, **caps):
+    return TrainConfig(local_model="transformer", encoder_layers=1, attention_heads=2,
+                       head_dim=3, model_dim=store.dim, encoder_ff_dim=5, head_hidden=4,
+                       window=2, epochs=1, lr=0.01, fusion_hidden=8, episodes_per_doc=1,
+                       seed=0, **caps)
+
+
+def test_candidate_cap_is_checked_before_the_first_update():
+    docs, store = anchored_world(num_docs=3, mentions=4, candidates=4)
+    last = docs[2].mentions[-1]
+    extra = next(c for c in docs[0].mentions[0].candidates if c not in last.candidates)
+    docs[2] = _with_last_mention(docs[2], candidates=last.candidates + (extra,))
+    cfg = _caps_config(store, max_candidates=4, max_seq_len=64)
+    params = cfg.build_model(store, np.random.default_rng(0))
+    before = params.snapshot()
+    message = f"document 'doc0002': mention {last.id!r} has 5 candidates; max is 4"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        train(docs, [], store, cfg, params=params)
+    assert all(np.array_equal(a, before[k]) for k, a in params.snapshot().items())
+
+
+def test_sequence_length_cap_covers_validation_documents():
+    docs, store = anchored_world(num_docs=3, mentions=4, candidates=4)
+    cap = max(2 + len(m.context_window) + len(m.surface) + 2 * len(m.candidates)
+              for doc in docs for m in doc.mentions)
+    last = docs[2].mentions[-1]
+    docs[2] = _with_last_mention(docs[2],
+                                 context_before=last.context_before + last.surface * cap)
+    cfg = _caps_config(store, max_candidates=4, max_seq_len=cap)
+    params = cfg.build_model(store, np.random.default_rng(0))
+    before = params.snapshot()
+    with pytest.raises(ValueError, match=re.escape(
+            f"document 'doc0002': mention {last.id!r} has sequence length")):
+        train(docs[:2], docs[2:], store, cfg, params=params)
+    assert all(np.array_equal(a, before[k]) for k, a in params.snapshot().items())
 
 
 @pytest.mark.parametrize("cap", ["policy_top_k", "selector_top_k", "top_words"])

@@ -28,7 +28,6 @@ __all__ = [
     "as_tensor",
     "parameter",
     "no_grad",
-    "grad_enabled",
     "backward",
     "zero_grad",
     "add",
@@ -75,10 +74,6 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = prev
-
-
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
 
 
 class Tensor:

@@ -32,9 +32,9 @@ from .rewards import (
     first_error_index,
     reward_r1,
     reward_r2,
+    reward_r2_prob,
     reward_r3,
     transition_counts,
-    PROB_SCALED_TRANSITIONS,
     TransitionRewards,
 )
 from .synthetic import SyntheticSpec, generate_synthetic
@@ -81,6 +81,8 @@ def _cmd_gen_corpus(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    if not 0 <= args.val_fraction < 1:
+        raise ValueError(f"--val-fraction must lie in [0, 1), got {args.val_fraction}")
     config = _load_config(args.config)
     _echo_config(config)
     docs, store = load_corpus(args.corpus)
@@ -196,7 +198,7 @@ def _cmd_reward_table(args) -> int:
         raise ValueError(f"--L {n} does not match {len(flags)} flags")
     t = args.t if args.t is not None else n
     outcome = EpisodeOutcome(flags, gamma=args.gamma)
-    lam = TransitionRewards(*[float(x) for x in args.transition.split(",")])
+    lam = TransitionRewards.from_values([float(x) for x in args.transition.split(",")])
     probs = [float(x) for x in args.probs.split(",")] if args.probs else None
 
     # exact base values via integer/rational arithmetic
@@ -218,7 +220,7 @@ def _cmd_reward_table(args) -> int:
     print(f"R2[{args.transition}]: base={base_r2} ({float(base_r2):.6f})  "
           f"discounted={reward_r2(outcome, t, lam):.6f}")
     if probs is not None:
-        r22 = reward_r2(outcome, t, PROB_SCALED_TRANSITIONS, probs)
+        r22 = reward_r2_prob(outcome, t, probs)
         print(f"R2-prob-scaled: discounted={r22:.6f}")
     print(f"R3: base={base_r3} ({float(base_r3):.6f})  "
           f"discounted={reward_r3(outcome, t):.6f}")

@@ -339,21 +339,15 @@ def _load_vecs(
     return table
 
 
-def load_corpus(
-    path: str | Path, context_radius: int | None = None
-) -> tuple[list[Document], EmbeddingStore]:
+def load_corpus(path: str | Path) -> tuple[list[Document], EmbeddingStore]:
     """Load and cross-validate a corpus directory.
 
     Every word/entity referenced anywhere must have an embedding, all word
     and entity vectors one width, every id must be unique (mention ids
     across the whole corpus), every type vector must name a mention of the
     corpus, and every mention needs a non-empty context window; violations
-    are reported with the file and line they came from.  ``context_radius``
-    caps each mention's window to the nearest ``radius`` words on each side
-    (None keeps the stored windows untouched, preserving save/load identity).
+    are reported with the file and line they came from.
     """
-    if context_radius is not None and context_radius < 0:
-        raise ValueError(f"context_radius must be >= 0, got {context_radius}")
     path = Path(path)
     word_vecs = _load_vecs(path / "words.vec")
     entity_vecs = _load_vecs(path / "entities.vec",
@@ -432,24 +426,6 @@ def load_corpus(
                 raise CorpusError(f"docs.jsonl line {lineno}: {err}") from None
             except (KeyError, TypeError) as err:
                 raise CorpusError(f"docs.jsonl line {lineno}: bad record ({err})") from None
-            if context_radius is not None:
-                doc = Document(
-                    doc.id,
-                    doc.words,
-                    tuple(
-                        Mention(
-                            id=m.id,
-                            surface=m.surface,
-                            position=m.position,
-                            context_before=m.context_before[
-                                max(0, len(m.context_before) - context_radius):],
-                            context_after=m.context_after[:context_radius],
-                            candidates=m.candidates,
-                            gold=m.gold,
-                        )
-                        for m in doc.mentions
-                    ),
-                )
             if doc.id in doc_lines:
                 raise CorpusError(f"docs.jsonl line {lineno}: duplicate document id "
                                   f"{doc.id!r} (first on line {doc_lines[doc.id]})")

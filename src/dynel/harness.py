@@ -274,11 +274,6 @@ def write_sweep_csv(rows: Sequence[dict], path: str) -> None:
         writer.writerows(rows)
 
 
-def read_sweep_csv(path: str) -> list[dict]:
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
-
-
 # ---------------------------------------------------------------------------
 # the ordering experiment (dynamic policy vs document-order control)
 # ---------------------------------------------------------------------------

@@ -47,16 +47,9 @@ def context_feature(mention: Mention, store: EmbeddingStore, params: LocalAttnPa
 
 
 def local_scores_attn(
-    mention: Mention,
-    store: EmbeddingStore,
-    params: LocalAttnParams,
-    feat: Tensor | None = None,
+    mention: Mention, store: EmbeddingStore, params: LocalAttnParams, feat: Tensor
 ) -> Tensor:
-    """One bilinear relevance score per candidate, in candidate order.
-
-    ``feat`` lets callers reuse an already-computed context feature.
-    """
-    if feat is None:
-        feat = context_feature(mention, store, params)
+    """One bilinear relevance score per candidate, in candidate order, against
+    the mention's context feature ``feat``."""
     cand = Tensor(store.entities(mention.candidate_ids))
     return params.entity_context.scores(cand, feat)

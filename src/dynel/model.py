@@ -67,6 +67,9 @@ class ModelParams:
         missing = set(named) - set(arrays)
         if missing:
             raise ValueError(f"snapshot is missing parameters: {sorted(missing)}")
+        unexpected = set(arrays) - set(named)
+        if unexpected:
+            raise ValueError(f"snapshot has parameters the model lacks: {sorted(unexpected)}")
         for k, t in named.items():
             if arrays[k].shape != t.data.shape:
                 raise ValueError(f"shape mismatch restoring {k!r}")
@@ -168,11 +171,16 @@ def save_checkpoint(params: ModelParams, path: str, meta: dict | None = None) ->
 
 
 def load_checkpoint(params: ModelParams, path: str) -> dict:
-    """Restore arrays into an already-built compatible model; returns meta."""
+    """Restore arrays into an already-built model of the same ``local_model``
+    and ``dim``; returns meta."""
     with np.load(path, allow_pickle=False) as data:
         header = json.loads(bytes(data["__header__"]).decode())
         if header["version"] != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {header['version']}")
+        for key in ("local_model", "dim"):
+            if header[key] != getattr(params, key):
+                raise ValueError(f"checkpoint {path} has {key} {header[key]!r}; "
+                                 f"the model has {getattr(params, key)!r}")
         arrays = {k: data[k] for k in data.files if k != "__header__"}
     params.restore(arrays)
     return header["meta"]

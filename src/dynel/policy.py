@@ -20,7 +20,6 @@ from .autodiff import DiagonalBilinear, Tensor
 
 __all__ = [
     "PolicyParams",
-    "HistoryEntry",
     "LinkingState",
     "ActionWindow",
     "action_representation",
@@ -54,31 +53,17 @@ class PolicyParams:
 
 
 @dataclass(frozen=True)
-class HistoryEntry:
-    mention_id: str | None
-    entity_id: str | None
-    pair: Tensor
-
-
-@dataclass(frozen=True)
 class LinkingState:
-    """History of resolved (mention, entity) pairs; entry 0 is the init pair."""
+    """History of linked (mention; entity) pairs; pair 0 is the learned init pair."""
 
-    entries: tuple[HistoryEntry, ...]
+    pairs: tuple[Tensor, ...]
 
     @classmethod
     def initial(cls, params: PolicyParams) -> "LinkingState":
-        return cls((HistoryEntry(None, None, params.init_pair),))
-
-    @property
-    def step(self) -> int:
-        return len(self.entries) - 1
+        return cls((params.init_pair,))
 
     def stacked(self) -> Tensor:
-        return ad.stack([e.pair for e in self.entries])
-
-    def linked_entity_ids(self) -> tuple[str, ...]:
-        return tuple(e.entity_id for e in self.entries if e.entity_id is not None)
+        return ad.stack(self.pairs)
 
 
 @dataclass(frozen=True)
@@ -94,10 +79,6 @@ class ActionWindow:
 
     def actions(self) -> tuple[int, ...]:
         return self.unresolved[: min(self.window_size, len(self.unresolved))]
-
-    @property
-    def exhausted(self) -> bool:
-        return not self.unresolved
 
 
 def action_representation(mention_repr: Tensor, cand_vecs: Tensor, psi: Tensor) -> Tensor:
@@ -160,12 +141,10 @@ def advance(
     window: ActionWindow,
     action: int,
     pair: Tensor,
-    mention_id: str,
-    entity_id: str,
 ) -> tuple[LinkingState, ActionWindow]:
     """Append the linked pair to the history and refill the window."""
     if action not in window.actions():
         raise ValueError(f"action {action} is not in the current window {window.actions()}")
-    new_state = LinkingState(state.entries + (HistoryEntry(mention_id, entity_id, pair),))
+    new_state = LinkingState(state.pairs + (pair,))
     remaining = tuple(p for p in window.unresolved if p != action)
     return new_state, ActionWindow(window.window_size, remaining)

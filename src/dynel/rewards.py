@@ -1,11 +1,13 @@
 """Delayed episode rewards computed from per-step correctness flags.
 
-All three reward families share the ``gamma**(L-t) / L`` prefactor and
+All reward families share the ``gamma**(L-t) / L`` prefactor and
 differ in how they score the flag pattern:
 
 * ``reward_r1`` looks only at the position of the first wrong link.
 * ``reward_r2`` sums transition rewards over consecutive flag pairs,
   with the step before the episode counted as correct.
+* ``reward_r2_prob`` charges each wrong link ``-L`` times the model's
+  probability for the wrongly chosen entity.
 * ``reward_r3`` penalises every wrong link, less so the later it occurs.
 
 Indices are 1-based throughout; the reference worked example in the
@@ -21,13 +23,12 @@ __all__ = [
     "REWARD_KINDS",
     "EpisodeOutcome",
     "TransitionRewards",
-    "STATIC_TRANSITIONS",
-    "PROB_SCALED_TRANSITIONS",
     "first_error_index",
     "error_indices",
     "transition_counts",
     "reward_r1",
     "reward_r2",
+    "reward_r2_prob",
     "reward_r3",
     "reward_trace",
 ]
@@ -55,23 +56,19 @@ class EpisodeOutcome:
 
 @dataclass(frozen=True)
 class TransitionRewards:
-    """Rewards indexed by the (previous, current) correctness pair.
-
-    With ``prob_scaled`` set, transitions ending in a wrong link are
-    re-priced per step as ``-L * p_hat`` where ``p_hat`` is the model's
-    probability for the wrongly chosen entity; transitions ending in a
-    correct link stay at zero.
-    """
+    """Rewards indexed by the (previous, current) correctness pair."""
 
     tt: float = 0.0
     tf: float = -2.0
     ff: float = -1.0
     ft: float = 0.0
-    prob_scaled: bool = False
 
-
-STATIC_TRANSITIONS = TransitionRewards(0.0, -2.0, -1.0, 0.0)
-PROB_SCALED_TRANSITIONS = TransitionRewards(0.0, 0.0, 0.0, 0.0, prob_scaled=True)
+    @classmethod
+    def from_values(cls, values: Sequence[float]) -> "TransitionRewards":
+        """The four rewards in (tt, tf, ff, ft) order; any other count is refused."""
+        if len(values) != 4:
+            raise ValueError(f"transition needs 4 values (tt, tf, ff, ft), got {len(values)}")
+        return cls(*values)
 
 
 def first_error_index(flags: Sequence[bool]) -> int:
@@ -113,36 +110,34 @@ def reward_r1(outcome: EpisodeOutcome, t: int) -> float:
 def reward_r2(
     outcome: EpisodeOutcome,
     t: int,
-    lam: TransitionRewards = STATIC_TRANSITIONS,
-    per_step_prob: Sequence[float] | None = None,
+    lam: TransitionRewards = TransitionRewards(),
 ) -> float:
-    """Transition reward summed over consecutive correctness pairs.
-
-    ``per_step_prob[i]`` is the predicted probability of the entity chosen
-    at step ``i+1``; it is required (and only read at wrong steps) when
-    ``lam.prob_scaled`` is set.
-    """
-    n = outcome.length
-    if lam.prob_scaled:
-        if per_step_prob is None:
-            raise ValueError("prob-scaled transitions need per_step_prob")
-        if len(per_step_prob) != n:
-            raise ValueError("per_step_prob length must equal the episode length")
+    """Transition reward summed over consecutive correctness pairs."""
     total = 0.0
     prev = True
-    for i, ok in enumerate(outcome.flags):
-        if lam.prob_scaled:
-            total += 0.0 if ok else -n * per_step_prob[i]
+    for ok in outcome.flags:
+        if prev and ok:
+            total += lam.tt
+        elif prev and not ok:
+            total += lam.tf
+        elif not prev and not ok:
+            total += lam.ff
         else:
-            if prev and ok:
-                total += lam.tt
-            elif prev and not ok:
-                total += lam.tf
-            elif not prev and not ok:
-                total += lam.ff
-            else:
-                total += lam.ft
+            total += lam.ft
         prev = ok
+    return _prefactor(outcome, t) * total
+
+
+def reward_r2_prob(outcome: EpisodeOutcome, t: int, per_step_prob: Sequence[float]) -> float:
+    """Probability-scaled transition reward (r2-2): each wrong link costs
+    ``-L * per_step_prob[i]``, the model's probability for the entity it
+    wrongly chose at step ``i+1``; correct links cost nothing."""
+    n = outcome.length
+    if len(per_step_prob) != n:
+        raise ValueError("per_step_prob length must equal the episode length")
+    total = 0.0
+    for i, ok in enumerate(outcome.flags):
+        total += 0.0 if ok else -n * per_step_prob[i]
     return _prefactor(outcome, t) * total
 
 
@@ -156,12 +151,13 @@ def reward_r3(outcome: EpisodeOutcome, t: int) -> float:
 def reward_trace(
     kind: str,
     outcome: EpisodeOutcome,
-    lam: TransitionRewards = STATIC_TRANSITIONS,
+    lam: TransitionRewards = TransitionRewards(),
     per_step_prob: Sequence[float] | None = None,
 ) -> tuple[float, ...]:
     """R(t) for every step t = 1..L under the named reward family.
 
-    ``kind`` is one of ``r1``, ``r2-1``, ``r2-2``, ``r3``.
+    ``kind`` is one of ``r1``, ``r2-1``, ``r2-2``, ``r3``; ``r2-2`` needs
+    ``per_step_prob``.
     """
     n = outcome.length
     if kind == "r1":
@@ -169,10 +165,9 @@ def reward_trace(
     if kind == "r2-1":
         return tuple(reward_r2(outcome, t, lam) for t in range(1, n + 1))
     if kind == "r2-2":
-        return tuple(
-            reward_r2(outcome, t, PROB_SCALED_TRANSITIONS, per_step_prob)
-            for t in range(1, n + 1)
-        )
+        if per_step_prob is None:
+            raise ValueError("r2-2 needs per_step_prob")
+        return tuple(reward_r2_prob(outcome, t, per_step_prob) for t in range(1, n + 1))
     if kind == "r3":
         return tuple(reward_r3(outcome, t) for t in range(1, n + 1))
     raise ValueError(f"unknown reward kind {kind!r}")

@@ -37,7 +37,6 @@ __all__ = [
     "Adam",
     "rollout",
     "policy_objective",
-    "reinforce_step",
     "train",
     "TrainResult",
 ]
@@ -94,6 +93,7 @@ class TrainConfig:
             raise ValueError(f"reward must be one of {REWARD_KINDS}")
         if self.episodes_per_doc < 1:
             raise ValueError("episodes_per_doc must be >= 1")
+        self.transition_rewards()   # refuses a count other than 4
         for cap in ("policy_top_k", "selector_top_k", "top_words"):
             if getattr(self, cap) < 1:
                 raise ValueError(f"{cap} must be >= 1, got {getattr(self, cap)}")
@@ -124,7 +124,7 @@ class TrainConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     def transition_rewards(self) -> TransitionRewards:
-        return TransitionRewards(*self.transition)
+        return TransitionRewards.from_values(self.transition)
 
     def transformer_config(self) -> TransformerConfig | None:
         """The transformer scorer's sizes, or ``None`` for the attn scorer."""
@@ -161,7 +161,6 @@ class Episode:
     predicted_prob: tuple[float, ...]
     history_entities: tuple[str, ...]
     rewards: tuple[float, ...]
-    sampled: bool
     margin: Tensor | None = None
     margin_terms: int = 0
 
@@ -257,13 +256,10 @@ def rollout(
         if training:
             assert linked_id == mention.gold  # teacher forcing invariant
         history_entities.append(linked_id)
+        # bypassed orders skip the policy state and its window discipline
         if order is None or score_order:
             pair = ad.concat([encoded.mention_repr[pos], Tensor(store.entity(linked_id))])
-            state, window = advance(state, window, pos, pair, mention.id, linked_id)
-        else:
-            # bypassed orders skip the policy state and its window discipline
-            window = ActionWindow(window.window_size,
-                                  tuple(p for p in window.unresolved if p != pos))
+            state, window = advance(state, window, pos, pair)
 
     outcome = EpisodeOutcome(tuple(flags), gamma=config.gamma)
     rewards = reward_trace(
@@ -281,7 +277,6 @@ def rollout(
         predicted_prob=tuple(predicted_prob),
         history_entities=tuple(history_entities),
         rewards=rewards,
-        sampled=training and order is None,
         margin=_chain_sum(margin_terms) if margin_terms else None,
         margin_terms=len(margin_terms),
     )
@@ -304,24 +299,6 @@ def policy_objective(episodes: Sequence[Episode]) -> Tensor:
     if not terms:
         return Tensor(0.0)
     return _chain_sum(terms) * (1.0 / len(episodes))
-
-
-def reinforce_step(episodes: Sequence[Episode], scale: float = 1.0) -> float:
-    """Accumulate descent gradients of the negated ordering objective.
-
-    A subsequent ``theta -= lr * grad`` step then ascends the objective,
-    which is exactly the classic update rule.  Returns the Monte-Carlo
-    objective estimate.
-    """
-    for ep in episodes:
-        if ep.log_probs and not ep.sampled:
-            raise ValueError(
-                "reinforce_step needs sampled episodes; greedy rollouts carry no "
-                "exploration signal"
-            )
-    obj = policy_objective(episodes)
-    ad.backward(obj * (-scale))
-    return float(obj.data)
 
 
 class Adam:
@@ -399,6 +376,8 @@ def train(
     checkpoint_on_divergence: str | None = None,
 ) -> TrainResult:
     """Full training loop; returns the best-validation parameters."""
+    if not train_docs:
+        raise ValueError("no training documents")
     init_rng, data_rng = np.random.default_rng(config.seed).spawn(2)
     if params is None:
         params = config.build_model(store, init_rng)
@@ -452,9 +431,9 @@ def train(
         metrics.append(
             {
                 "epoch": epoch,
-                "train_loss": epoch_loss / max(len(train_docs), 1),
-                "ordering_objective": epoch_objective / max(len(train_docs), 1),
-                "ordering_objective_abs": abs(epoch_objective) / max(len(train_docs), 1),
+                "train_loss": epoch_loss / len(train_docs),
+                "ordering_objective": epoch_objective / len(train_docs),
+                "ordering_objective_abs": abs(epoch_objective) / len(train_docs),
                 "val_accuracy": val_acc,
                 "lr": lr,
                 "seed": config.seed,

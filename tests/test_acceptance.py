@@ -32,8 +32,8 @@ from dynel.local_transformer import (
 from dynel.model import build_model
 from dynel.policy import ActionWindow
 from dynel.rewards import (
-    STATIC_TRANSITIONS,
     EpisodeOutcome,
+    TransitionRewards,
     reward_r1,
     reward_r2,
     reward_r3,
@@ -66,7 +66,7 @@ def test_criterion_01_reward_worked_example():
 
     counts = transition_counts(S2)
     assert (counts["tt"], counts["tf"], counts["ff"], counts["ft"]) == (3, 1, 2, 1)
-    lam = STATIC_TRANSITIONS
+    lam = TransitionRewards()
     decomposed = 3 * lam.tt + 1 * lam.tf + 2 * lam.ff + 1 * lam.ft
     assert abs(_base(reward_r2, S2, lam=lam) - decomposed) <= 1e-12
 
@@ -198,7 +198,7 @@ def test_criterion_06_window_discipline_and_enumeration():
         w = int(rng.integers(2, 5))
         window = ActionWindow(w, tuple(range(n)))
         chosen = []
-        while not window.exhausted:
+        while window.unresolved:
             acts = window.actions()
             assert list(acts) == sorted(window.unresolved)[: min(w, len(window.unresolved))]
             pick = acts[int(rng.integers(len(acts)))]
@@ -221,16 +221,14 @@ def test_criterion_07_dual_implementation_agreement():
     for seed in range(100):
         rng = np.random.default_rng(1000 + seed)
         dim = int(rng.integers(2, 6))
-        from dynel.policy import HistoryEntry, LinkingState, PolicyParams, select_action
+        from dynel.policy import LinkingState, PolicyParams, select_action
 
         params = PolicyParams.build(dim, top_k=int(rng.integers(1, 6)))
         params.history_match.diag.data[...] = rng.normal(size=2 * dim)
         params.action_scorer.diag.data[...] = rng.normal(size=2 * dim)
         params.init_pair.data[...] = rng.normal(size=2 * dim)
         hist = rng.normal(size=(int(rng.integers(1, 6)), 2 * dim))
-        entries = [HistoryEntry(None, None, params.init_pair)]
-        entries += [HistoryEntry(f"m{i}", f"e{i}", Tensor(h)) for i, h in enumerate(hist)]
-        state = LinkingState(tuple(entries))
+        state = LinkingState((params.init_pair, *(Tensor(h) for h in hist)))
         acts = tuple(range(int(rng.integers(1, 5))))
         reps = {a: Tensor(rng.normal(size=2 * dim)) for a in acts}
         _, _, probs = select_action(state, ActionWindow(len(acts), acts), reps, params)

@@ -5,6 +5,7 @@ import pytest
 
 from dynel.cli import main
 from dynel.corpus import load_corpus
+from dynel.model import save_checkpoint
 from dynel.trainer import TrainConfig
 
 
@@ -73,6 +74,17 @@ def test_train_rejects_a_bad_config_with_a_message(corpus_dir, tmp_path, capsys,
                "--out", str(tmp_path / "m.npz")])
     assert rc == 1
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "m.npz").exists()
+
+
+@pytest.mark.parametrize("fraction", ["1.0", "1.5", "-0.5"])
+def test_train_refuses_a_validation_fraction_outside_0_1(fraction, corpus_dir, config_path,
+                                                         tmp_path, capsys):
+    rc = main(["train", "--config", str(config_path), "--corpus", str(corpus_dir),
+               "--out", str(tmp_path / "m.npz"), "--val-fraction", fraction])
+    assert rc == 1
+    assert capsys.readouterr().err.strip() == (
+        f"error: --val-fraction must lie in [0, 1), got {float(fraction)}")
     assert not (tmp_path / "m.npz").exists()
 
 
@@ -150,6 +162,16 @@ def test_reward_table_rejects_bad_flags(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("transition", ["0,-2", "0,-2,-1,0,1"])
+def test_reward_table_needs_four_transition_rewards(transition, capsys):
+    rc = main(["reward-table", "--flags", "10", "--transition", transition,
+               "--probs", "0.5,0.5"])
+    assert rc == 1
+    count = len(transition.split(","))
+    assert capsys.readouterr().err.strip() == (
+        f"error: transition needs 4 values (tt, tf, ff, ft), got {count}")
+
+
 def test_grad_check_cli(capsys):
     rc = main(["grad-check", "--samples", "2"])
     assert rc == 0
@@ -214,3 +236,18 @@ def test_link_and_eval_refuse_inputs_over_the_transformer_caps(command, corpus_d
     first = docs[0].mentions[0]
     assert capsys.readouterr().err.strip() == (
         f"error: document {docs[0].id!r}: mention {first.id!r} has 3 candidates; max is 2")
+
+
+def test_link_refuses_a_checkpoint_of_another_local_model(corpus_dir, config_path, tmp_path,
+                                                          capsys):
+    docs, store = load_corpus(corpus_dir)
+    other = TrainConfig(local_model="transformer", encoder_layers=1, attention_heads=2,
+                        head_dim=4, model_dim=20, encoder_ff_dim=12, head_hidden=6)
+    ckpt = tmp_path / "transformer.npz"
+    save_checkpoint(other.build_model(store, np.random.default_rng(0)), str(ckpt))
+    rc = main(["link", "--config", str(config_path), "--corpus", str(corpus_dir),
+               "--checkpoint", str(ckpt), "--out", str(tmp_path / "links.jsonl")])
+    assert rc == 1
+    assert capsys.readouterr().err.strip() == (
+        f"error: checkpoint {ckpt} has local_model 'transformer'; the model has 'attn'")
+    assert not (tmp_path / "links.jsonl").exists()

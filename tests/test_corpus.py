@@ -104,18 +104,6 @@ def test_prior_range_validated():
         CandidateEntity("e0", 1.5)
 
 
-def test_context_radius_caps_windows(tmp_path):
-    docs, store = small_corpus()
-    save_corpus(docs, store, tmp_path)
-    capped, _ = load_corpus(tmp_path, context_radius=1)
-    for doc in capped:
-        for m in doc.mentions:
-            assert len(m.context_before) <= 1
-            assert len(m.context_after) <= 1
-    full, _ = load_corpus(tmp_path)
-    assert full == list(docs)
-
-
 def test_valid_two_doc_file_loads(tmp_path):
     docs, store = small_corpus()
     save_corpus(docs[:2], store, tmp_path)
@@ -185,14 +173,6 @@ def test_save_refuses_empty_context_window(tmp_path):
                                           "empty context window"):
         save_corpus(docs, store, tmp_path / "out")
     assert not (tmp_path / "out").exists()
-
-
-def test_context_radius_zero_empties_every_window(tmp_path):
-    docs, store = one_mention_corpus()
-    save_corpus(docs, store, tmp_path)
-    assert load_corpus(tmp_path)[0] == docs
-    with pytest.raises(CorpusError, match="line 1: mention 'm0' has an empty context"):
-        load_corpus(tmp_path, context_radius=0)
 
 
 @pytest.mark.parametrize("table, bad", [

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -10,7 +11,6 @@ from dynel.harness import (
     grad_check,
     micro_f1,
     ordering_for,
-    read_sweep_csv,
     run_baseline,
     sweep,
     write_sweep_csv,
@@ -164,7 +164,8 @@ class TestSweep:
         assert len(per_cell) == 4
         path = tmp_path / "sweep.csv"
         write_sweep_csv(rows, str(path))
-        back = read_sweep_csv(str(path))
+        with open(path, newline="") as fh:
+            back = list(csv.DictReader(fh))
         assert len(back) == len(rows)
         assert {r["value"] for r in back} == {"1", "2"}
         assert [float(r["micro_f1"]) for r in back] == [r["micro_f1"] for r in rows]

@@ -10,6 +10,12 @@ import oracles
 from conftest import make_mention
 
 
+def attn_scores(m, store, params):
+    """Local scores against the mention's own context feature, as
+    ``encode_document`` computes them."""
+    return local_scores_attn(m, store, params, context_feature(m, store, params))
+
+
 def store_with(words: dict, entities: dict) -> EmbeddingStore:
     return EmbeddingStore(
         word_vecs={k: np.asarray(v, dtype=float) for k, v in words.items()},
@@ -68,7 +74,7 @@ def test_missing_candidate_embedding_is_an_error():
     store = store_with({"w0": [1.0, 0.0]}, {"e0": [1.0, 0.0]})
     m = make_mention(candidates=("e0", "e_unknown"))
     with pytest.raises(Exception, match="e_unknown"):
-        local_scores_attn(m, store, LocalAttnParams.build(2))
+        attn_scores(m, store, LocalAttnParams.build(2))
 
 
 def test_identity_matrix_dot_product_geometry():
@@ -78,7 +84,7 @@ def test_identity_matrix_dot_product_geometry():
         {"e0": [1.0, 0.0, 0.0], "e1": [0.0, 1.0, 0.0], "e2": [0.6, 0.0, 0.8]},
     )
     m = make_mention(candidates=("e0", "e1", "e2"), priors=[0.3] * 3)
-    scores = local_scores_attn(m, store, LocalAttnParams.build(3)).data
+    scores = attn_scores(m, store, LocalAttnParams.build(3)).data
     assert np.argmax(scores) == 0
     assert scores[0] > max(scores[1], scores[2])
 
@@ -88,7 +94,7 @@ def test_zero_matrix_zeroes_scores():
     m = make_mention()
     params = LocalAttnParams.build(2)
     params.entity_context.diag.data[...] = 0.0
-    assert np.allclose(local_scores_attn(m, store, params).data, 0.0)
+    assert np.allclose(attn_scores(m, store, params).data, 0.0)
 
 
 def test_hand_computed_three_candidate_scores(rng):
@@ -103,7 +109,7 @@ def test_hand_computed_three_candidate_scores(rng):
     params.entity_context.diag.data[...] = b1
 
     f = context_feature(m, store, params).data
-    got = local_scores_attn(m, store, params).data
+    got = attn_scores(m, store, params).data
     expected = [float(np.sum(ents[f"e{i}"] * b1 * f)) for i in range(3)]
     assert np.allclose(got, expected, atol=1e-12)
 
@@ -120,8 +126,8 @@ def test_candidate_permutation_permutes_scores(rng):
                         context=("w0", "w1"))
     perm = make_mention(candidates=("e2", "e0", "e3", "e1"), priors=[0.2] * 4,
                         context=("w0", "w1"))
-    s_base = local_scores_attn(base, store, params).data
-    s_perm = local_scores_attn(perm, store, params).data
+    s_base = attn_scores(base, store, params).data
+    s_perm = attn_scores(perm, store, params).data
     assert np.allclose(s_perm, s_base[[2, 0, 3, 1]], atol=1e-12)
 
 
@@ -134,9 +140,9 @@ def test_sub_threshold_words_do_not_affect_scores(rng):
     )
     m = make_mention(context=("strong", "weak"))
     params = LocalAttnParams.build(dim, top_words=1)
-    before = local_scores_attn(m, store, params).data.copy()
+    before = attn_scores(m, store, params).data.copy()
     store.word_vecs["weak"] = np.array([0.0, 0.0, 0.25])  # still below selection
-    after = local_scores_attn(m, store, params).data
+    after = attn_scores(m, store, params).data
     assert np.array_equal(before, after)
 
 
@@ -150,9 +156,9 @@ def test_gradients_flow_through_both_diagonals(rng):
     mix = rng.normal(size=2)
 
     def loss():
-        return float(ad.tsum(local_scores_attn(m, store, params) * Tensor(mix)).data)
+        return float(ad.tsum(attn_scores(m, store, params) * Tensor(mix)).data)
 
-    out = ad.tsum(local_scores_attn(m, store, params) * Tensor(mix))
+    out = ad.tsum(attn_scores(m, store, params) * Tensor(mix))
     named = params.parameters()
     ad.zero_grad(named.values())
     ad.backward(out)

@@ -7,7 +7,6 @@ from dynel import autodiff as ad
 from dynel.autodiff import Tensor
 from dynel.policy import (
     ActionWindow,
-    HistoryEntry,
     LinkingState,
     PolicyParams,
     action_representation,
@@ -28,9 +27,7 @@ def make_params(dim: int, top_k: int = 7, rng=None) -> PolicyParams:
 
 
 def state_from(pairs, params) -> LinkingState:
-    entries = [HistoryEntry(None, None, params.init_pair)]
-    entries += [HistoryEntry(f"m{i}", f"e{i}", Tensor(p)) for i, p in enumerate(pairs)]
-    return LinkingState(tuple(entries))
+    return LinkingState((params.init_pair, *(Tensor(p) for p in pairs)))
 
 
 class TestActionRepresentation:
@@ -84,10 +81,7 @@ class TestStateRelevance:
         params = make_params(dim, rng=rng)
         hist = rng.normal(size=(3, 2 * dim))
         actions = [Tensor(rng.normal(size=2 * dim)) for _ in range(2)]
-        state = state_from(hist[1:], params)
-        state = LinkingState(
-            (HistoryEntry(None, None, Tensor(hist[0])),) + state.entries[1:]
-        )
+        state = LinkingState(tuple(Tensor(h) for h in hist))
         got = relevance(state, actions, params).data
         table = np.array(
             [
@@ -129,9 +123,7 @@ class TestSelectAction:
         top_k = int(rng.integers(1, 5))
         params = make_params(dim, top_k=top_k, rng=rng)
         hist = rng.normal(size=(hist_len, 2 * dim))
-        entries = [HistoryEntry(None, None, params.init_pair)]
-        entries += [HistoryEntry(f"m{i}", f"e{i}", Tensor(h)) for i, h in enumerate(hist)]
-        state = LinkingState(tuple(entries))
+        state = state_from(hist, params)
         acts = tuple(range(n_actions))
         reps = {a: Tensor(rng.normal(size=2 * dim)) for a in acts}
 
@@ -205,9 +197,10 @@ class TestAdvanceAndWindow:
         window = ActionWindow(3, (1, 2, 3, 4))
         state = LinkingState.initial(params)
         assert window.actions() == (1, 2, 3)
-        state, window = advance(state, window, 2, Tensor(np.zeros(4)), "m2", "e2")
+        pair = Tensor(np.zeros(4))
+        state, window = advance(state, window, 2, pair)
         assert window.actions() == (1, 3, 4)
-        assert state.linked_entity_ids() == ("e2",)
+        assert state.pairs == (params.init_pair, pair)
 
     def test_window_larger_than_doc_degenerates(self):
         window = ActionWindow(10, (0, 1, 2))
@@ -217,7 +210,7 @@ class TestAdvanceAndWindow:
         params = make_params(2)
         window = ActionWindow(2, (0, 1, 2))
         with pytest.raises(ValueError, match="not in the current window"):
-            advance(LinkingState.initial(params), window, 2, Tensor(np.zeros(4)), "m", "e")
+            advance(LinkingState.initial(params), window, 2, Tensor(np.zeros(4)))
 
     @given(
         st.integers(2, 8),
@@ -229,7 +222,7 @@ class TestAdvanceAndWindow:
         rng = np.random.default_rng(seed)
         window = ActionWindow(w, tuple(range(n_mentions)))
         chosen = []
-        while not window.exhausted:
+        while window.unresolved:
             acts = window.actions()
             earliest = sorted(window.unresolved)[: min(w, len(window.unresolved))]
             assert list(acts) == earliest

@@ -9,14 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynel.rewards import (
-    PROB_SCALED_TRANSITIONS,
-    STATIC_TRANSITIONS,
     EpisodeOutcome,
     TransitionRewards,
     error_indices,
     first_error_index,
     reward_r1,
     reward_r2,
+    reward_r2_prob,
     reward_r3,
     reward_trace,
     transition_counts,
@@ -66,32 +65,32 @@ class TestR2:
     def test_reference_decomposition(self):
         counts = transition_counts(S2)
         assert (counts["tt"], counts["tf"], counts["ff"], counts["ft"]) == (3, 1, 2, 1)
-        lam = STATIC_TRANSITIONS
+        lam = TransitionRewards()
         expected = 3 * lam.tt + 1 * lam.tf + 2 * lam.ff + 1 * lam.ft
         assert base(reward_r2, S2, lam=lam) == pytest.approx(expected)
         assert expected == -4
 
     def test_all_correct_zero_under_both_builtin_sets(self):
         flags = (True,) * 6
-        assert base(reward_r2, flags, lam=STATIC_TRANSITIONS) == 0.0
-        assert base(
-            reward_r2, flags, lam=PROB_SCALED_TRANSITIONS, per_step_prob=[0.5] * 6
-        ) == 0.0
+        assert base(reward_r2, flags, lam=TransitionRewards()) == 0.0
+        assert base(reward_r2_prob, flags, per_step_prob=[0.5] * 6) == 0.0
 
     def test_alternating_hand_enumeration(self):
         # T->1,1->0,0->1,1->0 = TT, TF, FT, TF
         flags = (True, False, True, False)
-        assert base(reward_r2, flags, lam=STATIC_TRANSITIONS) == pytest.approx(-4.0)
+        assert base(reward_r2, flags, lam=TransitionRewards()) == pytest.approx(-4.0)
 
     def test_prob_scaled_requires_probs(self):
         out = EpisodeOutcome((True, False))
         with pytest.raises(ValueError):
-            reward_r2(out, 2, PROB_SCALED_TRANSITIONS)
+            reward_trace("r2-2", out)
+        with pytest.raises(ValueError):
+            reward_r2_prob(out, 2, [0.5])
 
     def test_prob_scaled_charges_failing_steps(self):
         flags = (True, False, False)
         probs = [0.9, 0.6, 0.2]
-        got = base(reward_r2, flags, lam=PROB_SCALED_TRANSITIONS, per_step_prob=probs)
+        got = base(reward_r2_prob, flags, per_step_prob=probs)
         assert got == pytest.approx(-3 * (0.6 + 0.2))
 
     def test_nonzero_ft_is_honoured(self):
@@ -148,8 +147,8 @@ def test_gamma_discounting_property(flags, gamma, t_raw):
     probs = [0.5] * n
     for fn, kw in [
         (reward_r1, {}),
-        (reward_r2, {"lam": STATIC_TRANSITIONS}),
-        (reward_r2, {"lam": PROB_SCALED_TRANSITIONS, "per_step_prob": probs}),
+        (reward_r2, {"lam": TransitionRewards()}),
+        (reward_r2_prob, {"per_step_prob": probs}),
         (reward_r3, {}),
     ]:
         full = fn(out, n, **kw)
@@ -163,10 +162,8 @@ def test_all_correct_maximises_every_reward():
     for bits in itertools.product((True, False), repeat=n):
         out = EpisodeOutcome(bits)
         assert reward_r1(out, n) <= reward_r1(best, n)
-        assert reward_r2(out, n, STATIC_TRANSITIONS) <= reward_r2(best, n, STATIC_TRANSITIONS)
-        assert reward_r2(out, n, PROB_SCALED_TRANSITIONS, probs) <= reward_r2(
-            best, n, PROB_SCALED_TRANSITIONS, probs
-        )
+        assert reward_r2(out, n, TransitionRewards()) <= reward_r2(best, n, TransitionRewards())
+        assert reward_r2_prob(out, n, probs) <= reward_r2_prob(best, n, probs)
         assert reward_r3(out, n) <= reward_r3(best, n)
 
 

@@ -6,10 +6,16 @@ import pytest
 
 from dynel import autodiff as ad
 from dynel.corpus import CorpusError
-from dynel.local_attn import LocalAttnParams, local_scores_attn
+from dynel.local_attn import LocalAttnParams, context_feature, local_scores_attn
 from dynel.synthetic import SyntheticSpec, generate_synthetic, required_dim
 
 import oracles
+
+
+def attn_scores(m, store, params):
+    """Local scores against the mention's own context feature, as
+    ``encode_document`` computes them."""
+    return local_scores_attn(m, store, params, context_feature(m, store, params))
 
 
 def anchored_spec(**kw):
@@ -63,7 +69,7 @@ def test_unambiguous_corpus_solved_by_local_argmax():
     with ad.no_grad():
         for doc in docs:
             for m in doc.mentions:
-                scores = local_scores_attn(m, store, params).data
+                scores = attn_scores(m, store, params).data
                 correct += m.candidates[int(np.argmax(scores))].entity_id == m.gold
                 total += 1
     assert correct / total == 1.0
@@ -77,7 +83,7 @@ def test_anchored_mentions_tie_exactly_on_local_scores_and_priors():
             for m in doc.mentions:
                 if m.position % 2 == 1:
                     continue  # anchors are the odd positions here
-                scores = local_scores_attn(m, store, params).data
+                scores = attn_scores(m, store, params).data
                 ids = [c.entity_id for c in m.candidates]
                 gi = ids.index(m.gold)
                 decoy = next(

@@ -17,7 +17,6 @@ from dynel.trainer import (
     TrainConfig,
     evaluate,
     policy_objective,
-    reinforce_step,
     rollout,
     train,
 )
@@ -197,21 +196,10 @@ class TestReinforce:
         ep = rollout(docs[0], store, params, cfg, mode="train", rng=rng)
         ep_zero = Episode(**{**ep.__dict__, "rewards": (0.0,) * len(ep.rewards)})
         ad.zero_grad(params.parameters())
-        reinforce_step([ep_zero])
+        ad.backward(policy_objective([ep_zero]) * -1.0)
         pol = params.policy.parameters()
         for name, t in pol.items():
             assert t.grad is None or np.allclose(t.grad, 0.0), name
-
-    def test_greedy_episodes_rejected(self):
-        docs, store = anchored_world(num_docs=1)
-        cfg = oracle_selector_config(window=3)
-        params = build(store, cfg)
-        with ad.no_grad():
-            pass
-        ep = rollout(docs[0], store, params, cfg, mode="eval")
-        ep = Episode(**{**ep.__dict__, "log_probs": [Tensor(0.0)], "sampled": False})
-        with pytest.raises(ValueError, match="sampled"):
-            reinforce_step([ep])
 
     def test_constant_reward_shift_has_zero_expected_gradient_shift(self):
         # E[sum_t grad log pi] = 0: adding c to all R(t) shifts the estimator
@@ -226,7 +214,7 @@ class TestReinforce:
             ep = rollout(docs[0], store, params, cfg, mode="train", rng=rng)
             ad.zero_grad(params.parameters())
             shifted = Episode(**{**ep.__dict__, "rewards": (1.0,) * len(ep.rewards)})
-            reinforce_step([shifted], scale=-1.0)  # accumulate +grad of sum log pi
+            ad.backward(policy_objective([shifted]) * 1.0)  # accumulate +grad of sum log pi
             g = params.policy.action_scorer.diag.grad
             g = np.zeros_like(params.policy.action_scorer.diag.data) if g is None else g
             score_sum = g.copy() if score_sum is None else score_sum + g
@@ -240,7 +228,7 @@ class TestReinforce:
             return Episode(
                 doc_id="d", order=(0,), log_probs=[ad.item(Tensor(logp.data), 0)],
                 flags=(True,), predicted=("e",), predicted_prob=(1.0,),
-                history_entities=("e",), rewards=(r,), sampled=True,
+                history_entities=("e",), rewards=(r,),
             )
         obj = policy_objective([make_ep(2.0), make_ep(4.0)])
         assert obj.item() == pytest.approx((-0.5 * 2 + -0.5 * 4) / 2)
@@ -361,6 +349,45 @@ class TestTrainLoop:
         for name, t in params.named_parameters().items():
             assert np.array_equal(t.data, fresh.named_parameters()[name].data)
 
+    def test_train_refuses_an_empty_training_set(self):
+        docs, store = anchored_world(num_docs=1)
+        with pytest.raises(ValueError, match="no training documents"):
+            train([], docs, store, oracle_selector_config())
+
+
+def test_restore_refuses_parameters_the_model_lacks():
+    _, store = anchored_world(num_docs=1)
+    params = build(store, oracle_selector_config())
+    arrays = params.snapshot()
+    before = params.snapshot()
+    arrays["transformer.word_embed"] = np.zeros((2, store.dim))
+    with pytest.raises(ValueError, match=r"parameters the model lacks: \['transformer.word_embed'\]"):
+        params.restore(arrays)
+    assert all(np.array_equal(a, before[k]) for k, a in params.snapshot().items())
+
+
+@pytest.mark.parametrize("field", ["local_model", "dim"])
+def test_load_checkpoint_refuses_another_model(field, tmp_path):
+    _, store = anchored_world(num_docs=1)
+    target = build(store, oracle_selector_config())
+    if field == "local_model":
+        saved = TrainConfig(local_model="transformer", encoder_layers=1, attention_heads=2,
+                            head_dim=4, model_dim=store.dim, encoder_ff_dim=8,
+                            head_hidden=4).build_model(store, np.random.default_rng(1))
+        message = "has local_model 'transformer'; the model has 'attn'"
+    else:
+        _, other = generate_synthetic(SyntheticSpec(num_docs=1, mentions_per_doc=4,
+                                                    candidates_per_mention=4,
+                                                    embedding_dim=32, seed=2))
+        saved = build(other, oracle_selector_config())
+        message = f"has dim 32; the model has {store.dim}"
+    path = str(tmp_path / "other.npz")
+    save_checkpoint(saved, path)
+    before = target.snapshot()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_checkpoint(target, path)
+    assert all(np.array_equal(a, before[k]) for k, a in target.snapshot().items())
+
 
 def test_single_document_reinforce_improves_sampled_reward():
     """200 policy-gradient steps on one frozen document raise the mean
@@ -387,7 +414,7 @@ def test_single_document_reinforce_improves_sampled_reward():
         for _ in range(200):
             ep = rollout(doc, store, fresh, cfg, mode="train", rng=rng)
             opt.zero_grad()
-            reinforce_step([ep])
+            ad.backward(policy_objective([ep]) * -1.0)
             opt.step(0.05)
             totals.append(sum(ep.rewards))
         first, last = np.mean(totals[:50]), np.mean(totals[-50:])
@@ -473,6 +500,14 @@ def test_config_rejects_a_pool_cap_below_one(cap):
     with pytest.raises(ValueError, match=f"{cap} must be >= 1"):
         TrainConfig(**{cap: 0})
     assert getattr(TrainConfig(**{cap: 1}), cap) == 1
+
+
+@pytest.mark.parametrize("transition", [(0.0, -2.0), (0.0, -2.0, -1.0, 0.0, 1.0)])
+def test_config_needs_exactly_four_transition_rewards(transition):
+    with pytest.raises(ValueError, match=f"transition needs 4 values .*got {len(transition)}"):
+        TrainConfig(transition=transition)
+    with pytest.raises(ValueError, match="transition needs 4 values"):
+        TrainConfig.from_dict({"transition": list(transition)})
 
 
 def test_config_from_dict_names_unknown_keys():

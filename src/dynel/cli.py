@@ -86,7 +86,8 @@ def _cmd_train(args) -> int:
     config = _load_config(args.config)
     _echo_config(config)
     docs, store = load_corpus(args.corpus)
-    n_val = max(1, int(len(docs) * args.val_fraction)) if len(docs) > 1 else 0
+    n_val = (max(1, int(len(docs) * args.val_fraction))
+             if len(docs) > 1 and args.val_fraction > 0 else 0)
     val_docs, train_docs = docs[:n_val], docs[n_val:]
     result = train(train_docs, val_docs, store, config)
     save_checkpoint(result.params, args.out,

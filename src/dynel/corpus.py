@@ -93,9 +93,10 @@ class Document:
         if not self.mentions:
             raise CorpusError(f"document {self.id!r} has no mentions")
         positions = [m.position for m in self.mentions]
-        if any(b <= a for a, b in zip(positions, positions[1:])):
+        if positions != list(range(len(positions))):
             raise CorpusError(
-                f"document {self.id!r}: mention positions must strictly increase"
+                f"document {self.id!r}: mention positions must strictly increase "
+                f"by 1 from 0, got {positions}"
             )
 
 

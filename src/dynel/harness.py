@@ -20,7 +20,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import Document, EmbeddingStore
 from .local_transformer import TransformerConfig, local_scores_transformer
-from .model import EncodedDocument, ModelParams, build_model, encode_document
+from .model import EncodedMention, ModelParams, build_model, encode_document
 from .rewards import REWARD_KINDS
 from .trainer import Episode, TrainConfig, rollout, train
 
@@ -111,12 +111,12 @@ def _report_from_episodes(
     )
 
 
-def _similarity_order(encoded: EncodedDocument) -> list[int]:
+def _similarity_order(encoded: Sequence[EncodedMention]) -> list[int]:
     def unit(v):
         n = np.linalg.norm(v)
         return v / n if n > 0 else v
-    units = {p: unit(feat.data) for p, feat in encoded.mention_repr.items()}
-    first, *remaining = units
+    units = [unit(r.context.data) for r in encoded]
+    first, *remaining = range(len(units))
     order = [first]
     while remaining:
         prev = units[order[-1]]
@@ -131,7 +131,7 @@ def _exhaustive_best_order(
     store: EmbeddingStore,
     params: ModelParams,
     config: TrainConfig,
-    encoded: EncodedDocument | None,
+    encoded: Sequence[EncodedMention] | None,
 ) -> list[int]:
     n = len(doc.mentions)
     if n > EXHAUSTIVE_MAX_MENTIONS:
@@ -140,9 +140,8 @@ def _exhaustive_best_order(
         )
     if encoded is None:
         encoded = encode_document(doc, store, params)
-    positions = [m.position for m in doc.mentions]
     best_order, best_acc = None, -1.0
-    for perm in itertools.permutations(positions):
+    for perm in itertools.permutations(range(n)):
         ep = rollout(doc, store, params, config, mode="eval", order=perm, encoded=encoded)
         acc = sum(ep.flags) / len(ep.flags)
         if acc > best_acc:
@@ -157,26 +156,23 @@ def ordering_for(
     params: ModelParams,
     config: TrainConfig,
     rng: np.random.Generator | None = None,
-    encoded: EncodedDocument | None = None,
+    encoded: Sequence[EncodedMention] | None = None,
 ) -> list[int] | None:
     """Mention order for a fixed strategy; None means "use the policy".
 
     ``encoded`` reuses an eval-mode ``encode_document`` pass of ``doc``.
     """
-    positions = [m.position for m in doc.mentions]
+    positions = range(len(doc.mentions))
     if strategy == "dynamic":
         return None
     if strategy == "offset":
-        return positions
+        return list(positions)
     if strategy == "size":
-        return [p for p, _ in sorted(
-            ((m.position, len(m.candidates)) for m in doc.mentions),
-            key=lambda t: (t[1], t[0]),
-        )]
+        return sorted(positions, key=lambda p: (len(doc.mentions[p].candidates), p))
     if strategy == "random":
         if rng is None:
             raise ValueError("random strategy needs an rng")
-        return [positions[int(i)] for i in rng.permutation(len(positions))]
+        return [int(i) for i in rng.permutation(len(positions))]
     if strategy == "similarity":
         if encoded is None:
             encoded = encode_document(doc, store, params)
@@ -457,7 +453,7 @@ def grad_check(
         window=2, epochs=1, seed=seed, episodes_per_doc=1,
         fusion_hidden=6, policy_top_k=3, selector_top_k=3,
     )
-    params = build_model(store, rng, fusion_hidden=6)
+    params = config.build_model(store, rng)
     # move off the symmetric init (zeros/ones sit on hard-max tie ridges)
     for t in params.named_parameters().values():
         t.data += 0.1 * rng.normal(size=t.data.shape)

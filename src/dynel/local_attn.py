@@ -36,20 +36,19 @@ class LocalAttnParams:
         }
 
 
-def context_feature(mention: Mention, store: EmbeddingStore, params: LocalAttnParams) -> Tensor:
-    """Softmax-weighted sum of the top-scoring context word vectors."""
+def context_feature(
+    mention: Mention, cand: Tensor, store: EmbeddingStore, params: LocalAttnParams
+) -> Tensor:
+    """Softmax-weighted sum of the top-scoring context word vectors, pooled
+    against the candidate matrix ``cand``."""
     window = mention.context_window
     if not window:
         raise ValueError(f"mention {mention.id!r} has an empty context window")
     words = Tensor(np.stack([store.word(w) for w in window]))
-    cand = Tensor(store.entities(mention.candidate_ids))
     return params.word_scorer.pool(cand, words, params.top_words)
 
 
-def local_scores_attn(
-    mention: Mention, store: EmbeddingStore, params: LocalAttnParams, feat: Tensor
-) -> Tensor:
-    """One bilinear relevance score per candidate, in candidate order, against
-    the mention's context feature ``feat``."""
-    cand = Tensor(store.entities(mention.candidate_ids))
+def local_scores_attn(cand: Tensor, feat: Tensor, params: LocalAttnParams) -> Tensor:
+    """One bilinear relevance score per row of the candidate matrix ``cand``
+    against the mention's context feature ``feat``."""
     return params.entity_context.scores(cand, feat)

@@ -1,10 +1,9 @@
 """Bundle of all trainable parameters and the per-document encoding.
 
 ``encode_document`` is the one forward pass over a document's mentions
-that every episode over the document shares.  The policy's mention
-representation is always the hard-attention context feature (dimension
-d), regardless of which local scorer produces the candidate weights; it
-is the one mention-level vector both scorers share.
+that every episode over the document shares: one record per mention.  The
+policy's mention half is always the hard-attention context feature (dimension
+d), whichever local scorer weights the candidates.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .corpus import Document, EmbeddingStore
+from .corpus import Document, EmbeddingStore, Mention
 from .local_attn import LocalAttnParams, context_feature, local_scores_attn
 from .local_transformer import (
     TransformerConfig,
@@ -28,7 +27,7 @@ from .selector import SelectorParams
 
 __all__ = [
     "ModelParams",
-    "EncodedDocument",
+    "EncodedMention",
     "build_model",
     "encode_document",
     "save_checkpoint",
@@ -116,12 +115,17 @@ def build_model(
 
 
 @dataclass(frozen=True)
-class EncodedDocument:
-    """Forward tensors of one document, keyed by mention position in document order."""
+class EncodedMention:
+    """Everything a rollout reads about one mention, looked up once."""
 
-    mention_repr: dict[int, Tensor]    # context feature; the policy's mention half
-    local_feature: dict[int, Tensor]   # local score column the selector fuses
-    action_rep: dict[int, Tensor]      # action summary the policy scores
+    mention: Mention
+    candidates: Tensor         # candidate vectors, one row per candidate
+    priors: Tensor             # prior column the selector fuses
+    types: Tensor              # type-score column the selector fuses
+    gold_index: int | None     # gold's row in ``candidates``; None when missing
+    context: Tensor            # context feature; the policy's mention half
+    local: Tensor              # local score column the selector fuses
+    action: Tensor             # action summary the policy scores
 
 
 def encode_document(
@@ -130,33 +134,31 @@ def encode_document(
     params: ModelParams,
     mode: str = "eval",
     rng: np.random.Generator | None = None,
-) -> EncodedDocument:
-    """Encode every mention once: context feature, local scores, action summary.
+) -> tuple[EncodedMention, ...]:
+    """Encode every mention once, in position order.
 
-    The attention scorer emits unbounded bilinear scores over the context
-    feature, so its action weights are softmax-normalised; the transformer
-    head is already a distribution and is used as-is for both roles
+    The one place that reads a mention's candidate vectors, priors, type
+    scores and gold index.  Attention scores are softmax-normalised into
+    action weights; the transformer head is already a distribution
     (``mode`` and ``rng`` drive its dropout).
     """
     if params.local_model == "transformer" and params.transformer is None:
         raise ValueError("model was built without the transformer scorer")
-    mention_repr: dict[int, Tensor] = {}
-    local_feature: dict[int, Tensor] = {}
-    action_rep: dict[int, Tensor] = {}
+    records = []
     for m in doc.mentions:
-        feat = context_feature(m, store, params.local_attn)
+        cand = Tensor(store.entities(m.candidate_ids))
+        feat = context_feature(m, cand, store, params.local_attn)
         if params.local_model == "attn":
-            local = local_scores_attn(m, store, params.local_attn, feat=feat)
+            local = local_scores_attn(cand, feat, params.local_attn)
             weights = ad.softmax(local)
         else:
             local = local_scores_transformer(m, store, params.transformer, mode=mode, rng=rng)
             weights = local
-        mention_repr[m.position] = feat
-        local_feature[m.position] = local
-        action_rep[m.position] = action_representation(
-            feat, Tensor(store.entities(m.candidate_ids)), weights
-        )
-    return EncodedDocument(mention_repr, local_feature, action_rep)
+        types = Tensor([store.type_score(m.id, e) for e in m.candidate_ids])
+        gold = m.candidate_ids.index(m.gold) if m.gold in m.candidate_ids else None
+        records.append(EncodedMention(m, cand, Tensor(m.priors), types, gold, feat, local,
+                                      action_representation(feat, cand, weights)))
+    return tuple(records)
 
 
 def save_checkpoint(params: ModelParams, path: str, meta: dict | None = None) -> None:

@@ -12,6 +12,7 @@ diagonal form turns evidence-weighted matches into action logits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -97,7 +98,7 @@ def action_representation(mention_repr: Tensor, cand_vecs: Tensor, psi: Tensor) 
 def select_action(
     state: LinkingState,
     window: ActionWindow,
-    action_reps: dict[int, Tensor],
+    action_reps: Sequence[Tensor],
     params: PolicyParams,
     mode: str = "greedy",
     rng: np.random.Generator | None = None,
@@ -105,8 +106,9 @@ def select_action(
 ) -> tuple[int, Tensor, np.ndarray]:
     """Pick the next mention position.
 
-    Returns ``(position, log_prob, distribution)``; ``distribution`` is
-    aligned with ``window.actions()``.  Single-action windows skip the rng
+    ``action_reps[p]`` summarises the mention at position ``p``.  Returns
+    ``(position, log_prob, distribution)``; ``distribution`` is aligned
+    with ``window.actions()``.  Single-action windows skip the rng
     so greedy and sampled rollouts stay trace-identical there.  ``force``
     evaluates the distribution but returns the given position (it must be
     inside the window).

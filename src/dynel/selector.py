@@ -11,13 +11,17 @@ a plain sum (handy for analytic oracles).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DiagonalBilinear, Tensor
-from .corpus import EmbeddingStore, Mention
+from .corpus import EmbeddingStore
 from .nn import FeedForward
+
+if TYPE_CHECKING:
+    from .model import EncodedMention
 
 __all__ = [
     "SelectorParams",
@@ -119,39 +123,29 @@ def _znorm_columns(mat: Tensor) -> Tensor:
 
 
 def candidate_distribution(
-    mention: Mention,
+    record: EncodedMention,
     linked_ids: tuple[str, ...],
     store: EmbeddingStore,
     params: SelectorParams,
-    local_scores: Tensor,
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Probability over the mention's candidates, in candidate order."""
-    n = len(mention.candidates)
-    cand_mat = Tensor(store.entities(mention.candidate_ids))
-    if local_scores.data.shape != (n,):
-        raise ad.ShapeError("local_scores must hold one value per candidate")
-
+    """Probability over the record's candidates, in candidate order."""
+    cand_mat = record.candidates
+    n = cand_mat.data.shape[0]
     columns: list[Tensor] = []
     for name in params.features:
         if name == "coherence":
             pooled = linked_context_feature(cand_mat, linked_ids, store, params)
             columns.append(params.linked_coherence.scores(cand_mat, pooled))
         elif name == "prior":
-            columns.append(Tensor(mention.priors))
+            columns.append(record.priors)
         elif name == "type":
-            columns.append(
-                Tensor(
-                    np.array(
-                        [store.type_score(mention.id, c.entity_id) for c in mention.candidates]
-                    )
-                )
-            )
+            columns.append(record.types)
         elif name == "neighborhood":
             columns.append(neighborhood_scores(cand_mat, linked_ids, store, params))
         elif name == "local":
-            columns.append(local_scores)
+            columns.append(record.local)
 
     feats = ad.transpose(ad.stack(columns))
     if params.feature_norm:

@@ -26,7 +26,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import Document, EmbeddingStore
 from .local_transformer import TransformerConfig, check_input_caps
-from .model import EncodedDocument, ModelParams, build_model, encode_document, save_checkpoint
+from .model import EncodedMention, ModelParams, build_model, encode_document, save_checkpoint
 from .policy import ActionWindow, LinkingState, advance, select_action
 from .rewards import REWARD_KINDS, EpisodeOutcome, TransitionRewards, reward_trace
 from .selector import candidate_distribution
@@ -174,7 +174,7 @@ def rollout(
     rng: np.random.Generator | None = None,
     order: Sequence[int] | None = None,
     score_order: bool = False,
-    encoded: EncodedDocument | None = None,
+    encoded: Sequence[EncodedMention] | None = None,
 ) -> Episode:
     """Roll one episode; ``order`` forces the mention sequence.
 
@@ -190,17 +190,16 @@ def rollout(
     training = mode == "train"
     if training and rng is None:
         raise ValueError("train mode needs an rng")
-    mentions = {m.position: m for m in doc.mentions}
     n_mentions = len(doc.mentions)
-    if order is not None:
-        if sorted(order) != sorted(mentions):
-            raise ValueError("forced order must be a permutation of mention positions")
+    if order is not None and sorted(order) != list(range(n_mentions)):
+        raise ValueError("forced order must be a permutation of mention positions")
 
     if encoded is None:
         encoded = encode_document(doc, store, params, mode, rng)
+    actions = tuple(r.action for r in encoded)
 
     window_size = config.window if config.window is not None else n_mentions
-    window = ActionWindow(window_size, tuple(sorted(mentions)))
+    window = ActionWindow(window_size, tuple(range(n_mentions)))
     state = LinkingState.initial(params.policy)
 
     chosen_order: list[int] = []
@@ -216,23 +215,17 @@ def rollout(
             pos = order[step]
         else:
             pos, logp, _ = select_action(
-                state, window, encoded.action_rep, params.policy,
+                state, window, actions, params.policy,
                 mode="sample" if training else "greedy", rng=rng,
                 force=order[step] if order is not None else None,
             )
             log_probs.append(logp)
-        mention = mentions[pos]
+        record = encoded[pos]
+        mention = record.mention
         chosen_order.append(pos)
 
-        probs = candidate_distribution(
-            mention,
-            tuple(history_entities),
-            store,
-            params.selector,
-            encoded.local_feature[pos],
-            training=training,
-            rng=rng,
-        )
+        probs = candidate_distribution(record, tuple(history_entities), store,
+                                       params.selector, training=training, rng=rng)
         pick = int(np.argmax(probs.data))
         pick_id = mention.candidates[pick].entity_id
         predicted.append(pick_id)
@@ -240,15 +233,11 @@ def rollout(
         flags.append(pick_id == mention.gold)
 
         if training:
-            gold_idx = next(
-                (i for i, c in enumerate(mention.candidates) if c.entity_id == mention.gold),
-                None,
-            )
-            if gold_idx is None:
+            if record.gold_index is None:
                 log.debug("mention %s: gold %r not in candidates; margin term skipped",
                           mention.id, mention.gold)
             else:
-                gold_prob = ad.item(probs, gold_idx)
+                gold_prob = ad.item(probs, record.gold_index)
                 hinge = ad.relu(probs - gold_prob + config.margin)
                 margin_terms.append(ad.tsum(hinge))
 
@@ -258,7 +247,7 @@ def rollout(
         history_entities.append(linked_id)
         # bypassed orders skip the policy state and its window discipline
         if order is None or score_order:
-            pair = ad.concat([encoded.mention_repr[pos], Tensor(store.entity(linked_id))])
+            pair = ad.concat([record.context, Tensor(store.entity(linked_id))])
             state, window = advance(state, window, pos, pair)
 
     outcome = EpisodeOutcome(tuple(flags), gamma=config.gamma)

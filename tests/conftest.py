@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,23 @@ def make_mention(
         candidates=tuple(CandidateEntity(e, p) for e, p in zip(candidates, priors)),
         gold=gold if gold is not None else candidates[0],
     )
+
+
+def candidate_lookups(monkeypatch, docs) -> Counter:
+    """Per candidate-id tuple of a mention in ``docs``, how often
+    ``EmbeddingStore.entities`` is asked for it while the test runs."""
+    known = {m.candidate_ids for doc in docs for m in doc.mentions}
+    counts = Counter()
+    real = EmbeddingStore.entities
+
+    def counted(self, entity_ids):
+        ids = tuple(entity_ids)
+        if ids in known:
+            counts[ids] += 1
+        return real(self, ids)
+
+    monkeypatch.setattr(EmbeddingStore, "entities", counted)
+    return counts
 
 
 @pytest.fixture

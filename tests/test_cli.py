@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from dynel import cli
 from dynel.cli import main
 from dynel.corpus import load_corpus
 from dynel.model import save_checkpoint
@@ -86,6 +87,22 @@ def test_train_refuses_a_validation_fraction_outside_0_1(fraction, corpus_dir, c
     assert capsys.readouterr().err.strip() == (
         f"error: --val-fraction must lie in [0, 1), got {float(fraction)}")
     assert not (tmp_path / "m.npz").exists()
+
+
+def test_train_with_validation_fraction_zero_holds_back_no_document(
+        corpus_dir, config_path, tmp_path, monkeypatch):
+    sizes = []
+    real = cli.train
+
+    def recorded(train_docs, val_docs, *args, **kwargs):
+        sizes.append((len(train_docs), len(val_docs)))
+        return real(train_docs, val_docs, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "train", recorded)
+    rc = main(["train", "--config", str(config_path), "--corpus", str(corpus_dir),
+               "--out", str(tmp_path / "m.npz"), "--val-fraction", "0"])
+    assert rc == 0
+    assert sizes == [(6, 0)]
 
 
 def test_train_link_eval_pipeline(corpus_dir, config_path, tmp_path, capsys):

@@ -94,6 +94,28 @@ def test_mention_positions_must_increase():
         Document("d", ("w0",), (m0, m1))
 
 
+@pytest.mark.parametrize("positions", [(1, 2), (0, 2), (0, 3, 6, 9)])
+def test_mention_positions_are_their_indices(positions):
+    mentions = tuple(make_mention(f"m{i}", position=p) for i, p in enumerate(positions))
+    with pytest.raises(CorpusError, match=re.escape(f"got {list(positions)}")):
+        Document("d", ("w0",), mentions)
+
+
+def test_gapped_mention_positions_rejected_at_load(tmp_path):
+    docs, store = small_corpus()
+    save_corpus(docs, store, tmp_path)
+    lines = (tmp_path / "docs.jsonl").read_text().splitlines()
+    rec = json.loads(lines[1])
+    for i, m in enumerate(rec["mentions"]):
+        m["position"] = 3 * i
+    lines[1] = json.dumps(rec)
+    (tmp_path / "docs.jsonl").write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorpusError, match=r"docs.jsonl line 2: document '\S+': mention "
+                                          r"positions must strictly increase by 1 from 0, "
+                                          r"got \[0, 3, 6, 9\]"):
+        load_corpus(tmp_path)
+
+
 def test_candidates_required():
     with pytest.raises(CorpusError, match="no candidates"):
         Mention("m", ("w",), 0, ("w",), (), (), "e0")

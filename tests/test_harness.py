@@ -1,10 +1,12 @@
 import csv
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from dynel import model
+from dynel.autodiff import DiagonalBilinear
 from dynel.harness import (
     GAMMA1_GRID,
     WINDOW_GRID,
@@ -20,7 +22,7 @@ from dynel.rewards import REWARD_KINDS
 from dynel.synthetic import SyntheticSpec, generate_synthetic
 from dynel.trainer import TrainConfig
 
-from conftest import make_mention
+from conftest import candidate_lookups, make_mention
 from dynel.corpus import Document
 
 
@@ -126,6 +128,11 @@ class TestStrategies:
         run_baseline(self.docs, self.store, self.params, self.cfg, "similarity")
         assert sorted(calls) == sorted(m.id for doc in self.docs for m in doc.mentions)
 
+    def test_dynamic_baseline_looks_up_each_candidate_matrix_once(self, monkeypatch):
+        counts = candidate_lookups(monkeypatch, self.docs)
+        run_baseline(self.docs, self.store, self.params, self.cfg, "dynamic")
+        assert counts == Counter(m.candidate_ids for doc in self.docs for m in doc.mentions)
+
     def test_exhaustive_best_rejects_long_documents(self):
         mentions = tuple(make_mention(f"m{i}", position=i) for i in range(10))
         doc = Document("d", ("w0",), mentions)
@@ -184,6 +191,23 @@ def test_grad_check_passes_and_reports_every_tensor():
     assert any(n.startswith("selector.") for n in names)
     assert any(n.startswith("local_attn.") for n in names)
     assert any(n.startswith("transformer.") for n in names)
+
+
+def test_grad_check_pools_with_the_top_k_caps_of_its_config(monkeypatch):
+    # the check's config caps the policy and selector pools at 3; some pools
+    # must truncate, or the top-k branch is never differentiated
+    calls = []
+    real = DiagonalBilinear.pool
+
+    def recorded(self, queries, rows, top_k):
+        calls.append((rows.data.shape[0], top_k))
+        return real(self, queries, rows, top_k)
+
+    monkeypatch.setattr(DiagonalBilinear, "pool", recorded)
+    assert grad_check(seed=0, include_transformer=False)["passed"]
+    top_words = TrainConfig().top_words
+    assert {k for _, k in calls} == {3, top_words}
+    assert any(rows > k for rows, k in calls)
 
 
 def test_oracles_stay_independent_of_the_package():

@@ -3,17 +3,24 @@ import pytest
 
 from dynel import autodiff as ad
 from dynel.autodiff import Tensor
-from dynel.corpus import EmbeddingStore
+from dynel.corpus import Document, EmbeddingStore
 from dynel.local_attn import LocalAttnParams, context_feature, local_scores_attn
+from dynel.model import build_model, encode_document
 
 import oracles
 from conftest import make_mention
 
 
+def feature(m, store, params):
+    """The mention's context feature, pooled against its candidate matrix."""
+    return context_feature(m, Tensor(store.entities(m.candidate_ids)), store, params)
+
+
 def attn_scores(m, store, params):
     """Local scores against the mention's own context feature, as
     ``encode_document`` computes them."""
-    return local_scores_attn(m, store, params, context_feature(m, store, params))
+    cand = Tensor(store.entities(m.candidate_ids))
+    return local_scores_attn(cand, context_feature(m, cand, store, params), params)
 
 
 def store_with(words: dict, entities: dict) -> EmbeddingStore:
@@ -26,7 +33,7 @@ def store_with(words: dict, entities: dict) -> EmbeddingStore:
 def test_single_context_word_is_its_vector():
     store = store_with({"w0": [0.2, 0.8]}, {"e0": [1.0, 0.0], "e1": [0.0, 1.0]})
     m = make_mention(context=("w0",))
-    f = context_feature(m, store, LocalAttnParams.build(2))
+    f = feature(m, store, LocalAttnParams.build(2))
     assert np.allclose(f.data, [0.2, 0.8])
 
 
@@ -37,7 +44,7 @@ def test_two_equal_scoring_words_average():
         {"e0": [1.0, 1.0, 0.0], "e1": [0.3, 0.3, 0.5]},
     )
     m = make_mention(context=("wa", "wb"))
-    f = context_feature(m, store, LocalAttnParams.build(3, top_words=2))
+    f = feature(m, store, LocalAttnParams.build(3, top_words=2))
     assert np.allclose(f.data, [0.5, 0.5, 0.0])
 
 
@@ -51,7 +58,7 @@ def test_top1_keeps_argmax_word_and_matches_bruteforce(rng):
     diag = rng.normal(size=dim)
     params.word_scorer.diag.data[...] = diag
 
-    f = context_feature(m, store, params).data
+    f = feature(m, store, params).data
     expected = oracles.hard_attention_context(
         np.stack([words[w] for w in m.context_window]),
         np.stack([ents[e] for e in ents]),
@@ -67,14 +74,15 @@ def test_empty_context_rejected():
     store = store_with({"w0": [1.0]}, {"e0": [1.0], "e1": [1.0]})
     m = make_mention(context=())
     with pytest.raises(ValueError, match="empty context"):
-        context_feature(m, store, LocalAttnParams.build(1))
+        feature(m, store, LocalAttnParams.build(1))
 
 
 def test_missing_candidate_embedding_is_an_error():
     store = store_with({"w0": [1.0, 0.0]}, {"e0": [1.0, 0.0]})
     m = make_mention(candidates=("e0", "e_unknown"))
     with pytest.raises(Exception, match="e_unknown"):
-        attn_scores(m, store, LocalAttnParams.build(2))
+        encode_document(Document("d", ("w0",), (m,)), store,
+                        build_model(store, np.random.default_rng(0)))
 
 
 def test_identity_matrix_dot_product_geometry():
@@ -108,7 +116,7 @@ def test_hand_computed_three_candidate_scores(rng):
     b1 = rng.normal(size=dim)
     params.entity_context.diag.data[...] = b1
 
-    f = context_feature(m, store, params).data
+    f = feature(m, store, params).data
     got = attn_scores(m, store, params).data
     expected = [float(np.sum(ents[f"e{i}"] * b1 * f)) for i in range(3)]
     assert np.allclose(got, expected, atol=1e-12)

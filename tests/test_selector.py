@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from dynel import autodiff as ad
 from dynel.autodiff import Tensor
-from dynel.corpus import EmbeddingStore
+from dynel.corpus import Document, EmbeddingStore
+from dynel.model import build_model, encode_document
 from dynel.selector import (
     SelectorParams,
     candidate_distribution,
@@ -31,6 +34,13 @@ def build_params(dim, rng, **kw) -> SelectorParams:
 
 def cand_matrix(store, ids):
     return Tensor(store.entities(ids))
+
+
+def record(m, store, local):
+    """The mention's ``encode_document`` record, with ``local`` as its local scores."""
+    model = build_model(store, np.random.default_rng(0))
+    (rec,) = encode_document(Document("d", ("w0",), (m,)), store, model)
+    return replace(rec, local=ad.as_tensor(local))
 
 
 class TestLinkedContextFeature:
@@ -140,7 +150,7 @@ class TestCandidateDistribution:
         store = build_store(rng)
         params = build_params(4, rng)
         m = make_mention(candidates=("e0",), priors=[0.9])
-        probs = candidate_distribution(m, (), store, params, Tensor(np.zeros(1)))
+        probs = candidate_distribution(record(m, store, np.zeros(1)), (), store, params)
         assert probs.data.tolist() == [1.0]
 
     def test_prior_only_fusion_is_softmax_of_priors(self, rng):
@@ -148,7 +158,7 @@ class TestCandidateDistribution:
         params = build_params(4, rng, features=("prior",), feature_norm=False,
                               fusion="sum")
         m = make_mention(candidates=("e0", "e1"), priors=[0.8, 0.2])
-        probs = candidate_distribution(m, (), store, params, Tensor(np.zeros(2)))
+        probs = candidate_distribution(record(m, store, np.zeros(2)), (), store, params)
         expected = np.exp([0.8, 0.2]) / np.exp([0.8, 0.2]).sum()
         assert np.allclose(probs.data, expected, atol=1e-12)
 
@@ -158,8 +168,8 @@ class TestCandidateDistribution:
         params = build_params(4, rng, features=("coherence", "prior", "local"))
         assert params.fusion.weights[0].data.shape[0] == 3
         m = make_mention(candidates=("e0", "e1"), priors=[0.6, 0.4])
-        probs = candidate_distribution(m, ("e2",), store, params,
-                                       Tensor(rng.normal(size=2)))
+        probs = candidate_distribution(record(m, store, rng.normal(size=2)), ("e2",),
+                                       store, params)
         assert probs.data.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_unknown_feature_rejected(self, rng):
@@ -172,7 +182,7 @@ class TestCandidateDistribution:
                               fusion="sum")
         local = Tensor(np.array([0.1, 1.4, -0.3]))
         m = make_mention(candidates=("e0", "e1", "e2"), priors=[0.3] * 3)
-        probs = candidate_distribution(m, (), store, params, local)
+        probs = candidate_distribution(record(m, store, local), (), store, params)
         assert int(np.argmax(probs.data)) == int(np.argmax(local.data))
 
     def test_candidate_permutation_equivariance(self, rng):
@@ -183,9 +193,9 @@ class TestCandidateDistribution:
         m1 = make_mention(candidates=("e0", "e1", "e2"), priors=[0.5, 0.3, 0.2])
         m2 = make_mention(candidates=tuple(f"e{i}" for i in perm),
                           priors=[[0.5, 0.3, 0.2][i] for i in perm])
-        p1 = candidate_distribution(m1, ("e4",), store, params, Tensor(local)).data
-        p2 = candidate_distribution(m2, ("e4",), store, params,
-                                    Tensor(local[perm])).data
+        p1 = candidate_distribution(record(m1, store, local), ("e4",), store, params).data
+        p2 = candidate_distribution(record(m2, store, local[perm]), ("e4",), store,
+                                    params).data
         assert np.allclose(p1[perm], p2, atol=1e-12)
 
     def test_type_feature_reads_store(self, rng):
@@ -195,7 +205,7 @@ class TestCandidateDistribution:
         params = build_params(4, rng, features=("type",), feature_norm=False,
                               fusion="sum")
         m = make_mention(candidates=("e0", "e1"), priors=[0.5, 0.5])
-        probs = candidate_distribution(m, (), store, params, Tensor(np.zeros(2))).data
+        probs = candidate_distribution(record(m, store, np.zeros(2)), (), store, params).data
         expected = np.exp([2.0, -1.0]) / np.exp([2.0, -1.0]).sum()
         assert np.allclose(probs, expected, atol=1e-12)
 
@@ -203,11 +213,10 @@ class TestCandidateDistribution:
         store = build_store(rng, adjacency={"e3": {"e4"}})
         params = build_params(4, rng)
         m = make_mention(candidates=("e0", "e1"), priors=[0.7, 0.3])
-        local_arr = rng.normal(size=2)
+        rec = record(m, store, rng.normal(size=2))
 
         def build():
-            probs = candidate_distribution(m, ("e3",), store, params,
-                                           Tensor(local_arr))
+            probs = candidate_distribution(rec, ("e3",), store, params)
             return -ad.log(ad.item(probs, 0))
 
         loss = build()

@@ -15,7 +15,8 @@ import oracles
 def attn_scores(m, store, params):
     """Local scores against the mention's own context feature, as
     ``encode_document`` computes them."""
-    return local_scores_attn(m, store, params, context_feature(m, store, params))
+    cand = ad.Tensor(store.entities(m.candidate_ids))
+    return local_scores_attn(cand, context_feature(m, cand, store, params), params)
 
 
 def anchored_spec(**kw):

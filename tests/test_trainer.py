@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,8 @@ from dynel.trainer import (
     rollout,
     train,
 )
+
+from conftest import candidate_lookups
 
 
 def anchored_world(num_docs=8, mentions=6, candidates=4, seed=21):
@@ -127,12 +130,11 @@ class TestOrderingConstruction:
         with ad.no_grad():
             for doc in self.docs:
                 golds = [m.gold for m in doc.mentions]
-                encoded = encode_document(doc, self.store, self.params)
-                for i, m in enumerate(doc.mentions):
+                records = encode_document(doc, self.store, self.params)
+                for i, (m, rec) in enumerate(zip(doc.mentions, records)):
                     linked = tuple(g for j, g in enumerate(golds) if j != i)
-                    local = encoded.local_feature[m.position]
                     probs = candidate_distribution(
-                        m, linked, self.store, self.params.selector, local
+                        rec, linked, self.store, self.params.selector
                     )
                     pick = m.candidates[int(np.argmax(probs.data))].entity_id
                     correct += pick == m.gold
@@ -421,6 +423,15 @@ def test_single_document_reinforce_improves_sampled_reward():
         trends.append(last - first)
     assert np.mean(trends) > 0
     assert sum(t > 0 for t in trends) >= 2
+
+
+def test_one_training_update_looks_up_each_candidate_matrix_once(monkeypatch):
+    docs, store = anchored_world(num_docs=1)
+    counts = candidate_lookups(monkeypatch, docs)
+    # one epoch over one document is one update: encode_document + 2 rollouts
+    train(docs, [], store, TrainConfig(window=3, epochs=1, episodes_per_doc=2,
+                                       fusion_hidden=8))
+    assert counts == Counter(m.candidate_ids for m in docs[0].mentions)
 
 
 def test_config_round_trip_and_hash():

@@ -97,7 +97,8 @@ def _cmd_train(args) -> int:
             for row in result.metrics:
                 fh.write(json.dumps(row, sort_keys=True) + "\n")
     final = result.metrics[-1] if result.metrics else {}
-    print(f"best_val_accuracy={result.best_val_accuracy:.6f}")
+    best = result.best_val_accuracy
+    print(f"best_val_accuracy={'none' if best is None else f'{best:.6f}'}")
     print(f"final_epoch={json.dumps(final, sort_keys=True)}")
     return 0
 

@@ -184,69 +184,60 @@ def check_input_caps(docs: Sequence[Document], cfg: TransformerConfig) -> None:
 
 
 def build_input(
-    mention: Mention, store: EmbeddingStore, params: TransformerLocalParams
+    mention: Mention, cand: Tensor, store: EmbeddingStore, params: TransformerLocalParams
 ) -> tuple[Tensor, InputLayout]:
-    """Sum token/type/segment/position embeddings into the input matrix."""
-    cfg = params.config
-    error = _cap_error(mention, cfg)
+    """Sum token/type/segment/position embeddings into the input matrix.
+
+    ``cand`` holds the candidate vectors, one row per candidate.  The
+    distinct rows (``[CLS]``, ``[SEP]``, the context block, the candidate
+    block) are built once each, then gathered into layout order.
+    """
+    error = _cap_error(mention, params.config)
     if error:
         raise ValueError(error)
-    n = len(mention.candidates)
     ctx = _context_tokens(mention)
+    c, n = len(ctx), len(mention.candidates)
     seq_len = _seq_len(mention)
-
     mention_index = 1 + len(mention.context_before)
 
-    rows: list[Tensor] = [params.cls_tok]
-    type_ids = [0]
-    seg_ids = [0]
-    pos_ids = [0]
+    # candidate tokens: (mean surface word + projection) * 0.5, or the
+    # projection alone for an entity without a surface form
+    surfaces = [store.entity_surface.get(e, ()) for e in mention.candidate_ids]
+    sizes = [len(surface) for surface in surfaces]
+    owner = np.repeat(np.arange(n), sizes)  # the candidate of each surface word
+    tokens = ad.matmul(cand, params.entity_proj)
+    if owner.size:
+        mean = (owner == np.arange(n)[:, None]) / np.maximum(sizes, 1)[:, None]
+        words = ad.gather_rows(params.word_embed, [params.vocab[w] for s in surfaces for w in s])
+        half = np.where(sizes, 0.5, 1.0)[:, None]
+        tokens = ad.add(ad.matmul(Tensor(mean), words), tokens) * Tensor(half)
+    for entity_id, size in zip(mention.candidate_ids, sizes):
+        if not size:
+            log.warning("entity %s has no surface form; using projection only", entity_id)
 
-    for i, w in enumerate(ctx):
-        rows.append(ad.gather_rows(params.word_embed, [params.vocab[w]]))
-        type_ids.append(0)
-        seg_ids.append(0)
-        pos_ids.append(1 + i)
-    # flatten single-row gathers lazily below
+    # distinct rows: 0 [CLS], 1 [SEP], 2.. context, 2+c.. candidates
+    context = ad.gather_rows(params.word_embed, [params.vocab[w] for w in ctx])
+    distinct = ad.reshape(
+        ad.concat([params.cls_tok, params.sep_tok, ad.reshape(context, (-1,)),
+                   ad.reshape(tokens, (-1,))]),
+        (2 + c + n, params.config.model_dim),
+    )
+    # layout: [CLS] ctx... [SEP] (cand [SEP])*
+    seps, cands = slice(1 + c, seq_len, 2), slice(2 + c, seq_len, 2)
+    order = np.zeros(seq_len, dtype=np.intp)
+    order[1:1 + c] = 2 + np.arange(c)
+    order[seps] = 1
+    order[cands] = 2 + c + np.arange(n)
+    x = ad.gather_rows(distinct, order)
 
-    sep_indices = [1 + len(ctx)]
-    rows.append(params.sep_tok)
-    type_ids.append(1)
-    seg_ids.append(1)
-    pos_ids.append(sep_indices[0])
-
-    cand_indices = []
-    for j, cand in enumerate(mention.candidates):
-        row_idx = len(rows)
-        cand_indices.append(row_idx)
-        surface = store.entity_surface.get(cand.entity_id, ())
-        projected = ad.matmul(Tensor(store.entity(cand.entity_id)), params.entity_proj)
-        if surface:
-            word_rows = ad.gather_rows(
-                params.word_embed, [params.vocab[w] for w in surface]
-            )
-            mean_surface = ad.matmul(Tensor(np.full(len(surface), 1.0 / len(surface))),
-                                     word_rows)
-            token = (mean_surface + projected) * 0.5
-        else:
-            log.warning("entity %s has no surface form; using projection only",
-                        cand.entity_id)
-            token = projected
-        rows.append(token)
-        type_ids.append(1)
-        seg_ids.append(1 + j)
-        pos_ids.append(mention_index)
-
-        sep_pos = len(rows)
-        sep_indices.append(sep_pos)
-        rows.append(params.sep_tok)
-        type_ids.append(1)
-        # trailing separators adopt the next candidate's segment; the last stays
-        seg_ids.append(1 + j + 1 if j + 1 < n else 1 + j)
-        pos_ids.append(sep_pos)
-
-    flat_rows = [r if r.data.ndim == 1 else ad.reshape(r, (-1,)) for r in rows]
-    x = ad.stack(flat_rows)
+    positions = np.arange(seq_len)
+    type_ids = (positions > c).astype(np.intp)
+    seg_ids = np.zeros(seq_len, dtype=np.intp)
+    seg_ids[cands] = 1 + np.arange(n)
+    # a separator takes the next candidate's segment; the last keeps n
+    seg_ids[seps] = np.minimum(1 + np.arange(n + 1), n)
+    pos_ids = positions.copy()
+    pos_ids[cands] = mention_index  # candidates share the mention head's slot
     if "drop_type" not in params.ablations:
         x = ad.add(x, ad.gather_rows(params.type_embed, type_ids))
     if "drop_segment" not in params.ablations:
@@ -254,14 +245,8 @@ def build_input(
     if "drop_position" not in params.ablations:
         x = ad.add(x, ad.gather_rows(params.position_embed, pos_ids))
 
-    layout = InputLayout(
-        seq_len=seq_len,
-        cls_index=0,
-        sep_indices=tuple(sep_indices),
-        mention_index=mention_index,
-        candidate_indices=tuple(cand_indices),
-    )
-    return x, layout
+    rows = range(seq_len)
+    return x, InputLayout(seq_len, 0, tuple(rows[seps]), mention_index, tuple(rows[cands]))
 
 
 def _row(mat: Tensor, idx: int) -> Tensor:
@@ -282,7 +267,8 @@ def local_scores_transformer(
     n = len(mention.candidates)
     cfg = params.config
 
-    x, layout = build_input(mention, store, params)
+    cand = Tensor(store.entities(mention.candidate_ids))
+    x, layout = build_input(mention, cand, store, params)
     for layer in params.encoder:
         x = layer.apply(x, training=training, rng=rng)
 
@@ -302,8 +288,7 @@ def local_scores_transformer(
     if "drop_n2" in params.ablations:
         similarity = Tensor(np.zeros(n))
     else:
-        cand_mat = Tensor(store.entities(mention.candidate_ids))
-        similarity = ad.matmul(cand_mat, o_mention)
+        similarity = ad.matmul(cand, o_mention)
 
     pair = ad.transpose(ad.stack([context_head, similarity]))
     logits = ad.reshape(params.pair_head.apply(pair, training=training, rng=rng), (n,))

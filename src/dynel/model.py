@@ -8,6 +8,7 @@ d), whichever local scorer weights the candidates.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 
@@ -35,16 +36,30 @@ __all__ = [
 ]
 
 CHECKPOINT_VERSION = 1
+# header fields a checkpoint must share with the model it is loaded into
+_MODEL_KEYS = ("local_model", "dim", "vocab_sha256")
 
 
 @dataclass
 class ModelParams:
     dim: int
-    local_model: str                 # "attn" | "transformer"
     local_attn: LocalAttnParams
     policy: PolicyParams
     selector: SelectorParams
     transformer: TransformerLocalParams | None = None
+
+    @property
+    def local_model(self) -> str:
+        return "attn" if self.transformer is None else "transformer"
+
+    @property
+    def vocab_sha256(self) -> str | None:
+        """Digest of the transformer's word table keys in row order; ``None``
+        for the attn scorer, which has no word table."""
+        if self.transformer is None:
+            return None
+        vocab = self.transformer.vocab
+        return hashlib.sha256(json.dumps(sorted(vocab, key=vocab.get)).encode()).hexdigest()
 
     def named_parameters(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
@@ -98,7 +113,6 @@ def build_model(
         )
     return ModelParams(
         dim=dim,
-        local_model=local_model,
         local_attn=LocalAttnParams.build(dim, top_words=top_words),
         policy=PolicyParams.build(dim, top_k=policy_top_k),
         selector=SelectorParams.build(
@@ -142,13 +156,11 @@ def encode_document(
     action weights; the transformer head is already a distribution
     (``mode`` and ``rng`` drive its dropout).
     """
-    if params.local_model == "transformer" and params.transformer is None:
-        raise ValueError("model was built without the transformer scorer")
     records = []
     for m in doc.mentions:
         cand = Tensor(store.entities(m.candidate_ids))
         feat = context_feature(m, cand, store, params.local_attn)
-        if params.local_model == "attn":
+        if params.transformer is None:
             local = local_scores_attn(cand, feat, params.local_attn)
             weights = ad.softmax(local)
         else:
@@ -163,25 +175,21 @@ def encode_document(
 
 def save_checkpoint(params: ModelParams, path: str, meta: dict | None = None) -> None:
     arrays = params.snapshot()
-    header = {
-        "version": CHECKPOINT_VERSION,
-        "dim": params.dim,
-        "local_model": params.local_model,
-        "meta": meta or {},
-    }
+    header = {"version": CHECKPOINT_VERSION, "meta": meta or {},
+              **{key: getattr(params, key) for key in _MODEL_KEYS}}
     np.savez(path, __header__=np.bytes_(json.dumps(header, sort_keys=True)), **arrays)
 
 
 def load_checkpoint(params: ModelParams, path: str) -> dict:
-    """Restore arrays into an already-built model of the same ``local_model``
-    and ``dim``; returns meta."""
+    """Restore arrays into an already-built model of the same ``local_model``,
+    ``dim`` and, for the transformer, vocabulary; returns meta."""
     with np.load(path, allow_pickle=False) as data:
         header = json.loads(bytes(data["__header__"]).decode())
         if header["version"] != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {header['version']}")
-        for key in ("local_model", "dim"):
-            if header[key] != getattr(params, key):
-                raise ValueError(f"checkpoint {path} has {key} {header[key]!r}; "
+        for key in _MODEL_KEYS:
+            if header.get(key) != getattr(params, key):
+                raise ValueError(f"checkpoint {path} has {key} {header.get(key)!r}; "
                                  f"the model has {getattr(params, key)!r}")
         arrays = {k: data[k] for k in data.files if k != "__header__"}
     params.restore(arrays)

@@ -94,6 +94,8 @@ class TrainConfig:
         if self.episodes_per_doc < 1:
             raise ValueError("episodes_per_doc must be >= 1")
         self.transition_rewards()   # refuses a count other than 4
+        if not 0.0 <= self.drop_rate < 1.0:
+            raise ValueError(f"drop_rate must lie in [0, 1), got {self.drop_rate}")
         for cap in ("policy_top_k", "selector_top_k", "top_words"):
             if getattr(self, cap) < 1:
                 raise ValueError(f"{cap} must be >= 1, got {getattr(self, cap)}")
@@ -335,7 +337,7 @@ class Adam:
 class TrainResult:
     params: ModelParams
     metrics: list[dict]
-    best_val_accuracy: float
+    best_val_accuracy: float | None   # None without validation documents
     config: TrainConfig
 
 
@@ -375,7 +377,7 @@ def train(
     optimizer = Adam(params.parameters())
 
     metrics: list[dict] = []
-    best_acc = -1.0
+    best_acc: float | None = None
     best_arrays = params.snapshot()
     lr = config.lr
     lr_dropped = False
@@ -410,11 +412,11 @@ def train(
             epoch_objective += float(obj.data)
 
         val_eps = evaluate(val_docs, store, params, config) if val_docs else []
-        val_acc = _accuracy(val_eps) if val_eps else float("nan")
-        if val_eps and val_acc > best_acc:
+        val_acc = _accuracy(val_eps) if val_eps else None
+        if val_acc is not None and (best_acc is None or val_acc > best_acc):
             best_acc = val_acc
             best_arrays = params.snapshot()
-        if not lr_dropped and val_eps and val_acc > config.val_acc_threshold:
+        if not lr_dropped and val_acc is not None and val_acc > config.val_acc_threshold:
             lr = config.lr_after
             lr_dropped = True
         metrics.append(

@@ -194,3 +194,61 @@ def hard_attention_context(
         keep = np.arange(len(scores))
     weights = _softmax(scores[keep])
     return weights @ words[keep]
+
+
+# ---------------------------------------------------------------------------
+# transformer input sequence
+# ---------------------------------------------------------------------------
+
+def transformer_input(
+    words: list[np.ndarray],            # context word vectors, mention surface included
+    mention_index: int,                 # the mention head's row in the sequence
+    cand: np.ndarray,                   # (n, d) candidate entity vectors
+    surfaces: list[list[np.ndarray]],   # each candidate's surface word vectors
+    tables: dict[str, np.ndarray],      # cls_tok, sep_tok, entity_proj, *_embed
+    ablations: frozenset[str] = frozenset(),
+) -> tuple[np.ndarray, dict]:
+    """``[CLS] ctx... [SEP] (cand [SEP])*`` assembled one row at a time.
+
+    Returns the input matrix and its layout (``seq_len``, ``cls_index``,
+    ``sep_indices``, ``mention_index``, ``candidate_indices``).
+    """
+    rows, type_ids, seg_ids, pos_ids = [tables["cls_tok"]], [0], [0], [0]
+    for i, vec in enumerate(words):
+        rows.append(vec)
+        type_ids.append(0)
+        seg_ids.append(0)
+        pos_ids.append(1 + i)
+    sep_indices = [len(rows)]
+    rows.append(tables["sep_tok"])
+    type_ids.append(1)
+    seg_ids.append(1)
+    pos_ids.append(sep_indices[0])
+    n = len(cand)
+    cand_indices = []
+    for j in range(n):
+        cand_indices.append(len(rows))
+        projected = cand[j] @ tables["entity_proj"]
+        if surfaces[j]:
+            k = len(surfaces[j])
+            mean_surface = np.full(k, 1.0 / k) @ np.stack(surfaces[j])
+            rows.append((mean_surface + projected) * 0.5)
+        else:
+            rows.append(projected)
+        type_ids.append(1)
+        seg_ids.append(1 + j)
+        pos_ids.append(mention_index)
+        sep_indices.append(len(rows))
+        pos_ids.append(len(rows))
+        rows.append(tables["sep_tok"])
+        type_ids.append(1)
+        seg_ids.append(2 + j if j + 1 < n else 1 + j)
+    x = np.stack(rows)
+    for flag, table, ids in (("drop_type", "type_embed", type_ids),
+                             ("drop_segment", "segment_embed", seg_ids),
+                             ("drop_position", "position_embed", pos_ids)):
+        if flag not in ablations:
+            x = x + tables[table][ids]
+    layout = {"seq_len": len(rows), "cls_index": 0, "sep_indices": tuple(sep_indices),
+              "mention_index": mention_index, "candidate_indices": tuple(cand_indices)}
+    return x, layout

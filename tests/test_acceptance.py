@@ -391,7 +391,8 @@ def test_criterion_10_transformer_head_contracts():
     # candidate rows share the position slot: only used rows get gradient
     ad.zero_grad(params.parameters().values())
     ad.backward(-ad.log(ad.item(n3, 0)))
-    _, layout = build_input(mention, store, params)
+    _, layout = build_input(mention, Tensor(store.entities(mention.candidate_ids)),
+                            store, params)
     grad = params.position_embed.grad
     used = {0, *range(1, 4), *layout.sep_indices, layout.mention_index}
     for row in range(tcfg.max_seq_len):

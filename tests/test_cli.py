@@ -5,7 +5,7 @@ import pytest
 
 from dynel import cli
 from dynel.cli import main
-from dynel.corpus import load_corpus
+from dynel.corpus import EmbeddingStore, load_corpus
 from dynel.model import save_checkpoint
 from dynel.trainer import TrainConfig
 
@@ -103,6 +103,24 @@ def test_train_with_validation_fraction_zero_holds_back_no_document(
                "--out", str(tmp_path / "m.npz"), "--val-fraction", "0"])
     assert rc == 0
     assert sizes == [(6, 0)]
+
+
+def test_train_without_validation_writes_strict_json_metrics(corpus_dir, config_path,
+                                                             tmp_path, capsys):
+    metrics = tmp_path / "metrics.jsonl"
+    rc = main(["train", "--config", str(config_path), "--corpus", str(corpus_dir),
+               "--out", str(tmp_path / "m.npz"), "--val-fraction", "0",
+               "--metrics", str(metrics)])
+    assert rc == 0
+    assert "best_val_accuracy=none" in capsys.readouterr().out.splitlines()
+
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    rows = [json.loads(line, parse_constant=refuse)
+            for line in metrics.read_text().splitlines()]
+    assert len(rows) == 2
+    assert all(row["val_accuracy"] is None for row in rows)
 
 
 def test_train_link_eval_pipeline(corpus_dir, config_path, tmp_path, capsys):
@@ -267,4 +285,26 @@ def test_link_refuses_a_checkpoint_of_another_local_model(corpus_dir, config_pat
     assert rc == 1
     assert capsys.readouterr().err.strip() == (
         f"error: checkpoint {ckpt} has local_model 'transformer'; the model has 'attn'")
+    assert not (tmp_path / "links.jsonl").exists()
+
+
+def test_link_refuses_a_transformer_checkpoint_of_another_vocabulary(corpus_dir, tmp_path,
+                                                                     capsys):
+    cfg = TrainConfig(local_model="transformer", encoder_layers=1, attention_heads=2,
+                      head_dim=4, model_dim=20, encoder_ff_dim=12, head_hidden=6,
+                      max_seq_len=64, max_candidates=4)
+    config_path = tmp_path / "transformer.json"
+    config_path.write_text(json.dumps(cfg.to_dict()))
+    _, store = load_corpus(corpus_dir)
+    # the same number of words under other names: the word table keeps its shape
+    renamed = {w: f"x{i:05d}" for i, w in enumerate(sorted(store.word_vecs))}
+    other = EmbeddingStore(word_vecs={renamed[w]: v for w, v in store.word_vecs.items()},
+                           entity_vecs=store.entity_vecs)
+    ckpt = tmp_path / "other-vocab.npz"
+    save_checkpoint(cfg.build_model(other, np.random.default_rng(0)), str(ckpt))
+    rc = main(["link", "--config", str(config_path), "--corpus", str(corpus_dir),
+               "--checkpoint", str(ckpt), "--out", str(tmp_path / "links.jsonl")])
+    assert rc == 1
+    assert capsys.readouterr().err.strip().startswith(
+        f"error: checkpoint {ckpt} has vocab_sha256 ")
     assert not (tmp_path / "links.jsonl").exists()

@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynel import autodiff as ad
 from dynel.autodiff import Tensor
@@ -41,9 +45,64 @@ def mention(cands=("e0", "e1"), priors=None, before=("w0",), surface=("w1",),
                    cands[0])
 
 
+def inputs(m, store, params):
+    return build_input(m, Tensor(store.entities(m.candidate_ids)), store, params)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_build_input_matches_the_row_by_row_oracle(data):
+    words = [f"w{i}" for i in range(5)]
+    draw_words = lambda lo, hi: tuple(data.draw(st.lists(st.sampled_from(words),
+                                                         min_size=lo, max_size=hi)))
+    cands = tuple(data.draw(st.lists(st.sampled_from(["e0", "e1", "e2", "e3", "e4"]),
+                                     min_size=1, max_size=4, unique=True)))
+    surfaces = {e: draw_words(0, 3) for e in cands}
+    before, surface, after = draw_words(0, 3), draw_words(1, 2), draw_words(0, 3)
+    flags = data.draw(st.sets(st.sampled_from(sorted(ABLATION_FLAGS))))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    store = EmbeddingStore(word_vecs={w: rng.normal(size=DIM) for w in words},
+                           entity_vecs={e: rng.normal(size=DIM) for e in cands},
+                           entity_surface={e: s for e, s in surfaces.items() if s})
+    params = transformer_ablation(TransformerLocalParams.build(store, CFG, rng), flags)
+    m = mention(cands, before=before, surface=surface, after=after)
+
+    x, layout = inputs(m, store, params)
+
+    tables = {name.split(".", 1)[1]: t.data for name, t in params.parameters().items()}
+    word = lambda w: tables["word_embed"][params.vocab[w]]
+    expected, expected_layout = oracles.transformer_input(
+        [word(w) for w in before + surface + after], 1 + len(before),
+        store.entities(cands), [[word(w) for w in surfaces[e]] for e in cands],
+        tables, frozenset(flags),
+    )
+    assert dataclasses.asdict(layout) == expected_layout
+    assert np.abs(x.data - expected).max() <= 1e-12
+
+
+def test_scorer_reads_the_candidate_matrix_once(world, monkeypatch):
+    store, params = world
+    m = mention(("e0", "e1", "e2"))
+    stacked, single = [], []
+
+    def entities(self, ids):
+        stacked.append(tuple(ids))
+        return np.stack([self.entity_vecs[e] for e in ids])
+
+    def entity(self, entity_id):
+        single.append(entity_id)
+        return self.entity_vecs[entity_id]
+
+    monkeypatch.setattr(EmbeddingStore, "entities", entities)
+    monkeypatch.setattr(EmbeddingStore, "entity", entity)
+    local_scores_transformer(m, store, params)
+    assert stacked == [m.candidate_ids]
+    assert single == []
+
+
 def test_layout_three_words_two_candidates(world):
     store, params = world
-    x, layout = build_input(mention(), store, params)
+    x, layout = inputs(mention(), store, params)
     assert layout.seq_len == 9
     assert layout.sep_indices == (4, 6, 8)
     assert layout.cls_index == 0
@@ -55,11 +114,11 @@ def test_layout_three_words_two_candidates(world):
 def test_candidate_rows_share_position_component(world):
     store, params = world
     m = mention()
-    base, _ = build_input(m, store, params)
+    base, _ = inputs(m, store, params)
     # shift the mention-head position row; both candidate rows must move by it
     delta = np.full(DIM, 0.25)
     params.position_embed.data[2] += delta
-    shifted, layout = build_input(m, store, params)
+    shifted, layout = inputs(m, store, params)
     diff = shifted.data - base.data
     for idx in layout.candidate_indices:
         assert np.allclose(diff[idx], delta)
@@ -74,7 +133,7 @@ def test_all_embedding_tables_zero_gives_zero_input(world):
     for t in (params.word_embed, params.cls_tok, params.sep_tok, params.entity_proj,
               params.type_embed, params.segment_embed, params.position_embed):
         t.data[...] = 0.0
-    x, _ = build_input(mention(), store, params)
+    x, _ = inputs(mention(), store, params)
     assert np.allclose(x.data, 0.0)
 
 
@@ -82,7 +141,7 @@ def test_too_many_candidates_rejected(world):
     store, params = world
     m = mention(cands=("e0", "e1", "e2", "e0", "e1"))
     with pytest.raises(ValueError, match="max is 4"):
-        build_input(m, store, params)
+        inputs(m, store, params)
 
 
 def test_scores_sum_to_one(world, rng):
@@ -132,7 +191,7 @@ def test_position_gradient_flows_through_shared_slot(world):
     ad.zero_grad(params.parameters().values())
     ad.backward(-ad.log(ad.item(n3, 0)))
     grad = params.position_embed.grad
-    _, layout = build_input(m, store, params)
+    _, layout = inputs(m, store, params)
     used = {0, layout.mention_index, *layout.sep_indices,
             *range(1, 1 + 3)}  # cls, ctx, seps, mention slot
     for row in range(CFG.max_seq_len):
@@ -197,8 +256,8 @@ class TestAblations:
         ablated = transformer_ablation(params, {"drop_type", "drop_segment"})
         params.type_embed.data[...] = 0.0
         params.segment_embed.data[...] = 0.0
-        x_zeroed, _ = build_input(mention(), store, params)
-        x_dropped, _ = build_input(mention(), store, ablated)
+        x_zeroed, _ = inputs(mention(), store, params)
+        x_dropped, _ = inputs(mention(), store, ablated)
         assert np.array_equal(x_zeroed.data, x_dropped.data)
 
 
@@ -206,7 +265,7 @@ def test_missing_surface_form_falls_back_to_projection(world, caplog):
     store, params = world
     del store.entity_surface["e0"]
     with caplog.at_level("WARNING"):
-        x, layout = build_input(mention(), store, params)
+        x, layout = inputs(mention(), store, params)
     assert "no surface form" in caplog.text
     # the candidate row token part is exactly the projected entity vector
     params2 = params

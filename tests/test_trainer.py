@@ -1,3 +1,4 @@
+import json
 import re
 from collections import Counter
 from dataclasses import replace
@@ -7,7 +8,7 @@ import pytest
 
 from dynel import autodiff as ad
 from dynel.autodiff import Tensor
-from dynel.corpus import CandidateEntity
+from dynel.corpus import CandidateEntity, EmbeddingStore
 from dynel.local_transformer import TransformerConfig
 from dynel.model import build_model, encode_document, load_checkpoint, save_checkpoint
 from dynel.selector import candidate_distribution
@@ -391,6 +392,54 @@ def test_load_checkpoint_refuses_another_model(field, tmp_path):
     assert all(np.array_equal(a, before[k]) for k, a in target.snapshot().items())
 
 
+def _small_transformer(store, seed=1):
+    return TrainConfig(local_model="transformer", encoder_layers=1, attention_heads=2,
+                       head_dim=4, model_dim=store.dim, encoder_ff_dim=8,
+                       head_hidden=4).build_model(store, np.random.default_rng(seed))
+
+
+def _rename_words(store, names):
+    """The same vectors under other words: a vocabulary of the same size."""
+    renamed = dict(zip(sorted(store.word_vecs), names))
+    return EmbeddingStore(
+        word_vecs={renamed[w]: v for w, v in store.word_vecs.items()},
+        entity_vecs=store.entity_vecs,
+        entity_surface={e: tuple(renamed[w] for w in s)
+                        for e, s in store.entity_surface.items()},
+    )
+
+
+def test_load_checkpoint_refuses_a_transformer_of_another_vocabulary(tmp_path):
+    _, store = anchored_world(num_docs=1)
+    other = _rename_words(store, [f"x{i:05d}" for i in range(len(store.word_vecs))])
+    path = str(tmp_path / "model.npz")
+    saved = _small_transformer(store)
+    save_checkpoint(saved, path)
+    target = _small_transformer(other, seed=2)
+    before = target.snapshot()
+    with pytest.raises(ValueError, match=rf"checkpoint {re.escape(path)} has vocab_sha256 "):
+        load_checkpoint(target, path)
+    assert all(np.array_equal(a, before[k]) for k, a in target.snapshot().items())
+    # the same vocabulary loads
+    same = _small_transformer(store, seed=2)
+    load_checkpoint(same, path)
+    assert all(np.array_equal(a, saved.snapshot()[k]) for k, a in same.snapshot().items())
+
+
+def test_load_checkpoint_refuses_a_transformer_without_a_vocabulary_digest(tmp_path):
+    _, store = anchored_world(num_docs=1)
+    path = str(tmp_path / "model.npz")
+    save_checkpoint(_small_transformer(store), path)
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    header = json.loads(bytes(arrays["__header__"]).decode())
+    del header["vocab_sha256"]
+    arrays["__header__"] = np.bytes_(json.dumps(header))
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError, match=rf"checkpoint {re.escape(path)} has vocab_sha256 None"):
+        load_checkpoint(_small_transformer(store, seed=2), path)
+
+
 def test_single_document_reinforce_improves_sampled_reward():
     """200 policy-gradient steps on one frozen document raise the mean
     sampled reward (trend over seeds), using the position-penalty reward."""
@@ -511,6 +560,14 @@ def test_config_rejects_a_pool_cap_below_one(cap):
     with pytest.raises(ValueError, match=f"{cap} must be >= 1"):
         TrainConfig(**{cap: 0})
     assert getattr(TrainConfig(**{cap: 1}), cap) == 1
+
+
+@pytest.mark.parametrize("rate", [1.0, -0.5])
+def test_config_rejects_a_drop_rate_outside_0_1(rate):
+    # 1.0 would drop every unit; dropout's 1/(1-p) rescaling then divides by zero
+    with pytest.raises(ValueError, match=re.escape(f"drop_rate must lie in [0, 1), got {rate}")):
+        TrainConfig(drop_rate=rate)
+    assert TrainConfig(drop_rate=0.0).drop_rate == 0.0
 
 
 @pytest.mark.parametrize("transition", [(0.0, -2.0), (0.0, -2.0, -1.0, 0.0, 1.0)])

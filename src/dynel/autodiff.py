@@ -6,11 +6,11 @@ topological order and accumulates gradients into ``Tensor.grad``.  The op
 set is deliberately minimal: exactly what the linker's scorers, policy
 network and training losses need.  No GPU, no generic dtype support.
 
-Gradients through ``gather_rows`` flow row-sparse, as the gathered rows'
-indices and gradients; they become a dense array only once they reach a
-node, so a word table gathered one token at a time costs one table-sized
-array per ``backward``, not one per token.  The sums are bit-identical to
-adding one dense table per gather.
+Gradients through ``gather_rows`` leave the gather row-sparse, as the
+gathered rows' indices and gradients; ``backward`` scatters these parts into
+one dense array per receiving node as they arrive, so a word table gathered
+one token at a time costs one table-sized array per ``backward``, not one
+per token.  The sums are bit-identical to adding one dense table per gather.
 """
 
 from __future__ import annotations
@@ -407,15 +407,6 @@ def _add_part(out: np.ndarray, part: _RowPart) -> None:
     out[idx] += rows
 
 
-def _scatter(parts: list[_RowPart], like: np.ndarray) -> np.ndarray:
-    """The dense sum of row-sparse parts, added one part at a time in order."""
-    out = np.zeros_like(like)
-    np.add.at(out, *parts[0])  # into zeros this is the first part's own table
-    for part in parts[1:]:
-        _add_part(out, part)
-    return out
-
-
 def gather_rows(a: Tensor, idx) -> Tensor:
     """Rows ``idx`` of a matrix; its gradient flows row-sparse (see ``backward``)."""
     if a.data.ndim != 2:
@@ -543,20 +534,17 @@ def backward(loss: Tensor) -> None:
             if p.requires_grad and id(p) not in seen:
                 stack_.append((p, False))
 
-    # a flowing gradient is a dense array or a list of row-sparse parts;
-    # ``owned`` holds the keys whose dense array backward allocated itself,
-    # the only arrays it adds into in place (a grad function may return its
-    # input, so any other array can be shared with another node)
-    flowing: dict[int, np.ndarray | list[_RowPart]] = {id(loss): np.ones(())}
+    # a flowing gradient is a dense array; ``owned`` holds the keys whose
+    # array backward allocated itself, the only arrays it adds into in place
+    # (a grad function may return its input, so any other array can be shared
+    # with another node)
+    flowing: dict[int, np.ndarray] = {id(loss): np.ones(())}
     owned: set[int] = set()
     for node in reversed(topo):
         key = id(node)
         g = flowing.pop(key, None)
         if g is None:
             continue
-        if type(g) is list:
-            g = _scatter(g, node.data)
-            owned.add(key)
         if node.grad is None:
             if key in owned:
                 node.grad = g
@@ -573,27 +561,21 @@ def backward(loss: Tensor) -> None:
             acc = flowing.get(pkey)
             if type(contrib) is _RowPart:
                 if acc is None:
-                    flowing[pkey] = [contrib]
-                elif type(acc) is list:
-                    acc.append(contrib)
+                    acc = np.zeros_like(parent.data)
+                    np.add.at(acc, *contrib)  # into zeros this is the part's own table
                 else:
                     if pkey not in owned:
                         acc = acc.copy()
-                        owned.add(pkey)
                     _add_part(acc, contrib)
-                    flowing[pkey] = acc
+                flowing[pkey] = acc
+                owned.add(pkey)
             elif acc is None:
                 flowing[pkey] = contrib
             elif pkey in owned:
                 acc += contrib
             else:
-                if type(acc) is list:
-                    acc = _scatter(acc, parent.data)
-                    acc += contrib
-                else:
-                    # 0-d sums come back as numpy scalars; keep an array to add into
-                    acc = np.asarray(acc + contrib)
-                flowing[pkey] = acc
+                # 0-d sums come back as numpy scalars; keep an array to add into
+                flowing[pkey] = np.asarray(acc + contrib)
                 owned.add(pkey)
 
 

@@ -1,6 +1,7 @@
 """Command line interface.
 
-Subcommands: gen-corpus, train, link, eval, sweep, grad-check, reward-table.
+Subcommands: gen-corpus, train, link, eval, sweep, ordering-experiment,
+grad-check, reward-table.
 Every run echoes its full config, seed and config hash so results can be
 reproduced bit-exactly; outputs carry no timestamps.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,10 +20,13 @@ import numpy as np
 from .corpus import CorpusError, gold_recall, load_corpus, save_corpus
 from .harness import (
     STRATEGIES,
+    SWEEP_AXES,
     grad_check,
+    ordering_experiment,
+    parse_window,
     run_baseline,
     sweep,
-    write_sweep_csv,
+    write_csv,
 )
 from .local_transformer import check_input_caps
 from .model import load_checkpoint, save_checkpoint
@@ -49,6 +54,10 @@ def _echo_config(config: TrainConfig) -> None:
 def _load_config(path: str) -> TrainConfig:
     with open(path) as fh:
         return TrainConfig.from_dict(json.load(fh))
+
+
+def _parse_seeds(text: str) -> list[int]:
+    return [int(s) for s in text.split(",")]
 
 
 def _load_model(docs, store, config: TrainConfig, checkpoint: str):
@@ -132,9 +141,7 @@ def _cmd_link(args) -> int:
 def _cmd_eval(args) -> int:
     config = _load_config(args.config)
     if args.window is not None:
-        window = None if args.window == "L" else int(args.window)
-        config = TrainConfig.from_dict({**config.to_dict(),
-                                        "window": "L" if window is None else window})
+        config = replace(config, window=parse_window(args.window))
     _echo_config(config)
     docs, store = load_corpus(args.corpus)
     params = _load_model(docs, store, config, args.checkpoint)
@@ -156,23 +163,31 @@ def _cmd_sweep(args) -> int:
     val_docs = docs[:n_val]
     test_docs = docs[n_val:n_val + n_test]
     train_docs = docs[n_val + n_test:]
-    grid = None
-    if args.grid:
-        raw = args.grid.split(",")
-        if args.axis == "window":
-            grid = [None if g == "L" else int(g) for g in raw]
-        elif args.axis == "gamma1":
-            grid = [float(g) for g in raw]
-        else:
-            unknown = [g for g in raw if g not in REWARD_KINDS]
-            if unknown:
-                raise ValueError(f"unknown reward kinds {unknown}; choose from {REWARD_KINDS}")
-            grid = raw
-    seeds = [int(s) for s in args.seeds.split(",")]
     rows = sweep(train_docs, val_docs, test_docs, store, config, args.axis,
-                 grid=grid, seeds=seeds)
-    write_sweep_csv(rows, args.out)
+                 grid=args.grid.split(",") if args.grid else None,
+                 seeds=_parse_seeds(args.seeds))
+    write_csv(rows, args.out)
     print(f"wrote {len(rows)} rows -> {args.out}")
+    return 0
+
+
+def _cmd_ordering_experiment(args) -> int:
+    result = ordering_experiment(
+        anchor_fraction=args.anchor_fraction, num_docs=args.docs,
+        mentions_per_doc=args.mentions, candidates_per_mention=args.candidates,
+        embedding_dim=args.dim, corpus_seed=args.corpus_seed,
+        seeds=_parse_seeds(args.seeds), window=args.window, epochs=args.epochs,
+        lr=args.lr, rl_weight=args.rl_weight, gamma=args.gamma, reward=args.reward,
+    )
+    print("# config=" + json.dumps(result["config"], sort_keys=True))
+    for row in result["rows"]:
+        print(f"seed={row['seed']} dynamic={row['dynamic']:.4f} "
+              f"offset={row['offset']:.4f} gap={row['gap']:+.4f}")
+    print(f"wins={result['wins']}/{len(result['rows'])} "
+          f"mean_gap={result['mean_gap']:+.4f}")
+    if args.out:
+        write_csv(result["rows"], args.out)
+        print(f"wrote {args.out}")
     return 0
 
 
@@ -275,11 +290,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="train/evaluate over a hyper-parameter grid")
     p.add_argument("--config", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--axis", choices=("window", "gamma1", "reward"), required=True)
+    p.add_argument("--axis", choices=tuple(SWEEP_AXES), required=True)
     p.add_argument("--grid", default=None, help="comma-separated grid override")
     p.add_argument("--seeds", default="0")
     p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(func=_cmd_sweep)
+
+    p = sub.add_parser("ordering-experiment",
+                       help="dynamic policy vs a window-1 control on paired seeds")
+    p.add_argument("--anchor-fraction", type=float, default=0.5)
+    p.add_argument("--docs", type=int, default=260)
+    p.add_argument("--mentions", type=int, default=8)
+    p.add_argument("--candidates", type=int, default=4)
+    p.add_argument("--dim", type=int, default=32)
+    p.add_argument("--corpus-seed", type=int, default=20240808)
+    p.add_argument("--seeds", default="0,1,2,3,4")
+    p.add_argument("--window", type=int, default=4)
+    p.add_argument("--epochs", type=int, default=8)
+    p.add_argument("--lr", type=float, default=0.01)
+    p.add_argument("--rl-weight", type=float, default=1e-4)
+    p.add_argument("--gamma", type=float, default=0.9)
+    p.add_argument("--reward", default="r1", choices=REWARD_KINDS)
+    p.add_argument("--out", default=None, help="optional CSV path")
+    p.set_defaults(func=_cmd_ordering_experiment)
 
     p = sub.add_parser("grad-check", help="finite-difference gradient check")
     p.add_argument("--tolerance", type=float, default=1e-4)

@@ -1,9 +1,8 @@
 """Evaluation, ordering baselines, hyper-parameter sweeps and grad checks.
 
 Reports carry the config hash and seed so any metric can be reproduced
-bit-exactly by rerunning with the same inputs.  Every mention receives
-exactly one prediction, so micro-F1 reduces to micro-accuracy
-(correct / total) and is reported as such.
+bit-exactly by rerunning with the same inputs.  Micro-F1 is
+``trainer.micro_f1``.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ import csv
 import itertools
 import json
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,17 +21,19 @@ from .corpus import Document, EmbeddingStore
 from .local_transformer import TransformerConfig, local_scores_transformer
 from .model import EncodedMention, ModelParams, build_model, encode_document
 from .rewards import REWARD_KINDS
-from .trainer import Episode, TrainConfig, rollout, train
+from .trainer import Episode, TrainConfig, micro_f1, rollout, train
 
 __all__ = [
     "STRATEGIES",
     "EvalReport",
-    "micro_f1",
     "ordering_for",
     "run_baseline",
     "sweep",
+    "SWEEP_AXES",
     "WINDOW_GRID",
     "GAMMA1_GRID",
+    "parse_window",
+    "write_csv",
     "ordering_experiment",
     "grad_check",
     "random_check_world",
@@ -47,15 +48,27 @@ WINDOW_GRID: tuple[int | None, ...] = (2, 3, 4, 5, 6, 7, None)   # None = whole 
 GAMMA1_GRID = (1e-3, 7.5e-4, 5e-4, 2.5e-4, 1e-4)
 
 
-def micro_f1(predictions: Sequence[str], golds: Sequence[str]) -> float:
-    """correct / total over aligned mention-level predictions."""
-    if len(predictions) != len(golds):
-        raise ValueError(
-            f"prediction/gold length mismatch: {len(predictions)} vs {len(golds)}"
-        )
-    if not predictions:
-        raise ValueError("cannot score an empty prediction set")
-    return sum(p == g for p, g in zip(predictions, golds)) / len(predictions)
+def parse_window(value) -> int | None:
+    """A window size, or ``None`` (the whole document) for ``"L"``."""
+    return None if value in (None, "L", "l") else int(value)
+
+
+class SweepAxis(NamedTuple):
+    """The ``TrainConfig`` field an axis sets, its default grid and the
+    parser of one grid value, given as text or as the value itself."""
+
+    field: str
+    grid: tuple
+    parse: Callable
+
+
+MEAN_ROW = "mean±std"   # the seed column of a grid value's summary row
+
+SWEEP_AXES = {
+    "window": SweepAxis("window", WINDOW_GRID, parse_window),
+    "gamma1": SweepAxis("rl_weight", GAMMA1_GRID, float),
+    "reward": SweepAxis("reward", REWARD_KINDS, str),
+}
 
 
 @dataclass(frozen=True)
@@ -93,7 +106,6 @@ def _report_from_episodes(
     episodes: Sequence[Episode], strategy: str, config: TrainConfig, seed: int
 ) -> EvalReport:
     total = sum(len(ep.flags) for ep in episodes)
-    correct = sum(sum(ep.flags) for ep in episodes)
     displacement = (
         sum(abs(i - pos) for ep in episodes for i, pos in enumerate(ep.order)) / total
     )
@@ -102,7 +114,7 @@ def _report_from_episodes(
         window=config.window,
         seed=seed,
         config_hash=config.config_hash(),
-        micro_f1=correct / total,
+        micro_f1=micro_f1(episodes),
         per_doc_accuracy=tuple(sum(ep.flags) / len(ep.flags) for ep in episodes),
         flags=tuple(ep.flags for ep in episodes),
         orders=tuple(ep.order for ep in episodes),
@@ -218,54 +230,42 @@ def sweep(
     grid: Sequence | None = None,
     seeds: Sequence[int] = (0,),
 ) -> list[dict]:
-    """Train one run per (grid value, seed); returns plot-ready rows."""
-    if axis == "window":
-        grid = WINDOW_GRID if grid is None else grid
-        make = lambda cfg, v: replace(cfg, window=v)
-    elif axis == "gamma1":
-        grid = GAMMA1_GRID if grid is None else grid
-        make = lambda cfg, v: replace(cfg, rl_weight=float(v))
-    elif axis == "reward":
-        grid = REWARD_KINDS if grid is None else grid
-        make = lambda cfg, v: replace(cfg, reward=str(v))
-    else:
+    """Train one run per (grid value, seed); returns plot-ready rows.
+
+    Every grid value's config is built, and so checked, before the first
+    run trains.
+    """
+    if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}")
+    field, default_grid, parse = SWEEP_AXES[axis]
+    values = [parse(v) for v in (default_grid if grid is None else grid)]
+    if not values:
+        raise ValueError(f"the {axis} grid is empty")
+    if not seeds:
+        raise ValueError("a sweep needs at least one seed")
+    configs = [replace(base_config, **{field: v}) for v in values]
 
     rows: list[dict] = []
-    for value in grid:
+    for value, config in zip(values, configs):
+        label = "L" if value is None else value
         scores = []
         for seed in seeds:
-            cfg = replace(make(base_config, value), seed=int(seed))
+            cfg = replace(config, seed=int(seed))
             result = train(train_docs, val_docs, store, cfg)
             report = run_baseline(test_docs, store, result.params, cfg, "dynamic", seed=seed)
             scores.append(report.micro_f1)
-            rows.append(
-                {
-                    "axis": axis,
-                    "value": "L" if value is None else value,
-                    "seed": int(seed),
-                    "micro_f1": report.micro_f1,
-                    "config_hash": cfg.config_hash(),
-                }
-            )
-        rows.append(
-            {
-                "axis": axis,
-                "value": "L" if value is None else value,
-                "seed": "mean±std",
-                "micro_f1": float(np.mean(scores)),
-                "config_hash": f"std={float(np.std(scores)):.6f}",
-            }
-        )
+            rows.append({"axis": axis, "value": label, "seed": int(seed),
+                         "micro_f1": report.micro_f1, "config_hash": cfg.config_hash()})
+        rows.append({"axis": axis, "value": label, "seed": MEAN_ROW,
+                     "micro_f1": float(np.mean(scores)),
+                     "config_hash": f"std={float(np.std(scores)):.6f}"})
     return rows
 
 
-SWEEP_COLUMNS = ("axis", "value", "seed", "micro_f1", "config_hash")
-
-
-def write_sweep_csv(rows: Sequence[dict], path: str) -> None:
+def write_csv(rows: Sequence[dict], path: str) -> None:
+    """Write ``rows`` as CSV, with the first row's keys as the columns."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
 
@@ -293,7 +293,8 @@ def ordering_experiment(
 ) -> dict:
     """Train the windowed dynamic policy against an identically trained
     document-order control (window 1) on paired seeds; returns per-seed
-    test micro-F1 for both arms plus the paired summary."""
+    test micro-F1 for both arms plus the paired summary.  The two arms are
+    a window sweep over ``(window, 1)``."""
     from .synthetic import SyntheticSpec, generate_synthetic
 
     spec = SyntheticSpec(
@@ -312,21 +313,17 @@ def ordering_experiment(
     val_docs = docs[num_docs - n_val - n_test : num_docs - n_test]
     test_docs = docs[num_docs - n_test :]
 
-    rows = []
-    for seed in seeds:
-        f1 = {}
-        for arm, w in (("dynamic", window), ("offset", 1)):
-            cfg = TrainConfig(
-                window=w, epochs=epochs, seed=int(seed), lr=lr,
-                rl_weight=rl_weight, gamma=gamma, reward=reward,
-                policy_top_k=policy_top_k, episodes_per_doc=episodes_per_doc,
-                fusion_hidden=16,
-            )
-            result = train(train_docs, val_docs, store, cfg)
-            report = run_baseline(test_docs, store, result.params, cfg,
-                                  "dynamic", seed=int(seed))
-            f1[arm] = report.micro_f1
-        rows.append({"seed": int(seed), **f1, "gap": f1["dynamic"] - f1["offset"]})
+    base = TrainConfig(
+        window=window, epochs=epochs, lr=lr, rl_weight=rl_weight, gamma=gamma,
+        reward=reward, policy_top_k=policy_top_k, episodes_per_doc=episodes_per_doc,
+        fusion_hidden=16,
+    )
+    cells = sweep(train_docs, val_docs, test_docs, store, base, "window",
+                  grid=(window, 1), seeds=seeds)
+    per_seed = [r["micro_f1"] for r in cells if r["seed"] != MEAN_ROW]
+    dynamic, offset = per_seed[:len(seeds)], per_seed[len(seeds):]
+    rows = [{"seed": int(seed), "dynamic": d, "offset": o, "gap": d - o}
+            for seed, d, o in zip(seeds, dynamic, offset)]
 
     gaps = [r["gap"] for r in rows]
     return {

@@ -116,7 +116,7 @@ class TransformerLocalParams:
             summary_w=ad.parameter(glorot(rng, d, config.hidden)),
             summary_b=ad.parameter(np.zeros(config.hidden)),
             match=ad.parameter(glorot(rng, d, config.hidden)),
-            pair_head=FeedForward.build([2, config.hidden, 1], rng, ["relu", "none"],
+            pair_head=FeedForward.build([2, config.hidden, 1], rng,
                                         drop_rate=config.drop_rate),
         )
 

@@ -184,9 +184,14 @@ def load_checkpoint(params: ModelParams, path: str) -> dict:
     """Restore arrays into an already-built model of the same ``local_model``,
     ``dim`` and, for the transformer, vocabulary; returns meta."""
     with np.load(path, allow_pickle=False) as data:
-        header = json.loads(bytes(data["__header__"]).decode())
-        if header["version"] != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {header['version']}")
+        try:
+            header = json.loads(bytes(data["__header__"]).decode())
+            version = header["version"]
+        except (KeyError, TypeError, ValueError) as err:
+            raise ValueError(f"checkpoint {path} has no dynel header: it is missing, "
+                             f"not JSON or without a version") from err
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported checkpoint version {version}")
         for key in _MODEL_KEYS:
             if header.get(key) != getattr(params, key):
                 raise ValueError(f"checkpoint {path} has {key} {header.get(key)!r}; "

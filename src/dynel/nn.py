@@ -41,15 +41,11 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
 @dataclass
 class FeedForward:
-    """Chain of linear layers with optional per-layer activation and dropout.
-
-    ``activations[i]`` is ``"relu"`` or ``"none"``; dropout is applied after
-    each activated hidden layer, never after the final layer.
-    """
+    """Chain of linear layers with relu and dropout after every layer but
+    the last."""
 
     weights: list[Tensor]
     biases: list[Tensor]
-    activations: list[str]
     drop_rate: float = 0.0
 
     @classmethod
@@ -57,21 +53,15 @@ class FeedForward:
         cls,
         dims: list[int],
         rng: np.random.Generator,
-        activations: list[str] | None = None,
         drop_rate: float = 0.0,
     ) -> "FeedForward":
         if len(dims) < 2:
             raise ValueError("FeedForward needs at least one layer")
-        n_layers = len(dims) - 1
-        if activations is None:
-            activations = ["relu"] * (n_layers - 1) + ["none"]
-        if len(activations) != n_layers:
-            raise ValueError("one activation per layer required")
         weights, biases = [], []
-        for i in range(n_layers):
+        for i in range(len(dims) - 1):
             weights.append(ad.parameter(glorot(rng, dims[i], dims[i + 1])))
             biases.append(ad.parameter(np.zeros(dims[i + 1])))
-        return cls(weights, biases, list(activations), drop_rate)
+        return cls(weights, biases, drop_rate)
 
     def apply(
         self,
@@ -80,19 +70,15 @@ class FeedForward:
         rng: np.random.Generator | None = None,
     ) -> Tensor:
         last = len(self.weights) - 1
-        for i, (w, b, act) in enumerate(zip(self.weights, self.biases, self.activations)):
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             if x.data.shape[-1] != w.data.shape[0]:
                 raise ad.ShapeError(
                     f"feed-forward layer {i}: input width {x.data.shape[-1]} "
                     f"!= weight rows {w.data.shape[0]}"
                 )
             x = linear(x, w, b)
-            if act == "relu":
-                x = ad.relu(x)
-            elif act != "none":
-                raise ValueError(f"unknown activation {act!r}")
-            if i < last and act != "none":
-                x = dropout(x, self.drop_rate, rng, training)
+            if i < last:
+                x = dropout(ad.relu(x), self.drop_rate, rng, training)
         return x
 
     def parameters(self) -> list[Tensor]:
@@ -202,7 +188,7 @@ class EncoderLayer:
             MultiHeadSelfAttention.build(model_dim, heads, head_dim, rng),
             LayerNorm.build(model_dim),
             LayerNorm.build(model_dim),
-            FeedForward.build([model_dim, ff_dim, model_dim], rng, ["relu", "none"]),
+            FeedForward.build([model_dim, ff_dim, model_dim], rng),
             drop_rate,
         )
 

@@ -60,7 +60,7 @@ class SelectorParams:
         if not features:
             raise ValueError("at least one selector feature is required")
         if fusion == "ffn":
-            net = FeedForward.build([len(features), hidden, 1], rng, ["relu", "none"])
+            net = FeedForward.build([len(features), hidden, 1], rng)
         elif fusion == "sum":
             net = None
         else:

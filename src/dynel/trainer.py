@@ -34,6 +34,7 @@ from .selector import candidate_distribution
 __all__ = [
     "TrainConfig",
     "Episode",
+    "micro_f1",
     "Adam",
     "rollout",
     "policy_objective",
@@ -109,17 +110,15 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        """The config a JSON object describes; a value of the wrong JSON type
+        is refused with its key."""
+        if not isinstance(d, dict):
+            raise ValueError(f"a config must be a JSON object, got {type(d).__name__}")
+        defaults = {f.name: f.default for f in fields(cls)}
+        unknown = sorted(set(d) - set(defaults))
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        d = dict(d)
-        if d.get("window") in ("L", "l"):
-            d["window"] = None
-        if "features" in d:
-            d["features"] = tuple(d["features"])
-        if "transition" in d:
-            d["transition"] = tuple(float(x) for x in d["transition"])
-        return cls(**d)
+        return cls(**{key: _json_field(key, value, defaults[key]) for key, value in d.items()})
 
     def config_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True)
@@ -149,6 +148,29 @@ class TrainConfig:
             feature_norm=self.feature_norm, fusion=self.fusion,
             transformer_config=self.transformer_config(),
         )
+
+
+def _fits(value, kind: type) -> bool:
+    """JSON typing: a bool is no number, and an int is also a float."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _json_field(key: str, value, default):
+    """``value`` read from JSON for the config field whose default is ``default``."""
+    if key == "window" and value in (None, "L", "l"):
+        return None
+    if isinstance(default, tuple):
+        kind = type(default[0])
+        if isinstance(value, list) and all(_fits(v, kind) for v in value):
+            return tuple(kind(v) for v in value)
+        want = f"a list of {kind.__name__}"
+    elif _fits(value, type(default)):
+        return value
+    else:
+        want = "an int, \"L\" or null" if key == "window" else type(default).__name__
+    raise ValueError(f"config key {key!r} must be {want}, got {value!r}")
 
 
 @dataclass
@@ -341,10 +363,13 @@ class TrainResult:
     config: TrainConfig
 
 
-def _accuracy(episodes: Sequence[Episode]) -> float:
+def micro_f1(episodes: Sequence[Episode]) -> float:
+    """Correct links over links.  Every mention gets exactly one link, so
+    micro-F1 reduces to this micro-accuracy."""
     total = sum(len(ep.flags) for ep in episodes)
-    correct = sum(sum(ep.flags) for ep in episodes)
-    return correct / total if total else 0.0
+    if not total:
+        raise ValueError("cannot score an empty set of links")
+    return sum(sum(ep.flags) for ep in episodes) / total
 
 
 def evaluate(
@@ -412,7 +437,7 @@ def train(
             epoch_objective += float(obj.data)
 
         val_eps = evaluate(val_docs, store, params, config) if val_docs else []
-        val_acc = _accuracy(val_eps) if val_eps else None
+        val_acc = micro_f1(val_eps) if val_eps else None
         if val_acc is not None and (best_acc is None or val_acc > best_acc):
             best_acc = val_acc
             best_arrays = params.snapshot()

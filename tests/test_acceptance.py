@@ -18,7 +18,6 @@ from dynel.cli import main as cli_main
 from dynel.corpus import CandidateEntity, Document, EmbeddingStore, Mention
 from dynel.harness import (
     grad_check,
-    micro_f1,
     ordering_experiment,
     run_baseline,
 )

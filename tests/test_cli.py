@@ -1,9 +1,10 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from dynel import cli
+from dynel import cli, harness
 from dynel.cli import main
 from dynel.corpus import EmbeddingStore, load_corpus
 from dynel.model import save_checkpoint
@@ -211,6 +212,59 @@ def test_grad_check_cli(capsys):
     rc = main(["grad-check", "--samples", "2"])
     assert rc == 0
     assert "PASS" in capsys.readouterr().out
+
+
+def test_config_type_errors_are_reported_before_the_corpus_is_read(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"epochs": "1"}))
+    rc = main(["train", "--config", str(cfg), "--corpus", str(tmp_path / "missing"),
+               "--out", str(tmp_path / "m.npz")])
+    assert rc == 1
+    assert capsys.readouterr().err.strip() == "error: config key 'epochs' must be int, got '1'"
+
+
+def test_link_refuses_a_file_without_a_dynel_header(corpus_dir, config_path, tmp_path,
+                                                    capsys):
+    ckpt = tmp_path / "x.npz"
+    np.savez(ckpt, a=np.zeros(2))
+    rc = main(["link", "--config", str(config_path), "--corpus", str(corpus_dir),
+               "--checkpoint", str(ckpt), "--out", str(tmp_path / "links.jsonl")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: checkpoint {ckpt} has no dynel header")
+    assert not (tmp_path / "links.jsonl").exists()
+
+
+def test_sweep_refuses_a_bad_grid_before_training(corpus_dir, config_path, tmp_path,
+                                                  monkeypatch, capsys):
+    monkeypatch.setattr(harness, "train", lambda *a: pytest.fail("a grid value trained"))
+    out = tmp_path / "sweep.csv"
+    rc = main(["sweep", "--config", str(config_path), "--corpus", str(corpus_dir),
+               "--axis", "window", "--grid", "2,0", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.strip() == "error: window must be >= 1 or None"
+    assert not out.exists()
+
+
+def test_ordering_experiment_prints_paired_seeds_and_writes_csv(tmp_path, capsys):
+    out = tmp_path / "ordering.csv"
+    rc = main(["ordering-experiment", "--docs", "20", "--mentions", "4", "--candidates", "3",
+               "--dim", "16", "--seeds", "0,1", "--epochs", "1", "--out", str(out)])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    config = json.loads(lines[0].removeprefix("# config="))
+    assert config == {"corpus_seed": 20240808, "epochs": 1, "gamma": 0.9, "lr": 0.01,
+                      "mentions_per_doc": 4, "num_docs": 20, "reward": "r1",
+                      "rl_weight": 1e-4, "seeds": [0, 1], "window": 4}
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [r["seed"] for r in rows] == ["0", "1"]
+    for row, line in zip(rows, lines[1:3]):
+        d, o, gap = (float(row[k]) for k in ("dynamic", "offset", "gap"))
+        assert gap == d - o
+        assert line == f"seed={row['seed']} dynamic={d:.4f} offset={o:.4f} gap={gap:+.4f}"
+    gaps = [float(r["gap"]) for r in rows]
+    assert lines[3] == f"wins={sum(g > 0 for g in gaps)}/2 mean_gap={np.mean(gaps):+.4f}"
+    assert lines[4:] == [f"wrote {out}"]
+    assert out.read_text().splitlines()[0] == "seed,dynamic,offset,gap"
 
 
 def test_sweep_cli_writes_csv(corpus_dir, config_path, tmp_path, capsys):

@@ -5,22 +5,22 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from dynel import model
+from dynel import harness, model
 from dynel.autodiff import DiagonalBilinear
 from dynel.harness import (
     GAMMA1_GRID,
     WINDOW_GRID,
     grad_check,
-    micro_f1,
+    ordering_experiment,
     ordering_for,
     run_baseline,
     sweep,
-    write_sweep_csv,
+    write_csv,
 )
 from dynel.model import build_model
 from dynel.rewards import REWARD_KINDS
 from dynel.synthetic import SyntheticSpec, generate_synthetic
-from dynel.trainer import TrainConfig
+from dynel.trainer import Episode, TrainConfig, micro_f1, train
 
 from conftest import candidate_lookups, make_mention
 from dynel.corpus import Document
@@ -39,20 +39,24 @@ def oracle_config(**kw):
     return TrainConfig(**base)
 
 
+def episode(*flags):
+    n = len(flags)
+    return Episode(doc_id="d", order=tuple(range(n)), log_probs=[], flags=flags,
+                   predicted=("e",) * n, predicted_prob=(1.0,) * n,
+                   history_entities=("e",) * n, rewards=(0.0,) * n)
+
+
 class TestMicroF1:
     def test_all_correct(self):
-        assert micro_f1(["a", "b"], ["a", "b"]) == 1.0
+        assert micro_f1([episode(True), episode(True)]) == 1.0
 
     def test_three_of_four(self):
-        assert micro_f1(["a", "b", "c", "d"], ["a", "b", "c", "x"]) == 0.75
+        # pooled over links, not averaged over documents (which would give 2/3)
+        assert micro_f1([episode(True, True, False), episode(True)]) == 0.75
 
     def test_empty_is_error_not_zero(self):
         with pytest.raises(ValueError, match="empty"):
-            micro_f1([], [])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            micro_f1(["a"], ["a", "b"])
+            micro_f1([])
 
 
 class TestStrategies:
@@ -170,7 +174,7 @@ class TestSweep:
         per_cell = [r for r in rows if r["seed"] != "mean±std"]
         assert len(per_cell) == 4
         path = tmp_path / "sweep.csv"
-        write_sweep_csv(rows, str(path))
+        write_csv(rows, str(path))
         with open(path, newline="") as fh:
             back = list(csv.DictReader(fh))
         assert len(back) == len(rows)
@@ -181,6 +185,61 @@ class TestSweep:
         docs, store = anchored_world(num_docs=3, mentions=4, seed=2)
         with pytest.raises(ValueError, match="unknown sweep axis"):
             sweep(docs[:1], docs[1:2], docs[2:], store, TrainConfig(), "beta")
+
+    @pytest.mark.parametrize("axis, grid, seeds, message", [
+        ("window", (2, 0), (0,), "window must be >= 1 or None"),
+        ("window", ("2", "x"), (0,), "invalid literal"),
+        ("reward", ("r1", "r7"), (0,), "reward must be one of"),
+        ("gamma1", ("1e-3", "-1"), (0,), "rl_weight must be >= 0"),
+        ("gamma1", (), (0,), "grid is empty"),
+        ("window", (2,), (), "at least one seed"),
+    ])
+    def test_a_bad_grid_is_refused_before_any_training(self, monkeypatch, axis, grid, seeds,
+                                                       message):
+        calls = []
+        real = harness.train
+        monkeypatch.setattr(harness, "train", lambda *a: calls.append(a) or real(*a))
+        docs, store = anchored_world(num_docs=3, mentions=4, seed=2)
+        cfg = TrainConfig(epochs=1, fusion_hidden=8, episodes_per_doc=1)
+        with pytest.raises(ValueError, match=message):
+            sweep(docs[:1], docs[1:2], docs[2:], store, cfg, axis, grid=grid, seeds=seeds)
+        assert calls == []
+
+    def test_grid_values_parse_from_text(self):
+        docs, store = anchored_world(num_docs=6, mentions=4, seed=2)
+        cfg = TrainConfig(epochs=1, lr=0.01, fusion_hidden=8, episodes_per_doc=1)
+        as_text = sweep(docs[:3], docs[3:4], docs[4:], store, cfg, "window", grid=("2", "L"))
+        as_values = sweep(docs[:3], docs[3:4], docs[4:], store, cfg, "window",
+                          grid=(2, None))
+        assert as_text == as_values
+        assert [r["value"] for r in as_text] == [2, 2, "L", "L"]
+
+
+def test_ordering_experiment_equals_two_trained_arms_per_seed():
+    """The experiment's arms are a window sweep; the oracle is the loop it
+    replaced: per seed, train each arm and link the test documents."""
+    kw = dict(num_docs=20, mentions_per_doc=4, candidates_per_mention=3, embedding_dim=16,
+              corpus_seed=5, window=3, epochs=1)
+    result = ordering_experiment(seeds=(0, 1), **kw)
+
+    docs, store = generate_synthetic(SyntheticSpec(
+        num_docs=20, mentions_per_doc=4, candidates_per_mention=3, embedding_dim=16,
+        anchor_fraction=0.5, noise_scale=0.05, seed=5))
+    train_docs, val_docs, test_docs = docs[:16], docs[16:18], docs[18:]
+    expected = []
+    for seed in (0, 1):
+        f1 = {}
+        for arm, window in (("dynamic", 3), ("offset", 1)):
+            cfg = TrainConfig(window=window, epochs=1, seed=seed, lr=0.01, rl_weight=1e-4,
+                              gamma=0.9, reward="r1", policy_top_k=7, episodes_per_doc=2,
+                              fusion_hidden=16)
+            params = train(train_docs, val_docs, store, cfg).params
+            f1[arm] = run_baseline(test_docs, store, params, cfg, "dynamic", seed=seed).micro_f1
+        expected.append({"seed": seed, **f1, "gap": f1["dynamic"] - f1["offset"]})
+    assert result["rows"] == expected
+    gaps = [r["gap"] for r in expected]
+    assert result["wins"] == sum(g > 0 for g in gaps)
+    assert result["mean_gap"] == float(np.mean(gaps))
 
 
 def test_grad_check_passes_and_reports_every_tensor():

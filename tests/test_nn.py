@@ -17,16 +17,17 @@ def test_feed_forward_identity_passthrough():
     ff = FeedForward(
         weights=[ad.parameter(np.eye(2))],
         biases=[ad.parameter(np.zeros(2))],
-        activations=["none"],
     )
     x = Tensor([3.0, -1.5])
     assert np.allclose(ff.apply(x).data, x.data)
 
 
 def test_feed_forward_hand_relu():
+    # relu follows the hidden layer; the output layer here is the identity
     w = ad.parameter(np.array([[1.0, 1.0], [1.0, -1.0]]))
-    b = ad.parameter(np.zeros(2))
-    out = FeedForward([w], [b], ["relu"]).apply(Tensor([1.0, 2.0]))
+    identity = ad.parameter(np.eye(2))
+    zeros = [ad.parameter(np.zeros(2)) for _ in range(2)]
+    out = FeedForward([w, identity], zeros).apply(Tensor([1.0, 2.0]))
     assert np.allclose(out.data, [3.0, 0.0])
 
 
@@ -34,7 +35,7 @@ def test_feed_forward_shape_mismatch():
     w = ad.parameter(np.zeros((3, 2)))
     b = ad.parameter(np.zeros(2))
     with pytest.raises(ShapeError):
-        FeedForward([w], [b], ["none"]).apply(Tensor([1.0, 2.0]))
+        FeedForward([w], [b]).apply(Tensor([1.0, 2.0]))
 
 
 def test_dropout_eval_mode_is_identity(rng):

@@ -440,6 +440,17 @@ def test_load_checkpoint_refuses_a_transformer_without_a_vocabulary_digest(tmp_p
         load_checkpoint(_small_transformer(store, seed=2), path)
 
 
+@pytest.mark.parametrize("header", [None, b"not json", b"[1]", b"{}"],
+                         ids=["missing", "not-json", "not-an-object", "no-version"])
+def test_load_checkpoint_refuses_a_file_without_a_dynel_header(header, tmp_path):
+    _, store = anchored_world(num_docs=1)
+    path = str(tmp_path / "other.npz")
+    extra = {} if header is None else {"__header__": np.bytes_(header)}
+    np.savez(path, a=np.zeros(2), **extra)
+    with pytest.raises(ValueError, match=rf"checkpoint {re.escape(path)} has no dynel header"):
+        load_checkpoint(build(store, oracle_selector_config()), path)
+
+
 def test_single_document_reinforce_improves_sampled_reward():
     """200 policy-gradient steps on one frozen document raise the mean
     sampled reward (trend over seeds), using the position-penalty reward."""
@@ -581,3 +592,27 @@ def test_config_needs_exactly_four_transition_rewards(transition):
 def test_config_from_dict_names_unknown_keys():
     with pytest.raises(ValueError, match="unknown config keys: top_k, windw"):
         TrainConfig.from_dict({"windw": 4, "top_k": 2, "seed": 1})
+
+
+@pytest.mark.parametrize("value, message", [
+    ([], "a config must be a JSON object, got list"),
+    (5, "a config must be a JSON object, got int"),
+    ({"epochs": "1"}, "config key 'epochs' must be int, got '1'"),
+    ({"window": "4"}, "config key 'window' must be an int, \"L\" or null, got '4'"),
+    ({"features": "prior"}, "config key 'features' must be a list of str, got 'prior'"),
+    ({"epochs": True}, "config key 'epochs' must be int, got True"),
+    ({"lr": "0.1"}, "config key 'lr' must be float, got '0.1'"),
+    ({"transition": [0, -2, "x", 0]}, "config key 'transition' must be a list of float"),
+])
+def test_config_from_dict_refuses_values_of_the_wrong_json_type(value, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TrainConfig.from_dict(value)
+
+
+def test_config_from_dict_takes_the_json_forms_of_each_field():
+    cfg = TrainConfig.from_dict({"lr": 1, "window": "l", "features": ["prior", "local"],
+                                 "transition": [0, -2, -1, 0], "feature_norm": False})
+    assert cfg == TrainConfig(lr=1, window=None, features=("prior", "local"),
+                              transition=(0.0, -2.0, -1.0, 0.0), feature_norm=False)
+    assert TrainConfig.from_dict({"window": None}).window is None
+    assert TrainConfig.from_dict({"window": 3}).window == 3

@@ -164,7 +164,7 @@ def _cmd_sweep(args) -> int:
     test_docs = docs[n_val:n_val + n_test]
     train_docs = docs[n_val + n_test:]
     rows = sweep(train_docs, val_docs, test_docs, store, config, args.axis,
-                 grid=args.grid.split(",") if args.grid else None,
+                 grid=None if args.grid is None else args.grid.split(","),
                  seeds=_parse_seeds(args.seeds))
     write_csv(rows, args.out)
     print(f"wrote {len(rows)} rows -> {args.out}")

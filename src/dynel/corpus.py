@@ -13,11 +13,11 @@ and diffed:
 
 from __future__ import annotations
 
-import itertools
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -37,12 +37,25 @@ class CorpusError(ValueError):
     """Malformed corpus data; the message names the offending file/line."""
 
 
+# Each record refuses, when it is built, a field not of the exact type that
+# docs.jsonl carries back unchanged, so what save and load see is typed.
+_STR = frozenset({str})
+
+
+def _wrong(what: str, name: str, kind: str, value) -> CorpusError:
+    return CorpusError(f"{what} field {name!r} must be {kind}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CandidateEntity:
     entity_id: str
     prior: float
 
     def __post_init__(self):
+        if type(self.entity_id) is not str:
+            raise _wrong("candidate", "entity_id", "a string", self.entity_id)
+        if type(self.prior) is not float and type(self.prior) is not int:
+            raise _wrong("candidate", "prior", "a number", self.prior)
         if not (0.0 <= self.prior <= 1.0):
             raise CorpusError(f"prior for {self.entity_id!r} outside [0,1]: {self.prior}")
 
@@ -65,6 +78,16 @@ class Mention:
     gold: str
 
     def __post_init__(self):
+        if type(self.id) is not str:
+            raise _wrong("mention", "id", "a string", self.id)
+        if type(self.gold) is not str:
+            raise _wrong("mention", "gold", "a string", self.gold)
+        if type(self.position) is not int:
+            raise _wrong("mention", "position", "an int", self.position)
+        for name in ("surface", "context_before", "context_after"):
+            value = getattr(self, name)
+            if type(value) is not tuple or not _STR.issuperset(map(type, value)):
+                raise _wrong("mention", name, "a tuple of strings", value)
         if not self.candidates:
             raise CorpusError(f"mention {self.id!r} has no candidates")
         if self.position < 0:
@@ -80,7 +103,7 @@ class Mention:
 
     @property
     def priors(self) -> np.ndarray:
-        return np.array([c.prior for c in self.candidates])
+        return np.array([c.prior for c in self.candidates], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -90,6 +113,10 @@ class Document:
     mentions: tuple[Mention, ...]
 
     def __post_init__(self):
+        if type(self.id) is not str:
+            raise _wrong("document", "id", "a string", self.id)
+        if type(self.words) is not tuple or not _STR.issuperset(map(type, self.words)):
+            raise _wrong("document", "words", "a tuple of strings", self.words)
         if not self.mentions:
             raise CorpusError(f"document {self.id!r} has no mentions")
         positions = [m.position for m in self.mentions]
@@ -167,86 +194,75 @@ def _mention_to_json(m: Mention) -> dict:
     }
 
 
-def _mention_from_json(obj: dict, line: int) -> Mention:
-    try:
-        return Mention(
-            id=obj["id"],
-            surface=tuple(obj["surface"]),
-            position=int(obj["position"]),
-            context_before=tuple(obj["context_before"]),
-            context_after=tuple(obj["context_after"]),
-            candidates=tuple(
-                CandidateEntity(c["entity"], float(c["prior"])) for c in obj["candidates"]
-            ),
-            gold=obj["gold"],
-        )
-    except (KeyError, TypeError) as err:
-        raise CorpusError(f"docs.jsonl line {line}: bad mention record ({err})") from None
-
-
-def _check_ids(docs: list[Document], store: EmbeddingStore) -> None:
-    """Refuse ids that the text files cannot carry back unchanged.
-
-    Word and entity ids are written into whitespace-separated columns, so
-    they must be non-empty and free of whitespace.  Mention ids key
-    ``type_vecs.tsv`` by themselves, so they must be unique across the
-    corpus and free of tabs and line breaks; document ids must be unique.
-    """
-    word_ids = itertools.chain(store.word_vecs, *store.entity_surface.values())
-    entity_ids = itertools.chain(
-        store.entity_vecs, store.entity_surface, store.kg_adjacency,
-        *store.kg_adjacency.values(), (eid for _, eid in store.type_vecs),
-    )
-    for kind, ids in (("word", word_ids), ("entity", entity_ids)):
-        for i in ids:
-            if not i or any(c.isspace() for c in i):
-                raise CorpusError(f"{kind} id {i!r} is empty or contains whitespace")
-    doc_ids: set[str] = set()
-    mention_ids: set[str] = set()
-    for doc in docs:
-        if doc.id in doc_ids:
-            raise CorpusError(f"duplicate document id {doc.id!r}")
-        doc_ids.add(doc.id)
-        for m in doc.mentions:
-            if m.id in mention_ids:
-                raise CorpusError(f"duplicate mention id {m.id!r}")
-            mention_ids.add(m.id)
-    for mid in itertools.chain(mention_ids, (mid for mid, _ in store.type_vecs)):
-        if any(c in "\t\r\n" for c in mid):
-            raise CorpusError(f"mention id {mid!r} contains a tab or line break")
-
-
-def _check_references(
+def _check_corpus(
     docs: list[Document], store: EmbeddingStore, lines: dict[str, dict] | None = None
 ) -> None:
-    """Refuse a corpus whose records name what it does not hold.
+    """Refuse a corpus that the text files cannot carry back unchanged or
+    whose records name what it does not hold.  ``save_corpus`` runs this
+    before it writes any file and ``load_corpus`` after it parses them, so
+    what saves loads and what loads saves.  (The records check their types.)
 
-    Every mention needs a non-empty context window.  Every word and entity
-    that a mention, an entity surface, a KG edge or a type vector names
-    needs a vector.  A KG neighbour set must be non-empty,
-    since ``kg_edges.tsv`` cannot carry an empty one.  A type vector must be
-    keyed by a mention of the corpus and be as wide as the first one.
-    ``save_corpus`` and ``load_corpus`` both call this, so what saves also
-    loads.  ``lines[file][key]`` is the line each record was read from; a
-    record that was not read from a file is named by its key.
+    There must be a document.  Word and entity ids fill whitespace-separated
+    columns, so they are non-empty and free of whitespace.  Every vector is
+    finite and at least one value wide.  Document ids are unique; mention
+    ids key ``type_vecs.tsv`` alone, so they are unique across the corpus
+    and free of tabs and line breaks.  Every mention has a non-empty context
+    window.  Every word and entity that a mention, an entity surface, a KG
+    edge or a type vector names has a vector.  A KG neighbour set is
+    non-empty (``kg_edges.tsv`` cannot carry an empty one).  A type vector
+    is keyed by a mention of the corpus and is as wide as the first one.
+
+    ``lines[file][key]`` is the line each record was read from, keyed by
+    document index in ``docs.jsonl``; a record not read from a file is named
+    by its key (a mention's or document's id in ``docs.jsonl``).
     """
-    def fail(file: str, key, problem: str):
-        where = f"line {lines[file][key]}" if lines is not None else f"record {key!r}"
+    def fail(file: str, key, problem: str, line_key=None):
+        where = (f"record {key!r}" if lines is None
+                 else f"line {lines[file][key if line_key is None else line_key]}")
         raise CorpusError(f"{file} {where}: {problem}")
 
+    def first_on(index: int) -> str:
+        return "" if lines is None else f" (first on line {lines['docs.jsonl'][index]})"
+
+    def check_values(file: str, key, what: str, vec: np.ndarray) -> None:
+        if not vec.size:
+            fail(file, key, f"{what} has width 0")
+        if not np.isfinite(vec).all():
+            fail(file, key, f"{what} has a non-finite value")
+
+    if not docs:
+        raise CorpusError("docs.jsonl contains no documents")
     words, entities = store.word_vecs, store.entity_vecs
-    for doc in docs:
+    for file, kind, table in (("words.vec", "word", words), ("entities.vec", "entity", entities)):
+        for key, vec in table.items():
+            if key.split() != [key]:
+                fail(file, key, f"{kind} id {key!r} is empty or contains whitespace")
+            check_values(file, key, f"{kind} {key!r}", vec)
+    doc_index: dict[str, int] = {}      # the first document of each id
+    mention_doc: dict[str, int] = {}    # the document of each mention id
+    for i, doc in enumerate(docs):
+        if doc.id in doc_index:
+            fail("docs.jsonl", doc.id,
+                 f"duplicate document id {doc.id!r}{first_on(doc_index[doc.id])}", i)
+        doc_index[doc.id] = i
         for m in doc.mentions:
-            if not m.context_window:
-                fail("docs.jsonl", m.id, f"mention {m.id!r} has an empty context window")
-            for w in m.surface + m.context_window:
+            if m.id in mention_doc:
+                fail("docs.jsonl", m.id,
+                     f"duplicate mention id {m.id!r}{first_on(mention_doc[m.id])}", i)
+            mention_doc[m.id] = i
+            if "\t" in m.id or "\r" in m.id or "\n" in m.id:
+                fail("docs.jsonl", m.id, f"mention id {m.id!r} contains a tab or line break", i)
+            window = m.context_window
+            if not window:
+                fail("docs.jsonl", m.id, f"mention {m.id!r} has an empty context window", i)
+            for w in m.surface + window:
                 if w not in words:
-                    fail("docs.jsonl", m.id, f"unknown word {w!r} in {m.id!r}")
+                    fail("docs.jsonl", m.id, f"unknown word {w!r} in {m.id!r}", i)
             for c in m.candidates:
                 if c.entity_id not in entities:
-                    fail("docs.jsonl", m.id, f"unknown entity {c.entity_id!r}")
+                    fail("docs.jsonl", m.id, f"unknown entity {c.entity_id!r}", i)
             if m.gold not in entities:
-                fail("docs.jsonl", m.id, f"unknown gold entity {m.gold!r}")
+                fail("docs.jsonl", m.id, f"unknown gold entity {m.gold!r}", i)
     for eid, surface in store.entity_surface.items():
         if eid not in entities:
             fail("entity_surfaces.tsv", eid, f"unknown entity {eid!r}")
@@ -260,14 +276,14 @@ def _check_references(
             for eid in (src, dst):
                 if eid not in entities:
                     fail("kg_edges.tsv", (src, dst), f"unknown entity {eid!r}")
-    mention_ids = {m.id for doc in docs for m in doc.mentions}
     width = None
     for key, vec in store.type_vecs.items():
         mid, eid = key
-        if mid not in mention_ids:
+        if mid not in mention_doc:
             fail("type_vecs.tsv", key, f"mention {mid!r} is in no document")
         if eid not in entities:
             fail("type_vecs.tsv", key, f"unknown entity {eid!r}")
+        check_values("type_vecs.tsv", key, "type vector", vec)
         if width is None:
             width = vec.size
         elif vec.size != width:
@@ -276,11 +292,9 @@ def _check_references(
 
 def save_corpus(docs: Iterable[Document], store: EmbeddingStore, path: str | Path) -> None:
     """Write a corpus directory; raises ``CorpusError`` before writing any
-    file if an id could not be read back unchanged or ``load_corpus`` would
-    reject a reference."""
+    file if ``load_corpus`` would refuse the corpus or read it back changed."""
     docs = list(docs)
-    _check_ids(docs, store)
-    _check_references(docs, store)
+    _check_corpus(docs, store)
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     with open(path / "docs.jsonl", "w", encoding="utf-8") as fh:
@@ -314,16 +328,52 @@ def save_corpus(docs: Iterable[Document], store: EmbeddingStore, path: str | Pat
                 fh.write(f"{mid}\t{eid}\t{vals}\n")
 
 
-def _load_vecs(
-    path: Path, width: int | None = None, width_of: str = ""
-) -> dict[str, np.ndarray]:
+def _tuple(value):
+    """A JSON list as a tuple; any other value as it is, for the record to refuse."""
+    return tuple(value) if type(value) is list else value
+
+
+def _document_from_json(line: str, lineno: int) -> Document:
+    """The document on line ``lineno`` of ``docs.jsonl``."""
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as err:
+        raise CorpusError(f"docs.jsonl line {lineno}: invalid JSON ({err})") from None
+    try:
+        mentions = tuple(
+            Mention(m["id"], _tuple(m["surface"]), m["position"], _tuple(m["context_before"]),
+                    _tuple(m["context_after"]),
+                    tuple([CandidateEntity(c["entity"], c["prior"]) for c in m["candidates"]]),
+                    m["gold"])
+            for m in rec["mentions"])
+        return Document(rec["id"], _tuple(rec["words"]), mentions)
+    except CorpusError as err:
+        raise CorpusError(f"docs.jsonl line {lineno}: {err}") from None
+    except (KeyError, TypeError) as err:
+        raise CorpusError(f"docs.jsonl line {lineno}: bad record ({err})") from None
+
+
+def _rows(path: Path, optional: bool = False) -> Iterator[tuple[int, str]]:
+    """The non-blank lines of ``path`` with their numbers; none when the
+    file is ``optional`` and absent."""
+    if optional and not path.exists():
+        return
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                yield lineno, line
+
+
+def _load_vecs(path: Path, lines: dict, width: int | None = None,
+               width_of: str = "") -> dict[str, np.ndarray]:
     """Read ``<id> <f1> ... <fd>`` rows, each as wide as the first row, or
-    ``width`` wide (the width of ``width_of``) when given."""
+    ``width`` wide (the width of ``width_of``) when given; ``lines`` gets the
+    line of each id."""
     table: dict[str, np.ndarray] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
-            if len(parts) < 2:
+            if not parts:
                 raise CorpusError(f"{path.name} line {lineno}: expected id + floats")
             if parts[0] in table:
                 raise CorpusError(f"{path.name} line {lineno}: duplicate id {parts[0]!r}")
@@ -337,109 +387,48 @@ def _load_vecs(
                 raise CorpusError(f"{path.name} line {lineno}: width {vec.size} differs "
                                   f"from {width_of} ({width})")
             table[parts[0]] = vec
+            lines[parts[0]] = lineno
     return table
 
 
 def load_corpus(path: str | Path) -> tuple[list[Document], EmbeddingStore]:
-    """Load and cross-validate a corpus directory.
-
-    Every word/entity referenced anywhere must have an embedding, all word
-    and entity vectors one width, every id must be unique (mention ids
-    across the whole corpus), every type vector must name a mention of the
-    corpus, and every mention needs a non-empty context window; violations
-    are reported with the file and line they came from.
-    """
+    """Parse a corpus directory and check it by the rules ``save_corpus``
+    runs; every refusal names the file and line it came from."""
     path = Path(path)
-    word_vecs = _load_vecs(path / "words.vec")
-    entity_vecs = _load_vecs(path / "entities.vec",
+    lines: dict[str, dict] = defaultdict(dict)     # file -> record key -> line
+    word_vecs = _load_vecs(path / "words.vec", lines["words.vec"])
+    entity_vecs = _load_vecs(path / "entities.vec", lines["entities.vec"],
                              next((v.size for v in word_vecs.values()), None), "words.vec")
-
-    # the line each record came from, for ``_check_references``
-    lines: dict[str, dict] = {name: {} for name in (
-        "docs.jsonl", "entity_surfaces.tsv", "kg_edges.tsv", "type_vecs.tsv")}
     surfaces: dict[str, tuple[str, ...]] = {}
-    surf_path = path / "entity_surfaces.tsv"
-    if surf_path.exists():
-        with open(surf_path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                eid, _, rest = line.rstrip("\n").partition("\t")
-                surfaces[eid] = tuple(rest.split())
-                lines["entity_surfaces.tsv"][eid] = lineno
-
+    for lineno, line in _rows(path / "entity_surfaces.tsv", optional=True):
+        eid, _, rest = line.rstrip("\n").partition("\t")
+        surfaces[eid] = tuple(rest.split())
+        lines["entity_surfaces.tsv"][eid] = lineno
     adjacency: dict[str, set[str]] = {}
-    edges_path = path / "kg_edges.tsv"
-    if edges_path.exists():
-        with open(edges_path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                parts = line.split()
-                if len(parts) != 2:
-                    raise CorpusError(f"kg_edges.tsv line {lineno}: expected 'src dst'")
-                src, dst = parts
-                adjacency.setdefault(src, set()).add(dst)
-                lines["kg_edges.tsv"][(src, dst)] = lineno
-
+    for lineno, line in _rows(path / "kg_edges.tsv", optional=True):
+        parts = line.split()
+        if len(parts) != 2:
+            raise CorpusError(f"kg_edges.tsv line {lineno}: expected 'src dst'")
+        adjacency.setdefault(parts[0], set()).add(parts[1])
+        lines["kg_edges.tsv"][tuple(parts)] = lineno
     type_vecs: dict[tuple[str, str], np.ndarray] = {}
-    types_path = path / "type_vecs.tsv"
-    if types_path.exists():
-        with open(types_path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                parts = line.rstrip("\n").split("\t")
-                if len(parts) != 3:
-                    raise CorpusError(f"type_vecs.tsv line {lineno}: expected 3 columns")
-                mid, eid, rest = parts
-                try:
-                    type_vecs[(mid, eid)] = np.array([float(x) for x in rest.split()])
-                except ValueError:
-                    raise CorpusError(
-                        f"type_vecs.tsv line {lineno}: non-numeric value"
-                    ) from None
-                lines["type_vecs.tsv"][(mid, eid)] = lineno
-
-    store = EmbeddingStore(
-        word_vecs=word_vecs,
-        entity_vecs=entity_vecs,
-        entity_surface=surfaces,
-        kg_adjacency={k: frozenset(v) for k, v in sorted(adjacency.items())},
-        type_vecs=type_vecs,
-    )
-
+    for lineno, line in _rows(path / "type_vecs.tsv", optional=True):
+        parts = line.rstrip("\n").split("\t")
+        if len(parts) != 3:
+            raise CorpusError(f"type_vecs.tsv line {lineno}: expected 3 columns")
+        mid, eid, rest = parts
+        try:
+            type_vecs[(mid, eid)] = np.array([float(x) for x in rest.split()])
+        except ValueError:
+            raise CorpusError(f"type_vecs.tsv line {lineno}: non-numeric value") from None
+        lines["type_vecs.tsv"][(mid, eid)] = lineno
+    store = EmbeddingStore(word_vecs, entity_vecs, surfaces, type_vecs=type_vecs,
+                           kg_adjacency={k: frozenset(v) for k, v in sorted(adjacency.items())})
     docs: list[Document] = []
-    doc_lines: dict[str, int] = {}       # first line of each document / mention id
-    mention_lines = lines["docs.jsonl"]
-    with open(path / "docs.jsonl", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise CorpusError(f"docs.jsonl line {lineno}: invalid JSON ({err})") from None
-            try:
-                mentions = tuple(_mention_from_json(m, lineno) for m in rec["mentions"])
-                doc = Document(rec["id"], tuple(rec["words"]), mentions)
-            except CorpusError as err:
-                raise CorpusError(f"docs.jsonl line {lineno}: {err}") from None
-            except (KeyError, TypeError) as err:
-                raise CorpusError(f"docs.jsonl line {lineno}: bad record ({err})") from None
-            if doc.id in doc_lines:
-                raise CorpusError(f"docs.jsonl line {lineno}: duplicate document id "
-                                  f"{doc.id!r} (first on line {doc_lines[doc.id]})")
-            doc_lines[doc.id] = lineno
-            for m in doc.mentions:
-                if m.id in mention_lines:
-                    raise CorpusError(f"docs.jsonl line {lineno}: duplicate mention id "
-                                      f"{m.id!r} (first on line {mention_lines[m.id]})")
-                mention_lines[m.id] = lineno
-            docs.append(doc)
-    if not docs:
-        raise CorpusError("docs.jsonl contains no documents")
-    _check_references(docs, store, lines)
+    for lineno, line in _rows(path / "docs.jsonl"):
+        lines["docs.jsonl"][len(docs)] = lineno
+        docs.append(_document_from_json(line, lineno))
+    _check_corpus(docs, store, lines)
     return docs, store
 
 

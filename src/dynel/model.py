@@ -186,10 +186,10 @@ def load_checkpoint(params: ModelParams, path: str) -> dict:
     with np.load(path, allow_pickle=False) as data:
         try:
             header = json.loads(bytes(data["__header__"]).decode())
-            version = header["version"]
+            version, meta = header["version"], header["meta"]
         except (KeyError, TypeError, ValueError) as err:
             raise ValueError(f"checkpoint {path} has no dynel header: it is missing, "
-                             f"not JSON or without a version") from err
+                             f"not JSON or without a version or meta") from err
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
         for key in _MODEL_KEYS:
@@ -198,4 +198,4 @@ def load_checkpoint(params: ModelParams, path: str) -> dict:
                                  f"the model has {getattr(params, key)!r}")
         arrays = {k: data[k] for k in data.files if k != "__header__"}
     params.restore(arrays)
-    return header["meta"]
+    return meta

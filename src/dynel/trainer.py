@@ -88,6 +88,11 @@ class TrainConfig:
             raise ValueError("rl_weight must be >= 0")
         if self.margin <= 0:
             raise ValueError("margin must be > 0")
+        for rate in ("lr", "lr_after"):
+            if getattr(self, rate) <= 0:
+                raise ValueError(f"{rate} must be > 0, got {getattr(self, rate)}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.window is not None and self.window < 1:
             raise ValueError("window must be >= 1 or None")
         if self.reward not in REWARD_KINDS:
@@ -97,7 +102,7 @@ class TrainConfig:
         self.transition_rewards()   # refuses a count other than 4
         if not 0.0 <= self.drop_rate < 1.0:
             raise ValueError(f"drop_rate must lie in [0, 1), got {self.drop_rate}")
-        for cap in ("policy_top_k", "selector_top_k", "top_words"):
+        for cap in ("policy_top_k", "selector_top_k", "top_words", "fusion_hidden"):
             if getattr(self, cap) < 1:
                 raise ValueError(f"{cap} must be >= 1, got {getattr(self, cap)}")
 

@@ -223,6 +223,42 @@ def test_config_type_errors_are_reported_before_the_corpus_is_read(tmp_path, cap
     assert capsys.readouterr().err.strip() == "error: config key 'epochs' must be int, got '1'"
 
 
+@pytest.mark.parametrize("setting, message", [
+    ({"epochs": -3}, "epochs must be >= 0, got -3"),
+    ({"lr": -0.5}, "lr must be > 0, got -0.5"),
+    ({"fusion_hidden": 0}, "fusion_hidden must be >= 1, got 0"),
+], ids=["epochs", "lr", "fusion_hidden"])
+def test_out_of_range_settings_are_refused_before_the_corpus_is_read(tmp_path, capsys,
+                                                                     setting, message):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(setting))
+    out = tmp_path / "m.npz"
+    rc = main(["train", "--config", str(cfg), "--corpus", str(tmp_path / "missing"),
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+    assert not out.exists()
+
+
+def test_link_refuses_a_checkpoint_header_without_meta(corpus_dir, config_path, tmp_path,
+                                                       capsys):
+    _, store = load_corpus(corpus_dir)
+    config = TrainConfig.from_dict(json.loads(config_path.read_text()))
+    ckpt = tmp_path / "no-meta.npz"
+    save_checkpoint(config.build_model(store, np.random.default_rng(0)), str(ckpt))
+    with np.load(ckpt) as data:
+        arrays = {k: data[k] for k in data.files}
+    header = json.loads(bytes(arrays["__header__"]).decode())
+    del header["meta"]
+    arrays["__header__"] = np.bytes_(json.dumps(header))
+    np.savez(ckpt, **arrays)
+    rc = main(["link", "--config", str(config_path), "--corpus", str(corpus_dir),
+               "--checkpoint", str(ckpt), "--out", str(tmp_path / "links.jsonl")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: checkpoint {ckpt} has no dynel header")
+    assert not (tmp_path / "links.jsonl").exists()
+
+
 def test_link_refuses_a_file_without_a_dynel_header(corpus_dir, config_path, tmp_path,
                                                     capsys):
     ckpt = tmp_path / "x.npz"
@@ -242,6 +278,20 @@ def test_sweep_refuses_a_bad_grid_before_training(corpus_dir, config_path, tmp_p
                "--axis", "window", "--grid", "2,0", "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err.strip() == "error: window must be >= 1 or None"
+    assert not out.exists()
+
+
+def test_sweep_refuses_an_empty_grid_before_training(corpus_dir, config_path, tmp_path,
+                                                    monkeypatch, capsys):
+    # an empty --grid is one empty value, not the default grid
+    calls = []
+    monkeypatch.setattr(harness, "train", lambda *a: calls.append(a))
+    out = tmp_path / "sweep.csv"
+    rc = main(["sweep", "--config", str(config_path), "--corpus", str(corpus_dir),
+               "--axis", "reward", "--grid", "", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.strip().startswith("error: reward must be one of")
+    assert calls == []
     assert not out.exists()
 
 

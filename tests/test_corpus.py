@@ -300,6 +300,8 @@ def test_entity_width_must_match_word_width(tmp_path):
     ("nope\te0\t1.0 2.0", "mention 'nope' is in no document"),
     ("m0\tzz\t1.0 2.0", "unknown entity 'zz'"),
     ("m0\te1\t1.0", "width 1 differs from the first row's 2"),
+    ("m0\te1\t0.5 inf", "type vector has a non-finite value"),
+    ("m0\te1\t", "type vector has width 0"),
 ])
 def test_type_vec_rows_checked_at_load(tmp_path, row, problem):
     docs, store = one_mention_corpus()
@@ -319,6 +321,14 @@ def test_type_vec_rows_checked_at_load(tmp_path, row, problem):
                                               "unknown entity 'zz'"),
     ("type_vecs", {("nope", "e0"): np.ones(2)}, "type_vecs.tsv record ('nope', 'e0'): "
                                                 "mention 'nope' is in no document"),
+    ("word_vecs", {"w0": np.array([np.nan, 1.0])}, "words.vec record 'w0': word 'w0' has a "
+                                                   "non-finite value"),
+    ("entity_vecs", {"e0": np.ones(2), "e1": np.array([1.0, np.nan])},
+     "entities.vec record 'e1': entity 'e1' has a non-finite value"),
+    ("type_vecs", {("m0", "e0"): np.array([np.inf, 1.0])}, "type_vecs.tsv record ('m0', 'e0'): "
+                                                           "type vector has a non-finite value"),
+    ("type_vecs", {("m0", "e0"): np.array([])}, "type_vecs.tsv record ('m0', 'e0'): type "
+                                                "vector has width 0"),
 ])
 def test_save_refuses_what_load_would_reject(tmp_path, field, value, problem):
     docs, store = one_mention_corpus()
@@ -326,6 +336,118 @@ def test_save_refuses_what_load_would_reject(tmp_path, field, value, problem):
     with pytest.raises(CorpusError, match=re.escape(problem)):
         save_corpus(docs, store, tmp_path / "out")
     assert not (tmp_path / "out").exists()
+
+
+def test_save_refuses_an_empty_document_list(tmp_path):
+    _, store = one_mention_corpus()
+    with pytest.raises(CorpusError, match="docs.jsonl contains no documents"):
+        save_corpus([], store, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_mention_id_with_a_tab_rejected_at_load_with_line(tmp_path):
+    docs, store = one_mention_corpus()
+    save_corpus(docs, store, tmp_path)
+    rec = json.loads((tmp_path / "docs.jsonl").read_text())
+    rec["mentions"][0]["id"] = "m\t0"
+    (tmp_path / "docs.jsonl").write_text(json.dumps(rec) + "\n")
+    with pytest.raises(CorpusError, match=re.escape("docs.jsonl line 1: mention id 'm\\t0' "
+                                                    "contains a tab or line break")):
+        load_corpus(tmp_path)
+
+
+def test_save_refuses_vectors_of_width_zero(tmp_path):
+    docs, _ = one_mention_corpus()
+    store = EmbeddingStore(word_vecs={"w0": np.ones(0)},
+                           entity_vecs={"e0": np.ones(0), "e1": np.zeros(0)})
+    with pytest.raises(CorpusError, match=re.escape("words.vec record 'w0': word 'w0' has "
+                                                    "width 0")):
+        save_corpus(docs, store, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name, token", [
+    ("words.vec", "nan"), ("entities.vec", "nan"), ("entities.vec", "-inf"),
+])
+def test_non_finite_vector_rejected_at_load_with_line(tmp_path, name, token):
+    # the word is in the first mention's context, the entity is its gold
+    docs, store = small_corpus()
+    save_corpus(docs, store, tmp_path)
+    mention = docs[0].mentions[0]
+    kind, key = (("word", mention.context_window[0]) if name == "words.vec"
+                 else ("entity", mention.gold))
+    path = tmp_path / name
+    lines = path.read_text().splitlines()
+    lineno = next(n for n, line in enumerate(lines, start=1) if line.split()[0] == key)
+    parts = lines[lineno - 1].split()
+    lines[lineno - 1] = " ".join([key, token] + parts[2:])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorpusError, match=re.escape(f"{name} line {lineno}: {kind} {key!r} "
+                                                    f"has a non-finite value")):
+        load_corpus(tmp_path)
+
+
+def test_vectors_of_width_zero_rejected_at_load_with_line(tmp_path):
+    docs, store = one_mention_corpus()
+    save_corpus(docs, store, tmp_path)
+    (tmp_path / "words.vec").write_text("w0\n")
+    (tmp_path / "entities.vec").write_text("e0\ne1\n")
+    with pytest.raises(CorpusError, match=re.escape("words.vec line 1: word 'w0' has width 0")):
+        load_corpus(tmp_path)
+
+
+@pytest.mark.parametrize("where, value, what, kind", [
+    (("mentions", 0, "position"), 0.7, "mention", "an int"),
+    (("mentions", 0, "position"), "0", "mention", "an int"),
+    (("mentions", 0, "candidates", 0, "prior"), True, "candidate", "a number"),
+    (("mentions", 0, "candidates", 0, "prior"), "0.5", "candidate", "a number"),
+    (("words",), "w0", "document", "a tuple of strings"),
+    (("mentions", 0, "id"), 5, "mention", "a string"),
+    (("mentions", 0, "surface"), "w0", "mention", "a tuple of strings"),
+], ids=["position-float", "position-string", "prior-bool", "prior-string", "words-string",
+        "mention-id-int", "surface-string"])
+def test_docs_values_of_the_wrong_json_type_rejected(tmp_path, where, value, what, kind):
+    docs, store = one_mention_corpus()
+    save_corpus(docs, store, tmp_path)
+    rec = json.loads((tmp_path / "docs.jsonl").read_text())
+    holder = rec
+    for step in where[:-1]:
+        holder = holder[step]
+    holder[where[-1]] = value
+    (tmp_path / "docs.jsonl").write_text(json.dumps(rec) + "\n")
+    with pytest.raises(CorpusError, match=re.escape(f"docs.jsonl line 1: {what} field "
+                                                    f"{where[-1]!r} must be {kind}, "
+                                                    f"got {value!r}")):
+        load_corpus(tmp_path)
+
+
+@pytest.mark.parametrize("make, problem", [
+    (lambda d, m: replace(d, id=7), "document field 'id' must be a string, got 7"),
+    (lambda d, m: replace(d, mentions=(replace(m, id=7),)),
+     "mention field 'id' must be a string, got 7"),
+    (lambda d, m: replace(d, words=["w0"]),
+     "document field 'words' must be a tuple of strings, got ['w0']"),
+    (lambda d, m: replace(d, mentions=(replace(m, position=True),)),
+     "mention field 'position' must be an int, got True"),
+    (lambda d, m: replace(d, mentions=(replace(m, candidates=(CandidateEntity(5, 1.0),)),)),
+     "candidate field 'entity_id' must be a string, got 5"),
+], ids=["document-id-int", "mention-id-int", "words-list", "position-bool", "entity-int"])
+def test_save_refuses_records_of_the_wrong_type_and_writes_nothing(tmp_path, make, problem):
+    # the records refuse such values when they are built, so no save starts
+    docs, store = one_mention_corpus()
+    with pytest.raises(CorpusError, match=re.escape(problem)):
+        save_corpus([make(docs[0], docs[0].mentions[0])], store, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_int_prior_saves_and_reloads_as_a_number(tmp_path):
+    docs, store = one_mention_corpus()
+    mention = docs[0].mentions[0]
+    docs = [replace(docs[0], mentions=(replace(mention, candidates=(CandidateEntity("e0", 1),)),))]
+    save_corpus(docs, store, tmp_path)
+    loaded, _ = load_corpus(tmp_path)
+    assert loaded == docs
+    assert loaded[0].mentions[0].priors.dtype == float
 
 
 # ---------------------------------------------------------------------------
@@ -336,19 +458,24 @@ def test_save_refuses_what_load_would_reject(tmp_path, field, value, problem):
 # whitespace, which save refuses
 good_ids = st.text(st.characters(blacklist_categories=("Z", "C")), min_size=1, max_size=4)
 any_ids = st.text(min_size=0, max_size=4)
-vectors = st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64),
-                   min_size=2, max_size=2).map(np.array)
 
 
 @st.composite
 def corpora(draw, flawed: bool):
     # a flawed corpus may hold bad ids, name ids that have no vector or mention,
-    # hold an empty KG neighbour set or context window, or mix type vector widths
+    # hold an empty KG neighbour set, context window or document list, mix type
+    # vector widths, or hold vectors that are not finite or have width 0
     ids = any_ids if flawed and draw(st.booleans()) else good_ids
+    finite = not flawed or draw(st.booleans())
+    values = st.floats(allow_nan=not finite, allow_infinity=not finite, width=64)
+    width = 0 if flawed and draw(st.integers(0, 4)) == 0 else 2
+    vectors = st.lists(values, min_size=width, max_size=width).map(np.array)
 
     def ref(known: list[str]):
-        known = st.sampled_from(known)
-        return st.one_of(known, st.text("xyz", min_size=1, max_size=2)) if flawed else known
+        if not flawed:
+            return st.sampled_from(known)
+        unknown = st.text("xyz", min_size=1, max_size=2)
+        return st.one_of(st.sampled_from(known), unknown) if known else unknown
 
     words = draw(st.dictionaries(ids, vectors, min_size=1, max_size=4))
     entities = draw(st.dictionaries(ids, vectors, min_size=1, max_size=4))
@@ -360,9 +487,8 @@ def corpora(draw, flawed: bool):
                               st.frozensets(ref(entity_ids), min_size=0 if flawed else 1,
                                             max_size=2),
                               max_size=2))
-    mention_ids = draw(st.lists(ids, min_size=1, max_size=3, unique=True))
-    type_vectors = st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64),
-                            min_size=1 if flawed else 2, max_size=2).map(np.array)
+    mention_ids = draw(st.lists(ids, min_size=0 if flawed else 1, max_size=3, unique=True))
+    type_vectors = st.lists(values, min_size=0 if flawed else 2, max_size=2).map(np.array)
     types = draw(st.dictionaries(st.tuples(ref(mention_ids), ref(entity_ids)),
                                  type_vectors, max_size=2))
     doc_ids = draw(st.lists(ids, min_size=len(mention_ids), max_size=len(mention_ids),
@@ -413,3 +539,37 @@ def test_save_load_round_trip_or_refusal(tmp_path_factory, corpus):
         assert not any(path.iterdir())
         return
     _assert_reloads(docs, store, path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpus=corpora(flawed=False), data=st.data())
+def test_what_loads_saves_and_reloads_unchanged(tmp_path_factory, corpus, data):
+    """Mutate one record of a saved corpus: an id in ``docs.jsonl`` made empty
+    or given a tab, or a value of a ``.vec`` row made non-finite.  Either load
+    refuses the result, or what it loaded saves and reloads unchanged."""
+    path = tmp_path_factory.mktemp("corpus")
+    save_corpus(*corpus, path)
+    name = data.draw(st.sampled_from(["docs.jsonl", "words.vec", "entities.vec"]))
+    lines = (path / name).read_text(encoding="utf-8").splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1))
+    if name == "docs.jsonl":
+        rec = json.loads(lines[i])
+        mention = rec["mentions"][0]
+        holder, key = data.draw(st.sampled_from([(rec, "id"), (mention, "id"), (mention, "gold"),
+                                                 (mention["candidates"][0], "entity")]))
+        holder[key] = data.draw(st.sampled_from(["", "\t", holder[key] + "\t",
+                                                 "\t" + holder[key]]))
+        lines[i] = json.dumps(rec)
+    else:
+        parts = lines[i].split(" ")
+        parts[data.draw(st.integers(1, len(parts) - 1))] = data.draw(
+            st.sampled_from(["nan", "NaN", "inf", "-inf", "-Infinity"]))
+        lines[i] = " ".join(parts)
+    (path / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        loaded = load_corpus(path)
+    except CorpusError:
+        return
+    again = tmp_path_factory.mktemp("again")
+    save_corpus(*loaded, again)
+    _assert_reloads(*loaded, again)

@@ -426,18 +426,33 @@ def test_load_checkpoint_refuses_a_transformer_of_another_vocabulary(tmp_path):
     assert all(np.array_equal(a, saved.snapshot()[k]) for k, a in same.snapshot().items())
 
 
+def _drop_header_key(path, key):
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    header = json.loads(bytes(arrays["__header__"]).decode())
+    del header[key]
+    arrays["__header__"] = np.bytes_(json.dumps(header))
+    np.savez(path, **arrays)
+
+
 def test_load_checkpoint_refuses_a_transformer_without_a_vocabulary_digest(tmp_path):
     _, store = anchored_world(num_docs=1)
     path = str(tmp_path / "model.npz")
     save_checkpoint(_small_transformer(store), path)
-    with np.load(path) as data:
-        arrays = {k: data[k] for k in data.files}
-    header = json.loads(bytes(arrays["__header__"]).decode())
-    del header["vocab_sha256"]
-    arrays["__header__"] = np.bytes_(json.dumps(header))
-    np.savez(path, **arrays)
+    _drop_header_key(path, "vocab_sha256")
     with pytest.raises(ValueError, match=rf"checkpoint {re.escape(path)} has vocab_sha256 None"):
         load_checkpoint(_small_transformer(store, seed=2), path)
+
+
+def test_load_checkpoint_refuses_a_header_without_meta(tmp_path):
+    # the header names the model (version, local_model, dim, vocab_sha256) but
+    # holds no caller metadata
+    _, store = anchored_world(num_docs=1)
+    path = str(tmp_path / "model.npz")
+    save_checkpoint(build(store, oracle_selector_config()), path, meta={"epoch": 1})
+    _drop_header_key(path, "meta")
+    with pytest.raises(ValueError, match=rf"checkpoint {re.escape(path)} has no dynel header"):
+        load_checkpoint(build(store, oracle_selector_config()), path)
 
 
 @pytest.mark.parametrize("header", [None, b"not json", b"[1]", b"{}"],
@@ -565,12 +580,29 @@ def test_sequence_length_cap_covers_validation_documents():
     assert all(np.array_equal(a, before[k]) for k, a in params.snapshot().items())
 
 
-@pytest.mark.parametrize("cap", ["policy_top_k", "selector_top_k", "top_words"])
+@pytest.mark.parametrize("cap", ["policy_top_k", "selector_top_k", "top_words", "fusion_hidden"])
 def test_config_rejects_a_pool_cap_below_one(cap):
-    # a cap of 0 would leave the attention pool with nothing to softmax
+    # a cap of 0 would leave the attention pool with nothing to softmax, and a
+    # fusion_hidden of 0 the selector's fusion net with an empty hidden layer
     with pytest.raises(ValueError, match=f"{cap} must be >= 1"):
         TrainConfig(**{cap: 0})
     assert getattr(TrainConfig(**{cap: 1}), cap) == 1
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("epochs", -3, "epochs must be >= 0, got -3"),
+    ("lr", -0.5, "lr must be > 0, got -0.5"),
+    ("lr", 0.0, "lr must be > 0, got 0.0"),
+    ("lr_after", 0.0, "lr_after must be > 0, got 0.0"),
+], ids=["epochs", "lr", "lr-zero", "lr_after"])
+def test_config_refuses_out_of_range_training_settings(field, value, message):
+    # -3 epochs trains nothing and a negative rate climbs the loss; 0 epochs
+    # stays valid, for an untrained model
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TrainConfig(**{field: value})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TrainConfig.from_dict({field: value})
+    assert TrainConfig(epochs=0).epochs == 0
 
 
 @pytest.mark.parametrize("rate", [1.0, -0.5])

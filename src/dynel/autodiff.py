@@ -2,7 +2,9 @@
 
 Every forward operation records its parents and per-parent gradient
 functions on a dynamic graph; ``backward`` walks the graph in reverse
-topological order and accumulates gradients into ``Tensor.grad``.  The op
+topological order and returns the gradients as values: one array per
+parameter (a leaf that requires a gradient) that reaches the loss.  Tensors
+hold no gradient state, so nothing needs clearing between calls.  The op
 set is deliberately minimal: exactly what the linker's scorers, policy
 network and training losses need.  No GPU, no generic dtype support.
 
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,7 +31,6 @@ __all__ = [
     "parameter",
     "no_grad",
     "backward",
-    "zero_grad",
     "add",
     "sub",
     "mul",
@@ -77,18 +78,16 @@ def no_grad():
 
 
 class Tensor:
-    """A dense float64 array plus an optional gradient buffer.
+    """A dense float64 array and, when it needs a gradient, its graph edges.
 
-    ``grad`` is lazily allocated by ``backward`` and accumulates across
-    repeated backward calls until ``zero_grad`` resets it.  It is always
-    dense: row-sparse gather gradients are scattered into it once per call.
+    A tensor stores no gradient: ``backward`` returns the gradients of the
+    parameters, keyed by tensor (identity hashing).
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fns")
+    __slots__ = ("data", "requires_grad", "_parents", "_grad_fns")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
         self._grad_fns: tuple[Callable[[np.ndarray], np.ndarray], ...] = ()
@@ -504,18 +503,20 @@ class DiagonalBilinear:
 # backward pass
 # ---------------------------------------------------------------------------
 
-def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(node) into ``grad`` for every node reaching loss.
+def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
+    """d(loss)/d(p) for every parameter ``p`` that reaches ``loss``.
 
-    Repeated calls without ``zero_grad`` keep accumulating.  Each node's
-    incoming gradients are summed in arrival order, left to right; the
-    row-sparse parts from ``gather_rows`` are scattered so that every row
-    gets the same sums, in the same order, as one dense table per gather.
+    A parameter is a leaf that requires a gradient.  Each returned array is
+    fresh, owned by the caller and shared with no other key; intermediate
+    nodes get none, and a loss that needs no gradient returns ``{}``.  Each
+    node's incoming gradients are summed in arrival order, left to right;
+    the row-sparse parts from ``gather_rows`` are scattered so that every
+    row gets the same sums, in the same order, as one dense table per gather.
     """
     if loss.data.shape != ():
         raise ShapeError("backward expects a scalar loss")
     if not loss.requires_grad:
-        return
+        return {}
 
     # iterative post-order topological sort over grad-requiring nodes
     topo: list[Tensor] = []
@@ -536,23 +537,18 @@ def backward(loss: Tensor) -> None:
 
     # a flowing gradient is a dense array; ``owned`` holds the keys whose
     # array backward allocated itself, the only arrays it adds into in place
-    # (a grad function may return its input, so any other array can be shared
-    # with another node)
+    # or hands out unchanged (a grad function may return its input, so any
+    # other array can be shared with another node)
     flowing: dict[int, np.ndarray] = {id(loss): np.ones(())}
     owned: set[int] = set()
+    grads: dict[Tensor, np.ndarray] = {}
     for node in reversed(topo):
         key = id(node)
         g = flowing.pop(key, None)
         if g is None:
             continue
-        if node.grad is None:
-            if key in owned:
-                node.grad = g
-            else:
-                node.grad = np.zeros_like(node.data)
-                node.grad += g
-        else:
-            node.grad += g
+        if not node._parents:
+            grads[node] = g if key in owned else np.array(g)
         for parent, fn in zip(node._parents, node._grad_fns):
             if not parent.requires_grad:
                 continue
@@ -577,8 +573,4 @@ def backward(loss: Tensor) -> None:
                 # 0-d sums come back as numpy scalars; keep an array to add into
                 flowing[pkey] = np.asarray(acc + contrib)
                 owned.add(pkey)
-
-
-def zero_grad(params: Iterable[Tensor]) -> None:
-    for p in params:
-        p.grad = None
+    return grads

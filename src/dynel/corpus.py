@@ -203,14 +203,15 @@ def _check_corpus(
     what saves loads and what loads saves.  (The records check their types.)
 
     There must be a document.  Word and entity ids fill whitespace-separated
-    columns, so they are non-empty and free of whitespace.  Every vector is
-    finite and at least one value wide.  Document ids are unique; mention
-    ids key ``type_vecs.tsv`` alone, so they are unique across the corpus
-    and free of tabs and line breaks.  Every mention has a non-empty context
-    window.  Every word and entity that a mention, an entity surface, a KG
-    edge or a type vector names has a vector.  A KG neighbour set is
-    non-empty (``kg_edges.tsv`` cannot carry an empty one).  A type vector
-    is keyed by a mention of the corpus and is as wide as the first one.
+    columns, so they are non-empty strings free of whitespace, and an entity
+    surface is a tuple of word ids.  Every vector is finite and at least one
+    value wide.  Document ids are unique; mention ids key ``type_vecs.tsv``
+    alone, so they are unique across the corpus and free of tabs and line
+    breaks.  Every mention has a non-empty context window.  Every word and
+    entity that a mention, an entity surface, a KG edge or a type vector
+    names has a vector.  A KG neighbour set is non-empty (``kg_edges.tsv``
+    cannot carry an empty one).  A type vector is keyed by a mention of the
+    corpus and is as wide as the first one.
 
     ``lines[file][key]`` is the line each record was read from, keyed by
     document index in ``docs.jsonl``; a record not read from a file is named
@@ -235,6 +236,8 @@ def _check_corpus(
     words, entities = store.word_vecs, store.entity_vecs
     for file, kind, table in (("words.vec", "word", words), ("entities.vec", "entity", entities)):
         for key, vec in table.items():
+            if type(key) is not str:
+                fail(file, key, f"{kind} id {key!r} is not a string")
             if key.split() != [key]:
                 fail(file, key, f"{kind} id {key!r} is empty or contains whitespace")
             check_values(file, key, f"{kind} {key!r}", vec)
@@ -264,8 +267,10 @@ def _check_corpus(
             if m.gold not in entities:
                 fail("docs.jsonl", m.id, f"unknown gold entity {m.gold!r}", i)
     for eid, surface in store.entity_surface.items():
-        if eid not in entities:
+        if type(eid) is not str or eid not in entities:
             fail("entity_surfaces.tsv", eid, f"unknown entity {eid!r}")
+        if type(surface) is not tuple or not _STR.issuperset(map(type, surface)):
+            fail("entity_surfaces.tsv", eid, f"surface {surface!r} is not a tuple of strings")
         for w in surface:
             if w not in words:
                 fail("entity_surfaces.tsv", eid, f"unknown word {w!r}")

@@ -26,7 +26,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import Document, EmbeddingStore
 from .local_transformer import TransformerConfig, check_input_caps
-from .model import EncodedMention, ModelParams, build_model, encode_document, save_checkpoint
+from .model import EncodedMention, ModelParams, build_model, encode_document
 from .policy import ActionWindow, LinkingState, advance, select_action
 from .rewards import REWARD_KINDS, EpisodeOutcome, TransitionRewards, reward_trace
 from .selector import candidate_distribution
@@ -330,15 +330,17 @@ class Adam:
         self.v = [np.zeros_like(p.data) for p in self.params]
         self.t = 0
 
-    def step(self, lr: float) -> None:
-        """One update in place.  The operations run in the order of the
+    def step(self, grads: dict[Tensor, np.ndarray], lr: float) -> None:
+        """One update in place from ``grads``, as ``autodiff.backward``
+        returns them; a parameter without a gradient is left as it is, and
+        its moments too.  The operations run in the order of the
         textbook ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
         ``p -= lr*mhat / (sqrt(vhat) + eps)``, so every bit agrees with it."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         c1, c2 = 1 - b1**self.t, 1 - b2**self.t
         for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad
+            g = grads.get(p)
             if g is None:
                 continue
             buf = np.multiply(g, 1 - b1, out=np.empty_like(m))
@@ -355,9 +357,6 @@ class Adam:
             step *= lr
             step /= buf
             p.data -= step
-
-    def zero_grad(self) -> None:
-        ad.zero_grad(self.params)
 
 
 @dataclass
@@ -394,7 +393,6 @@ def train(
     store: EmbeddingStore,
     config: TrainConfig,
     params: ModelParams | None = None,
-    checkpoint_on_divergence: str | None = None,
 ) -> TrainResult:
     """Full training loop; returns the best-validation parameters."""
     if not train_docs:
@@ -429,15 +427,10 @@ def train(
             obj = policy_objective(episodes)
             loss = ad.add(loss, obj * (-config.rl_weight))
             if not np.isfinite(loss.data):
-                if checkpoint_on_divergence:
-                    save_checkpoint(params, checkpoint_on_divergence,
-                                    meta={"diverged_at_epoch": epoch, "doc": doc.id})
                 raise RuntimeError(
                     f"non-finite loss at epoch {epoch}, document {doc.id}"
                 )
-            optimizer.zero_grad()
-            ad.backward(loss)
-            optimizer.step(lr)
+            optimizer.step(ad.backward(loss), lr)
             epoch_loss += float(loss.data)
             epoch_objective += float(obj.data)
 

@@ -130,9 +130,8 @@ def test_criterion_04_reinforce_bandit():
     # our log-prob gradients realise the score function exactly
     t = ad.parameter(theta.copy())
     for a in (0, 1):
-        ad.zero_grad([t])
-        ad.backward(ad.item(ad.log_softmax(t), a))
-        assert np.allclose(t.grad, np.eye(2)[a] - pi, atol=1e-12)
+        grads = ad.backward(ad.item(ad.log_softmax(t), a))
+        assert np.allclose(grads[t], np.eye(2)[a] - pi, atol=1e-12)
 
     rng = np.random.default_rng(0)
     n = 100_000
@@ -155,8 +154,7 @@ def test_criterion_04_reinforce_bandit():
         r = (batch == 0).astype(float)
         batch_means.append(r.mean())
         grad_est = (r[:, None] * (np.eye(2)[batch] - p)).mean(axis=0)
-        theta_t.grad = -grad_est  # descend the negated objective
-        opt.step(0.008)
+        opt.step({theta_t: -grad_est}, 0.008)  # descend the negated objective
     p_final = np.exp(theta_t.data - theta_t.data.max())
     p_final /= p_final.sum()
     assert p_final[0] > exact[0]
@@ -388,11 +386,10 @@ def test_criterion_10_transformer_head_contracts():
     assert abs(float(n3.data.sum()) - 1.0) <= 1e-9
 
     # candidate rows share the position slot: only used rows get gradient
-    ad.zero_grad(params.parameters().values())
-    ad.backward(-ad.log(ad.item(n3, 0)))
+    grads = ad.backward(-ad.log(ad.item(n3, 0)))
     _, layout = build_input(mention, Tensor(store.entities(mention.candidate_ids)),
                             store, params)
-    grad = params.position_embed.grad
+    grad = grads[params.position_embed]
     used = {0, *range(1, 4), *layout.sep_indices, layout.mention_index}
     for row in range(tcfg.max_seq_len):
         if row not in used:
@@ -427,9 +424,7 @@ def test_criterion_10_transformer_head_contracts():
             for m, gi in pairs:
                 out = local_scores_transformer(m, bstore, p, mode="eval")
                 loss = -ad.log(ad.item(out, gi))
-                opt.zero_grad()
-                ad.backward(loss)
-                opt.step(0.02)
+                opt.step(ad.backward(loss), 0.02)
         correct = total = 0
         with ad.no_grad():
             for d in te:

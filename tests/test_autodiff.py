@@ -41,8 +41,7 @@ def test_bilinear_gradient_is_outer_product():
     y = np.array([2.0, 1.0, -3.0])
     b = DiagonalBilinear.ones(3)
     loss = coherence(x, b, y)
-    ad.backward(loss)
-    assert np.allclose(b.diag.grad, x * y)
+    assert np.allclose(ad.backward(loss)[b.diag], x * y)
 
 
 def test_softmax_symmetry():
@@ -96,16 +95,40 @@ def test_softmax_shift_can_round_inputs_to_a_tie():
 
 def test_softmax_gradient_translation_invariance():
     v = ad.parameter(np.array([0.3, -1.2, 0.7]))
-    ad.backward(ad.item(ad.softmax(v), 0))
-    assert abs(v.grad.sum()) <= 1e-12
+    assert abs(ad.backward(ad.item(ad.softmax(v), 0))[v].sum()) <= 1e-12
 
 
-def test_backward_accumulates_across_calls():
+def test_backward_returns_fresh_equal_gradients_on_every_call():
     x = ad.parameter(np.array([2.0]))
     loss = ad.tsum(x * x)
-    ad.backward(loss)
-    ad.backward(loss)
-    assert np.allclose(x.grad, [8.0])  # 2 passes of d(x^2)=4
+    first = ad.backward(loss)
+    second = ad.backward(loss)
+    assert np.array_equal(first[x], [4.0])  # d(x^2)=4, not added up across calls
+    assert np.array_equal(second[x], [4.0])
+    assert first[x] is not second[x]
+
+
+def test_a_loss_that_needs_no_gradient_returns_no_gradients():
+    assert ad.backward(Tensor(1.0)) == {}
+    x = ad.parameter(np.array([1.0, 2.0]))
+    with ad.no_grad():
+        assert ad.backward(ad.tsum(x * x)) == {}
+
+
+def test_a_parameter_loss_gets_its_own_unit_gradient():
+    x = ad.parameter(3.0)
+    assert ad.backward(x) == {x: np.ones(())}
+
+
+def test_the_operands_of_one_add_get_distinct_arrays():
+    # `add` hands one gradient array to both operands
+    a, b = ad.parameter(np.array([1.0, 2.0])), ad.parameter(np.array([3.0, 4.0]))
+    w = Tensor([5.0, 7.0])
+    grads = ad.backward(ad.tsum(ad.mul(ad.add(a, b), w)))
+    assert np.array_equal(grads[a], w.data) and np.array_equal(grads[b], w.data)
+    assert not np.shares_memory(grads[a], grads[b])
+    grads[a] += 1.0
+    assert np.array_equal(grads[b], w.data)
 
 
 def test_backward_requires_scalar():
@@ -119,8 +142,8 @@ def test_no_grad_disables_recording():
     with ad.no_grad():
         y = ad.tsum(x * x)
     assert not y.requires_grad
-    ad.backward(ad.tsum(x))  # separate graph still works
-    assert np.allclose(x.grad, [1.0, 1.0])
+    # separate graph still works
+    assert np.allclose(ad.backward(ad.tsum(x))[x], [1.0, 1.0])
 
 
 def _random_graph_loss(arrs):
@@ -152,12 +175,11 @@ def test_composite_gradients_match_finite_differences(seed):
         return float(_random_graph_loss([a, b, w]).data)
 
     out = _random_graph_loss([a, b, w])
-    ad.zero_grad([a, b, w])
-    ad.backward(out)
+    grads = ad.backward(out)
     for t in (a, b, w):
         fd = oracles.fd_gradient(loss, t.data)
         for i, g_fd in fd.items():
-            assert oracles.rel_err(t.grad.ravel()[i], g_fd) <= 1e-4
+            assert oracles.rel_err(grads[t].ravel()[i], g_fd) <= 1e-4
 
 
 def test_matmul_all_arities():
@@ -167,24 +189,22 @@ def test_matmul_all_arities():
     assert np.allclose(ad.matmul(v, m).data, [-2.0, -2.0])
     assert ad.matmul(v, v).item() == 2.0
     loss = ad.tsum(ad.matmul(m, v)) + ad.matmul(v, v)
-    ad.backward(loss)
+    grads = ad.backward(loss)
     fd = oracles.fd_gradient(lambda: float(
         (ad.tsum(ad.matmul(m, v)) + ad.matmul(v, v)).data), v.data)
     for i, g in fd.items():
-        assert oracles.rel_err(v.grad[i], g) <= 1e-6
+        assert oracles.rel_err(grads[v][i], g) <= 1e-6
 
 
 def test_gather_scatter_accumulates_repeats():
     v = ad.parameter(np.array([1.0, 2.0, 3.0]))
     picked = ad.gather(v, [0, 0, 2])
-    ad.backward(ad.tsum(picked))
-    assert np.allclose(v.grad, [2.0, 0.0, 1.0])
+    assert np.allclose(ad.backward(ad.tsum(picked))[v], [2.0, 0.0, 1.0])
 
 
 def test_max_tie_routes_to_first():
     v = ad.parameter(np.array([5.0, 5.0, 1.0]))
-    ad.backward(ad.tmax(v))
-    assert np.allclose(v.grad, [1.0, 0.0, 0.0])
+    assert np.allclose(ad.backward(ad.tmax(v))[v], [1.0, 0.0, 0.0])
 
 
 # dyadic entries make products and sums exact, so equal scores tie exactly
@@ -230,12 +250,11 @@ def test_pool_gradients_match_finite_differences(rng):
         return ad.tsum(b.pool(queries, rows, top_k=3) * Tensor(mix))
 
     tensors = (b.diag, queries, rows)
-    ad.zero_grad(tensors)
-    ad.backward(loss())
+    grads = ad.backward(loss())
     for t in tensors:
         fd = oracles.fd_gradient(lambda: float(loss().data), t.data)
         for i, g in fd.items():
-            assert oracles.rel_err(t.grad.ravel()[i], g) <= 1e-6
+            assert oracles.rel_err(grads[t].ravel()[i], g) <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -281,14 +300,14 @@ def test_gather_gradients_equal_dense_tables_summed_in_arrival_order(data):
         loss = terms[0]
         for term in terms[1:]:
             loss = ad.add(loss, term)
-        ad.backward(loss)
-        return table.grad, mix.grad
+        grads = ad.backward(loss)
+        return grads[table], grads[mix]
 
     for got, want in zip(grads(ad.gather_rows), grads(dense_gather_rows)):
         assert np.array_equal(got, want)
 
 
-def test_gather_gradients_accumulate_exactly_over_two_backward_calls(rng):
+def test_gather_gradients_are_bit_identical_over_two_backward_calls(rng):
     table = ad.parameter(rng.normal(size=(4, 3)))
     bias = ad.parameter(rng.normal(size=(3, 3)))
     w1, w2 = Tensor(rng.normal(size=(3, 3))), Tensor(rng.normal(size=(2, 3)))
@@ -298,11 +317,13 @@ def test_gather_gradients_accumulate_exactly_over_two_backward_calls(rng):
                            ad.gather_rows(table, [2, 2, 1])), bias)
     loss = ad.add(ad.tsum(ad.mul(picked, w1)),
                   ad.tsum(ad.mul(ad.gather_rows(picked, [1, 1]), w2)))
-    ad.backward(loss)
-    once = {t: t.grad.copy() for t in (table, bias, picked)}
-    ad.backward(loss)
-    for t, g in once.items():
-        assert np.array_equal(t.grad, g + g)
+    first = ad.backward(loss)
+    second = ad.backward(loss)
+    # exactly the parameters: the gathered intermediate `picked` has no entry
+    assert list(first) == list(second) and set(first) == {table, bias}
+    for t in first:
+        assert np.array_equal(first[t], second[t])
+        assert not np.shares_memory(first[t], second[t])
 
 
 def test_gather_rows_with_repeats_matches_finite_differences(rng):
@@ -314,8 +335,8 @@ def test_gather_rows_with_repeats_matches_finite_differences(rng):
         second = ad.gather_rows(table, [3, 0, 3])
         return ad.tsum(first * Tensor(w1)) + ad.tsum(ad.mul(second, second) * Tensor(w2))
 
-    ad.backward(loss())
+    grad = ad.backward(loss())[table]
     fd = oracles.fd_gradient(lambda: float(loss().data), table.data)
-    assert np.all(table.grad[2] == 0.0)  # never gathered
+    assert np.all(grad[2] == 0.0)  # never gathered
     for i, g in fd.items():
-        assert oracles.rel_err(table.grad.ravel()[i], g) <= 1e-6
+        assert oracles.rel_err(grad.ravel()[i], g) <= 1e-6

@@ -329,6 +329,16 @@ def test_type_vec_rows_checked_at_load(tmp_path, row, problem):
                                                            "type vector has a non-finite value"),
     ("type_vecs", {("m0", "e0"): np.array([])}, "type_vecs.tsv record ('m0', 'e0'): type "
                                                 "vector has width 0"),
+    # records whose keys or surfaces are not the strings the files carry back
+    ("word_vecs", {"w0": np.ones(2), 5: np.ones(2)}, "words.vec record 5: word id 5 is not "
+                                                     "a string"),
+    ("entity_vecs", {"e0": np.ones(2), "e1": np.zeros(2), 5: np.ones(2)},
+     "entities.vec record 5: entity id 5 is not a string"),
+    ("entity_surface", {5: ("w0",)}, "entity_surfaces.tsv record 5: unknown entity 5"),
+    ("entity_surface", {"e0": ["w0"]}, "entity_surfaces.tsv record 'e0': surface ['w0'] is "
+                                       "not a tuple of strings"),
+    ("entity_surface", {"e0": (5,)}, "entity_surfaces.tsv record 'e0': surface (5,) is not "
+                                     "a tuple of strings"),
 ])
 def test_save_refuses_what_load_would_reject(tmp_path, field, value, problem):
     docs, store = one_mention_corpus()

@@ -52,8 +52,6 @@ __all__ = [
     "stack",
     "gather",
     "gather_rows",
-    "cols",
-    "hstack",
     "item",
 ]
 
@@ -230,17 +228,21 @@ def sqrt(a: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """``a @ b`` over vectors, matrices, or two stacks of matrices with the
+    same leading shape (one product per stacked pair)."""
     ad, bd = a.data, b.data
     if ad.ndim == 0 or bd.ndim == 0:
-        raise ShapeError("matmul requires 1-d or 2-d operands")
+        raise ShapeError("matmul expects vectors, matrices or stacks of matrices")
+    if max(ad.ndim, bd.ndim) > 2 and ad.shape[:-2] != bd.shape[:-2]:
+        raise ShapeError(f"matmul stacks {ad.shape} @ {bd.shape} differ in leading shape")
     try:
         data = np.matmul(ad, bd)
     except ValueError as err:
         raise ShapeError(f"matmul shapes {ad.shape} @ {bd.shape}") from err
 
-    if ad.ndim == 2 and bd.ndim == 2:
-        ga = lambda g: g @ bd.T
-        gb = lambda g: ad.T @ g
+    if ad.ndim >= 2 and bd.ndim >= 2:
+        ga = lambda g: g @ np.swapaxes(bd, -1, -2)
+        gb = lambda g: np.swapaxes(ad, -1, -2) @ g
     elif ad.ndim == 1 and bd.ndim == 2:
         ga = lambda g: g @ bd.T
         gb = lambda g: np.outer(ad, g)
@@ -253,15 +255,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(data, (a, b), (ga, gb))
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError("transpose expects a matrix")
-    return _result(a.data.T.copy(), (a,), (lambda g: g.T,))
+def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
+    """``a`` with its axes permuted by ``axes``, or reversed when ``axes`` is
+    ``None`` (a matrix's transpose); the gradient takes the inverse
+    permutation."""
+    if a.data.ndim < 2:
+        raise ShapeError("transpose expects a matrix or a stack of matrices")
+    try:
+        data = np.transpose(a.data, axes).copy()
+    except ValueError as err:  # numpy's AxisError is a ValueError
+        raise ShapeError(f"axes {axes} do not permute shape {a.shape}") from err
+    inverse = None if axes is None else np.argsort(np.arange(a.data.ndim)[list(axes)])
+    return _result(data, (a,), (lambda g: np.transpose(g, inverse),))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
+    """``a`` in ``shape``.  The gradient leaves C-ordered: reshaping a
+    permuted view could pass on another memory order, and every reduction
+    downstream (a bias gradient's sum) would then add in another order."""
     orig = a.data.shape
-    return _result(a.data.reshape(shape), (a,), (lambda g: g.reshape(orig),))
+    return _result(a.data.reshape(shape), (a,),
+                   (lambda g: np.ascontiguousarray(g).reshape(orig),))
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +346,13 @@ def log_softmax(a: Tensor) -> Tensor:
 
 
 def row_softmax(a: Tensor) -> Tensor:
-    if a.data.ndim != 2 or a.data.shape[1] == 0:
-        raise ShapeError("row_softmax expects a matrix with nonzero width")
+    """Softmax over the last axis of a matrix or a stack of matrices."""
+    if a.data.ndim < 2 or a.data.shape[-1] == 0:
+        raise ShapeError("row_softmax expects a matrix or stack with nonzero width")
     v = a.data
-    e = np.exp(v - v.max(axis=1, keepdims=True))
-    y = e / e.sum(axis=1, keepdims=True)
-    return _result(y, (a,), (lambda g: y * (g - (g * y).sum(axis=1, keepdims=True)),))
+    e = np.exp(v - v.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
+    return _result(y, (a,), (lambda g: y * (g - (g * y).sum(axis=-1, keepdims=True)),))
 
 
 # ---------------------------------------------------------------------------
@@ -412,32 +427,6 @@ def gather_rows(a: Tensor, idx) -> Tensor:
         raise ShapeError("gather_rows expects a matrix")
     idx = np.asarray(idx, dtype=np.intp)
     return _result(a.data[idx], (a,), (lambda g: _RowPart(idx, g),))
-
-
-def cols(a: Tensor, lo: int, hi: int) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError("cols expects a matrix")
-    ad = a.data
-
-    def back(g):
-        out = np.zeros_like(ad)
-        out[:, lo:hi] = g
-        return out
-
-    return _result(ad[:, lo:hi].copy(), (a,), (back,))
-
-
-def hstack(parts: Sequence[Tensor]) -> Tensor:
-    parts = [as_tensor(p) for p in parts]
-    if not parts or any(p.data.ndim != 2 for p in parts):
-        raise ShapeError("hstack expects matrices")
-    data = np.hstack([p.data for p in parts])
-    offsets = np.cumsum([0] + [p.data.shape[1] for p in parts])
-    grad_fns = []
-    for i in range(len(parts)):
-        lo, hi = offsets[i], offsets[i + 1]
-        grad_fns.append(lambda g, lo=lo, hi=hi: g[:, lo:hi])
-    return _result(data, parts, grad_fns)
 
 
 def item(a: Tensor, i: int) -> Tensor:

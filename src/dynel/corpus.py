@@ -204,14 +204,16 @@ def _check_corpus(
 
     There must be a document.  Word and entity ids fill whitespace-separated
     columns, so they are non-empty strings free of whitespace, and an entity
-    surface is a tuple of word ids.  Every vector is finite and at least one
-    value wide.  Document ids are unique; mention ids key ``type_vecs.tsv``
-    alone, so they are unique across the corpus and free of tabs and line
-    breaks.  Every mention has a non-empty context window.  Every word and
-    entity that a mention, an entity surface, a KG edge or a type vector
-    names has a vector.  A KG neighbour set is non-empty (``kg_edges.tsv``
-    cannot carry an empty one).  A type vector is keyed by a mention of the
-    corpus and is as wide as the first one.
+    surface is a tuple of word ids.  Every vector is a 1-D array of real
+    numbers, finite and at least one value wide.  Document ids are unique;
+    mention ids key ``type_vecs.tsv`` alone, so they are unique across the
+    corpus and free of tabs and line breaks.  Every mention has a non-empty
+    context window.  Every word and entity that a mention, an entity
+    surface, a KG edge or a type vector names has a vector.  A KG neighbour
+    set is a non-empty frozenset of entity ids (``kg_edges.tsv`` cannot
+    carry an empty one).  A type vector is keyed by a (mention id, entity
+    id) pair of strings, its mention is one of the corpus, and it is as
+    wide as the first one.
 
     ``lines[file][key]`` is the line each record was read from, keyed by
     document index in ``docs.jsonl``; a record not read from a file is named
@@ -226,6 +228,8 @@ def _check_corpus(
         return "" if lines is None else f" (first on line {lines['docs.jsonl'][index]})"
 
     def check_values(file: str, key, what: str, vec: np.ndarray) -> None:
+        if type(vec) is not np.ndarray or vec.ndim != 1 or vec.dtype.kind not in "iuf":
+            fail(file, key, f"{what} is not a 1-D array of real numbers")
         if not vec.size:
             fail(file, key, f"{what} has width 0")
         if not np.isfinite(vec).all():
@@ -275,6 +279,9 @@ def _check_corpus(
             if w not in words:
                 fail("entity_surfaces.tsv", eid, f"unknown word {w!r}")
     for src, dsts in store.kg_adjacency.items():
+        if type(dsts) is not frozenset or not _STR.issuperset(map(type, dsts)):
+            fail("kg_edges.tsv", src,
+                 f"entity {src!r} has a neighbour set that is not a frozenset of strings")
         if not dsts:
             fail("kg_edges.tsv", src, f"entity {src!r} has an empty neighbour set")
         for dst in sorted(dsts):
@@ -283,6 +290,8 @@ def _check_corpus(
                     fail("kg_edges.tsv", (src, dst), f"unknown entity {eid!r}")
     width = None
     for key, vec in store.type_vecs.items():
+        if type(key) is not tuple or len(key) != 2 or not _STR.issuperset(map(type, key)):
+            fail("type_vecs.tsv", key, f"key {key!r} is not a (mention id, entity id) pair")
         mid, eid = key
         if mid not in mention_doc:
             fail("type_vecs.tsv", key, f"mention {mid!r} is in no document")

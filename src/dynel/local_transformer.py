@@ -48,6 +48,11 @@ ABLATION_FLAGS = frozenset(
 )
 
 
+# the sizes of a TransformerConfig; each is at least 1
+_SIZES = ("layers", "heads", "head_dim", "model_dim", "ff_dim", "hidden", "max_seq_len",
+          "max_candidates")
+
+
 @dataclass(frozen=True)
 class TransformerConfig:
     layers: int = 4
@@ -59,6 +64,12 @@ class TransformerConfig:
     max_seq_len: int = 512
     max_candidates: int = 8
     drop_rate: float = 0.1
+
+    def __post_init__(self):
+        for size in _SIZES:
+            value = getattr(self, size)
+            if value < 1:
+                raise ValueError(f"transformer {size} must be >= 1, got {value}")
 
 
 @dataclass

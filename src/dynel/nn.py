@@ -1,9 +1,11 @@
 """Feed-forward layers, layer norm, dropout and multi-head self-attention.
 
 All blocks are parameter containers over :mod:`dynel.autodiff` tensors.
-Initialisation follows the house rules: diagonal forms start at ones,
-dense weights are Glorot-uniform, biases and embedding-like vectors are
-configured where they are built.
+Self-attention computes its heads as one ``(heads, rows, head_dim)`` stack:
+one batched ``matmul`` for the scores, one last-axis ``row_softmax`` and one
+batched ``matmul`` with the values.  Initialisation follows the house
+rules: diagonal forms start at ones, dense weights are Glorot-uniform,
+biases and embedding-like vectors are configured where they are built.
 """
 
 from __future__ import annotations
@@ -96,16 +98,13 @@ class LayerNorm:
         return cls(ad.parameter(np.ones(dim)), ad.parameter(np.zeros(dim)))
 
     def apply(self, x: Tensor) -> Tensor:
-        # row-wise normalisation for matrices, whole-vector for vectors
-        axis = x.data.ndim - 1
-        n = x.data.shape[axis]
-        mean = ad.tsum(x, axis=axis) * (1.0 / n)
-        if x.data.ndim == 2:
-            mean = ad.reshape(mean, (-1, 1))
+        """Normalise each row of the matrix ``x``, then scale and shift."""
+        if x.data.ndim != 2:
+            raise ad.ShapeError(f"layer norm expects a matrix, got shape {x.data.shape}")
+        n = x.data.shape[1]
+        mean = ad.reshape(ad.tsum(x, axis=1) * (1.0 / n), (-1, 1))
         centered = ad.sub(x, mean)
-        var = ad.tsum(ad.mul(centered, centered), axis=axis) * (1.0 / n)
-        if x.data.ndim == 2:
-            var = ad.reshape(var, (-1, 1))
+        var = ad.reshape(ad.tsum(ad.mul(centered, centered), axis=1) * (1.0 / n), (-1, 1))
         std = ad.sqrt(var + self.eps)
         normed = ad.div(centered, std)
         return ad.add(ad.mul(normed, self.gain), self.bias)
@@ -144,20 +143,20 @@ class MultiHeadSelfAttention:
         )
 
     def apply(self, x: Tensor) -> Tensor:
+        """Attention over the rows of ``x``, all heads as one
+        ``(heads, rows, head_dim)`` stack."""
         if x.data.ndim != 2 or x.data.shape[0] == 0:
             raise ad.ShapeError("attention expects a non-empty sequence matrix")
-        q = linear(x, self.wq, self.bq)
-        k = linear(x, self.wk, self.bk)
-        v = linear(x, self.wv, self.bv)
-        scale = 1.0 / np.sqrt(self.head_dim)
-        outs = []
-        for h in range(self.heads):
-            lo, hi = h * self.head_dim, (h + 1) * self.head_dim
-            qh, kh, vh = ad.cols(q, lo, hi), ad.cols(k, lo, hi), ad.cols(v, lo, hi)
-            scores = ad.matmul(qh, ad.transpose(kh)) * scale
-            attn = ad.row_softmax(scores)
-            outs.append(ad.matmul(attn, vh))
-        merged = outs[0] if len(outs) == 1 else ad.hstack(outs)
+        rows, inner = x.data.shape[0], self.heads * self.head_dim
+
+        def split(w: Tensor, b: Tensor) -> Tensor:
+            heads = ad.reshape(linear(x, w, b), (rows, self.heads, self.head_dim))
+            return ad.transpose(heads, (1, 0, 2))
+
+        q, k, v = split(self.wq, self.bq), split(self.wk, self.bk), split(self.wv, self.bv)
+        scores = ad.matmul(q, ad.transpose(k, (0, 2, 1))) * (1.0 / np.sqrt(self.head_dim))
+        out = ad.matmul(ad.row_softmax(scores), v)
+        merged = ad.reshape(ad.transpose(out, (1, 0, 2)), (rows, inner))
         return linear(merged, self.wo, self.bo)
 
     def parameters(self) -> list[Tensor]:

@@ -100,6 +100,7 @@ class TrainConfig:
         if self.episodes_per_doc < 1:
             raise ValueError("episodes_per_doc must be >= 1")
         self.transition_rewards()   # refuses a count other than 4
+        self.transformer_config()   # refuses a transformer size below 1
         if not 0.0 <= self.drop_rate < 1.0:
             raise ValueError(f"drop_rate must lie in [0, 1), got {self.drop_rate}")
         for cap in ("policy_top_k", "selector_top_k", "top_words", "fusion_hidden"):

@@ -151,6 +151,25 @@ def policy_distribution(
     return _softmax(logits)
 
 
+def multi_head_attention(
+    x: np.ndarray,                       # (rows, model_dim)
+    weights: list[np.ndarray],           # wq, bq, wk, bk, wv, bv, wo, bo
+    heads: int,
+    head_dim: int,
+) -> np.ndarray:
+    """Self-attention one head at a time, each head on its own column block
+    of the queries, keys and values; the heads' outputs side by side."""
+    wq, bq, wk, bk, wv, bv, wo, bo = weights
+    q, k, v = x @ wq + bq, x @ wk + bk, x @ wv + bv
+    outs = []
+    for h in range(heads):
+        block = slice(h * head_dim, (h + 1) * head_dim)
+        scores = q[:, block] @ k[:, block].T / np.sqrt(head_dim)
+        attn = np.stack([_softmax(row) for row in scores])
+        outs.append(attn @ v[:, block])
+    return np.hstack(outs) @ wo + bo
+
+
 # ---------------------------------------------------------------------------
 # attention pooling (linked-entity / neighborhood / context feature)
 # ---------------------------------------------------------------------------

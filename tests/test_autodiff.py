@@ -196,6 +196,66 @@ def test_matmul_all_arities():
         assert oracles.rel_err(grads[v][i], g) <= 1e-6
 
 
+@pytest.mark.parametrize("axes", [(2, 0, 1), (0, 2, 1), (1, 0, 2), None])
+def test_stacked_matmul_and_axis_permutation_match_finite_differences(axes, rng):
+    a = ad.parameter(rng.normal(size=(3, 2, 4)))
+    b = ad.parameter(rng.normal(size=(3, 4, 5)))
+    product = np.matmul(a.data, b.data)
+    mix = rng.normal(size=np.transpose(product, axes).shape)
+
+    def loss():
+        moved = ad.transpose(ad.matmul(a, b), axes)
+        assert np.array_equal(moved.data, np.transpose(np.matmul(a.data, b.data), axes))
+        return ad.tsum(moved * Tensor(mix))
+
+    grads = ad.backward(loss())
+    for t in (a, b):
+        assert grads[t].shape == t.shape
+        for i, g in oracles.fd_gradient(lambda: float(loss().data), t.data).items():
+            assert oracles.rel_err(grads[t].ravel()[i], g) <= 1e-6
+
+
+@pytest.mark.parametrize("a_shape, b_shape", [((2, 3, 4), (3, 4, 5)), ((2, 3, 4), (4, 5)),
+                                              ((4, 3), (2, 3, 5)), ((2, 3, 4), (4,))])
+def test_matmul_refuses_stacks_of_another_leading_shape(a_shape, b_shape):
+    with pytest.raises(ShapeError):
+        ad.matmul(Tensor(np.ones(a_shape)), Tensor(np.ones(b_shape)))
+
+
+@pytest.mark.parametrize("shape, axes", [((3,), None), ((2, 3), (0, 0)), ((2, 3, 4), (0, 1)),
+                                         ((2, 3, 4), (0, 1, 3))])
+def test_transpose_refuses_what_is_no_axis_permutation(shape, axes):
+    with pytest.raises(ShapeError):
+        ad.transpose(Tensor(np.ones(shape)), axes)
+
+
+def test_row_softmax_of_a_stack_equals_each_slice_exactly(rng):
+    stack = ad.parameter(rng.normal(size=(3, 4, 5)) * 10)
+    mix = rng.normal(size=(3, 4, 5))
+    out = ad.row_softmax(stack)
+    grad = ad.backward(ad.tsum(out * Tensor(mix)))[stack]
+    for h in range(3):
+        part = ad.parameter(stack.data[h].copy())
+        part_out = ad.row_softmax(part)
+        assert np.array_equal(out.data[h], part_out.data)
+        part_grad = ad.backward(ad.tsum(part_out * Tensor(mix[h])))[part]
+        assert np.array_equal(grad[h], part_grad)
+
+
+def test_reshape_passes_on_a_c_ordered_gradient(rng):
+    # the attention's key path: (rows, heads*dim) -> (rows, heads, dim) ->
+    # (heads, rows, dim) -> (heads, dim, rows).  The gradient reaches the
+    # reshape as a permuted view that numpy could reshape to an F-ordered
+    # (rows, heads*dim) view, and a reduction over such a view, like a
+    # bias gradient, sums in another order
+    x = ad.parameter(rng.normal(size=(4, 6)))
+    keys = ad.transpose(ad.transpose(ad.reshape(x, (4, 2, 3)), (1, 0, 2)), (0, 2, 1))
+    mix = rng.normal(size=(2, 3, 4))
+    grad = ad.backward(ad.tsum(keys * Tensor(mix)))[x]
+    assert grad.flags.c_contiguous
+    assert np.array_equal(grad, mix.transpose(2, 0, 1).reshape(4, 6))
+
+
 def test_gather_scatter_accumulates_repeats():
     v = ad.parameter(np.array([1.0, 2.0, 3.0]))
     picked = ad.gather(v, [0, 0, 2])

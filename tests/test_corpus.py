@@ -339,6 +339,18 @@ def test_type_vec_rows_checked_at_load(tmp_path, row, problem):
                                        "not a tuple of strings"),
     ("entity_surface", {"e0": (5,)}, "entity_surfaces.tsv record 'e0': surface (5,) is not "
                                      "a tuple of strings"),
+    # neighbour sets, vectors and type keys of another type than the files carry back
+    ("kg_adjacency", {"e0": frozenset({"e1", 5})}, "kg_edges.tsv record 'e0': entity 'e0' has "
+                                                   "a neighbour set that is not a frozenset of "
+                                                   "strings"),
+    ("kg_adjacency", {"e0": ["e1"]}, "kg_edges.tsv record 'e0': entity 'e0' has a neighbour "
+                                     "set that is not a frozenset of strings"),
+    ("word_vecs", {"w0": [1.0, 1.0]}, "words.vec record 'w0': word 'w0' is not a 1-D array of "
+                                      "real numbers"),
+    ("word_vecs", {"w0": np.ones((2, 4))}, "words.vec record 'w0': word 'w0' is not a 1-D "
+                                           "array of real numbers"),
+    ("type_vecs", {"m0": np.ones(2)}, "type_vecs.tsv record 'm0': key 'm0' is not a "
+                                      "(mention id, entity id) pair"),
 ])
 def test_save_refuses_what_load_would_reject(tmp_path, field, value, problem):
     docs, store = one_mention_corpus()

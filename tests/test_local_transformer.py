@@ -37,6 +37,14 @@ def world(rng):
     return store, params
 
 
+@pytest.mark.parametrize("size", ["layers", "heads", "head_dim", "model_dim", "ff_dim",
+                                  "hidden", "max_seq_len", "max_candidates"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_config_refuses_a_size_below_one(size, value):
+    with pytest.raises(ValueError, match=f"^transformer {size} must be >= 1, got {value}$"):
+        TransformerConfig(**{size: value})
+
+
 def mention(cands=("e0", "e1"), priors=None, before=("w0",), surface=("w1",),
             after=("w2",)):
     priors = priors or [1 / len(cands)] * len(cands)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dynel import autodiff as ad
 from dynel.autodiff import ShapeError, Tensor
@@ -7,6 +9,7 @@ from dynel.nn import (
     EncoderLayer,
     FeedForward,
     LayerNorm,
+    MultiHeadSelfAttention,
     dropout,
 )
 
@@ -112,3 +115,26 @@ def test_layer_norm_normalises_rows(rng):
     out = ln.apply(x).data
     assert np.allclose(out.mean(axis=1), 0.0, atol=1e-9)
     assert np.allclose(out.std(axis=1), 1.0, atol=1e-3)
+
+
+@pytest.mark.parametrize("shape", [(5,), (2, 3, 5)])
+def test_layer_norm_refuses_anything_but_a_matrix(shape):
+    with pytest.raises(ShapeError, match="layer norm expects a matrix"):
+        LayerNorm.build(5).apply(Tensor(np.ones(shape)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.integers(1, 6), heads=st.integers(1, 4), head_dim=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1))
+@example(rows=3, heads=1, head_dim=4, seed=0)
+def test_attention_matches_the_per_head_oracle(rows, heads, head_dim, seed):
+    rng = np.random.default_rng(seed)
+    attn = MultiHeadSelfAttention.build(5, heads, head_dim, rng)
+    for bias in (attn.bq, attn.bk, attn.bv, attn.bo):  # built as zeros
+        bias.data[...] = rng.normal(size=bias.data.shape)
+    x = rng.normal(size=(rows, 5))
+    out = attn.apply(Tensor(x)).data
+    expected = oracles.multi_head_attention(x, [p.data for p in attn.parameters()],
+                                            heads, head_dim)
+    assert out.shape == expected.shape
+    assert np.abs(out - expected).max() <= 1e-12

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynel import autodiff as ad
 from dynel.autodiff import Tensor
@@ -387,6 +389,41 @@ def test_load_checkpoint_refuses_another_model(field, tmp_path):
     assert all(np.array_equal(a, before[k]) for k, a in target.snapshot().items())
 
 
+_JSON_LEAVES = (st.none() | st.booleans() | st.integers(-10**6, 10**6)
+                | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=8))
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_checkpoint_round_trip_is_byte_exact(tmp_path_factory, data):
+    _, store = unambiguous_world(num_docs=1)
+    sizes = {"fusion_hidden": data.draw(st.integers(1, 6), label="fusion_hidden")}
+    if data.draw(st.booleans(), label="transformer"):
+        sizes.update(
+            local_model="transformer", model_dim=store.dim,
+            encoder_layers=data.draw(st.integers(1, 2), label="encoder_layers"),
+            attention_heads=data.draw(st.integers(1, 3), label="attention_heads"),
+            head_dim=data.draw(st.integers(1, 4), label="head_dim"),
+            encoder_ff_dim=data.draw(st.integers(1, 6), label="encoder_ff_dim"),
+            head_hidden=data.draw(st.integers(1, 5), label="head_hidden"))
+    cfg = TrainConfig(**sizes)
+    meta = data.draw(st.dictionaries(st.text(max_size=6), _JSON_LEAVES, max_size=4),
+                     label="meta")
+    params = cfg.build_model(store, np.random.default_rng(0))
+    noise = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="noise seed"))
+    for t in params.parameters():
+        t.data += noise.normal(size=t.data.shape)
+    path = str(tmp_path_factory.mktemp("ckpt") / "model.npz")
+    save_checkpoint(params, path, meta=meta)
+    fresh = cfg.build_model(store, np.random.default_rng(1))
+    assert load_checkpoint(fresh, path) == meta
+    loaded = fresh.snapshot()
+    assert loaded.keys() == params.snapshot().keys()
+    for name, array in params.snapshot().items():
+        assert (loaded[name].dtype, loaded[name].shape) == (array.dtype, array.shape)
+        assert loaded[name].tobytes() == array.tobytes()
+
+
 def _small_transformer(store, seed=1):
     return TrainConfig(local_model="transformer", encoder_layers=1, attention_heads=2,
                        head_dim=4, model_dim=store.dim, encoder_ff_dim=8,
@@ -580,6 +617,21 @@ def test_config_rejects_a_pool_cap_below_one(cap):
     with pytest.raises(ValueError, match=f"{cap} must be >= 1"):
         TrainConfig(**{cap: 0})
     assert getattr(TrainConfig(**{cap: 1}), cap) == 1
+
+
+@pytest.mark.parametrize("field, size", [
+    ("encoder_layers", "layers"), ("attention_heads", "heads"), ("head_dim", "head_dim"),
+    ("model_dim", "model_dim"), ("encoder_ff_dim", "ff_dim"), ("head_hidden", "hidden"),
+    ("max_seq_len", "max_seq_len"), ("max_candidates", "max_candidates"),
+])
+def test_config_refuses_a_transformer_size_below_one(field, size):
+    # attention_heads=0 trained with no attention at all, head_hidden=0 to
+    # validation accuracy 0.0, and attention_heads=-1 died inside numpy
+    message = f"transformer {size} must be >= 1, got 0"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TrainConfig(local_model="transformer", **{field: 0})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TrainConfig.from_dict({"local_model": "transformer", field: 0})
 
 
 @pytest.mark.parametrize("field, value, message", [

@@ -282,15 +282,15 @@ def reshape(a: Tensor, shape) -> Tensor:
 # reductions
 # ---------------------------------------------------------------------------
 
-def tsum(a: Tensor, axis: int | None = None) -> Tensor:
+def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     ad = a.data
     if axis is None:
         return _result(ad.sum(), (a,), (lambda g: np.broadcast_to(g, ad.shape).copy(),))
 
     def back(g):
-        return np.broadcast_to(np.expand_dims(g, axis), ad.shape).copy()
+        return np.broadcast_to(g if keepdims else np.expand_dims(g, axis), ad.shape).copy()
 
-    return _result(ad.sum(axis=axis), (a,), (back,))
+    return _result(ad.sum(axis=axis, keepdims=keepdims), (a,), (back,))
 
 
 def tmax(a: Tensor, axis: int | None = None) -> Tensor:
@@ -345,13 +345,28 @@ def log_softmax(a: Tensor) -> Tensor:
     return _result(y, (a,), (lambda g: g - sm * g.sum(),))
 
 
-def row_softmax(a: Tensor) -> Tensor:
-    """Softmax over the last axis of a matrix or a stack of matrices."""
+def row_softmax(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    """Softmax over the last axis of a matrix or a stack of matrices.
+
+    With a boolean ``mask`` of ``a``'s shape, each line is a softmax over
+    its unmasked entries alone: masked entries come out exactly 0, and a
+    line with nothing unmasked is all zeros.  Where a line is wholly
+    unmasked it is bit-identical to the unmasked softmax.
+    """
     if a.data.ndim < 2 or a.data.shape[-1] == 0:
         raise ShapeError("row_softmax expects a matrix or stack with nonzero width")
     v = a.data
-    e = np.exp(v - v.max(axis=-1, keepdims=True))
-    y = e / e.sum(axis=-1, keepdims=True)
+    if mask is None:
+        e = np.exp(v - v.max(axis=-1, keepdims=True))
+        y = e / e.sum(axis=-1, keepdims=True)
+    else:
+        if mask.shape != v.shape:
+            raise ShapeError(f"mask of shape {mask.shape} for softmax input {v.shape}")
+        top = np.max(v, axis=-1, keepdims=True, where=mask, initial=-np.inf)
+        e = np.exp(v - top, where=mask, out=np.zeros_like(v))
+        total = e.sum(axis=-1, keepdims=True)
+        # != 0 rather than > 0, so that a NaN line stays NaN
+        y = np.divide(e, total, where=total != 0, out=np.zeros_like(v))
     return _result(y, (a,), (lambda g: y * (g - (g * y).sum(axis=-1, keepdims=True)),))
 
 
@@ -374,15 +389,20 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
 
 
 def stack(rows: Sequence[Tensor]) -> Tensor:
+    """Equally shaped tensors (vectors or more) along a new first axis."""
     rows = [as_tensor(r) for r in rows]
-    if not rows or any(r.data.ndim != 1 for r in rows):
-        raise ShapeError("stack expects a non-empty list of vectors")
-    data = np.stack([r.data for r in rows])
+    try:
+        data = np.stack([r.data for r in rows])
+    except ValueError as err:   # no rows, or rows of another shape
+        raise ShapeError("stack expects a non-empty list of equally shaped tensors") from err
+    if data.ndim < 2:
+        raise ShapeError("stack expects vectors or larger")
     grad_fns = [lambda g, i=i: g[i] for i in range(len(rows))]
     return _result(data, rows, grad_fns)
 
 
 def gather(a: Tensor, idx) -> Tensor:
+    """Entries ``idx`` of a vector, in the shape of ``idx``."""
     if a.data.ndim != 1:
         raise ShapeError("gather expects a vector")
     idx = np.asarray(idx, dtype=np.intp)
@@ -454,6 +474,9 @@ class DiagonalBilinear:
     2017): the context feature pools context words against the candidates,
     the selector pools linked entities and KG neighbours against them, and
     the policy pools the linked-pair history against the window's actions.
+    A stack of query matrices pools once per matrix, each over the rows its
+    line of a visibility mask lets it see: a training episode's steps in one
+    call, with the causal prefix mask of Vaswani et al. 2017.
     """
 
     diag: Tensor
@@ -467,25 +490,53 @@ class DiagonalBilinear:
         return self.diag.data.size
 
     def scores(self, rows: Tensor, vec: Tensor) -> Tensor:
-        """``rows @ (diag * vec)``: one score per row."""
-        return matmul(rows, mul(self.diag, vec))
+        """``rows @ (diag * vec)``: one score per row.  A stack of row
+        matrices takes one vector per matrix, as the lines of ``vec``."""
+        weighted = mul(self.diag, vec)
+        if rows.data.ndim == 2:
+            return matmul(rows, weighted)
+        columns = matmul(rows, reshape(weighted, weighted.shape + (1,)))
+        return reshape(columns, rows.shape[:-1])
 
     def match(self, queries: Tensor, rows: Tensor) -> Tensor:
-        """Each row's best score against any query row."""
-        return tmax(matmul(queries, transpose(mul(rows, self.diag))), axis=0)
+        """Each row's best score against any query row; a stack of query
+        matrices gives one line of scores per matrix."""
+        keyed = transpose(mul(rows, self.diag))
+        if queries.data.ndim == 2:
+            return tmax(matmul(queries, keyed), axis=0)
+        flat = matmul(reshape(queries, (-1, queries.shape[-1])), keyed)
+        return tmax(reshape(flat, queries.shape[:-1] + (rows.shape[0],)), axis=-2)
 
-    def pool(self, queries: Tensor, rows: Tensor, top_k: int) -> Tensor:
+    def pool(self, queries: Tensor, rows: Tensor, top_k: int,
+             visible: np.ndarray | None = None) -> Tensor:
         """Softmax-weighted sum of the ``top_k`` best-matching rows.
 
-        The kept rows stay in their original order; ties in the match score
-        keep the earlier row.
+        Ties in the match score keep the earlier row.  ``visible`` goes with
+        a stack of query matrices: one boolean line per matrix, one entry
+        per row.  Each matrix then pools only its visible rows, and one that
+        sees none pools to zeros.  Without it every row is visible and the
+        kept rows are gathered in their original order.
         """
         scores = self.match(queries, rows)
+        if visible is not None:
+            return matmul(row_softmax(scores, _top_k_visible(scores.data, visible, top_k)),
+                          rows)
         if rows.data.shape[0] > top_k:
             keep = np.sort(np.argsort(-scores.data, kind="stable")[:top_k])
             scores = gather(scores, keep)
             rows = gather_rows(rows, keep)
         return matmul(softmax(scores), rows)
+
+
+def _top_k_visible(scores: np.ndarray, visible: np.ndarray, top_k: int) -> np.ndarray:
+    """Per line, the ``top_k`` best-scoring visible entries; the stable sort
+    keeps the earlier of tied entries, and hidden entries sort last."""
+    if visible.shape != scores.shape:
+        raise ShapeError(f"visibility mask of shape {visible.shape} for scores {scores.shape}")
+    order = np.argsort(np.where(visible, -scores, np.inf), axis=-1, kind="stable")
+    keep = np.zeros(scores.shape, dtype=bool)
+    np.put_along_axis(keep, order[..., :top_k], True, axis=-1)
+    return keep & visible
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,11 @@ class Document:
             )
 
 
+def _is_real_vector(vec) -> bool:
+    """A 1-D numpy array of real numbers, the form of every stored vector."""
+    return type(vec) is np.ndarray and vec.ndim == 1 and vec.dtype.kind in "iuf"
+
+
 @dataclass
 class EmbeddingStore:
     """Frozen word/entity vectors plus KG adjacency and optional type vectors."""
@@ -138,8 +143,14 @@ class EmbeddingStore:
     type_vecs: dict[tuple[str, str], np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        dims = {v.size for v in self.word_vecs.values()}
-        dims |= {v.size for v in self.entity_vecs.values()}
+        dims = set()
+        for what, table in (("word", self.word_vecs), ("entity", self.entity_vecs),
+                            ("type", self.type_vecs)):
+            for key, vec in table.items():
+                if not _is_real_vector(vec):
+                    raise CorpusError(f"{what} vector {key!r} is not a 1-D array of real numbers")
+                if what != "type":
+                    dims.add(vec.size)
         if len(dims) > 1:
             raise CorpusError(f"mixed embedding dimensions: {sorted(dims)}")
         if not dims:
@@ -228,7 +239,7 @@ def _check_corpus(
         return "" if lines is None else f" (first on line {lines['docs.jsonl'][index]})"
 
     def check_values(file: str, key, what: str, vec: np.ndarray) -> None:
-        if type(vec) is not np.ndarray or vec.ndim != 1 or vec.dtype.kind not in "iuf":
+        if not _is_real_vector(vec):
             fail(file, key, f"{what} is not a 1-D array of real numbers")
         if not vec.size:
             fail(file, key, f"{what} has width 0")

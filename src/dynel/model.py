@@ -27,6 +27,7 @@ from .policy import PolicyParams, action_representation
 from .selector import SelectorParams
 
 __all__ = [
+    "LOCAL_MODELS",
     "ModelParams",
     "EncodedMention",
     "build_model",
@@ -35,6 +36,7 @@ __all__ = [
     "load_checkpoint",
 ]
 
+LOCAL_MODELS = ("attn", "transformer")
 CHECKPOINT_VERSION = 1
 # header fields a checkpoint must share with the model it is loaded into
 _MODEL_KEYS = ("local_model", "dim", "vocab_sha256")
@@ -103,7 +105,7 @@ def build_model(
     fusion: str = "ffn",
     transformer_config: TransformerConfig | None = None,
 ) -> ModelParams:
-    if local_model not in ("attn", "transformer"):
+    if local_model not in LOCAL_MODELS:
         raise ValueError(f"unknown local model {local_model!r}")
     dim = store.dim
     transformer = None

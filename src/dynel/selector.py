@@ -6,11 +6,18 @@ with the KG neighborhood of the linked entities, and the local score.
 Features can be individually disabled, optionally z-normalised across the
 candidate set, and are fused either by a small feed-forward network or by
 a plain sum (handy for analytic oracles).
+
+Greedy linking scores one mention per step against its predicted history.
+A training episode's history is teacher-forced to gold, so once the policy
+has chosen the order every step's distribution is fixed: the episode is
+scored in one call, each step masked to the golds linked before it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -26,12 +33,14 @@ if TYPE_CHECKING:
 __all__ = [
     "SelectorParams",
     "FEATURE_NAMES",
+    "FUSION_MODES",
     "linked_context_feature",
     "neighborhood_scores",
     "candidate_distribution",
 ]
 
 FEATURE_NAMES = ("coherence", "prior", "type", "neighborhood", "local")
+FUSION_MODES = ("ffn", "sum")
 
 
 @dataclass
@@ -59,12 +68,9 @@ class SelectorParams:
             raise ValueError(f"unknown selector features: {sorted(unknown)}")
         if not features:
             raise ValueError("at least one selector feature is required")
-        if fusion == "ffn":
-            net = FeedForward.build([len(features), hidden, 1], rng)
-        elif fusion == "sum":
-            net = None
-        else:
+        if fusion not in FUSION_MODES:
             raise ValueError(f"unknown fusion mode {fusion!r}")
+        net = FeedForward.build([len(features), hidden, 1], rng) if fusion == "ffn" else None
         return cls(
             DiagonalBilinear.ones(dim),
             DiagonalBilinear.ones(dim),
@@ -90,12 +96,18 @@ def linked_context_feature(
     linked_ids: tuple[str, ...],
     store: EmbeddingStore,
     params: SelectorParams,
+    seen: np.ndarray | None = None,
 ) -> Tensor:
-    """Pooled vector of previously linked entities; zeros when none exist."""
+    """Pooled vector of previously linked entities; zeros when none exist.
+
+    ``seen`` goes with a stack of candidate matrices: matrix i pools only
+    the first ``seen[i]`` linked entities, into line i of the result.
+    """
     if not linked_ids:
-        return Tensor(np.zeros(store.dim))
+        return Tensor(np.zeros(cand_mat.shape[:-2] + (store.dim,)))
     linked = Tensor(store.entities(linked_ids))
-    return params.linked_coherence.pool(cand_mat, linked, params.top_entities)
+    visible = None if seen is None else np.arange(len(linked_ids)) < seen[:, None]
+    return params.linked_coherence.pool(cand_mat, linked, params.top_entities, visible)
 
 
 def neighborhood_scores(
@@ -103,55 +115,119 @@ def neighborhood_scores(
     linked_ids: tuple[str, ...],
     store: EmbeddingStore,
     params: SelectorParams,
+    seen: np.ndarray | None = None,
 ) -> Tensor:
-    """Coherence with the union of KG neighbors of the linked entities."""
-    n = cand_mat.data.shape[0]
-    neighbor_ids = sorted(set().union(*[store.neighbors(e) for e in linked_ids], set()))
-    if not neighbor_ids:
-        return Tensor(np.zeros(n))
+    """Coherence with the union of KG neighbors of the linked entities.
+
+    ``seen`` goes with a stack of candidate matrices: matrix i pools only
+    the neighbours that the first ``seen[i]`` linked entities bring in.
+    """
+    first: dict[str, int] = {}   # each neighbour's first linked entity
+    for i, entity in enumerate(linked_ids):
+        for neighbor in store.neighbors(entity):
+            first.setdefault(neighbor, i)
+    if not first:
+        return Tensor(np.zeros(cand_mat.shape[:-1]))
+    neighbor_ids = sorted(first)
+    visible = None if seen is None else (
+        np.array([first[e] for e in neighbor_ids]) < seen[:, None])
     bilinear = params.neighborhood_coherence
-    pooled = bilinear.pool(cand_mat, Tensor(store.entities(neighbor_ids)), params.top_entities)
+    pooled = bilinear.pool(cand_mat, Tensor(store.entities(neighbor_ids)),
+                           params.top_entities, visible)
     return bilinear.scores(cand_mat, pooled)
 
 
-def _znorm_columns(mat: Tensor) -> Tensor:
-    n = mat.data.shape[0]
-    mean = ad.tsum(mat, axis=0) * (1.0 / n)
+def _znorm_columns(mat: Tensor, valid: np.ndarray | None) -> Tensor:
+    """Each feature standardised over the candidates (axis -2); padded
+    candidates (``valid`` False) take no part and come out 0."""
+    if valid is None:
+        inv = 1.0 / mat.shape[-2]
+    else:
+        mask = Tensor(valid[..., None])
+        mat = ad.mul(mat, mask)
+        inv = Tensor(1.0 / valid.sum(axis=-1)[:, None, None])
+    mean = ad.tsum(mat, axis=-2, keepdims=True) * inv
     centered = ad.sub(mat, mean)
-    var = ad.tsum(ad.mul(centered, centered), axis=0) * (1.0 / n)
+    if valid is not None:
+        centered = ad.mul(centered, mask)
+    var = ad.tsum(ad.mul(centered, centered), axis=-2, keepdims=True) * inv
     return ad.div(centered, ad.sqrt(var + 1e-12))
 
 
+def _padded(records: Sequence[EncodedMention]):
+    """The records' candidates stacked and padded to the widest set.
+
+    A padded candidate repeats its record's first one, so each matrix's best
+    match against any pooled row is still one of its own candidates.
+    Returns the candidate stack, a function from a record field to that
+    column stacked the same way, and the mask of real candidates.
+    """
+    widths = np.array([r.candidates.shape[0] for r in records])
+    slots = np.arange(widths.max())
+    valid = slots < widths[:, None]
+    at = (np.cumsum(widths) - widths)[:, None] + np.where(valid, slots, 0)
+    cand = Tensor(np.concatenate([r.candidates.data for r in records])[at])
+
+    def column(field: str) -> Tensor:
+        return ad.gather(ad.concat([getattr(r, field) for r in records]), at)
+
+    return cand, column, valid
+
+
+_COLUMNS = {"prior": "priors", "type": "types", "local": "local"}
+
+
 def candidate_distribution(
-    record: EncodedMention,
+    records: EncodedMention | Sequence[EncodedMention],
     linked_ids: tuple[str, ...],
     store: EmbeddingStore,
     params: SelectorParams,
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Probability over the record's candidates, in candidate order."""
-    cand_mat = record.candidates
-    n = cand_mat.data.shape[0]
+    """Probability over a record's candidates, in candidate order.
+
+    One record sees every entity of ``linked_ids`` and gets a vector, with
+    no mask and no padding: greedy linking calls it at every step.
+
+    A sequence of records gets one line per record.  Line i is scored with
+    the history a rollout had when it linked record i: the last line sees
+    every entity of ``linked_ids``, each line before it one entity fewer.
+    A training episode passes its records in the order the policy chose and
+    the gold entities of every step but the last, so step t sees the golds
+    of steps 0..t-1, all steps in one graph.  Lines are padded to the widest
+    candidate set, and a padded candidate gets probability exactly 0.
+    """
+    if isinstance(records, Sequence):
+        steps = len(records)
+        if not steps or len(linked_ids) < steps - 1:
+            raise ValueError(f"{steps} records need at least {steps - 1} linked "
+                             f"entities, got {len(linked_ids)}")
+        cand, column, valid = _padded(records)
+        seen = np.arange(steps) + (len(linked_ids) - steps + 1)
+    else:
+        cand, column, valid, seen = records.candidates, partial(getattr, records), None, None
+
     columns: list[Tensor] = []
     for name in params.features:
         if name == "coherence":
-            pooled = linked_context_feature(cand_mat, linked_ids, store, params)
-            columns.append(params.linked_coherence.scores(cand_mat, pooled))
-        elif name == "prior":
-            columns.append(record.priors)
-        elif name == "type":
-            columns.append(record.types)
+            pooled = linked_context_feature(cand, linked_ids, store, params, seen)
+            columns.append(params.linked_coherence.scores(cand, pooled))
         elif name == "neighborhood":
-            columns.append(neighborhood_scores(cand_mat, linked_ids, store, params))
-        elif name == "local":
-            columns.append(record.local)
+            columns.append(neighborhood_scores(cand, linked_ids, store, params, seen))
+        else:
+            columns.append(column(_COLUMNS[name]))
 
-    feats = ad.transpose(ad.stack(columns))
+    # features last: (candidates, features), or (steps, candidates, features)
+    feats = ad.transpose(ad.stack(columns), None if valid is None else (1, 2, 0))
     if params.feature_norm:
-        feats = _znorm_columns(feats)
+        feats = _znorm_columns(feats, valid)
     if params.fusion is None:
-        logits = ad.tsum(feats, axis=1)
+        logits = ad.tsum(feats, axis=-1)
     else:
-        logits = ad.reshape(params.fusion.apply(feats, training=training, rng=rng), (n,))
-    return ad.softmax(logits)
+        rows = feats if valid is None else ad.reshape(feats, (-1, feats.shape[-1]))
+        logits = ad.reshape(params.fusion.apply(rows, training=training, rng=rng),
+                            feats.shape[:-1])
+    if valid is None:
+        return ad.softmax(logits)
+    return ad.row_softmax(logits, valid)

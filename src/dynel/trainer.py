@@ -2,9 +2,10 @@
 
 One sampled rollout produces everything an update needs.  During training
 the history and linked-entity list are teacher-forced to gold while the
-correctness flags record what the selector would actually have picked;
-during evaluation predicted entities populate the history and action
-selection is greedy.  The combined update descends
+correctness flags record what the selector would actually have picked; the
+policy runs step by step, and once it has chosen the order one selector
+call scores every step.  During evaluation predicted entities populate the
+history and action selection is greedy.  The combined update descends
 
     margin  -  rl_weight * mean_episodes( sum_t R(t) * log pi(a_t) )
 
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
@@ -26,10 +26,10 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import Document, EmbeddingStore
 from .local_transformer import TransformerConfig, check_input_caps
-from .model import EncodedMention, ModelParams, build_model, encode_document
+from .model import LOCAL_MODELS, EncodedMention, ModelParams, build_model, encode_document
 from .policy import ActionWindow, LinkingState, advance, select_action
 from .rewards import REWARD_KINDS, EpisodeOutcome, TransitionRewards, reward_trace
-from .selector import candidate_distribution
+from .selector import FEATURE_NAMES, FUSION_MODES, candidate_distribution
 
 __all__ = [
     "TrainConfig",
@@ -41,8 +41,6 @@ __all__ = [
     "train",
     "TrainResult",
 ]
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -65,7 +63,7 @@ class TrainConfig:
     seed: int = 0
     episodes_per_doc: int = 2
     local_model: str = "attn"          # attn | transformer
-    features: tuple[str, ...] = ("coherence", "prior", "type", "neighborhood", "local")
+    features: tuple[str, ...] = FEATURE_NAMES
     feature_norm: bool = True
     fusion: str = "ffn"
     fusion_hidden: int = 32
@@ -99,6 +97,15 @@ class TrainConfig:
             raise ValueError(f"reward must be one of {REWARD_KINDS}")
         if self.episodes_per_doc < 1:
             raise ValueError("episodes_per_doc must be >= 1")
+        # what build_model refuses, refused before any corpus is read
+        if self.local_model not in LOCAL_MODELS:
+            raise ValueError(f"local_model must be one of {LOCAL_MODELS}, "
+                             f"got {self.local_model!r}")
+        if self.fusion not in FUSION_MODES:
+            raise ValueError(f"fusion must be one of {FUSION_MODES}, got {self.fusion!r}")
+        if not self.features or not set(self.features) <= set(FEATURE_NAMES):
+            raise ValueError(f"features must be a non-empty subset of {FEATURE_NAMES}, "
+                             f"got {list(self.features)}")
         self.transition_rewards()   # refuses a count other than 4
         self.transformer_config()   # refuses a transformer size below 1
         if not 0.0 <= self.drop_rate < 1.0:
@@ -212,7 +219,8 @@ def rollout(
     in which case the policy distribution is still evaluated and the forced
     action's log-probability recorded (the order must then respect the
     window discipline).  Train mode samples actions and teacher-forces gold
-    entities into the history; eval mode is greedy with predicted history.
+    entities into the history, then scores every step's candidates in one
+    selector graph; eval mode is greedy with predicted history.
     ``encoded`` reuses an ``encode_document`` pass made in the same mode.
     """
     if mode not in ("train", "eval"):
@@ -234,11 +242,9 @@ def rollout(
 
     chosen_order: list[int] = []
     log_probs: list[Tensor] = []
-    flags: list[bool] = []
     predicted: list[str] = []
     predicted_prob: list[float] = []
     history_entities: list[str] = []
-    margin_terms: list[Tensor] = []
 
     for step in range(n_mentions):
         if order is not None and not score_order:
@@ -251,36 +257,36 @@ def rollout(
             )
             log_probs.append(logp)
         record = encoded[pos]
-        mention = record.mention
         chosen_order.append(pos)
-
-        probs = candidate_distribution(record, tuple(history_entities), store,
-                                       params.selector, training=training, rng=rng)
-        pick = int(np.argmax(probs.data))
-        pick_id = mention.candidates[pick].entity_id
-        predicted.append(pick_id)
-        predicted_prob.append(float(probs.data[pick]))
-        flags.append(pick_id == mention.gold)
-
         if training:
-            if record.gold_index is None:
-                log.debug("mention %s: gold %r not in candidates; margin term skipped",
-                          mention.id, mention.gold)
-            else:
-                gold_prob = ad.item(probs, record.gold_index)
-                hinge = ad.relu(probs - gold_prob + config.margin)
-                margin_terms.append(ad.tsum(hinge))
-
-        linked_id = mention.gold if training else pick_id
-        if training:
-            assert linked_id == mention.gold  # teacher forcing invariant
+            linked_id = record.mention.gold   # teacher forcing
+        else:
+            probs = candidate_distribution(record, tuple(history_entities), store,
+                                           params.selector).data
+            pick = int(np.argmax(probs))
+            linked_id = record.mention.candidates[pick].entity_id
+            predicted.append(linked_id)
+            predicted_prob.append(float(probs[pick]))
         history_entities.append(linked_id)
         # bypassed orders skip the policy state and its window discipline
         if order is None or score_order:
             pair = ad.concat([record.context, Tensor(store.entity(linked_id))])
             state, window = advance(state, window, pos, pair)
 
-    outcome = EpisodeOutcome(tuple(flags), gamma=config.gamma)
+    margin, margin_terms = None, 0
+    if training:
+        # every step's distribution in one graph: step t sees the golds before it
+        records = [encoded[pos] for pos in chosen_order]
+        probs = candidate_distribution(records, tuple(history_entities[:-1]), store,
+                                       params.selector, training=True, rng=rng)
+        for record, line in zip(records, probs.data):
+            pick = int(np.argmax(line[:len(record.mention.candidates)]))
+            predicted.append(record.mention.candidates[pick].entity_id)
+            predicted_prob.append(float(line[pick]))
+        margin, margin_terms = _margin(probs, records, config.margin)
+
+    flags = tuple(p == encoded[pos].mention.gold for p, pos in zip(predicted, chosen_order))
+    outcome = EpisodeOutcome(flags, gamma=config.gamma)
     rewards = reward_trace(
         config.reward, outcome,
         lam=config.transition_rewards(),
@@ -291,14 +297,33 @@ def rollout(
         doc_id=doc.id,
         order=tuple(chosen_order),
         log_probs=log_probs,
-        flags=tuple(flags),
+        flags=flags,
         predicted=tuple(predicted),
         predicted_prob=tuple(predicted_prob),
         history_entities=tuple(history_entities),
         rewards=rewards,
-        margin=_chain_sum(margin_terms) if margin_terms else None,
-        margin_terms=len(margin_terms),
+        margin=margin,
+        margin_terms=margin_terms,
     )
+
+
+def _margin(probs: Tensor, records: Sequence[EncodedMention],
+            margin: float) -> tuple[Tensor | None, int]:
+    """The hinge loss ``sum relu(p - p_gold + margin)`` over every step's
+    real candidates, and the number of steps it charges.  A step whose gold
+    is not among its candidates is left out, and so is padding."""
+    charged = np.zeros(probs.shape, dtype=bool)
+    gold = np.zeros(probs.shape)
+    for t, record in enumerate(records):
+        if record.gold_index is not None:
+            charged[t, :len(record.mention.candidates)] = True
+            gold[t, record.gold_index] = 1.0
+    steps = int(charged.any(axis=1).sum())
+    if not steps:
+        return None, 0
+    gold_prob = ad.tsum(ad.mul(probs, Tensor(gold)), axis=1, keepdims=True)
+    hinge = ad.relu(ad.sub(probs, gold_prob) + margin)
+    return ad.tsum(ad.mul(hinge, Tensor(charged))), steps
 
 
 def _chain_sum(terms: Sequence[Tensor]) -> Tensor:
@@ -415,6 +440,7 @@ def train(
         doc_order = data_rng.permutation(len(train_docs))
         epoch_loss = 0.0
         epoch_objective = 0.0
+        skipped_margin_terms = 0   # steps whose gold is not among the candidates
         for di in doc_order:
             doc = train_docs[int(di)]
             encoded = encode_document(doc, store, params, "train", data_rng)
@@ -423,6 +449,7 @@ def train(
                         encoded=encoded)
                 for _ in range(config.episodes_per_doc)
             ]
+            skipped_margin_terms += sum(len(ep.order) - ep.margin_terms for ep in episodes)
             margins = [ep.margin for ep in episodes if ep.margin is not None]
             loss = _chain_sum(margins) * (1.0 / len(margins)) if margins else Tensor(0.0)
             obj = policy_objective(episodes)
@@ -449,6 +476,7 @@ def train(
                 "train_loss": epoch_loss / len(train_docs),
                 "ordering_objective": epoch_objective / len(train_docs),
                 "ordering_objective_abs": abs(epoch_objective) / len(train_docs),
+                "skipped_margin_terms": skipped_margin_terms,
                 "val_accuracy": val_acc,
                 "lr": lr,
                 "seed": config.seed,

@@ -290,6 +290,68 @@ def test_pool_matches_the_straightline_oracle(data):
     assert np.abs(got.data - expected).max() <= 1e-12
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_masked_pool_lines_match_the_oracle_over_their_visible_prefix(data):
+    dim = data.draw(st.integers(1, 3))
+    top_k = data.draw(st.integers(1, 4))
+    n_rows = data.draw(st.integers(1, top_k + 3))
+    lines = data.draw(st.integers(1, 4))
+    n_queries = data.draw(st.integers(1, 3))
+
+    def matrix(n):
+        return np.array(data.draw(st.lists(st.lists(dyadic, min_size=dim, max_size=dim),
+                                           min_size=n, max_size=n)))
+
+    queries = np.stack([matrix(n_queries) for _ in range(lines)])
+    rows, diag = matrix(n_rows), matrix(1)[0]
+    # prefixes from nothing visible to all rows: below, at and above top_k
+    seen = np.array(data.draw(st.lists(st.integers(0, n_rows), min_size=lines,
+                                       max_size=lines)))
+    visible = np.arange(n_rows) < seen[:, None]
+    got = DiagonalBilinear(ad.parameter(diag)).pool(Tensor(queries), Tensor(rows), top_k,
+                                                    visible)
+    assert got.shape == (lines, dim)
+    for line, n in enumerate(seen):
+        expected = oracles.pooled_feature(queries[line], rows[:n], diag, top_k)
+        assert np.abs(got.data[line] - expected).max() <= 1e-12
+        if n == 0:
+            assert not got.data[line].any()
+
+
+def test_masked_pool_gradients_match_finite_differences(rng):
+    b = DiagonalBilinear(ad.parameter(rng.normal(size=3)))
+    queries = ad.parameter(rng.normal(size=(3, 2, 3)))
+    rows = ad.parameter(rng.normal(size=(5, 3)))
+    visible = np.arange(5) < np.array([[0], [2], [5]])
+    mix = rng.normal(size=(3, 3))
+
+    def loss():
+        return ad.tsum(b.pool(queries, rows, top_k=3, visible=visible) * Tensor(mix))
+
+    grads = ad.backward(loss())
+    for t in (b.diag, queries, rows):
+        fd = oracles.fd_gradient(lambda: float(loss().data), t.data)
+        for i, g in fd.items():
+            assert oracles.rel_err(grads[t].ravel()[i], g) <= 1e-6
+    assert not grads[queries][0].any()   # the line that sees nothing
+
+
+def test_masked_row_softmax_leaves_masked_entries_at_zero(rng):
+    x = ad.parameter(rng.normal(size=(3, 4)) * 10)
+    mask = np.array([[True] * 4, [True, False, True, False], [False] * 4])
+    out = ad.row_softmax(x, mask)
+    assert np.array_equal(out.data[0], ad.row_softmax(Tensor(x.data[:1])).data[0])
+    assert np.array_equal(out.data[1, [1, 3]], [0.0, 0.0])
+    assert out.data[1].sum() == pytest.approx(1.0, abs=1e-15)
+    assert np.array_equal(out.data[1, [0, 2]], ad.softmax(Tensor(x.data[1, [0, 2]])).data)
+    assert not out.data[2].any()
+    grad = ad.backward(ad.tsum(out * Tensor(rng.normal(size=(3, 4)))))[x]
+    assert not grad[1, [1, 3]].any() and not grad[2].any()
+    with pytest.raises(ShapeError):
+        ad.row_softmax(x, mask[:2])
+
+
 def test_pool_keeps_the_earlier_of_tied_rows():
     # rows 0 and 2 tie for the last kept place; the earlier one stays
     rows = np.array([[1.0, 5.0], [2.0, 0.0], [1.0, -5.0]])

@@ -241,6 +241,30 @@ def test_out_of_range_settings_are_refused_before_the_corpus_is_read(tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("setting, message", [
+    ({"local_model": "bogus"},
+     "local_model must be one of ('attn', 'transformer'), got 'bogus'"),
+    ({"fusion": "bogus"}, "fusion must be one of ('ffn', 'sum'), got 'bogus'"),
+    ({"features": ["prior", "bogus"]},
+     "features must be a non-empty subset of ('coherence', 'prior', 'type', "
+     "'neighborhood', 'local'), got ['prior', 'bogus']"),
+    ({"features": []},
+     "features must be a non-empty subset of ('coherence', 'prior', 'type', "
+     "'neighborhood', 'local'), got []"),
+], ids=["local_model", "fusion", "features", "no-features"])
+def test_model_choices_are_refused_with_their_key_before_the_corpus_is_read(
+        tmp_path, capsys, setting, message):
+    # build_model refuses these too, but only after the corpus is read
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(setting))
+    out = tmp_path / "m.npz"
+    rc = main(["train", "--config", str(cfg), "--corpus", str(tmp_path / "missing"),
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+    assert not out.exists()
+
+
 def test_link_refuses_a_checkpoint_header_without_meta(corpus_dir, config_path, tmp_path,
                                                        capsys):
     _, store = load_corpus(corpus_dir)

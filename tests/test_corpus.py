@@ -595,3 +595,19 @@ def test_what_loads_saves_and_reloads_unchanged(tmp_path_factory, corpus, data):
     again = tmp_path_factory.mktemp("again")
     save_corpus(*loaded, again)
     _assert_reloads(*loaded, again)
+
+
+@pytest.mark.parametrize("table, key, value", [
+    ("word_vecs", "w0", [1.0, 1.0]),
+    ("word_vecs", "w0", np.ones((1, 2))),
+    ("entity_vecs", "e0", np.array(["a", "b"])),
+    ("entity_vecs", "e0", np.array([1 + 1j, 1.0])),
+    ("type_vecs", ("m0", "e0"), [1.0]),
+], ids=["list", "matrix", "strings", "complex", "type-list"])
+def test_store_refuses_a_vector_that_is_not_a_real_1d_array(table, key, value):
+    tables = {"word_vecs": {"w0": np.ones(2)}, "entity_vecs": {"e0": np.ones(2)},
+              "type_vecs": {}}
+    tables[table][key] = value
+    with pytest.raises(CorpusError, match=re.escape(
+            f"{table[:-5]} vector {key!r} is not a 1-D array of real numbers")):
+        EmbeddingStore(**tables)

@@ -258,9 +258,11 @@ def test_grad_check_pools_with_the_top_k_caps_of_its_config(monkeypatch):
     calls = []
     real = DiagonalBilinear.pool
 
-    def recorded(self, queries, rows, top_k):
-        calls.append((rows.data.shape[0], top_k))
-        return real(self, queries, rows, top_k)
+    def recorded(self, queries, rows, top_k, visible=None):
+        # a masked pool truncates where some line sees more than top_k rows
+        seen = rows.data.shape[0] if visible is None else int(visible.sum(axis=-1).max())
+        calls.append((seen, top_k))
+        return real(self, queries, rows, top_k, visible)
 
     monkeypatch.setattr(DiagonalBilinear, "pool", recorded)
     assert grad_check(seed=0, include_transformer=False)["passed"]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dynel import autodiff as ad
+from dynel import selector
 from dynel.autodiff import Tensor
 from dynel.corpus import Document, EmbeddingStore
 from dynel.model import build_model, encode_document
@@ -208,6 +209,23 @@ class TestCandidateDistribution:
         probs = candidate_distribution(record(m, store, np.zeros(2)), (), store, params).data
         expected = np.exp([2.0, -1.0]) / np.exp([2.0, -1.0]).sum()
         assert np.allclose(probs, expected, atol=1e-12)
+
+    def test_one_record_is_scored_without_mask_or_padding(self, rng, monkeypatch):
+        # greedy linking makes this call at every step, so it keeps the plain
+        # vector form: the masked, padded one builds a quarter more tensors
+        store = build_store(rng, adjacency={"e3": {"e4"}, "e5": {"e1"}})
+        params = build_params(4, rng, top_entities=1)
+        m = make_mention(candidates=("e0", "e1", "e2"), priors=[0.5, 0.3, 0.2])
+        rec = record(m, store, rng.normal(size=3))
+
+        def refused(*args, **kwargs):
+            raise AssertionError("masked or padded path taken")
+
+        monkeypatch.setattr(selector, "_padded", refused)
+        monkeypatch.setattr(ad, "row_softmax", refused)
+        probs = candidate_distribution(rec, ("e3", "e5"), store, params)
+        assert probs.shape == (3,)
+        assert probs.data.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_gradients_match_fd_through_fusion_and_pooling(self, rng):
         store = build_store(rng, adjacency={"e3": {"e4"}})

@@ -192,6 +192,104 @@ class TestMarginLoss:
         assert ep.history_entities[ep.order.index(0)] == outside
 
 
+def _ragged(doc, widths=(4, 2, 3, 1, 4, 2), missing=2):
+    """``doc`` with each mention cut to its width in candidates, gold kept,
+    except mention ``missing``, whose gold is left out."""
+    mentions = []
+    for i, (m, width) in enumerate(zip(doc.mentions, widths)):
+        gold = [c for c in m.candidates if c.entity_id == m.gold]
+        others = [c for c in m.candidates if c.entity_id != m.gold]
+        kept = others[:width] if i == missing else (gold + others)[:width][::-1]
+        mentions.append(replace(m, candidates=tuple(kept)))
+    return replace(doc, mentions=tuple(mentions))
+
+
+def _episode_config(case):
+    return {
+        "full": dict(),
+        "features": dict(features=("coherence", "neighborhood", "local")),
+        "sum-raw": dict(fusion="sum", feature_norm=False),
+        "transformer": dict(local_model="transformer", encoder_layers=1,
+                            attention_heads=2, head_dim=4, model_dim=28,
+                            encoder_ff_dim=8, head_hidden=4),
+    }[case]
+
+
+class TestEpisodeGraph:
+    """A training episode scores all its steps in one selector call; it must
+    equal one call per step, each with the golds linked before it."""
+
+    @pytest.mark.parametrize("case", ["full", "features", "sum-raw", "transformer"])
+    def test_one_call_per_episode_equals_the_steps_composed(self, case):
+        docs, store = anchored_world(num_docs=1)
+        doc = _ragged(docs[0])
+        # neighbours that several golds bring in, each first by one of them
+        golds, others = [m.gold for m in doc.mentions], sorted(store.entity_vecs)[-3:]
+        store = replace(store, kg_adjacency={
+            g: frozenset({others[i % 3], others[(i + 1) % 3]}) for i, g in enumerate(golds)})
+        cfg = TrainConfig(window=None, epochs=1, fusion_hidden=8, selector_top_k=2,
+                          margin=0.9, **_episode_config(case))
+        params = cfg.build_model(store, np.random.default_rng(3))
+        rng = np.random.default_rng(4)
+        for t in params.parameters():   # off the symmetric init
+            t.data += 0.1 * rng.normal(size=t.data.shape)
+        order = [3, 0, 5, 2, 1, 4]
+        encoded = encode_document(doc, store, params, "eval")  # no dropout draws
+        ep = rollout(doc, store, params, cfg, mode="train", rng=np.random.default_rng(0),
+                     order=order, encoded=encoded)
+        records = [encoded[p] for p in order]
+        golds = ep.history_entities
+        batched = candidate_distribution(records, golds[:-1], store, params.selector,
+                                         training=True, rng=np.random.default_rng(0))
+        steps = [candidate_distribution(r, golds[:t], store, params.selector)
+                 for t, r in enumerate(records)]
+
+        hinges = [ad.tsum(ad.relu(p - ad.item(p, r.gold_index) + cfg.margin))
+                  for p, r in zip(steps, records) if r.gold_index is not None]
+        composed = hinges[0]
+        for term in hinges[1:]:
+            composed = ad.add(composed, term)
+        assert ep.margin_terms == len(hinges) == 5
+        assert abs(float(ep.margin.data) - float(composed.data)) <= 1e-12
+
+        for t, (p, r) in enumerate(zip(steps, records)):
+            width = len(r.mention.candidates)
+            assert np.abs(batched.data[t, :width] - p.data).max() <= 1e-12
+            assert not batched.data[t, width:].any()   # padding: exactly 0
+            pick = int(np.argmax(p.data))
+            assert ep.predicted[t] == r.mention.candidates[pick].entity_id
+            assert abs(ep.predicted_prob[t] - p.data[pick]) <= 1e-12
+        assert ep.flags[order.index(2)] is False      # gold missing
+        assert {len(r.mention.candidates) for r in records} == {1, 2, 3, 4}
+
+        mix = rng.normal(size=batched.shape)
+        one = ad.add(ep.margin, ad.tsum(batched * Tensor(mix)))
+        per_step = composed
+        for t, p in enumerate(steps):
+            per_step = ad.add(per_step, ad.tsum(p * Tensor(mix[t, :p.shape[0]])))
+        g_one, g_steps = ad.backward(one), ad.backward(per_step)
+        named = params.named_parameters()
+        reached = {name for name, t in named.items() if t in g_steps}
+        assert {name for name, t in named.items() if t in g_one} == reached
+        assert {"selector.linked_coherence", "selector.neighborhood_coherence"} <= reached
+        if case == "transformer":
+            assert any(name.startswith("transformer.") for name in reached)
+        for name in reached:
+            t = named[name]
+            assert np.abs(g_one[t] - g_steps[t]).max() <= 1e-12, name
+
+    def test_steps_without_gold_are_counted_in_the_epoch_metrics(self):
+        docs, store = anchored_world(num_docs=3)
+        docs = [_ragged(docs[0]), _ragged(docs[1], missing=4), docs[2]]
+        cfg = TrainConfig(window=3, epochs=2, fusion_hidden=8, episodes_per_doc=2,
+                          lr=0.01)
+        metrics = train(docs, [], store, cfg).metrics
+        # one such mention in each of two documents, two episodes per document
+        assert [m["skipped_margin_terms"] for m in metrics] == [4, 4]
+        full = train(docs[2:], [], store, cfg).metrics
+        assert [m["skipped_margin_terms"] for m in full] == [0, 0]
+
+
 class TestReinforce:
     def test_zero_rewards_zero_gradient(self):
         docs, store = anchored_world(num_docs=2)

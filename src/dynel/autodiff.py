@@ -334,15 +334,39 @@ def softmax(a: Tensor) -> Tensor:
     return _result(y, (a,), (lambda g: y * (g - float(g @ y)),))
 
 
-def log_softmax(a: Tensor) -> Tensor:
-    if a.data.ndim != 1 or a.data.size == 0:
-        raise ShapeError("log_softmax expects a non-empty vector")
+def log_softmax(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    """Log-softmax of a non-empty vector.
+
+    With a boolean ``mask`` of ``a``'s shape, ``a`` may be any non-empty
+    tensor, and each line of its last axis is a log-softmax over its
+    unmasked entries alone, as in ``row_softmax(a, mask)``.  Masked entries
+    come out exactly 0 and take no gradient: never log 0, whose gradient
+    would be NaN.
+    """
     v = a.data
-    shifted = v - v.max()
-    lse = np.log(np.exp(shifted).sum())
-    y = shifted - lse
-    sm = np.exp(y)
-    return _result(y, (a,), (lambda g: g - sm * g.sum(),))
+    if mask is None:
+        if v.ndim != 1 or v.size == 0:
+            raise ShapeError("log_softmax expects a non-empty vector")
+        shifted = v - v.max()
+        lse = np.log(np.exp(shifted).sum())
+        y = shifted - lse
+        sm = np.exp(y)
+        return _result(y, (a,), (lambda g: g - sm * g.sum(),))
+    if mask.shape != v.shape or v.size == 0:
+        raise ShapeError(f"mask of shape {mask.shape} for log_softmax input {v.shape}")
+    top = np.max(v, axis=-1, keepdims=True, where=mask, initial=-np.inf)
+    shifted = np.subtract(v, top, where=mask, out=np.zeros_like(v))
+    total = np.exp(shifted, where=mask, out=np.zeros_like(v)).sum(axis=-1, keepdims=True)
+    # a line with nothing unmasked stays 0; a NaN line stays NaN through ``shifted``
+    lse = np.log(total, where=total > 0, out=np.zeros_like(total))
+    y = np.subtract(shifted, lse, where=mask, out=np.zeros_like(v))
+    sm = np.exp(y, where=mask, out=np.zeros_like(v))
+
+    def back(g):
+        g = np.where(mask, g, 0.0)
+        return g - sm * g.sum(axis=-1, keepdims=True)
+
+    return _result(y, (a,), (back,))
 
 
 def row_softmax(a: Tensor, mask: np.ndarray | None = None) -> Tensor:

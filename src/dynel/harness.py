@@ -463,9 +463,7 @@ def grad_check(
                      rng=np.random.default_rng(seed + 2),
                      order=fixed_order, score_order=True)
         loss = ep.margin if ep.margin is not None else Tensor(0.0)
-        for r, logp in zip(fixed_rewards, ep.log_probs):
-            loss = ad.add(loss, logp * (-r))
-        return loss
+        return ad.sub(loss, ad.tsum(ad.mul(ep.log_probs, Tensor(fixed_rewards))))
 
     results = _check_params(
         combined_loss, params.named_parameters(), rng, samples_per_tensor, h

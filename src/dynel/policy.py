@@ -7,6 +7,11 @@ order.  Each action is summarised by its local-score-weighted
 mention/entity vector; history elements are scored by their best-matching
 action, the top ``top_k`` serve as attention evidence, and a second
 diagonal form turns evidence-weighted matches into action logits.
+
+``select_action`` scores one step.  When the history is fixed in advance,
+as the gold history of a training episode is, ``episode_log_probs`` scores
+every step of the episode in one graph: step t's window against the first
+t+1 history rows, with the causal prefix mask of Vaswani et al. 2017.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ __all__ = [
     "ActionWindow",
     "action_representation",
     "select_action",
+    "episode_log_probs",
     "advance",
 ]
 
@@ -136,6 +142,44 @@ def select_action(
     else:
         raise ValueError(f"unknown selection mode {mode!r}")
     return acts[idx], ad.item(log_probs, idx), probs
+
+
+def episode_log_probs(
+    windows: Sequence[tuple[int, ...]],
+    order: Sequence[int],
+    actions: Tensor,
+    pairs: Tensor,
+    params: PolicyParams,
+) -> Tensor:
+    """``log pi(a_t)`` of every step of an episode, as one ``(steps,)`` graph.
+
+    ``windows[t]`` is the window of step t and ``order[t]`` the position it
+    chose.  ``actions`` and ``pairs`` hold one row per mention, in position
+    order: its action summary, and the pair it adds to the history once
+    linked.  Step t sees the init pair and the pairs of ``order[:t]``, so
+    line t equals ``select_action(..., force=order[t])`` on that history.
+    Windows are padded to the widest; a padded slot repeats its step's first
+    action, so it never changes a best match, and the log-softmax leaves it
+    out.  Both stacks are gathered by constant one-hot products, which copy
+    rows exactly and scatter their gradients with one matrix product.
+    """
+    steps, width = len(windows), max(len(w) for w in windows)
+    slots = np.array([w + (w[0],) * (width - len(w)) for w in windows])
+    valid = np.arange(width) < np.array([len(w) for w in windows])[:, None]
+    picks = np.eye(actions.shape[0])[slots.ravel()]
+    queries = ad.reshape(ad.matmul(Tensor(picks), actions), slots.shape + (-1,))
+
+    # row 0 is the init pair, row t the pair linked at step t-1
+    linked = np.zeros((steps, pairs.shape[0]))
+    linked[np.arange(1, steps), list(order[:-1])] = 1.0
+    history = ad.add(ad.matmul(Tensor(linked), pairs),
+                     ad.mul(Tensor(np.eye(steps, 1)), params.init_pair))
+
+    visible = np.tri(steps, dtype=bool)
+    evidence = params.history_match.pool(queries, history, params.top_k, visible)
+    log_probs = ad.log_softmax(params.action_scorer.scores(queries, evidence), valid)
+    chosen = [window.index(pos) for window, pos in zip(windows, order)]
+    return ad.gather(ad.reshape(log_probs, (-1,)), np.arange(steps) * width + chosen)
 
 
 def advance(

@@ -2,10 +2,13 @@
 
 One sampled rollout produces everything an update needs.  During training
 the history and linked-entity list are teacher-forced to gold while the
-correctness flags record what the selector would actually have picked; the
-policy runs step by step, and once it has chosen the order one selector
-call scores every step.  During evaluation predicted entities populate the
-history and action selection is greedy.  The combined update descends
+correctness flags record what the selector would actually have picked.
+So once the order is sampled every step's distributions are fixed: the
+policy samples the order step by step without recording a graph, then one
+policy graph scores every step's log-probability and one selector graph
+every step's candidates, each step masked to the history before it.
+During evaluation predicted entities populate the history and action
+selection is greedy, one step at a time.  The combined update descends
 
     margin  -  rl_weight * mean_episodes( sum_t R(t) * log pi(a_t) )
 
@@ -27,7 +30,7 @@ from .autodiff import Tensor
 from .corpus import Document, EmbeddingStore
 from .local_transformer import TransformerConfig, check_input_caps
 from .model import LOCAL_MODELS, EncodedMention, ModelParams, build_model, encode_document
-from .policy import ActionWindow, LinkingState, advance, select_action
+from .policy import ActionWindow, LinkingState, advance, episode_log_probs, select_action
 from .rewards import REWARD_KINDS, EpisodeOutcome, TransitionRewards, reward_trace
 from .selector import FEATURE_NAMES, FUSION_MODES, candidate_distribution
 
@@ -36,6 +39,7 @@ __all__ = [
     "Episode",
     "micro_f1",
     "Adam",
+    "gold_pairs",
     "rollout",
     "policy_objective",
     "train",
@@ -188,11 +192,17 @@ def _json_field(key: str, value, default):
 
 @dataclass
 class Episode:
-    """One full pass over a document's mentions."""
+    """One full pass over a document's mentions.
+
+    ``log_probs`` holds ``log pi(a_t)`` of every step as one ``(steps,)``
+    tensor for train and ``score_order`` rollouts, and is ``None`` for eval
+    and bypassed orders.  ``window_probs[t]`` is the policy's distribution
+    over step t's window, for every rollout that ran the policy.
+    """
 
     doc_id: str
     order: tuple[int, ...]
-    log_probs: list[Tensor]
+    log_probs: Tensor | None
     flags: tuple[bool, ...]
     predicted: tuple[str, ...]
     predicted_prob: tuple[float, ...]
@@ -200,6 +210,17 @@ class Episode:
     rewards: tuple[float, ...]
     margin: Tensor | None = None
     margin_terms: int = 0
+    window_probs: tuple[np.ndarray, ...] = ()
+
+
+def gold_pairs(encoded: Sequence[EncodedMention], store: EmbeddingStore) -> Tensor:
+    """Each mention's teacher-forced history pair ``(context; gold entity)``,
+    one row per mention in position order.  The order does not enter it, so
+    every training episode over the document shares it."""
+    golds = store.entities([r.mention.gold for r in encoded])
+    dim = golds.shape[1]
+    mention_half = ad.matmul(ad.stack([r.context for r in encoded]), Tensor(np.eye(dim, 2 * dim)))
+    return ad.add(mention_half, Tensor(np.hstack([np.zeros_like(golds), golds])))
 
 
 def rollout(
@@ -212,16 +233,20 @@ def rollout(
     order: Sequence[int] | None = None,
     score_order: bool = False,
     encoded: Sequence[EncodedMention] | None = None,
+    pairs: Tensor | None = None,
 ) -> Episode:
     """Roll one episode; ``order`` forces the mention sequence.
 
     Forced orders bypass the policy entirely unless ``score_order`` is set,
-    in which case the policy distribution is still evaluated and the forced
-    action's log-probability recorded (the order must then respect the
-    window discipline).  Train mode samples actions and teacher-forces gold
-    entities into the history, then scores every step's candidates in one
-    selector graph; eval mode is greedy with predicted history.
-    ``encoded`` reuses an ``encode_document`` pass made in the same mode.
+    in which case the policy distribution is still evaluated and, in train
+    mode, the forced actions' log-probabilities recorded (the order must
+    then respect the window discipline).  Train mode teacher-forces gold
+    entities into the history, so it runs in two passes: the policy picks
+    the order step by step without recording a graph, then one policy graph
+    scores every step's log-probability and one selector graph every step's
+    candidates.  Eval mode is greedy with predicted history and records no
+    graph.  ``encoded`` reuses an ``encode_document`` pass made in the same
+    mode, and ``pairs`` the ``gold_pairs`` of that pass.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -235,46 +260,55 @@ def rollout(
     if encoded is None:
         encoded = encode_document(doc, store, params, mode, rng)
     actions = tuple(r.action for r in encoded)
+    runs_policy = order is None or score_order
 
     window_size = config.window if config.window is not None else n_mentions
     window = ActionWindow(window_size, tuple(range(n_mentions)))
     state = LinkingState.initial(params.policy)
 
     chosen_order: list[int] = []
-    log_probs: list[Tensor] = []
+    windows: list[tuple[int, ...]] = []
+    window_probs: list[np.ndarray] = []
     predicted: list[str] = []
     predicted_prob: list[float] = []
     history_entities: list[str] = []
 
-    for step in range(n_mentions):
-        if order is not None and not score_order:
-            pos = order[step]
-        else:
-            pos, logp, _ = select_action(
-                state, window, actions, params.policy,
-                mode="sample" if training else "greedy", rng=rng,
-                force=order[step] if order is not None else None,
-            )
-            log_probs.append(logp)
-        record = encoded[pos]
-        chosen_order.append(pos)
-        if training:
-            linked_id = record.mention.gold   # teacher forcing
-        else:
-            probs = candidate_distribution(record, tuple(history_entities), store,
-                                           params.selector).data
-            pick = int(np.argmax(probs))
-            linked_id = record.mention.candidates[pick].entity_id
-            predicted.append(linked_id)
-            predicted_prob.append(float(probs[pick]))
-        history_entities.append(linked_id)
-        # bypassed orders skip the policy state and its window discipline
-        if order is None or score_order:
-            pair = ad.concat([record.context, Tensor(store.entity(linked_id))])
-            state, window = advance(state, window, pos, pair)
+    with ad.no_grad():
+        for step in range(n_mentions):
+            if runs_policy:
+                windows.append(window.actions())
+                pos, _, probs = select_action(
+                    state, window, actions, params.policy,
+                    mode="sample" if training else "greedy", rng=rng,
+                    force=order[step] if order is not None else None,
+                )
+                window_probs.append(probs)
+            else:
+                pos = order[step]
+            record = encoded[pos]
+            chosen_order.append(pos)
+            if training:
+                linked_id = record.mention.gold   # teacher forcing
+            else:
+                probs = candidate_distribution(record, tuple(history_entities), store,
+                                               params.selector).data
+                pick = int(np.argmax(probs))
+                linked_id = record.mention.candidates[pick].entity_id
+                predicted.append(linked_id)
+                predicted_prob.append(float(probs[pick]))
+            history_entities.append(linked_id)
+            # bypassed orders skip the policy state and its window discipline
+            if runs_policy:
+                pair = ad.concat([record.context, Tensor(store.entity(linked_id))])
+                state, window = advance(state, window, pos, pair)
 
-    margin, margin_terms = None, 0
+    log_probs, margin, margin_terms = None, None, 0
     if training:
+        if runs_policy:
+            if pairs is None:
+                pairs = gold_pairs(encoded, store)
+            log_probs = episode_log_probs(windows, chosen_order, ad.stack(actions), pairs,
+                                          params.policy)
         # every step's distribution in one graph: step t sees the golds before it
         records = [encoded[pos] for pos in chosen_order]
         probs = candidate_distribution(records, tuple(history_entities[:-1]), store,
@@ -304,6 +338,7 @@ def rollout(
         rewards=rewards,
         margin=margin,
         margin_terms=margin_terms,
+        window_probs=tuple(window_probs),
     )
 
 
@@ -338,15 +373,24 @@ def policy_objective(episodes: Sequence[Episode]) -> Tensor:
     """Monte-Carlo ordering objective: mean over episodes of sum_t R(t) log pi."""
     if not episodes:
         raise ValueError("no episodes")
-    terms = [_chain_sum([logp * r for r, logp in zip(ep.rewards, ep.log_probs)])
-             for ep in episodes if ep.log_probs]
+    terms = [ad.tsum(ad.mul(ep.log_probs, Tensor(ep.rewards)))
+             for ep in episodes if ep.log_probs is not None]
     if not terms:
         return Tensor(0.0)
     return _chain_sum(terms) * (1.0 / len(episodes))
 
 
 class Adam:
-    """Adam over a fixed parameter list (beta1 0.9, beta2 0.999, eps 1e-8)."""
+    """Adam over a fixed parameter list (beta1 0.9, beta2 0.999, eps 1e-8).
+
+    Row-lazy and exact (Kingma & Ba 2015, *Adam*).  A row (an entry, for a
+    vector) whose gradients have all been zero so far has m = v = 0, so its
+    step is exactly 0, and it is skipped.  Once a row has had a nonzero
+    gradient its m keeps decaying, so it is updated on every later step,
+    even with a zero gradient; a scheme that skips such rows too, as
+    TensorFlow's LazyAdam does, is not Adam.  A 10,000-word table of which
+    one update touches a few hundred rows then costs those rows alone.
+    """
 
     def __init__(self, params: Sequence[Tensor], beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -354,35 +398,58 @@ class Adam:
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
+        # per parameter, the rows that have ever had a nonzero gradient
+        self.touched = [np.zeros(p.data.shape[:1], dtype=bool) for p in self.params]
         self.t = 0
 
-    def step(self, grads: dict[Tensor, np.ndarray], lr: float) -> None:
+    def step(self, grads: dict[Tensor, np.ndarray],
+             lr: float) -> dict[Tensor, slice | np.ndarray]:
         """One update in place from ``grads``, as ``autodiff.backward``
         returns them; a parameter without a gradient is left as it is, and
-        its moments too.  The operations run in the order of the
-        textbook ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
-        ``p -= lr*mhat / (sqrt(vhat) + eps)``, so every bit agrees with it."""
+        its moments too.  Returns the rows it updated, per parameter: a
+        slice for all of them, or their indices.  Every bit agrees with the
+        dense textbook update (see ``_update``)."""
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        c1, c2 = 1 - b1**self.t, 1 - b2**self.t
-        for p, m, v in zip(self.params, self.m, self.v):
+        c1, c2 = 1 - self.beta1**self.t, 1 - self.beta2**self.t
+        changed: dict[Tensor, slice | np.ndarray] = {}
+        for p, m, v, touched in zip(self.params, self.m, self.v, self.touched):
             g = grads.get(p)
             if g is None:
                 continue
-            buf = np.multiply(g, 1 - b1, out=np.empty_like(m))
-            m *= b1
-            m += buf
-            np.multiply(g, 1 - b2, out=buf)
-            buf *= g
-            v *= b2
-            v += buf
-            np.divide(v, c2, out=buf)
-            np.sqrt(buf, out=buf)
-            buf += self.eps
-            step = np.divide(m, c1)
-            step *= lr
-            step /= buf
-            p.data -= step
+            if not touched.all():
+                touched |= g.reshape(touched.size, -1).any(axis=1)
+            if touched.all():
+                self._update(p.data, m, v, g, lr, c1, c2)
+                changed[p] = slice(None)
+                continue
+            rows = np.flatnonzero(touched)
+            pr, mr, vr = p.data[rows], m[rows], v[rows]
+            self._update(pr, mr, vr, g[rows], lr, c1, c2)
+            p.data[rows], m[rows], v[rows] = pr, mr, vr
+            changed[p] = rows
+        return changed
+
+    def _update(self, p: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray,
+                lr: float, c1: float, c2: float) -> None:
+        """``p``, ``m`` and ``v`` updated in place, with the operations in
+        the order of the textbook ``m = b1*m + (1-b1)*g``,
+        ``v = b2*v + (1-b2)*g*g`` and ``p -= lr*mhat / (sqrt(vhat) + eps)``,
+        so every bit agrees with it."""
+        b1, b2 = self.beta1, self.beta2
+        buf = np.multiply(g, 1 - b1, out=np.empty_like(m))
+        m *= b1
+        m += buf
+        np.multiply(g, 1 - b2, out=buf)
+        buf *= g
+        v *= b2
+        v += buf
+        np.divide(v, c2, out=buf)
+        np.sqrt(buf, out=buf)
+        buf += self.eps
+        step = np.divide(m, c1)
+        step *= lr
+        step /= buf
+        p -= step
 
 
 @dataclass
@@ -400,6 +467,21 @@ def micro_f1(episodes: Sequence[Episode]) -> float:
     if not total:
         raise ValueError("cannot score an empty set of links")
     return sum(sum(ep.flags) for ep in episodes) / total
+
+
+def _entropy(probs: np.ndarray) -> float:
+    """Entropy in nats; a probability of exactly 0 adds nothing."""
+    logs = np.log(probs, where=probs > 0, out=np.zeros_like(probs))
+    return 0.0 - float(probs @ logs)
+
+
+def _refuse_non_finite(what: str, arrays: dict[Tensor, np.ndarray],
+                       names: dict[Tensor, str], where: str) -> None:
+    """Raise at the first parameter, in model order, whose array in
+    ``arrays`` holds a NaN or an infinity."""
+    for p, name in names.items():
+        if p in arrays and not np.isfinite(arrays[p]).all():
+            raise RuntimeError(f"non-finite {what} of {name} {where}")
 
 
 def evaluate(
@@ -429,6 +511,7 @@ def train(
     if params.transformer is not None:
         check_input_caps([*train_docs, *val_docs], params.transformer.config)
     optimizer = Adam(params.parameters())
+    names = {t: name for name, t in params.named_parameters().items()}
 
     metrics: list[dict] = []
     best_acc: float | None = None
@@ -441,24 +524,34 @@ def train(
         epoch_loss = 0.0
         epoch_objective = 0.0
         skipped_margin_terms = 0   # steps whose gold is not among the candidates
+        sampled_steps = multi_action_steps = 0
+        entropy_sum = 0.0
         for di in doc_order:
             doc = train_docs[int(di)]
             encoded = encode_document(doc, store, params, "train", data_rng)
+            pairs = gold_pairs(encoded, store)
             episodes = [
                 rollout(doc, store, params, config, mode="train", rng=data_rng,
-                        encoded=encoded)
+                        encoded=encoded, pairs=pairs)
                 for _ in range(config.episodes_per_doc)
             ]
             skipped_margin_terms += sum(len(ep.order) - ep.margin_terms for ep in episodes)
+            window_probs = [probs for ep in episodes for probs in ep.window_probs]
+            sampled_steps += len(window_probs)
+            multi_action_steps += sum(probs.size > 1 for probs in window_probs)
+            entropy_sum += sum(map(_entropy, window_probs))
             margins = [ep.margin for ep in episodes if ep.margin is not None]
             loss = _chain_sum(margins) * (1.0 / len(margins)) if margins else Tensor(0.0)
             obj = policy_objective(episodes)
             loss = ad.add(loss, obj * (-config.rl_weight))
+            where = f"at epoch {epoch}, document {doc.id}"
             if not np.isfinite(loss.data):
-                raise RuntimeError(
-                    f"non-finite loss at epoch {epoch}, document {doc.id}"
-                )
-            optimizer.step(ad.backward(loss), lr)
+                raise RuntimeError(f"non-finite loss {where}")
+            grads = ad.backward(loss)
+            _refuse_non_finite("gradient", grads, names, where)
+            changed = optimizer.step(grads, lr)
+            _refuse_non_finite("value", {p: p.data[rows] for p, rows in changed.items()},
+                               names, where)
             epoch_loss += float(loss.data)
             epoch_objective += float(obj.data)
 
@@ -477,6 +570,8 @@ def train(
                 "ordering_objective": epoch_objective / len(train_docs),
                 "ordering_objective_abs": abs(epoch_objective) / len(train_docs),
                 "skipped_margin_terms": skipped_margin_terms,
+                "policy_entropy": entropy_sum / sampled_steps,
+                "multi_action_share": multi_action_steps / sampled_steps,
                 "val_accuracy": val_acc,
                 "lr": lr,
                 "seed": config.seed,

@@ -352,6 +352,28 @@ def test_masked_row_softmax_leaves_masked_entries_at_zero(rng):
         ad.row_softmax(x, mask[:2])
 
 
+def test_masked_log_softmax_leaves_masked_entries_at_zero(rng):
+    x = ad.parameter(rng.normal(size=(3, 4)) * 10)
+    x.data[1, 0] = -1e4   # its probability underflows to 0; its log stays finite
+    mask = np.array([[True] * 4, [True, False, True, False], [False] * 4])
+    out = ad.log_softmax(x, mask)
+    assert np.abs(out.data[0] - ad.log_softmax(Tensor(x.data[0])).data).max() <= 1e-12
+    assert np.abs(out.data[1, [0, 2]]
+                  - ad.log_softmax(Tensor(x.data[1, [0, 2]])).data).max() <= 1e-12
+    assert np.isfinite(out.data[1, 0]) and out.data[1, 0] < -9e3
+    assert np.array_equal(out.data[1, [1, 3]], [0.0, 0.0])
+    assert not out.data[2].any()
+    mix = rng.normal(size=(3, 4))
+    grad = ad.backward(ad.tsum(out * Tensor(mix)))[x]
+    assert np.isfinite(grad).all()
+    assert not grad[1, [1, 3]].any() and not grad[2].any()
+    line = ad.parameter(x.data[1, [0, 2]])
+    want = ad.backward(ad.tsum(ad.log_softmax(line) * Tensor(mix[1, [0, 2]])))[line]
+    assert np.abs(grad[1, [0, 2]] - want).max() <= 1e-12
+    with pytest.raises(ShapeError):
+        ad.log_softmax(x, mask[:2])
+
+
 def test_pool_keeps_the_earlier_of_tied_rows():
     # rows 0 and 2 tie for the last kept place; the earlier one stays
     rows = np.array([[1.0, 5.0], [2.0, 0.0], [1.0, -5.0]])

@@ -41,7 +41,7 @@ def oracle_config(**kw):
 
 def episode(*flags):
     n = len(flags)
-    return Episode(doc_id="d", order=tuple(range(n)), log_probs=[], flags=flags,
+    return Episode(doc_id="d", order=tuple(range(n)), log_probs=None, flags=flags,
                    predicted=("e",) * n, predicted_prob=(1.0,) * n,
                    history_entities=("e",) * n, rewards=(0.0,) * n)
 

@@ -13,6 +13,7 @@ from dynel.autodiff import Tensor
 from dynel.corpus import CandidateEntity, EmbeddingStore
 from dynel.local_transformer import TransformerConfig
 from dynel.model import build_model, encode_document, load_checkpoint, save_checkpoint
+from dynel.policy import ActionWindow, LinkingState, advance, select_action
 from dynel.selector import candidate_distribution
 from dynel.synthetic import SyntheticSpec, generate_synthetic
 from dynel.trainer import (
@@ -25,6 +26,7 @@ from dynel.trainer import (
     train,
 )
 
+import oracles
 from conftest import candidate_lookups
 
 
@@ -87,6 +89,23 @@ class TestRolloutBasics:
         for doc in docs:
             ep = rollout(doc, store, params, cfg, mode="train", rng=rng)
             assert sorted(ep.order) == [m.position for m in doc.mentions]
+
+    def test_log_probs_only_where_the_policy_scores_a_train_order(self):
+        docs, store = anchored_world(num_docs=1)
+        cfg = oracle_selector_config(window=3)
+        params = build(store, cfg)
+        doc, n = docs[0], len(docs[0].mentions)
+        order = [m.position for m in doc.mentions]
+        rng = np.random.default_rng(0)
+        with ad.no_grad():
+            assert rollout(doc, store, params, cfg, mode="eval").log_probs is None
+        assert rollout(doc, store, params, cfg, mode="train", rng=rng,
+                       order=order).log_probs is None
+        for forced in (None, order):
+            ep = rollout(doc, store, params, cfg, mode="train", rng=rng, order=forced,
+                         score_order=forced is not None)
+            assert ep.log_probs.shape == (n,) and ep.log_probs.requires_grad
+            assert [p.size for p in ep.window_probs] == [3, 3, 3, 3, 2, 1]
 
     def test_forced_order_must_be_permutation(self):
         docs, store = anchored_world(num_docs=1)
@@ -215,9 +234,30 @@ def _episode_config(case):
     }[case]
 
 
+def _per_step_policy(encoded, store, params, window_size, order=None, rng=None):
+    """One ``select_action`` graph per step on the gold history, forced to
+    ``order`` or sampling from ``rng``: the order, each step's
+    log-probability, and each step's history rows and window."""
+    state = LinkingState.initial(params.policy)
+    window = ActionWindow(window_size, tuple(range(len(encoded))))
+    actions = [r.action for r in encoded]
+    chosen, log_probs, seen = [], [], []
+    for t in range(len(encoded)):
+        seen.append((state.stacked().data, window.actions()))
+        pos, logp, _ = select_action(state, window, actions, params.policy, mode="sample",
+                                     rng=rng, force=None if order is None else order[t])
+        chosen.append(pos)
+        log_probs.append(logp)
+        record = encoded[pos]
+        pair = ad.concat([record.context, Tensor(store.entity(record.mention.gold))])
+        state, window = advance(state, window, pos, pair)
+    return chosen, log_probs, seen
+
+
 class TestEpisodeGraph:
-    """A training episode scores all its steps in one selector call; it must
-    equal one call per step, each with the golds linked before it."""
+    """A training episode scores all its steps in one selector call and one
+    policy graph; each must equal one call per step, each with the golds
+    linked before it."""
 
     @pytest.mark.parametrize("case", ["full", "features", "sum-raw", "transformer"])
     def test_one_call_per_episode_equals_the_steps_composed(self, case):
@@ -278,6 +318,72 @@ class TestEpisodeGraph:
             t = named[name]
             assert np.abs(g_one[t] - g_steps[t]).max() <= 1e-12, name
 
+    @pytest.mark.parametrize("window, top_k", [(1, 2), (4, 2), (None, 2), (None, 7)])
+    def test_log_probs_equal_the_per_step_policy(self, window, top_k):
+        # window 1: every step single-action; 4: ragged last windows; None: L.
+        # top_k 2 prunes every history longer than two rows
+        docs, store = anchored_world(num_docs=1)
+        doc, n = docs[0], len(docs[0].mentions)
+        cfg = TrainConfig(window=window, policy_top_k=top_k, epochs=1, fusion_hidden=8)
+        params = cfg.build_model(store, np.random.default_rng(3))
+        rng = np.random.default_rng(4)
+        for t in params.parameters():   # off the symmetric init
+            t.data += 0.1 * rng.normal(size=t.data.shape)
+        encoded = encode_document(doc, store, params, "eval")
+        ep = rollout(doc, store, params, cfg, mode="train", rng=np.random.default_rng(5),
+                     encoded=encoded)
+        _, steps, seen = _per_step_policy(encoded, store, params, window or n, order=ep.order)
+
+        assert ep.log_probs.shape == (n,)
+        pol = params.policy
+        for t, (pos, (history, acts)) in enumerate(zip(ep.order, seen)):
+            assert abs(ep.log_probs.data[t] - float(steps[t].data)) <= 1e-12
+            reps = np.array([encoded[a].action.data for a in acts])
+            want = oracles.policy_distribution(history, reps, pol.history_match.diag.data,
+                                               pol.action_scorer.diag.data, top_k)
+            assert abs(ep.log_probs.data[t] - np.log(want[acts.index(pos)])) <= 1e-12
+        widths = [len(acts) for _, acts in seen]
+        assert widths[-1] == 1 and widths[0] == min(window or n, n)
+        if window == 1:
+            assert not ep.log_probs.data.any()
+        if top_k == 2:
+            assert max(len(history) for history, _ in seen) > top_k
+
+        mix = rng.normal(size=n)
+        one = ad.tsum(ep.log_probs * Tensor(mix))
+        per_step = steps[0] * mix[0]
+        for step, weight in zip(steps[1:], mix[1:]):
+            per_step = ad.add(per_step, step * weight)
+        g_one, g_steps = ad.backward(one), ad.backward(per_step)
+        named = params.named_parameters()
+        reached = {name for name, t in named.items() if t in g_steps}
+        assert {name for name, t in named.items() if t in g_one} == reached
+        assert set(pol.parameters()) <= reached
+        assert "local_attn.entity_context" in reached
+        for name in reached:
+            want = g_steps[named[name]]
+            assert np.abs(g_one[named[name]] - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+    @pytest.mark.parametrize("window", [2, 4, None])
+    def test_train_rollout_samples_the_order_of_the_per_step_graph(self, window):
+        docs, store = anchored_world(num_docs=4)
+        cfg = TrainConfig(window=window, epochs=1, fusion_hidden=8)
+        params = cfg.build_model(store, np.random.default_rng(3))
+        rng = np.random.default_rng(4)
+        for t in params.parameters():
+            t.data += 0.1 * rng.normal(size=t.data.shape)
+        orders = set()
+        for i, doc in enumerate(docs):
+            encoded = encode_document(doc, store, params, "eval")
+            ep = rollout(doc, store, params, cfg, mode="train", rng=np.random.default_rng(i),
+                         encoded=encoded)
+            order, steps, _ = _per_step_policy(encoded, store, params, window or len(encoded),
+                                               rng=np.random.default_rng(i))
+            assert ep.order == tuple(order)
+            assert np.abs(ep.log_probs.data - [float(s.data) for s in steps]).max() <= 1e-12
+            orders.add(ep.order)
+        assert len(orders) > 1
+
     def test_steps_without_gold_are_counted_in_the_epoch_metrics(self):
         docs, store = anchored_world(num_docs=3)
         docs = [_ragged(docs[0]), _ragged(docs[1], missing=4), docs[2]]
@@ -327,7 +433,7 @@ class TestReinforce:
         logp = ad.parameter(np.array([-0.5]))
         def make_ep(r):
             return Episode(
-                doc_id="d", order=(0,), log_probs=[ad.item(Tensor(logp.data), 0)],
+                doc_id="d", order=(0,), log_probs=logp,
                 flags=(True,), predicted=("e",), predicted_prob=(1.0,),
                 history_entities=("e",), rewards=(r,),
             )
@@ -402,6 +508,39 @@ class TestAdam:
                 assert np.array_equal(opt.m[i], m[i]) and np.array_equal(opt.v[i], v[i])
 
 
+    def test_row_lazy_step_is_bytewise_the_dense_update(self):
+        rng = np.random.default_rng(11)
+        params = [ad.parameter(rng.normal(size=shape)) for shape in ((6, 3), (5,), (2, 2))]
+        opt = Adam(params)
+        b1, b2, eps, lr = opt.beta1, opt.beta2, opt.eps, 0.01
+        want = [p.data.copy() for p in params]
+        m = [np.zeros_like(p) for p in want]
+        v = [np.zeros_like(p) for p in want]
+        ever = [set() for _ in params]
+        # rows with a nonzero gradient: sparse, repeated, none at all, one
+        # zero entry inside a touched row, and the (2, 2) matrix filling up
+        for t, rows in enumerate([[1, 4], [4], [], [0, 1, 4], [], [2, 1]], start=1):
+            grads = {}
+            for i, p in enumerate(params):
+                g = np.zeros(p.data.shape)
+                kept = [r for r in rows if r < g.shape[0]]
+                g[kept] = rng.normal(size=g[kept].shape)
+                if t == 4 and g.ndim == 2:
+                    g[1, 0] = 0.0
+                grads[p] = g
+                ever[i] |= set(kept)
+                m[i] = b1 * m[i] + (1 - b1) * g
+                v[i] = b2 * v[i] + (1 - b2) * g * g
+                want[i] = want[i] - lr * (m[i] / (1 - b1**t)) / (np.sqrt(v[i] / (1 - b2**t)) + eps)
+            changed = opt.step(grads, lr)
+            for i, p in enumerate(params):
+                assert p.data.tobytes() == want[i].tobytes()
+                assert opt.m[i].tobytes() == m[i].tobytes()
+                assert opt.v[i].tobytes() == v[i].tobytes()
+                assert np.arange(p.data.shape[0])[changed[p]].tolist() == sorted(ever[i])
+        assert changed[params[2]] == slice(None)
+
+
 class TestTrainLoop:
     def test_rl_weight_zero_decouples_policy(self):
         docs, store = anchored_world(num_docs=4)
@@ -426,6 +565,43 @@ class TestTrainLoop:
         with pytest.raises(RuntimeError, match=(
                 f"non-finite loss at epoch 0, document {re.escape(docs[0].id)}$")):
             train(docs[:1], docs[1:], store, cfg, params=params)
+
+    @pytest.mark.parametrize("what", ["gradient", "value"])
+    def test_divergence_is_named_at_the_parameter(self, what, monkeypatch):
+        docs, store = anchored_world(num_docs=2)
+        cfg = TrainConfig(window=2, epochs=1, fusion_hidden=8, episodes_per_doc=1, seed=0,
+                          lr=1e300)
+        params = build_model(store, np.random.default_rng(0), fusion_hidden=8)
+        target = params.selector.fusion.weights[0]
+        real = ad.backward
+
+        def poisoned(loss):
+            assert np.isfinite(loss.data)
+            grads = real(loss)
+            g = grads[target]
+            i = np.unravel_index(np.argmax(np.abs(g)), g.shape)
+            if what == "gradient":
+                g[i] = np.nan
+            else:   # a finite gradient whose step passes the largest float
+                target.data[i] = -np.sign(g[i]) * np.finfo(float).max
+            return grads
+
+        monkeypatch.setattr(ad, "backward", poisoned)
+        with np.errstate(over="ignore"), pytest.raises(RuntimeError, match=(
+                f"non-finite {what} of selector.fusion.0 at epoch 0, "
+                f"document {re.escape(docs[0].id)}$")):
+            train(docs[:1], docs[1:], store, cfg, params=params)
+
+    def test_policy_entropy_and_multi_action_share_per_epoch(self):
+        docs, store = anchored_world(num_docs=3)
+        fixed = train(docs, [], store, TrainConfig(window=1, epochs=2, fusion_hidden=8,
+                                                   lr=0.01)).metrics
+        assert [(m["policy_entropy"], m["multi_action_share"]) for m in fixed] == [(0, 0)] * 2
+        # six mentions in windows of 3: only the last step has one action
+        free = train(docs, [], store, TrainConfig(window=3, epochs=2, fusion_hidden=8,
+                                                  lr=0.01)).metrics
+        assert [m["multi_action_share"] for m in free] == [5 / 6] * 2
+        assert all(0 < m["policy_entropy"] < np.log(3) for m in free)
 
     def test_lr_drops_after_validation_threshold(self):
         docs, store = unambiguous_world(num_docs=4)

@@ -52,7 +52,6 @@ __all__ = [
     "stack",
     "gather",
     "gather_rows",
-    "item",
 ]
 
 
@@ -426,7 +425,7 @@ def stack(rows: Sequence[Tensor]) -> Tensor:
 
 
 def gather(a: Tensor, idx) -> Tensor:
-    """Entries ``idx`` of a vector, in the shape of ``idx``."""
+    """Entries ``idx`` of a vector, in the shape of ``idx`` (a scalar for one index)."""
     if a.data.ndim != 1:
         raise ShapeError("gather expects a vector")
     idx = np.asarray(idx, dtype=np.intp)
@@ -471,19 +470,6 @@ def gather_rows(a: Tensor, idx) -> Tensor:
         raise ShapeError("gather_rows expects a matrix")
     idx = np.asarray(idx, dtype=np.intp)
     return _result(a.data[idx], (a,), (lambda g: _RowPart(idx, g),))
-
-
-def item(a: Tensor, i: int) -> Tensor:
-    if a.data.ndim != 1:
-        raise ShapeError("item expects a vector")
-    ad = a.data
-
-    def back(g):
-        out = np.zeros_like(ad)
-        out[i] = g
-        return out
-
-    return _result(ad[i], (a,), (back,))
 
 
 # ---------------------------------------------------------------------------

@@ -460,8 +460,7 @@ def grad_check(
 
     def combined_loss() -> Tensor:
         ep = rollout(doc, store, params, config, mode="train",
-                     rng=np.random.default_rng(seed + 2),
-                     order=fixed_order, score_order=True)
+                     rng=np.random.default_rng(seed + 2), order=fixed_order)
         loss = ep.margin if ep.margin is not None else Tensor(0.0)
         return ad.sub(loss, ad.tsum(ad.mul(ep.log_probs, Tensor(fixed_rewards))))
 
@@ -481,7 +480,7 @@ def grad_check(
 
         def transformer_loss() -> Tensor:
             n3 = local_scores_transformer(mention, store, tparams.transformer, mode="eval")
-            return ad.add(ad.tsum(n3 * Tensor(mix)), -ad.log(ad.item(n3, 0)))
+            return ad.add(ad.tsum(n3 * Tensor(mix)), -ad.log(ad.gather(n3, 0)))
 
         results.update(
             _check_params(

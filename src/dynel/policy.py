@@ -1,17 +1,20 @@
 """Dynamic mention selection: RL state, sliding-window actions, policy net.
 
-The state is the ordered list of (mention representation; linked entity)
-pairs, seeded with a learned initial pair.  At every step the candidate
-actions are the ``window_size`` earliest unresolved mentions in document
-order.  Each action is summarised by its local-score-weighted
+The state is the history of (mention representation; linked entity) pairs,
+one row each, seeded with a learned initial pair.  At every step the
+candidate actions are the ``window_size`` earliest unresolved mentions in
+document order.  Each action is summarised by its local-score-weighted
 mention/entity vector; history elements are scored by their best-matching
 action, the top ``top_k`` serve as attention evidence, and a second
 diagonal form turns evidence-weighted matches into action logits.
 
-``select_action`` scores one step.  When the history is fixed in advance,
-as the gold history of a training episode is, ``episode_log_probs`` scores
-every step of the episode in one graph: step t's window against the first
-t+1 history rows, with the causal prefix mask of Vaswani et al. 2017.
+``select_action`` picks one step's action and returns its window's
+distribution as plain numbers (the training sampling pass and greedy eval
+run it under ``no_grad``); ``advance`` refills the window.  When the
+history is fixed in advance, as the gold history of a training episode is,
+``episode_log_probs`` scores every step of the episode in one graph: step
+t's window against the first t+1 history rows, with the causal prefix mask
+of Vaswani et al. 2017.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .autodiff import DiagonalBilinear, Tensor
 
 __all__ = [
     "PolicyParams",
-    "LinkingState",
     "ActionWindow",
     "action_representation",
     "select_action",
@@ -60,20 +62,6 @@ class PolicyParams:
 
 
 @dataclass(frozen=True)
-class LinkingState:
-    """History of linked (mention; entity) pairs; pair 0 is the learned init pair."""
-
-    pairs: tuple[Tensor, ...]
-
-    @classmethod
-    def initial(cls, params: PolicyParams) -> "LinkingState":
-        return cls((params.init_pair,))
-
-    def stacked(self) -> Tensor:
-        return ad.stack(self.pairs)
-
-
-@dataclass(frozen=True)
 class ActionWindow:
     """Unresolved mention positions in document order plus the window size."""
 
@@ -102,36 +90,29 @@ def action_representation(mention_repr: Tensor, cand_vecs: Tensor, psi: Tensor) 
 
 
 def select_action(
-    state: LinkingState,
+    history: Tensor,
     window: ActionWindow,
     action_reps: Sequence[Tensor],
     params: PolicyParams,
     mode: str = "greedy",
     rng: np.random.Generator | None = None,
-    force: int | None = None,
-) -> tuple[int, Tensor, np.ndarray]:
+) -> tuple[int, np.ndarray]:
     """Pick the next mention position.
 
-    ``action_reps[p]`` summarises the mention at position ``p``.  Returns
-    ``(position, log_prob, distribution)``; ``distribution`` is aligned
-    with ``window.actions()``.  Single-action windows skip the rng
-    so greedy and sampled rollouts stay trace-identical there.  ``force``
-    evaluates the distribution but returns the given position (it must be
-    inside the window).
+    ``history`` holds the linked pairs so far, one ``(mention; entity)`` row
+    each, the init pair first; ``action_reps[p]`` summarises the mention at
+    position ``p``.  Returns ``(position, distribution)``; ``distribution``
+    is aligned with ``window.actions()``.  Single-action windows skip the
+    rng so greedy and sampled rollouts stay trace-identical there.
     """
     acts = window.actions()
     if not acts:
         raise ValueError("cannot select from an empty action window")
     reps = ad.stack([action_reps[a] for a in acts])
-    evidence = params.history_match.pool(reps, state.stacked(), params.top_k)
-    log_probs = ad.log_softmax(params.action_scorer.scores(reps, evidence))
-    probs = np.exp(log_probs.data)
+    evidence = params.history_match.pool(reps, history, params.top_k)
+    probs = np.exp(ad.log_softmax(params.action_scorer.scores(reps, evidence)).data)
 
-    if force is not None:
-        if force not in acts:
-            raise ValueError(f"forced action {force} is outside the window {acts}")
-        idx = acts.index(force)
-    elif len(acts) == 1:
+    if len(acts) == 1:
         idx = 0
     elif mode == "greedy":
         idx = int(np.argmax(probs))
@@ -141,7 +122,7 @@ def select_action(
         idx = int(rng.choice(len(acts), p=probs / probs.sum()))
     else:
         raise ValueError(f"unknown selection mode {mode!r}")
-    return acts[idx], ad.item(log_probs, idx), probs
+    return acts[idx], probs
 
 
 def episode_log_probs(
@@ -157,11 +138,12 @@ def episode_log_probs(
     chose.  ``actions`` and ``pairs`` hold one row per mention, in position
     order: its action summary, and the pair it adds to the history once
     linked.  Step t sees the init pair and the pairs of ``order[:t]``, so
-    line t equals ``select_action(..., force=order[t])`` on that history.
-    Windows are padded to the widest; a padded slot repeats its step's first
-    action, so it never changes a best match, and the log-softmax leaves it
-    out.  Both stacks are gathered by constant one-hot products, which copy
-    rows exactly and scatter their gradients with one matrix product.
+    line t is the log of ``select_action``'s distribution on that history,
+    at the chosen slot.  Windows are padded to the widest; a padded slot
+    repeats its step's first action, so it never changes a best match, and
+    the log-softmax leaves it out.  Both stacks are gathered by constant
+    one-hot products, which copy rows exactly and scatter their gradients
+    with one matrix product.
     """
     steps, width = len(windows), max(len(w) for w in windows)
     slots = np.array([w + (w[0],) * (width - len(w)) for w in windows])
@@ -182,15 +164,8 @@ def episode_log_probs(
     return ad.gather(ad.reshape(log_probs, (-1,)), np.arange(steps) * width + chosen)
 
 
-def advance(
-    state: LinkingState,
-    window: ActionWindow,
-    action: int,
-    pair: Tensor,
-) -> tuple[LinkingState, ActionWindow]:
-    """Append the linked pair to the history and refill the window."""
+def advance(window: ActionWindow, action: int) -> ActionWindow:
+    """The window once ``action`` is linked: refilled from the unresolved."""
     if action not in window.actions():
         raise ValueError(f"action {action} is not in the current window {window.actions()}")
-    new_state = LinkingState(state.pairs + (pair,))
-    remaining = tuple(p for p in window.unresolved if p != action)
-    return new_state, ActionWindow(window.window_size, remaining)
+    return ActionWindow(window.window_size, tuple(p for p in window.unresolved if p != action))

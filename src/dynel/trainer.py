@@ -30,7 +30,7 @@ from .autodiff import Tensor
 from .corpus import Document, EmbeddingStore
 from .local_transformer import TransformerConfig, check_input_caps
 from .model import LOCAL_MODELS, EncodedMention, ModelParams, build_model, encode_document
-from .policy import ActionWindow, LinkingState, advance, episode_log_probs, select_action
+from .policy import ActionWindow, advance, episode_log_probs, select_action
 from .rewards import REWARD_KINDS, EpisodeOutcome, TransitionRewards, reward_trace
 from .selector import FEATURE_NAMES, FUSION_MODES, candidate_distribution
 
@@ -84,6 +84,10 @@ class TrainConfig:
     max_candidates: int = 8
 
     def __post_init__(self):
+        # a NaN passes every range check below: each comparison is just false
+        for key in ("rl_weight", "margin", "lr", "lr_after", "val_acc_threshold", "transition"):
+            if not np.isfinite(getattr(self, key)).all():
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
         if not (0.0 < self.gamma <= 1.0):
             raise ValueError("gamma must lie in (0, 1]")
         if self.rl_weight < 0:
@@ -195,9 +199,9 @@ class Episode:
     """One full pass over a document's mentions.
 
     ``log_probs`` holds ``log pi(a_t)`` of every step as one ``(steps,)``
-    tensor for train and ``score_order`` rollouts, and is ``None`` for eval
-    and bypassed orders.  ``window_probs[t]`` is the policy's distribution
-    over step t's window, for every rollout that ran the policy.
+    tensor for train rollouts, and is ``None`` for eval rollouts.
+    ``window_probs[t]`` is the policy's distribution over step t's window,
+    for every rollout whose order the policy chose.
     """
 
     doc_id: str
@@ -231,21 +235,18 @@ def rollout(
     mode: str = "eval",
     rng: np.random.Generator | None = None,
     order: Sequence[int] | None = None,
-    score_order: bool = False,
     encoded: Sequence[EncodedMention] | None = None,
     pairs: Tensor | None = None,
 ) -> Episode:
     """Roll one episode; ``order`` forces the mention sequence.
 
-    Forced orders bypass the policy entirely unless ``score_order`` is set,
-    in which case the policy distribution is still evaluated and, in train
-    mode, the forced actions' log-probabilities recorded (the order must
-    then respect the window discipline).  Train mode teacher-forces gold
-    entities into the history, so it runs in two passes: the policy picks
-    the order step by step without recording a graph, then one policy graph
-    scores every step's log-probability and one selector graph every step's
-    candidates.  Eval mode is greedy with predicted history and records no
-    graph.  ``encoded`` reuses an ``encode_document`` pass made in the same
+    Train mode teacher-forces gold entities into the history, so it runs in
+    two passes: the policy picks the order step by step without recording a
+    graph (or ``order`` gives it, and must then keep the window), then one
+    policy graph scores every step's log-probability and one selector graph
+    every step's candidates.  Eval mode is greedy with predicted history and
+    records no graph; a forced eval order bypasses the policy and its
+    window.  ``encoded`` reuses an ``encode_document`` pass made in the same
     mode, and ``pairs`` the ``gold_pairs`` of that pass.
     """
     if mode not in ("train", "eval"):
@@ -260,11 +261,14 @@ def rollout(
     if encoded is None:
         encoded = encode_document(doc, store, params, mode, rng)
     actions = tuple(r.action for r in encoded)
-    runs_policy = order is None or score_order
+    keeps_window = order is None or training   # a forced eval order bypasses it
 
     window_size = config.window if config.window is not None else n_mentions
     window = ActionWindow(window_size, tuple(range(n_mentions)))
-    state = LinkingState.initial(params.policy)
+    # row 0 is the init pair, row t+1 the pair linked at step t
+    history = np.empty((n_mentions + 1, params.policy.init_pair.shape[0]))
+    history[0] = params.policy.init_pair.data
+    dim = history.shape[1] // 2
 
     chosen_order: list[int] = []
     windows: list[tuple[int, ...]] = []
@@ -275,12 +279,12 @@ def rollout(
 
     with ad.no_grad():
         for step in range(n_mentions):
-            if runs_policy:
+            if keeps_window:
                 windows.append(window.actions())
-                pos, _, probs = select_action(
-                    state, window, actions, params.policy,
+            if order is None:
+                pos, probs = select_action(
+                    Tensor(history[:step + 1]), window, actions, params.policy,
                     mode="sample" if training else "greedy", rng=rng,
-                    force=order[step] if order is not None else None,
                 )
                 window_probs.append(probs)
             else:
@@ -297,18 +301,18 @@ def rollout(
                 predicted.append(linked_id)
                 predicted_prob.append(float(probs[pick]))
             history_entities.append(linked_id)
-            # bypassed orders skip the policy state and its window discipline
-            if runs_policy:
-                pair = ad.concat([record.context, Tensor(store.entity(linked_id))])
-                state, window = advance(state, window, pos, pair)
+            if keeps_window:
+                window = advance(window, pos)
+            if order is None:
+                history[step + 1, :dim] = record.context.data
+                history[step + 1, dim:] = store.entity(linked_id)
 
     log_probs, margin, margin_terms = None, None, 0
     if training:
-        if runs_policy:
-            if pairs is None:
-                pairs = gold_pairs(encoded, store)
-            log_probs = episode_log_probs(windows, chosen_order, ad.stack(actions), pairs,
-                                          params.policy)
+        if pairs is None:
+            pairs = gold_pairs(encoded, store)
+        log_probs = episode_log_probs(windows, chosen_order, ad.stack(actions), pairs,
+                                      params.policy)
         # every step's distribution in one graph: step t sees the golds before it
         records = [encoded[pos] for pos in chosen_order]
         probs = candidate_distribution(records, tuple(history_entities[:-1]), store,

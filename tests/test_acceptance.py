@@ -130,7 +130,7 @@ def test_criterion_04_reinforce_bandit():
     # our log-prob gradients realise the score function exactly
     t = ad.parameter(theta.copy())
     for a in (0, 1):
-        grads = ad.backward(ad.item(ad.log_softmax(t), a))
+        grads = ad.backward(ad.gather(ad.log_softmax(t), a))
         assert np.allclose(grads[t], np.eye(2)[a] - pi, atol=1e-12)
 
     rng = np.random.default_rng(0)
@@ -218,17 +218,17 @@ def test_criterion_07_dual_implementation_agreement():
     for seed in range(100):
         rng = np.random.default_rng(1000 + seed)
         dim = int(rng.integers(2, 6))
-        from dynel.policy import LinkingState, PolicyParams, select_action
+        from dynel.policy import PolicyParams, select_action
 
         params = PolicyParams.build(dim, top_k=int(rng.integers(1, 6)))
         params.history_match.diag.data[...] = rng.normal(size=2 * dim)
         params.action_scorer.diag.data[...] = rng.normal(size=2 * dim)
         params.init_pair.data[...] = rng.normal(size=2 * dim)
         hist = rng.normal(size=(int(rng.integers(1, 6)), 2 * dim))
-        state = LinkingState((params.init_pair, *(Tensor(h) for h in hist)))
+        history = Tensor(np.vstack([params.init_pair.data[None], hist]))
         acts = tuple(range(int(rng.integers(1, 5))))
         reps = {a: Tensor(rng.normal(size=2 * dim)) for a in acts}
-        _, _, probs = select_action(state, ActionWindow(len(acts), acts), reps, params)
+        _, probs = select_action(history, ActionWindow(len(acts), acts), reps, params)
         expected = oracles.policy_distribution(
             np.vstack([params.init_pair.data[None], hist]),
             np.stack([reps[a].data for a in acts]),
@@ -386,7 +386,7 @@ def test_criterion_10_transformer_head_contracts():
     assert abs(float(n3.data.sum()) - 1.0) <= 1e-9
 
     # candidate rows share the position slot: only used rows get gradient
-    grads = ad.backward(-ad.log(ad.item(n3, 0)))
+    grads = ad.backward(-ad.log(ad.gather(n3, 0)))
     _, layout = build_input(mention, Tensor(store.entities(mention.candidate_ids)),
                             store, params)
     grad = grads[params.position_embed]
@@ -423,7 +423,7 @@ def test_criterion_10_transformer_head_contracts():
         for _ in range(12):
             for m, gi in pairs:
                 out = local_scores_transformer(m, bstore, p, mode="eval")
-                loss = -ad.log(ad.item(out, gi))
+                loss = -ad.log(ad.gather(out, gi))
                 opt.step(ad.backward(loss), 0.02)
         correct = total = 0
         with ad.no_grad():

@@ -11,7 +11,7 @@ import oracles
 
 def coherence(x, b: DiagonalBilinear, y) -> Tensor:
     """x . diag(b) . y for one row, through ``DiagonalBilinear.scores``."""
-    return ad.item(b.scores(Tensor([x]), Tensor(y)), 0)
+    return ad.gather(b.scores(Tensor([x]), Tensor(y)), 0)
 
 
 def test_bilinear_identity_reduces_to_dot():
@@ -95,7 +95,7 @@ def test_softmax_shift_can_round_inputs_to_a_tie():
 
 def test_softmax_gradient_translation_invariance():
     v = ad.parameter(np.array([0.3, -1.2, 0.7]))
-    assert abs(ad.backward(ad.item(ad.softmax(v), 0))[v].sum()) <= 1e-12
+    assert abs(ad.backward(ad.gather(ad.softmax(v), 0))[v].sum()) <= 1e-12
 
 
 def test_backward_returns_fresh_equal_gradients_on_every_call():
@@ -160,7 +160,7 @@ def _random_graph_loss(arrs):
         ad.tsum(s * Tensor([0.3, 0.5, 0.2]))
         + ad.tsum(ls * 0.1)
         + ad.tsum(ad.sqrt(ad.exp(mx) + 1.0))
-        + ad.item(v, 0)
+        + ad.gather(v, 0)
     )
 
 

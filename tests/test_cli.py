@@ -226,9 +226,10 @@ def test_config_type_errors_are_reported_before_the_corpus_is_read(tmp_path, cap
 @pytest.mark.parametrize("setting, message", [
     ({"epochs": -3}, "epochs must be >= 0, got -3"),
     ({"lr": -0.5}, "lr must be > 0, got -0.5"),
+    ({"lr": float("nan")}, "lr must be finite, got nan"),
     ({"fusion_hidden": 0}, "fusion_hidden must be >= 1, got 0"),
     ({"local_model": "transformer", "attention_heads": 0}, "transformer heads must be >= 1, got 0"),
-], ids=["epochs", "lr", "fusion_hidden", "attention_heads"])
+], ids=["epochs", "lr", "lr-nan", "fusion_hidden", "attention_heads"])
 def test_out_of_range_settings_are_refused_before_the_corpus_is_read(tmp_path, capsys,
                                                                      setting, message):
     cfg = tmp_path / "bad.json"

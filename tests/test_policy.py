@@ -7,10 +7,10 @@ from dynel import autodiff as ad
 from dynel.autodiff import Tensor
 from dynel.policy import (
     ActionWindow,
-    LinkingState,
     PolicyParams,
     action_representation,
     advance,
+    episode_log_probs,
     select_action,
 )
 
@@ -26,8 +26,9 @@ def make_params(dim: int, top_k: int = 7, rng=None) -> PolicyParams:
     return p
 
 
-def state_from(pairs, params) -> LinkingState:
-    return LinkingState((params.init_pair, *(Tensor(p) for p in pairs)))
+def history_from(pairs, params) -> Tensor:
+    """The history rows: the init pair, then ``pairs``."""
+    return Tensor(np.vstack([params.init_pair.data, *pairs]))
 
 
 class TestActionRepresentation:
@@ -47,10 +48,10 @@ class TestActionRepresentation:
         assert np.allclose(d.data[:4], mention, atol=1e-12)
 
 
-def relevance(state, actions, params):
+def relevance(history, actions, params):
     """Each history element's best match against the actions, as ``select_action``
     computes it."""
-    return params.history_match.match(ad.stack(actions), state.stacked())
+    return params.history_match.match(ad.stack(actions), history)
 
 
 class TestStateRelevance:
@@ -59,7 +60,7 @@ class TestStateRelevance:
         params = make_params(dim, rng=rng)
         s = rng.normal(size=(2, 2 * dim))
         a = Tensor(rng.normal(size=2 * dim))
-        c = relevance(state_from(s[1:], params), [a], params).data
+        c = relevance(history_from(s[1:], params), [a], params).data
         manual = [
             float(np.sum(a.data * params.history_match.diag.data * params.init_pair.data)),
             float(np.sum(a.data * params.history_match.diag.data * s[1])),
@@ -70,7 +71,7 @@ class TestStateRelevance:
         params = make_params(2)
         params.history_match.diag.data[...] = 0.0
         c = relevance(
-            state_from(rng.normal(size=(2, 4)), params),
+            history_from(rng.normal(size=(2, 4)), params),
             [Tensor(rng.normal(size=4)) for _ in range(2)],
             params,
         ).data
@@ -81,8 +82,7 @@ class TestStateRelevance:
         params = make_params(dim, rng=rng)
         hist = rng.normal(size=(3, 2 * dim))
         actions = [Tensor(rng.normal(size=2 * dim)) for _ in range(2)]
-        state = LinkingState(tuple(Tensor(h) for h in hist))
-        got = relevance(state, actions, params).data
+        got = relevance(Tensor(hist), actions, params).data
         table = np.array(
             [
                 [float(np.sum(a.data * params.history_match.diag.data * s)) for s in hist]
@@ -98,12 +98,9 @@ class TestSelectAction:
         params = make_params(dim, rng=rng)
         window = ActionWindow(3, (4,))
         reps = {4: Tensor(rng.normal(size=2 * dim))}
-        pos, logp, probs = select_action(
-            LinkingState.initial(params), window, reps, params
-        )
+        pos, probs = select_action(history_from([], params), window, reps, params)
         assert pos == 4
         assert probs.tolist() == [1.0]
-        assert logp.item() == 0.0
 
     def test_identical_reps_split_evenly(self, rng):
         dim = 2
@@ -111,7 +108,7 @@ class TestSelectAction:
         rep = rng.normal(size=2 * dim)
         window = ActionWindow(2, (0, 1))
         reps = {0: Tensor(rep.copy()), 1: Tensor(rep.copy())}
-        _, _, probs = select_action(LinkingState.initial(params), window, reps, params)
+        _, probs = select_action(history_from([], params), window, reps, params)
         assert np.allclose(probs, [0.5, 0.5], atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(20))
@@ -123,11 +120,11 @@ class TestSelectAction:
         top_k = int(rng.integers(1, 5))
         params = make_params(dim, top_k=top_k, rng=rng)
         hist = rng.normal(size=(hist_len, 2 * dim))
-        state = state_from(hist, params)
         acts = tuple(range(n_actions))
         reps = {a: Tensor(rng.normal(size=2 * dim)) for a in acts}
 
-        _, _, probs = select_action(state, ActionWindow(n_actions, acts), reps, params)
+        _, probs = select_action(history_from(hist, params), ActionWindow(n_actions, acts),
+                                 reps, params)
         expected = oracles.policy_distribution(
             np.vstack([params.init_pair.data[None], hist]),
             np.stack([reps[a].data for a in acts]),
@@ -141,10 +138,9 @@ class TestSelectAction:
         dim = 2
         params = make_params(dim, top_k=7, rng=rng)
         hist = rng.normal(size=(3, 2 * dim))  # K=7, t=3 -> 4 evidence elements
-        state = state_from(hist, params)
         acts = (0, 1)
         reps = {a: Tensor(rng.normal(size=2 * dim)) for a in acts}
-        _, _, probs = select_action(state, ActionWindow(2, acts), reps, params)
+        _, probs = select_action(history_from(hist, params), ActionWindow(2, acts), reps, params)
         full = oracles.policy_distribution(
             np.vstack([params.init_pair.data[None], hist]),
             np.stack([reps[a].data for a in acts]),
@@ -157,59 +153,67 @@ class TestSelectAction:
     def test_empty_window_rejected(self, rng):
         params = make_params(2)
         with pytest.raises(ValueError, match="empty action window"):
-            select_action(LinkingState.initial(params), ActionWindow(2, ()), {}, params)
+            select_action(history_from([], params), ActionWindow(2, ()), {}, params)
 
     def test_distribution_sums_to_one(self, rng):
         params = make_params(3, rng=rng)
         acts = (0, 1, 2)
         reps = {a: Tensor(rng.normal(size=6)) for a in acts}
-        _, _, probs = select_action(LinkingState.initial(params),
-                                    ActionWindow(3, acts), reps, params)
+        _, probs = select_action(history_from([], params), ActionWindow(3, acts), reps, params)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_log_prob_gradient_matches_fd(self, rng):
+class TestEpisodeLogProbs:
+    # three mentions, window 2: step 0 picks 1 from (0, 1), step 1 picks 0
+    # from (0, 2), step 2 is left with (2,)
+    WINDOWS, ORDER = [(0, 1), (0, 2), (2,)], (1, 0, 2)
+
+    def test_each_step_is_the_log_of_the_oracle_distribution(self, rng):
         dim = 3
-        params = make_params(dim, rng=rng)
-        hist = rng.normal(size=(2, 2 * dim))
-        acts = (0, 1, 2)
-        reps_arr = rng.normal(size=(3, 2 * dim))
+        params = make_params(dim, top_k=2, rng=rng)
+        reps, pairs = rng.normal(size=(3, 2 * dim)), rng.normal(size=(3, 2 * dim))
+        got = episode_log_probs(self.WINDOWS, self.ORDER, Tensor(reps), Tensor(pairs), params)
+        for t, (acts, pos) in enumerate(zip(self.WINDOWS, self.ORDER)):
+            history = np.vstack([params.init_pair.data[None], pairs[list(self.ORDER[:t])]])
+            want = oracles.policy_distribution(
+                history, reps[list(acts)], params.history_match.diag.data,
+                params.action_scorer.diag.data, params.top_k)
+            assert abs(got.data[t] - np.log(want[acts.index(pos)])) <= 1e-12
+        assert got.data[2] == 0.0   # a single action has log-probability 0
+
+    def test_gradient_matches_fd(self, rng):
+        dim = 3
+        params = make_params(dim, top_k=2, rng=rng)
+        reps, pairs = rng.normal(size=(3, 2 * dim)), rng.normal(size=(3, 2 * dim))
+        mix = Tensor(rng.normal(size=3))
 
         def build():
-            state = state_from(hist, params)
-            reps = {a: Tensor(reps_arr[a]) for a in acts}
-            _, logp, _ = select_action(state, ActionWindow(3, acts), reps, params,
-                                       mode="greedy")
-            return logp
+            log_probs = episode_log_probs(self.WINDOWS, self.ORDER, Tensor(reps),
+                                          Tensor(pairs), params)
+            return ad.tsum(log_probs * mix)
 
-        logp = build()
-        named = params.parameters()
-        grads = ad.backward(logp)
-        for name, t in named.items():
+        grads = ad.backward(build())
+        for name, t in params.parameters().items():
             fd = oracles.fd_gradient(lambda: float(build().data), t.data)
             for i, g in fd.items():
                 assert oracles.rel_err(grads[t].ravel()[i], g) <= 1e-4, name
 
 
 class TestAdvanceAndWindow:
-    def test_refill_rule(self, rng):
-        params = make_params(2)
+    def test_refill_rule(self):
         window = ActionWindow(3, (1, 2, 3, 4))
-        state = LinkingState.initial(params)
         assert window.actions() == (1, 2, 3)
-        pair = Tensor(np.zeros(4))
-        state, window = advance(state, window, 2, pair)
+        window = advance(window, 2)
+        assert window == ActionWindow(3, (1, 3, 4))
         assert window.actions() == (1, 3, 4)
-        assert state.pairs == (params.init_pair, pair)
 
     def test_window_larger_than_doc_degenerates(self):
         window = ActionWindow(10, (0, 1, 2))
         assert window.actions() == (0, 1, 2)
 
     def test_action_outside_window_rejected(self):
-        params = make_params(2)
         window = ActionWindow(2, (0, 1, 2))
-        with pytest.raises(ValueError, match="not in the current window"):
-            advance(LinkingState.initial(params), window, 2, Tensor(np.zeros(4)))
+        with pytest.raises(ValueError, match=r"action 2 is not in the current window \(0, 1\)"):
+            advance(window, 2)
 
     @given(
         st.integers(2, 8),

@@ -98,7 +98,7 @@ class TestCoherence:
         params = build_params(4, rng)
         pooled = Tensor(np.array([0.5, 0.5, -0.5, 0.5]))
         unit = pooled.data / np.linalg.norm(pooled.data)
-        score = ad.item(params.linked_coherence.scores(Tensor([unit]), pooled), 0)
+        score = ad.gather(params.linked_coherence.scores(Tensor([unit]), pooled), 0)
         assert score.item() == pytest.approx(np.linalg.norm(pooled.data))
 
     def test_random_instance_hand_arithmetic(self, rng):
@@ -106,7 +106,7 @@ class TestCoherence:
         diag = rng.normal(size=3)
         params.linked_coherence.diag.data[...] = diag
         e, f = rng.normal(size=3), rng.normal(size=3)
-        got = ad.item(params.linked_coherence.scores(Tensor([e]), Tensor(f)), 0).item()
+        got = ad.gather(params.linked_coherence.scores(Tensor([e]), Tensor(f)), 0).item()
         assert got == pytest.approx(float(np.sum(e * diag * f)))
 
 
@@ -235,7 +235,7 @@ class TestCandidateDistribution:
 
         def build():
             probs = candidate_distribution(rec, ("e3",), store, params)
-            return -ad.log(ad.item(probs, 0))
+            return -ad.log(ad.gather(probs, 0))
 
         loss = build()
         named = params.parameters()

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from dynel import autodiff as ad
 from dynel.autodiff import Tensor
 from dynel.corpus import CandidateEntity, EmbeddingStore
+from dynel.harness import ordering_for
 from dynel.local_transformer import TransformerConfig
 from dynel.model import build_model, encode_document, load_checkpoint, save_checkpoint
-from dynel.policy import ActionWindow, LinkingState, advance, select_action
+from dynel.policy import ActionWindow, advance
 from dynel.selector import candidate_distribution
 from dynel.synthetic import SyntheticSpec, generate_synthetic
 from dynel.trainer import (
@@ -91,6 +92,8 @@ class TestRolloutBasics:
             assert sorted(ep.order) == [m.position for m in doc.mentions]
 
     def test_log_probs_only_where_the_policy_scores_a_train_order(self):
+        # every train order is scored, sampled or forced; only a sampled or
+        # greedy order leaves the policy's window distributions
         docs, store = anchored_world(num_docs=1)
         cfg = oracle_selector_config(window=3)
         params = build(store, cfg)
@@ -98,14 +101,39 @@ class TestRolloutBasics:
         order = [m.position for m in doc.mentions]
         rng = np.random.default_rng(0)
         with ad.no_grad():
-            assert rollout(doc, store, params, cfg, mode="eval").log_probs is None
-        assert rollout(doc, store, params, cfg, mode="train", rng=rng,
-                       order=order).log_probs is None
+            greedy = rollout(doc, store, params, cfg, mode="eval")
+            offset = rollout(doc, store, params, cfg, mode="eval", order=order)
+        assert greedy.log_probs is None and offset.log_probs is None
+        assert [p.size for p in greedy.window_probs] == [3, 3, 3, 3, 2, 1]
+        assert offset.window_probs == ()
         for forced in (None, order):
-            ep = rollout(doc, store, params, cfg, mode="train", rng=rng, order=forced,
-                         score_order=forced is not None)
+            ep = rollout(doc, store, params, cfg, mode="train", rng=rng, order=forced)
             assert ep.log_probs.shape == (n,) and ep.log_probs.requires_grad
-            assert [p.size for p in ep.window_probs] == [3, 3, 3, 3, 2, 1]
+            sizes = [p.size for p in ep.window_probs]
+            assert sizes == ([3, 3, 3, 3, 2, 1] if forced is None else [])
+
+    def test_a_forced_train_order_must_keep_the_window(self):
+        docs, store = anchored_world(num_docs=1)
+        cfg = oracle_selector_config(window=2)
+        params = build(store, cfg)
+        doc = docs[0]
+        backwards = [m.position for m in reversed(doc.mentions)]
+        with pytest.raises(ValueError, match=r"action 5 is not in the current window \(0, 1\)"):
+            rollout(doc, store, params, cfg, mode="train", rng=np.random.default_rng(0),
+                    order=backwards)
+
+    def test_a_forced_eval_order_outside_the_window_is_linked(self):
+        # the size baseline orders by candidate count, whatever the window
+        docs, store = anchored_world(num_docs=1)
+        doc = _ragged(docs[0])
+        cfg = oracle_selector_config(window=2)
+        params = build(store, cfg)
+        order = ordering_for(doc, "size", store, params, cfg)
+        assert order == [3, 1, 5, 2, 0, 4]   # 3 is outside the first window (0, 1)
+        with ad.no_grad():
+            ep = rollout(doc, store, params, cfg, mode="eval", order=order)
+        assert ep.order == tuple(order) and len(ep.predicted) == len(order)
+        assert ep.log_probs is None and ep.window_probs == ()
 
     def test_forced_order_must_be_permutation(self):
         docs, store = anchored_world(num_docs=1)
@@ -168,19 +196,19 @@ class TestMarginLoss:
     def test_hand_cases(self):
         # separated by more than the margin -> no loss from the other candidate
         probs = ad.softmax(Tensor(np.log([0.9, 0.1])))
-        gold_prob = ad.item(probs, 0)
+        gold_prob = ad.gather(probs, 0)
         hinge = ad.relu(probs - gold_prob + 0.2)
         # gold term contributes exactly beta
         assert np.allclose(hinge.data, [0.2, 0.0])
 
         probs = Tensor(np.array([0.5, 0.5]))
-        hinge = ad.relu(probs - ad.item(probs, 0) + 0.2)
+        hinge = ad.relu(probs - ad.gather(probs, 0) + 0.2)
         assert np.allclose(hinge.data, [0.2, 0.2])
 
     def test_uniform_distribution_charges_beta_per_candidate(self):
         n, beta = 4, 0.05
         probs = Tensor(np.full(n, 1 / n))
-        hinge = ad.relu(probs - ad.item(probs, 0) + beta)
+        hinge = ad.relu(probs - ad.gather(probs, 0) + beta)
         assert np.allclose(hinge.data, beta)
 
     def test_rollout_margin_zero_when_gold_dominates(self):
@@ -235,22 +263,34 @@ def _episode_config(case):
 
 
 def _per_step_policy(encoded, store, params, window_size, order=None, rng=None):
-    """One ``select_action`` graph per step on the gold history, forced to
-    ``order`` or sampling from ``rng``: the order, each step's
-    log-probability, and each step's history rows and window."""
-    state = LinkingState.initial(params.policy)
+    """The policy as one graph per step on the gold history: pool the
+    window's actions against the history rows, score, log-softmax.  Forced
+    to ``order`` or sampling from ``rng`` as ``select_action`` samples;
+    returns the order, each step's log-probability, and each step's
+    history rows and window."""
+    pol = params.policy
     window = ActionWindow(window_size, tuple(range(len(encoded))))
-    actions = [r.action for r in encoded]
+    history = [pol.init_pair]
     chosen, log_probs, seen = [], [], []
     for t in range(len(encoded)):
-        seen.append((state.stacked().data, window.actions()))
-        pos, logp, _ = select_action(state, window, actions, params.policy, mode="sample",
-                                     rng=rng, force=None if order is None else order[t])
+        acts, rows = window.actions(), ad.stack(history)
+        seen.append((rows.data, acts))
+        reps = ad.stack([encoded[a].action for a in acts])
+        evidence = pol.history_match.pool(reps, rows, pol.top_k)
+        logp = ad.log_softmax(pol.action_scorer.scores(reps, evidence))
+        if order is not None:
+            idx = acts.index(order[t])
+        elif len(acts) == 1:
+            idx = 0
+        else:
+            probs = np.exp(logp.data)
+            idx = int(rng.choice(len(acts), p=probs / probs.sum()))
+        pos = acts[idx]
         chosen.append(pos)
-        log_probs.append(logp)
+        log_probs.append(ad.gather(logp, idx))
         record = encoded[pos]
-        pair = ad.concat([record.context, Tensor(store.entity(record.mention.gold))])
-        state, window = advance(state, window, pos, pair)
+        history.append(ad.concat([record.context, Tensor(store.entity(record.mention.gold))]))
+        window = advance(window, pos)
     return chosen, log_probs, seen
 
 
@@ -284,7 +324,7 @@ class TestEpisodeGraph:
         steps = [candidate_distribution(r, golds[:t], store, params.selector)
                  for t, r in enumerate(records)]
 
-        hinges = [ad.tsum(ad.relu(p - ad.item(p, r.gold_index) + cfg.margin))
+        hinges = [ad.tsum(ad.relu(p - ad.gather(p, r.gold_index) + cfg.margin))
                   for p, r in zip(steps, records) if r.gold_index is not None]
         composed = hinges[0]
         for term in hinges[1:]:
@@ -377,10 +417,16 @@ class TestEpisodeGraph:
             encoded = encode_document(doc, store, params, "eval")
             ep = rollout(doc, store, params, cfg, mode="train", rng=np.random.default_rng(i),
                          encoded=encoded)
-            order, steps, _ = _per_step_policy(encoded, store, params, window or len(encoded),
-                                               rng=np.random.default_rng(i))
+            order, steps, seen = _per_step_policy(encoded, store, params,
+                                                  window or len(encoded),
+                                                  rng=np.random.default_rng(i))
             assert ep.order == tuple(order)
             assert np.abs(ep.log_probs.data - [float(s.data) for s in steps]).max() <= 1e-12
+            # the sampling pass draws from the distribution that is differentiated
+            for t, (pos, (_, acts)) in enumerate(zip(ep.order, seen)):
+                assert ep.window_probs[t].size == len(acts)
+                chosen = ep.window_probs[t][acts.index(pos)]
+                assert abs(chosen - np.exp(ep.log_probs.data[t])) <= 1e-12
             orders.add(ep.order)
         assert len(orders) > 1
 
@@ -922,6 +968,23 @@ def test_config_refuses_out_of_range_training_settings(field, value, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         TrainConfig.from_dict({field: value})
     assert TrainConfig(epochs=0).epochs == 0
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["lr", "lr_after", "margin", "rl_weight",
+                                   "val_acc_threshold", "transition"])
+def test_config_refuses_a_value_that_is_not_finite(field, value):
+    # a NaN fails every range comparison silently, and an infinite rate or
+    # margin passes them; each would first show as a non-finite update
+    if field == "transition":
+        value = (0.0, value, -1.0, 0.0)
+    message = f"{field} must be finite, got {value}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TrainConfig(**{field: value})
+    # JSON's NaN and Infinity tokens arrive as floats
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        TrainConfig.from_dict(json.loads(json.dumps({field: value})))
 
 
 @pytest.mark.parametrize("rate", [1.0, -0.5])

@@ -42,7 +42,6 @@ __all__ = [
     "tsum",
     "tmax",
     "relu",
-    "exp",
     "log",
     "sqrt",
     "softmax",
@@ -93,40 +92,18 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # operator sugar -------------------------------------------------
+    # operator sugar: ``t + x``, ``t * x`` and ``-t`` -------------------
     def __add__(self, other):
         return add(self, as_tensor(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(as_tensor(other), self)
 
     def __mul__(self, other):
         return mul(self, as_tensor(other))
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, as_tensor(other))
-
-    def __rtruediv__(self, other):
-        return div(as_tensor(other), self)
-
     def __neg__(self):
         return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, as_tensor(other))
 
 
 def as_tensor(x) -> Tensor:
@@ -205,11 +182,6 @@ def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
     # np.maximum propagates NaN, so poisoned values surface in the loss
     return _result(np.maximum(a.data, 0.0), (a,), (lambda g: g * mask,))
-
-
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-    return _result(out, (a,), (lambda g: g * out,))
 
 
 def log(a: Tensor) -> Tensor:

@@ -19,7 +19,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import Document, EmbeddingStore
 from .local_transformer import TransformerConfig, local_scores_transformer
-from .model import EncodedMention, ModelParams, build_model, encode_document
+from .model import EncodedDocument, ModelParams, build_model, encode_document
 from .rewards import REWARD_KINDS
 from .trainer import Episode, TrainConfig, micro_f1, rollout, train
 
@@ -123,11 +123,11 @@ def _report_from_episodes(
     )
 
 
-def _similarity_order(encoded: Sequence[EncodedMention]) -> list[int]:
+def _similarity_order(encoded: EncodedDocument) -> list[int]:
     def unit(v):
         n = np.linalg.norm(v)
         return v / n if n > 0 else v
-    units = [unit(r.context.data) for r in encoded]
+    units = [unit(row) for row in encoded.contexts.data]
     first, *remaining = range(len(units))
     order = [first]
     while remaining:
@@ -138,22 +138,26 @@ def _similarity_order(encoded: Sequence[EncodedMention]) -> list[int]:
     return order
 
 
+def _refuse_long_documents(docs: Sequence[Document]) -> None:
+    """Raise at the first document that ``exhaustive-best`` cannot search."""
+    for doc in docs:
+        if len(doc.mentions) > EXHAUSTIVE_MAX_MENTIONS:
+            raise ValueError(f"exhaustive-best supports at most {EXHAUSTIVE_MAX_MENTIONS} "
+                             f"mentions; document {doc.id!r} has {len(doc.mentions)}")
+
+
 def _exhaustive_best_order(
     doc: Document,
     store: EmbeddingStore,
     params: ModelParams,
     config: TrainConfig,
-    encoded: Sequence[EncodedMention] | None,
+    encoded: EncodedDocument | None,
 ) -> list[int]:
-    n = len(doc.mentions)
-    if n > EXHAUSTIVE_MAX_MENTIONS:
-        raise ValueError(
-            f"exhaustive-best supports at most {EXHAUSTIVE_MAX_MENTIONS} mentions, got {n}"
-        )
+    _refuse_long_documents([doc])
     if encoded is None:
         encoded = encode_document(doc, store, params)
     best_order, best_acc = None, -1.0
-    for perm in itertools.permutations(range(n)):
+    for perm in itertools.permutations(range(len(doc.mentions))):
         ep = rollout(doc, store, params, config, mode="eval", order=perm, encoded=encoded)
         acc = sum(ep.flags) / len(ep.flags)
         if acc > best_acc:
@@ -168,7 +172,7 @@ def ordering_for(
     params: ModelParams,
     config: TrainConfig,
     rng: np.random.Generator | None = None,
-    encoded: Sequence[EncodedMention] | None = None,
+    encoded: EncodedDocument | None = None,
 ) -> list[int] | None:
     """Mention order for a fixed strategy; None means "use the policy".
 
@@ -202,9 +206,13 @@ def run_baseline(
     strategy: str,
     seed: int = 0,
 ) -> EvalReport:
-    """Greedy evaluation with the policy replaced by a fixed strategy."""
+    """Greedy evaluation with the policy replaced by a fixed strategy.
+
+    ``exhaustive-best`` refuses the documents before it links any."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown ordering strategy {strategy!r}")
+    if strategy == "exhaustive-best":
+        _refuse_long_documents(docs)
     rng = np.random.default_rng(seed)
     episodes = []
     with ad.no_grad():

@@ -1,7 +1,7 @@
 """Bundle of all trainable parameters and the per-document encoding.
 
 ``encode_document`` is the one forward pass over a document's mentions
-that every episode over the document shares: one record per mention.  The
+that every episode over the document shares: one record per document.  The
 policy's mention half is always the hard-attention context feature (dimension
 d), whichever local scorer weights the candidates.
 """
@@ -29,7 +29,7 @@ from .selector import SelectorParams
 __all__ = [
     "LOCAL_MODELS",
     "ModelParams",
-    "EncodedMention",
+    "EncodedDocument",
     "build_model",
     "encode_document",
     "save_checkpoint",
@@ -131,17 +131,28 @@ def build_model(
 
 
 @dataclass(frozen=True)
-class EncodedMention:
-    """Everything a rollout reads about one mention, looked up once."""
+class EncodedDocument:
+    """Everything a rollout reads about a document, looked up once.
 
-    mention: Mention
-    candidates: Tensor         # candidate vectors, one row per candidate
-    priors: Tensor             # prior column the selector fuses
-    types: Tensor              # type-score column the selector fuses
-    gold_index: int | None     # gold's row in ``candidates``; None when missing
-    context: Tensor            # context feature; the policy's mention half
-    local: Tensor              # local score column the selector fuses
-    action: Tensor             # action summary the policy scores
+    The candidate arrays hold every mention's candidates in position order,
+    one entry or row each.  Line i of ``slots`` holds mention i's rows in
+    them, padded to the widest set: a padded slot repeats the mention's
+    first row, so a padded line's best match against any pooled row is
+    still one of its own candidates, and ``valid`` marks the real slots.
+    The stacks below them hold one row per mention, in position order.
+    """
+
+    mentions: tuple[Mention, ...]
+    candidates: Tensor         # (N, d) candidate vectors
+    priors: Tensor             # (N,) prior column the selector fuses
+    types: Tensor              # (N,) type-score column the selector fuses
+    local: Tensor              # (N,) local score column the selector fuses
+    slots: np.ndarray          # (mentions, widest) each mention's rows above
+    valid: np.ndarray          # (mentions, widest) which slots are real candidates
+    gold: np.ndarray           # (mentions,) gold's column; -1 when missing
+    contexts: Tensor           # (mentions, d) context features; the policy's mention half
+    actions: Tensor            # (mentions, 2d) action summaries the policy scores
+    pairs: Tensor              # (mentions, 2d) teacher-forced history pairs (context; gold)
 
 
 def encode_document(
@@ -150,16 +161,18 @@ def encode_document(
     params: ModelParams,
     mode: str = "eval",
     rng: np.random.Generator | None = None,
-) -> tuple[EncodedMention, ...]:
+) -> EncodedDocument:
     """Encode every mention once, in position order.
 
     The one place that reads a mention's candidate vectors, priors, type
-    scores and gold index.  Attention scores are softmax-normalised into
-    action weights; the transformer head is already a distribution
-    (``mode`` and ``rng`` drive its dropout).
+    scores and gold.  Attention scores are softmax-normalised into action
+    weights; the transformer head is already a distribution (``mode`` and
+    ``rng`` drive its dropout).  The pairs do not depend on an order, so
+    every training episode over the document shares them.
     """
-    records = []
-    for m in doc.mentions:
+    mentions = doc.mentions
+    cands, feats, locals_, actions = [], [], [], []
+    for m in mentions:
         cand = Tensor(store.entities(m.candidate_ids))
         feat = context_feature(m, cand, store, params.local_attn)
         if params.transformer is None:
@@ -168,11 +181,34 @@ def encode_document(
         else:
             local = local_scores_transformer(m, store, params.transformer, mode=mode, rng=rng)
             weights = local
-        types = Tensor([store.type_score(m.id, e) for e in m.candidate_ids])
-        gold = m.candidate_ids.index(m.gold) if m.gold in m.candidate_ids else None
-        records.append(EncodedMention(m, cand, Tensor(m.priors), types, gold, feat, local,
-                                      action_representation(feat, cand, weights)))
-    return tuple(records)
+        cands.append(cand.data)
+        feats.append(feat)
+        locals_.append(local)
+        actions.append(action_representation(feat, cand, weights))
+
+    ids = [m.candidate_ids for m in mentions]
+    widths = np.array([len(c) for c in ids])
+    columns = np.arange(widths.max())
+    valid = columns < widths[:, None]
+    slots = (np.cumsum(widths) - widths)[:, None] + np.where(valid, columns, 0)
+    gold = np.array([c.index(m.gold) if m.gold in c else -1 for m, c in zip(mentions, ids)])
+    contexts = ad.stack(feats)
+    golds = store.entities([m.gold for m in mentions])
+    pairs = ad.add(ad.matmul(contexts, Tensor(np.eye(params.dim, 2 * params.dim))),
+                   Tensor(np.hstack([np.zeros_like(golds), golds])))
+    return EncodedDocument(
+        mentions=mentions,
+        candidates=Tensor(np.concatenate(cands)),
+        priors=Tensor([c.prior for m in mentions for c in m.candidates]),
+        types=Tensor([store.type_score(m.id, e) for m, c in zip(mentions, ids) for e in c]),
+        local=ad.concat(locals_),
+        slots=slots,
+        valid=valid,
+        gold=gold,
+        contexts=contexts,
+        actions=ad.stack(actions),
+        pairs=pairs,
+    )
 
 
 def save_checkpoint(params: ModelParams, path: str, meta: dict | None = None) -> None:

@@ -92,7 +92,7 @@ def action_representation(mention_repr: Tensor, cand_vecs: Tensor, psi: Tensor) 
 def select_action(
     history: Tensor,
     window: ActionWindow,
-    action_reps: Sequence[Tensor],
+    actions: Tensor,
     params: PolicyParams,
     mode: str = "greedy",
     rng: np.random.Generator | None = None,
@@ -100,15 +100,16 @@ def select_action(
     """Pick the next mention position.
 
     ``history`` holds the linked pairs so far, one ``(mention; entity)`` row
-    each, the init pair first; ``action_reps[p]`` summarises the mention at
-    position ``p``.  Returns ``(position, distribution)``; ``distribution``
-    is aligned with ``window.actions()``.  Single-action windows skip the
-    rng so greedy and sampled rollouts stay trace-identical there.
+    each, the init pair first; row ``p`` of ``actions`` summarises the
+    mention at position ``p``, and only the window's rows are read.  Returns
+    ``(position, distribution)``; ``distribution`` is aligned with
+    ``window.actions()``.  Single-action windows skip the rng so greedy and
+    sampled rollouts stay trace-identical there.
     """
     acts = window.actions()
     if not acts:
         raise ValueError("cannot select from an empty action window")
-    reps = ad.stack([action_reps[a] for a in acts])
+    reps = ad.gather_rows(actions, acts)
     evidence = params.history_match.pool(reps, history, params.top_k)
     probs = np.exp(ad.log_softmax(params.action_scorer.scores(reps, evidence)).data)
 

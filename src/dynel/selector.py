@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -28,7 +27,7 @@ from .corpus import EmbeddingStore
 from .nn import FeedForward
 
 if TYPE_CHECKING:
-    from .model import EncodedMention
+    from .model import EncodedDocument
 
 __all__ = [
     "SelectorParams",
@@ -154,59 +153,41 @@ def _znorm_columns(mat: Tensor, valid: np.ndarray | None) -> Tensor:
     return ad.div(centered, ad.sqrt(var + 1e-12))
 
 
-def _padded(records: Sequence[EncodedMention]):
-    """The records' candidates stacked and padded to the widest set.
-
-    A padded candidate repeats its record's first one, so each matrix's best
-    match against any pooled row is still one of its own candidates.
-    Returns the candidate stack, a function from a record field to that
-    column stacked the same way, and the mask of real candidates.
-    """
-    widths = np.array([r.candidates.shape[0] for r in records])
-    slots = np.arange(widths.max())
-    valid = slots < widths[:, None]
-    at = (np.cumsum(widths) - widths)[:, None] + np.where(valid, slots, 0)
-    cand = Tensor(np.concatenate([r.candidates.data for r in records])[at])
-
-    def column(field: str) -> Tensor:
-        return ad.gather(ad.concat([getattr(r, field) for r in records]), at)
-
-    return cand, column, valid
-
-
 _COLUMNS = {"prior": "priors", "type": "types", "local": "local"}
 
 
 def candidate_distribution(
-    records: EncodedMention | Sequence[EncodedMention],
+    encoded: EncodedDocument,
+    steps: int | Sequence[int],
     linked_ids: tuple[str, ...],
     store: EmbeddingStore,
     params: SelectorParams,
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Probability over a record's candidates, in candidate order.
+    """Probability over a mention's candidates, in candidate order.
 
-    One record sees every entity of ``linked_ids`` and gets a vector, with
-    no mask and no padding: greedy linking calls it at every step.
+    One mention position sees every entity of ``linked_ids`` and gets a
+    vector, with no mask and no padding: greedy linking calls it at every
+    step.
 
-    A sequence of records gets one line per record.  Line i is scored with
-    the history a rollout had when it linked record i: the last line sees
-    every entity of ``linked_ids``, each line before it one entity fewer.
-    A training episode passes its records in the order the policy chose and
-    the gold entities of every step but the last, so step t sees the golds
-    of steps 0..t-1, all steps in one graph.  Lines are padded to the widest
-    candidate set, and a padded candidate gets probability exactly 0.
+    A sequence of positions gets one line per position.  Line i is scored
+    with the history a rollout had when it linked position i: the last line
+    sees every entity of ``linked_ids``, each line before it one entity
+    fewer.  A training episode passes the positions in the order the policy
+    chose and the gold entities of every step but the last, so step t sees
+    the golds of steps 0..t-1, all steps in one graph.  Lines are the padded
+    ``encoded.slots``, and a padded candidate gets probability exactly 0.
     """
-    if isinstance(records, Sequence):
-        steps = len(records)
-        if not steps or len(linked_ids) < steps - 1:
-            raise ValueError(f"{steps} records need at least {steps - 1} linked "
+    if isinstance(steps, Sequence):
+        if not steps or len(linked_ids) < len(steps) - 1:
+            raise ValueError(f"{len(steps)} positions need at least {len(steps) - 1} linked "
                              f"entities, got {len(linked_ids)}")
-        cand, column, valid = _padded(records)
-        seen = np.arange(steps) + (len(linked_ids) - steps + 1)
+        at, valid = encoded.slots[list(steps)], encoded.valid[list(steps)]
+        seen = np.arange(len(steps)) + (len(linked_ids) - len(steps) + 1)
     else:
-        cand, column, valid, seen = records.candidates, partial(getattr, records), None, None
+        at, valid, seen = encoded.slots[steps, encoded.valid[steps]], None, None
+    cand = Tensor(encoded.candidates.data[at])
 
     columns: list[Tensor] = []
     for name in params.features:
@@ -216,7 +197,7 @@ def candidate_distribution(
         elif name == "neighborhood":
             columns.append(neighborhood_scores(cand, linked_ids, store, params, seen))
         else:
-            columns.append(column(_COLUMNS[name]))
+            columns.append(ad.gather(getattr(encoded, _COLUMNS[name]), at))
 
     # features last: (candidates, features), or (steps, candidates, features)
     feats = ad.transpose(ad.stack(columns), None if valid is None else (1, 2, 0))

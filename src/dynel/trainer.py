@@ -29,7 +29,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import Document, EmbeddingStore
 from .local_transformer import TransformerConfig, check_input_caps
-from .model import LOCAL_MODELS, EncodedMention, ModelParams, build_model, encode_document
+from .model import LOCAL_MODELS, EncodedDocument, ModelParams, build_model, encode_document
 from .policy import ActionWindow, advance, episode_log_probs, select_action
 from .rewards import REWARD_KINDS, EpisodeOutcome, TransitionRewards, reward_trace
 from .selector import FEATURE_NAMES, FUSION_MODES, candidate_distribution
@@ -39,7 +39,6 @@ __all__ = [
     "Episode",
     "micro_f1",
     "Adam",
-    "gold_pairs",
     "rollout",
     "policy_objective",
     "train",
@@ -217,16 +216,6 @@ class Episode:
     window_probs: tuple[np.ndarray, ...] = ()
 
 
-def gold_pairs(encoded: Sequence[EncodedMention], store: EmbeddingStore) -> Tensor:
-    """Each mention's teacher-forced history pair ``(context; gold entity)``,
-    one row per mention in position order.  The order does not enter it, so
-    every training episode over the document shares it."""
-    golds = store.entities([r.mention.gold for r in encoded])
-    dim = golds.shape[1]
-    mention_half = ad.matmul(ad.stack([r.context for r in encoded]), Tensor(np.eye(dim, 2 * dim)))
-    return ad.add(mention_half, Tensor(np.hstack([np.zeros_like(golds), golds])))
-
-
 def rollout(
     doc: Document,
     store: EmbeddingStore,
@@ -235,8 +224,7 @@ def rollout(
     mode: str = "eval",
     rng: np.random.Generator | None = None,
     order: Sequence[int] | None = None,
-    encoded: Sequence[EncodedMention] | None = None,
-    pairs: Tensor | None = None,
+    encoded: EncodedDocument | None = None,
 ) -> Episode:
     """Roll one episode; ``order`` forces the mention sequence.
 
@@ -247,7 +235,7 @@ def rollout(
     every step's candidates.  Eval mode is greedy with predicted history and
     records no graph; a forced eval order bypasses the policy and its
     window.  ``encoded`` reuses an ``encode_document`` pass made in the same
-    mode, and ``pairs`` the ``gold_pairs`` of that pass.
+    mode.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -260,7 +248,6 @@ def rollout(
 
     if encoded is None:
         encoded = encode_document(doc, store, params, mode, rng)
-    actions = tuple(r.action for r in encoded)
     keeps_window = order is None or training   # a forced eval order bypasses it
 
     window_size = config.window if config.window is not None else n_mentions
@@ -283,47 +270,45 @@ def rollout(
                 windows.append(window.actions())
             if order is None:
                 pos, probs = select_action(
-                    Tensor(history[:step + 1]), window, actions, params.policy,
+                    Tensor(history[:step + 1]), window, encoded.actions, params.policy,
                     mode="sample" if training else "greedy", rng=rng,
                 )
                 window_probs.append(probs)
             else:
                 pos = order[step]
-            record = encoded[pos]
+            mention = encoded.mentions[pos]
             chosen_order.append(pos)
             if training:
-                linked_id = record.mention.gold   # teacher forcing
+                linked_id = mention.gold   # teacher forcing
             else:
-                probs = candidate_distribution(record, tuple(history_entities), store,
+                probs = candidate_distribution(encoded, pos, tuple(history_entities), store,
                                                params.selector).data
                 pick = int(np.argmax(probs))
-                linked_id = record.mention.candidates[pick].entity_id
+                linked_id = mention.candidates[pick].entity_id
                 predicted.append(linked_id)
                 predicted_prob.append(float(probs[pick]))
             history_entities.append(linked_id)
             if keeps_window:
                 window = advance(window, pos)
             if order is None:
-                history[step + 1, :dim] = record.context.data
+                history[step + 1, :dim] = encoded.contexts.data[pos]
                 history[step + 1, dim:] = store.entity(linked_id)
 
     log_probs, margin, margin_terms = None, None, 0
     if training:
-        if pairs is None:
-            pairs = gold_pairs(encoded, store)
-        log_probs = episode_log_probs(windows, chosen_order, ad.stack(actions), pairs,
+        log_probs = episode_log_probs(windows, chosen_order, encoded.actions, encoded.pairs,
                                       params.policy)
         # every step's distribution in one graph: step t sees the golds before it
-        records = [encoded[pos] for pos in chosen_order]
-        probs = candidate_distribution(records, tuple(history_entities[:-1]), store,
-                                       params.selector, training=True, rng=rng)
-        for record, line in zip(records, probs.data):
-            pick = int(np.argmax(line[:len(record.mention.candidates)]))
-            predicted.append(record.mention.candidates[pick].entity_id)
+        probs = candidate_distribution(encoded, chosen_order, tuple(history_entities[:-1]),
+                                       store, params.selector, training=True, rng=rng)
+        for pos, line in zip(chosen_order, probs.data):
+            candidates = encoded.mentions[pos].candidates
+            pick = int(np.argmax(line[:len(candidates)]))
+            predicted.append(candidates[pick].entity_id)
             predicted_prob.append(float(line[pick]))
-        margin, margin_terms = _margin(probs, records, config.margin)
+        margin, margin_terms = _margin(probs, encoded, chosen_order, config.margin)
 
-    flags = tuple(p == encoded[pos].mention.gold for p, pos in zip(predicted, chosen_order))
+    flags = tuple(p == encoded.mentions[pos].gold for p, pos in zip(predicted, chosen_order))
     outcome = EpisodeOutcome(flags, gamma=config.gamma)
     rewards = reward_trace(
         config.reward, outcome,
@@ -346,21 +331,19 @@ def rollout(
     )
 
 
-def _margin(probs: Tensor, records: Sequence[EncodedMention],
+def _margin(probs: Tensor, encoded: EncodedDocument, order: Sequence[int],
             margin: float) -> tuple[Tensor | None, int]:
     """The hinge loss ``sum relu(p - p_gold + margin)`` over every step's
-    real candidates, and the number of steps it charges.  A step whose gold
-    is not among its candidates is left out, and so is padding."""
-    charged = np.zeros(probs.shape, dtype=bool)
-    gold = np.zeros(probs.shape)
-    for t, record in enumerate(records):
-        if record.gold_index is not None:
-            charged[t, :len(record.mention.candidates)] = True
-            gold[t, record.gold_index] = 1.0
-    steps = int(charged.any(axis=1).sum())
+    real candidates, and the number of steps it charges; line t of
+    ``probs`` is position ``order[t]``.  A step whose gold is not among its
+    candidates is left out, and so is padding."""
+    gold = encoded.gold[order]
+    charged = encoded.valid[order] & (gold >= 0)[:, None]
+    steps = int((gold >= 0).sum())
     if not steps:
         return None, 0
-    gold_prob = ad.tsum(ad.mul(probs, Tensor(gold)), axis=1, keepdims=True)
+    onehot = np.arange(probs.shape[1]) == gold[:, None]
+    gold_prob = ad.tsum(ad.mul(probs, Tensor(onehot)), axis=1, keepdims=True)
     hinge = ad.relu(ad.sub(probs, gold_prob) + margin)
     return ad.tsum(ad.mul(hinge, Tensor(charged))), steps
 
@@ -533,10 +516,9 @@ def train(
         for di in doc_order:
             doc = train_docs[int(di)]
             encoded = encode_document(doc, store, params, "train", data_rng)
-            pairs = gold_pairs(encoded, store)
             episodes = [
                 rollout(doc, store, params, config, mode="train", rng=data_rng,
-                        encoded=encoded, pairs=pairs)
+                        encoded=encoded)
                 for _ in range(config.episodes_per_doc)
             ]
             skipped_margin_terms += sum(len(ep.order) - ep.margin_terms for ep in episodes)

@@ -1,0 +1,106 @@
+"""Mutants of ``src/dynel`` that the suite must kill.
+
+Each mutant replaces one exact text of one file, which must occur there
+exactly once, and names the tests of which at least one must fail on the
+mutated copy.  ``test_mutants.py`` applies them one at a time to a copy of
+the package.  Each stands for a fault the layout invites: an index off by
+one, a mask left out, padding that reads another mention's row.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+TRAINER = "tests/test_trainer.py"
+EPISODE = f"{TRAINER}::TestEpisodeGraph"
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str                 # under src/dynel
+    old: str                  # occurs exactly once in ``file``
+    new: str
+    tests: tuple[str, ...]    # at least one of them must fail
+
+
+MUTANTS = (
+    # the encoded record
+    Mutant("padded slot reads another mention's row", "model.py",
+           "np.where(valid, columns, 0)", "np.where(valid, columns, -1)",
+           (f"{TRAINER}::TestEncodedDocument::test_slots_valid_and_gold_on_a_ragged_document"
+            "[full]",)),
+    Mutant("hinge ignores valid", "trainer.py",
+           "    charged = encoded.valid[order] & (gold >= 0)[:, None]",
+           "    charged = np.ones(probs.shape, dtype=bool) & (gold >= 0)[:, None]",
+           (f"{EPISODE}::test_one_call_per_episode_equals_the_steps_composed[full]",)),
+    Mutant("hinge charges a missing gold", "trainer.py",
+           "    charged = encoded.valid[order] & (gold >= 0)[:, None]",
+           "    charged = encoded.valid[order]",
+           (f"{EPISODE}::test_one_call_per_episode_equals_the_steps_composed[full]",)),
+    Mutant("window gather off by one", "policy.py",
+           "reps = ad.gather_rows(actions, acts)",
+           "reps = ad.gather_rows(actions, np.subtract(acts, 1))",
+           ("tests/test_policy.py::TestSelectAction::"
+            "test_reads_no_action_row_outside_its_window[gapped]",)),
+    # the selector's episode graph
+    Mutant("selector history prefix off by one", "selector.py",
+           "(len(linked_ids) - len(steps) + 1)", "(len(linked_ids) - len(steps) + 2)",
+           (f"{EPISODE}::test_one_call_per_episode_equals_the_steps_composed[full]",)),
+    Mutant("neighbour seen from its last linked entity", "selector.py",
+           "first.setdefault(neighbor, i)", "first[neighbor] = i",
+           (f"{EPISODE}::test_one_call_per_episode_equals_the_steps_composed[full]",)),
+    Mutant("top-k ignores visibility", "autodiff.py",
+           "np.argsort(np.where(visible, -scores, np.inf), axis=-1, kind=\"stable\")",
+           "np.argsort(-scores, axis=-1, kind=\"stable\")",
+           (f"{EPISODE}::test_log_probs_equal_the_per_step_policy[None-2]",)),
+    Mutant("padding kept in the z-norm", "selector.py",
+           "        centered = ad.mul(centered, mask)", "        centered = centered",
+           (f"{EPISODE}::test_one_call_per_episode_equals_the_steps_composed[full]",)),
+    Mutant("padding in the candidate softmax", "selector.py",
+           "return ad.row_softmax(logits, valid)", "return ad.row_softmax(logits)",
+           (f"{EPISODE}::test_one_call_per_episode_equals_the_steps_composed[sum-raw]",)),
+    # the policy's episode graph
+    Mutant("policy visibility prefix off by one", "policy.py",
+           "visible = np.tri(steps, dtype=bool)", "visible = np.tri(steps, k=1, dtype=bool)",
+           (f"{EPISODE}::test_log_probs_equal_the_per_step_policy[None-2]",)),
+    Mutant("window padded with an action outside it", "policy.py",
+           "w + (w[0],) * (width - len(w))", "w + (0,) * (width - len(w))",
+           (f"{EPISODE}::test_log_probs_equal_the_per_step_policy[4-2]",)),
+    Mutant("padding inside the log-softmax", "policy.py",
+           "scores(queries, evidence), valid)", "scores(queries, evidence), valid | True)",
+           (f"{EPISODE}::test_log_probs_equal_the_per_step_policy[4-2]",)),
+    Mutant("history shifted by one step", "policy.py",
+           "list(order[:-1])] = 1.0", "list(order[1:])] = 1.0",
+           (f"{EPISODE}::test_log_probs_equal_the_per_step_policy[None-2]",)),
+    Mutant("masked log-softmax entries pass gradient", "autodiff.py",
+           "        g = np.where(mask, g, 0.0)\n", "",
+           ("tests/test_autodiff.py::test_masked_log_softmax_leaves_masked_entries_at_zero",)),
+    # the per-step loop
+    Mutant("sampling pass reads one history row too few", "trainer.py",
+           "Tensor(history[:step + 1])", "Tensor(history[:max(step, 1)])",
+           (f"{EPISODE}::test_train_rollout_samples_the_order_of_the_per_step_graph[4]",)),
+    Mutant("advance takes any unresolved action", "policy.py",
+           "if action not in window.actions():", "if action not in window.unresolved:",
+           (f"{TRAINER}::TestRolloutBasics::test_a_forced_train_order_must_keep_the_window",)),
+    # the training loop
+    Mutant("Adam never marks a row", "trainer.py",
+           "touched |= g.reshape(touched.size, -1).any(axis=1)", "touched |= False",
+           (f"{TRAINER}::TestAdam::test_row_lazy_step_is_bytewise_the_dense_update",)),
+    Mutant("Adam skips touched rows without a gradient", "trainer.py",
+           "rows = np.flatnonzero(touched)",
+           "rows = np.flatnonzero(g.reshape(touched.size, -1).any(axis=1))",
+           (f"{TRAINER}::TestAdam::test_row_lazy_step_is_bytewise_the_dense_update",)),
+    Mutant("no value check after the step", "trainer.py",
+           "_refuse_non_finite(\"value\", {p: p.data[rows] for p, rows in changed.items()},",
+           "_refuse_non_finite(\"value\", {},",
+           (f"{TRAINER}::TestTrainLoop::test_divergence_is_named_at_the_parameter[value]",)),
+    Mutant("share counts every step", "trainer.py",
+           "sum(probs.size > 1 for probs in window_probs)",
+           "sum(probs.size > 0 for probs in window_probs)",
+           (f"{TRAINER}::TestTrainLoop::test_policy_entropy_and_multi_action_share_per_epoch",)),
+    # the baselines
+    Mutant("exhaustive-best refuses only when it reaches the document", "harness.py",
+           "    if strategy == \"exhaustive-best\":\n        _refuse_long_documents(docs)\n", "",
+           ("tests/test_harness.py::TestStrategies::"
+            "test_exhaustive_best_refuses_a_long_document_before_linking",)),
+)

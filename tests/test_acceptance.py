@@ -227,11 +227,11 @@ def test_criterion_07_dual_implementation_agreement():
         hist = rng.normal(size=(int(rng.integers(1, 6)), 2 * dim))
         history = Tensor(np.vstack([params.init_pair.data[None], hist]))
         acts = tuple(range(int(rng.integers(1, 5))))
-        reps = {a: Tensor(rng.normal(size=2 * dim)) for a in acts}
+        reps = Tensor(np.stack([rng.normal(size=2 * dim) for _ in acts]))
         _, probs = select_action(history, ActionWindow(len(acts), acts), reps, params)
         expected = oracles.policy_distribution(
             np.vstack([params.init_pair.data[None], hist]),
-            np.stack([reps[a].data for a in acts]),
+            reps.data,
             params.history_match.diag.data,
             params.action_scorer.diag.data,
             params.top_k,

@@ -17,18 +17,18 @@ def coherence(x, b: DiagonalBilinear, y) -> Tensor:
 def test_bilinear_identity_reduces_to_dot():
     x = [1.0, 2.0]
     y = [3.0, 4.0]
-    assert coherence(x, DiagonalBilinear.ones(2), y).item() == 11.0
+    assert float(coherence(x, DiagonalBilinear.ones(2), y).data) == 11.0
 
 
 def test_bilinear_zero_matrix():
     b = DiagonalBilinear(ad.parameter(np.zeros(2)))
-    assert coherence([1.0, 2.0], b, [3.0, 4.0]).item() == 0.0
+    assert float(coherence([1.0, 2.0], b, [3.0, 4.0]).data) == 0.0
 
 
 def test_bilinear_hand_arithmetic():
     b = DiagonalBilinear(ad.parameter(np.array([0.5, 2.0, 1.0])))
     s = coherence([1.0, -1.0, 2.0], b, [2.0, 3.0, 1.0])
-    assert s.item() == pytest.approx(1.0 - 6.0 + 2.0)
+    assert float(s.data) == pytest.approx(1.0 - 6.0 + 2.0)
 
 
 def test_bilinear_dimension_mismatch():
@@ -159,7 +159,7 @@ def _random_graph_loss(arrs):
     return (
         ad.tsum(s * Tensor([0.3, 0.5, 0.2]))
         + ad.tsum(ls * 0.1)
-        + ad.tsum(ad.sqrt(ad.exp(mx) + 1.0))
+        + ad.tsum(ad.sqrt(ad.log(mx + 1.0) + 1.0))
         + ad.gather(v, 0)
     )
 
@@ -187,7 +187,7 @@ def test_matmul_all_arities():
     v = ad.parameter(np.array([1.0, -1.0]))
     assert np.allclose(ad.matmul(m, v).data, [-1.0, -1.0])
     assert np.allclose(ad.matmul(v, m).data, [-2.0, -2.0])
-    assert ad.matmul(v, v).item() == 2.0
+    assert float(ad.matmul(v, v).data) == 2.0
     loss = ad.tsum(ad.matmul(m, v)) + ad.matmul(v, v)
     grads = ad.backward(loss)
     fd = oracles.fd_gradient(lambda: float(
@@ -475,7 +475,8 @@ def test_gather_rows_with_repeats_matches_finite_differences(rng):
     w1, w2 = rng.normal(size=(4, 3)), rng.normal(size=(3, 3))
 
     def loss():
-        first = ad.exp(ad.gather_rows(table, [1, 1, 3, 1]) * 0.5)
+        halves = ad.gather_rows(table, [1, 1, 3, 1]) * 0.5
+        first = ad.sqrt(ad.mul(halves, halves) + 1.0)
         second = ad.gather_rows(table, [3, 0, 3])
         return ad.tsum(first * Tensor(w1)) + ad.tsum(ad.mul(second, second) * Tensor(w2))
 

@@ -1,6 +1,7 @@
 import csv
 import json
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -142,6 +143,25 @@ class TestStrategies:
         doc = Document("d", ("w0",), mentions)
         with pytest.raises(ValueError, match="at most 9"):
             ordering_for(doc, "exhaustive-best", self.store, self.params, self.cfg)
+
+    def test_exhaustive_best_refuses_a_long_document_before_linking(self, monkeypatch):
+        # both link in this store, so only a check made before linking keeps
+        # the 24 orders of ``short`` from being linked
+        short = replace(self.docs[0], mentions=self.docs[0].mentions[:4])
+        mentions = self.docs[1].mentions + self.docs[2].mentions[:4]
+        long = Document("long", self.docs[1].words + self.docs[2].words,
+                        tuple(replace(m, position=i) for i, m in enumerate(mentions)))
+        rollouts = []
+        real = harness.rollout
+
+        def counted(*args, **kwargs):
+            rollouts.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "rollout", counted)
+        with pytest.raises(ValueError, match="at most 9 mentions; document 'long' has 10"):
+            run_baseline([short, long], self.store, self.params, self.cfg, "exhaustive-best")
+        assert not rollouts
 
     def test_report_embeds_config_hash_and_seed(self):
         rep = run_baseline(self.docs, self.store, self.params, self.cfg, "offset",

@@ -31,6 +31,16 @@ def history_from(pairs, params) -> Tensor:
     return Tensor(np.vstack([params.init_pair.data, *pairs]))
 
 
+def action_stack(reps) -> Tensor:
+    """The ``(mentions, 2d)`` action stack with row ``p`` set to ``reps[p]``
+    and every other row NaN, so a read outside the window shows."""
+    width = next(iter(reps.values())).shape[0]
+    rows = np.full((max(reps) + 1, width), np.nan)
+    for p, rep in reps.items():
+        rows[p] = rep.data
+    return Tensor(rows)
+
+
 class TestActionRepresentation:
     def test_single_candidate_concatenates(self):
         d = action_representation(Tensor([1.0, 2.0]), Tensor([[5.0, 6.0]]), Tensor([1.0]))
@@ -98,7 +108,7 @@ class TestSelectAction:
         params = make_params(dim, rng=rng)
         window = ActionWindow(3, (4,))
         reps = {4: Tensor(rng.normal(size=2 * dim))}
-        pos, probs = select_action(history_from([], params), window, reps, params)
+        pos, probs = select_action(history_from([], params), window, action_stack(reps), params)
         assert pos == 4
         assert probs.tolist() == [1.0]
 
@@ -108,7 +118,7 @@ class TestSelectAction:
         rep = rng.normal(size=2 * dim)
         window = ActionWindow(2, (0, 1))
         reps = {0: Tensor(rep.copy()), 1: Tensor(rep.copy())}
-        _, probs = select_action(history_from([], params), window, reps, params)
+        _, probs = select_action(history_from([], params), window, action_stack(reps), params)
         assert np.allclose(probs, [0.5, 0.5], atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(20))
@@ -124,7 +134,7 @@ class TestSelectAction:
         reps = {a: Tensor(rng.normal(size=2 * dim)) for a in acts}
 
         _, probs = select_action(history_from(hist, params), ActionWindow(n_actions, acts),
-                                 reps, params)
+                                 action_stack(reps), params)
         expected = oracles.policy_distribution(
             np.vstack([params.init_pair.data[None], hist]),
             np.stack([reps[a].data for a in acts]),
@@ -140,7 +150,8 @@ class TestSelectAction:
         hist = rng.normal(size=(3, 2 * dim))  # K=7, t=3 -> 4 evidence elements
         acts = (0, 1)
         reps = {a: Tensor(rng.normal(size=2 * dim)) for a in acts}
-        _, probs = select_action(history_from(hist, params), ActionWindow(2, acts), reps, params)
+        _, probs = select_action(history_from(hist, params), ActionWindow(2, acts),
+                                 action_stack(reps), params)
         full = oracles.policy_distribution(
             np.vstack([params.init_pair.data[None], hist]),
             np.stack([reps[a].data for a in acts]),
@@ -153,14 +164,36 @@ class TestSelectAction:
     def test_empty_window_rejected(self, rng):
         params = make_params(2)
         with pytest.raises(ValueError, match="empty action window"):
-            select_action(history_from([], params), ActionWindow(2, ()), {}, params)
+            select_action(history_from([], params), ActionWindow(2, ()),
+                          Tensor(np.zeros((1, 4))), params)
 
     def test_distribution_sums_to_one(self, rng):
         params = make_params(3, rng=rng)
         acts = (0, 1, 2)
         reps = {a: Tensor(rng.normal(size=6)) for a in acts}
-        _, probs = select_action(history_from([], params), ActionWindow(3, acts), reps, params)
+        _, probs = select_action(history_from([], params), ActionWindow(3, acts),
+                                 action_stack(reps), params)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("unresolved", [(0, 1, 2, 3, 4, 5), (2, 3, 5), (5,)],
+                             ids=["first", "gapped", "last"])
+    def test_reads_no_action_row_outside_its_window(self, rng, unresolved):
+        # every row but the window's is NaN: one read outside it poisons
+        # the distribution
+        dim, n = 3, 6
+        params = make_params(dim, top_k=2, rng=rng)
+        window = ActionWindow(2, unresolved)
+        acts = window.actions()
+        rows = np.full((n, 2 * dim), np.nan)
+        rows[list(acts)] = rng.normal(size=(len(acts), 2 * dim))
+        hist = history_from(rng.normal(size=(3, 2 * dim)), params)
+        _, probs = select_action(hist, window, Tensor(rows), params)
+        assert probs.shape == (len(acts),) and np.isfinite(probs).all()
+        expected = oracles.policy_distribution(hist.data, rows[list(acts)],
+                                               params.history_match.diag.data,
+                                               params.action_scorer.diag.data, 2)
+        assert np.allclose(probs, expected, atol=1e-12)
+
 
 class TestEpisodeLogProbs:
     # three mentions, window 2: step 0 picks 1 from (0, 1), step 1 picks 0

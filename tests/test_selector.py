@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dynel import autodiff as ad
-from dynel import selector
 from dynel.autodiff import Tensor
 from dynel.corpus import Document, EmbeddingStore
 from dynel.model import build_model, encode_document
@@ -38,10 +37,11 @@ def cand_matrix(store, ids):
 
 
 def record(m, store, local):
-    """The mention's ``encode_document`` record, with ``local`` as its local scores."""
+    """The ``encode_document`` record of a document of ``m`` alone, with
+    ``local`` as its local scores."""
     model = build_model(store, np.random.default_rng(0))
-    (rec,) = encode_document(Document("d", ("w0",), (m,)), store, model)
-    return replace(rec, local=ad.as_tensor(local))
+    encoded = encode_document(Document("d", ("w0",), (m,)), store, model)
+    return replace(encoded, local=ad.as_tensor(local))
 
 
 class TestLinkedContextFeature:
@@ -99,14 +99,14 @@ class TestCoherence:
         pooled = Tensor(np.array([0.5, 0.5, -0.5, 0.5]))
         unit = pooled.data / np.linalg.norm(pooled.data)
         score = ad.gather(params.linked_coherence.scores(Tensor([unit]), pooled), 0)
-        assert score.item() == pytest.approx(np.linalg.norm(pooled.data))
+        assert float(score.data) == pytest.approx(np.linalg.norm(pooled.data))
 
     def test_random_instance_hand_arithmetic(self, rng):
         params = build_params(3, rng)
         diag = rng.normal(size=3)
         params.linked_coherence.diag.data[...] = diag
         e, f = rng.normal(size=3), rng.normal(size=3)
-        got = ad.gather(params.linked_coherence.scores(Tensor([e]), Tensor(f)), 0).item()
+        got = float(ad.gather(params.linked_coherence.scores(Tensor([e]), Tensor(f)), 0).data)
         assert got == pytest.approx(float(np.sum(e * diag * f)))
 
 
@@ -151,7 +151,7 @@ class TestCandidateDistribution:
         store = build_store(rng)
         params = build_params(4, rng)
         m = make_mention(candidates=("e0",), priors=[0.9])
-        probs = candidate_distribution(record(m, store, np.zeros(1)), (), store, params)
+        probs = candidate_distribution(record(m, store, np.zeros(1)), 0, (), store, params)
         assert probs.data.tolist() == [1.0]
 
     def test_prior_only_fusion_is_softmax_of_priors(self, rng):
@@ -159,7 +159,7 @@ class TestCandidateDistribution:
         params = build_params(4, rng, features=("prior",), feature_norm=False,
                               fusion="sum")
         m = make_mention(candidates=("e0", "e1"), priors=[0.8, 0.2])
-        probs = candidate_distribution(record(m, store, np.zeros(2)), (), store, params)
+        probs = candidate_distribution(record(m, store, np.zeros(2)), 0, (), store, params)
         expected = np.exp([0.8, 0.2]) / np.exp([0.8, 0.2]).sum()
         assert np.allclose(probs.data, expected, atol=1e-12)
 
@@ -169,7 +169,7 @@ class TestCandidateDistribution:
         params = build_params(4, rng, features=("coherence", "prior", "local"))
         assert params.fusion.weights[0].data.shape[0] == 3
         m = make_mention(candidates=("e0", "e1"), priors=[0.6, 0.4])
-        probs = candidate_distribution(record(m, store, rng.normal(size=2)), ("e2",),
+        probs = candidate_distribution(record(m, store, rng.normal(size=2)), 0, ("e2",),
                                        store, params)
         assert probs.data.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -183,7 +183,7 @@ class TestCandidateDistribution:
                               fusion="sum")
         local = Tensor(np.array([0.1, 1.4, -0.3]))
         m = make_mention(candidates=("e0", "e1", "e2"), priors=[0.3] * 3)
-        probs = candidate_distribution(record(m, store, local), (), store, params)
+        probs = candidate_distribution(record(m, store, local), 0, (), store, params)
         assert int(np.argmax(probs.data)) == int(np.argmax(local.data))
 
     def test_candidate_permutation_equivariance(self, rng):
@@ -194,8 +194,8 @@ class TestCandidateDistribution:
         m1 = make_mention(candidates=("e0", "e1", "e2"), priors=[0.5, 0.3, 0.2])
         m2 = make_mention(candidates=tuple(f"e{i}" for i in perm),
                           priors=[[0.5, 0.3, 0.2][i] for i in perm])
-        p1 = candidate_distribution(record(m1, store, local), ("e4",), store, params).data
-        p2 = candidate_distribution(record(m2, store, local[perm]), ("e4",), store,
+        p1 = candidate_distribution(record(m1, store, local), 0, ("e4",), store, params).data
+        p2 = candidate_distribution(record(m2, store, local[perm]), 0, ("e4",), store,
                                     params).data
         assert np.allclose(p1[perm], p2, atol=1e-12)
 
@@ -206,24 +206,27 @@ class TestCandidateDistribution:
         params = build_params(4, rng, features=("type",), feature_norm=False,
                               fusion="sum")
         m = make_mention(candidates=("e0", "e1"), priors=[0.5, 0.5])
-        probs = candidate_distribution(record(m, store, np.zeros(2)), (), store, params).data
+        probs = candidate_distribution(record(m, store, np.zeros(2)), 0, (), store, params).data
         expected = np.exp([2.0, -1.0]) / np.exp([2.0, -1.0]).sum()
         assert np.allclose(probs, expected, atol=1e-12)
 
     def test_one_record_is_scored_without_mask_or_padding(self, rng, monkeypatch):
         # greedy linking makes this call at every step, so it keeps the plain
-        # vector form: the masked, padded one builds a quarter more tensors
+        # vector form: the masked, padded one builds a quarter more tensors.
+        # A wider second mention pads the first one's slots to four
         store = build_store(rng, adjacency={"e3": {"e4"}, "e5": {"e1"}})
         params = build_params(4, rng, top_entities=1)
         m = make_mention(candidates=("e0", "e1", "e2"), priors=[0.5, 0.3, 0.2])
-        rec = record(m, store, rng.normal(size=3))
+        wide = make_mention("m1", position=1, candidates=("e0", "e1", "e2", "e3"))
+        encoded = encode_document(Document("d", ("w0",), (m, wide)), store,
+                                  build_model(store, np.random.default_rng(0)))
+        assert encoded.slots.shape == (2, 4)
 
         def refused(*args, **kwargs):
             raise AssertionError("masked or padded path taken")
 
-        monkeypatch.setattr(selector, "_padded", refused)
         monkeypatch.setattr(ad, "row_softmax", refused)
-        probs = candidate_distribution(rec, ("e3", "e5"), store, params)
+        probs = candidate_distribution(encoded, 0, ("e3", "e5"), store, params)
         assert probs.shape == (3,)
         assert probs.data.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -234,7 +237,7 @@ class TestCandidateDistribution:
         rec = record(m, store, rng.normal(size=2))
 
         def build():
-            probs = candidate_distribution(rec, ("e3",), store, params)
+            probs = candidate_distribution(rec, 0, ("e3",), store, params)
             return -ad.log(ad.gather(probs, 0))
 
         loss = build()

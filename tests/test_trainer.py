@@ -180,11 +180,11 @@ class TestOrderingConstruction:
         with ad.no_grad():
             for doc in self.docs:
                 golds = [m.gold for m in doc.mentions]
-                records = encode_document(doc, self.store, self.params)
-                for i, (m, rec) in enumerate(zip(doc.mentions, records)):
+                encoded = encode_document(doc, self.store, self.params)
+                for i, m in enumerate(doc.mentions):
                     linked = tuple(g for j, g in enumerate(golds) if j != i)
                     probs = candidate_distribution(
-                        rec, linked, self.store, self.params.selector
+                        encoded, i, linked, self.store, self.params.selector
                     )
                     pick = m.candidates[int(np.argmax(probs.data))].entity_id
                     correct += pick == m.gold
@@ -197,18 +197,18 @@ class TestMarginLoss:
         # separated by more than the margin -> no loss from the other candidate
         probs = ad.softmax(Tensor(np.log([0.9, 0.1])))
         gold_prob = ad.gather(probs, 0)
-        hinge = ad.relu(probs - gold_prob + 0.2)
+        hinge = ad.relu(ad.sub(probs, gold_prob) + 0.2)
         # gold term contributes exactly beta
         assert np.allclose(hinge.data, [0.2, 0.0])
 
         probs = Tensor(np.array([0.5, 0.5]))
-        hinge = ad.relu(probs - ad.gather(probs, 0) + 0.2)
+        hinge = ad.relu(ad.sub(probs, ad.gather(probs, 0)) + 0.2)
         assert np.allclose(hinge.data, [0.2, 0.2])
 
     def test_uniform_distribution_charges_beta_per_candidate(self):
         n, beta = 4, 0.05
         probs = Tensor(np.full(n, 1 / n))
-        hinge = ad.relu(probs - ad.gather(probs, 0) + beta)
+        hinge = ad.relu(ad.sub(probs, ad.gather(probs, 0)) + beta)
         assert np.allclose(hinge.data, beta)
 
     def test_rollout_margin_zero_when_gold_dominates(self):
@@ -219,7 +219,7 @@ class TestMarginLoss:
                        rng=np.random.default_rng(cfg.seed)).margin
         # every mention contributes at least the gold term beta
         n_mentions = len(docs[0].mentions)
-        assert loss.item() == pytest.approx(n_mentions * cfg.margin, abs=1e-9)
+        assert float(loss.data) == pytest.approx(n_mentions * cfg.margin, abs=1e-9)
 
     def test_missing_gold_skipped(self):
         docs, store = anchored_world(num_docs=1)
@@ -269,13 +269,14 @@ def _per_step_policy(encoded, store, params, window_size, order=None, rng=None):
     returns the order, each step's log-probability, and each step's
     history rows and window."""
     pol = params.policy
-    window = ActionWindow(window_size, tuple(range(len(encoded))))
+    n = len(encoded.mentions)
+    window = ActionWindow(window_size, tuple(range(n)))
     history = [pol.init_pair]
     chosen, log_probs, seen = [], [], []
-    for t in range(len(encoded)):
+    for t in range(n):
         acts, rows = window.actions(), ad.stack(history)
         seen.append((rows.data, acts))
-        reps = ad.stack([encoded[a].action for a in acts])
+        reps = ad.gather_rows(encoded.actions, list(acts))
         evidence = pol.history_match.pool(reps, rows, pol.top_k)
         logp = ad.log_softmax(pol.action_scorer.scores(reps, evidence))
         if order is not None:
@@ -288,10 +289,58 @@ def _per_step_policy(encoded, store, params, window_size, order=None, rng=None):
         pos = acts[idx]
         chosen.append(pos)
         log_probs.append(ad.gather(logp, idx))
-        record = encoded[pos]
-        history.append(ad.concat([record.context, Tensor(store.entity(record.mention.gold))]))
+        context = ad.reshape(ad.gather_rows(encoded.contexts, [pos]), (-1,))
+        history.append(ad.concat([context, Tensor(store.entity(encoded.mentions[pos].gold))]))
         window = advance(window, pos)
     return chosen, log_probs, seen
+
+
+class TestEncodedDocument:
+    """The one record a rollout reads: flat candidate arrays, padded slots
+    into them, and one row per mention."""
+
+    @pytest.mark.parametrize("case", ["full", "transformer"])
+    def test_slots_valid_and_gold_on_a_ragged_document(self, case):
+        docs, store = anchored_world(num_docs=1)
+        doc = _ragged(docs[0])
+        # a distinct type score per (mention, candidate), so a wrong row shows
+        store = replace(store, type_vecs={
+            (m.id, c.entity_id): np.array([10.0 * i + j])
+            for i, m in enumerate(doc.mentions) for j, c in enumerate(m.candidates)})
+        cfg = TrainConfig(window=None, epochs=1, fusion_hidden=8, **_episode_config(case))
+        params = cfg.build_model(store, np.random.default_rng(3))
+        enc = encode_document(doc, store, params, "eval")
+        widths = [len(m.candidates) for m in doc.mentions]
+        assert sorted(set(widths)) == [1, 2, 3, 4]
+        assert enc.slots.shape == enc.valid.shape == (len(widths), 4)
+        assert enc.candidates.shape == (sum(widths), store.dim)
+        first_row = 0
+        for i, (m, width) in enumerate(zip(doc.mentions, widths)):
+            rows = enc.slots[i]
+            # the real slots are the mention's own rows, in candidate order
+            assert rows[:width].tolist() == list(range(first_row, first_row + width))
+            assert enc.valid[i].tolist() == [j < width for j in range(4)]
+            assert np.array_equal(enc.candidates.data[rows[:width]],
+                                  store.entities(m.candidate_ids))
+            assert np.array_equal(enc.priors.data[rows[:width]], m.priors)
+            assert enc.types.data[rows[:width]].tolist() == [
+                store.type_score(m.id, e) for e in m.candidate_ids]
+            # each padded slot repeats the mention's first candidate
+            for field in (enc.candidates, enc.priors, enc.types, enc.local):
+                for j in range(width, 4):
+                    assert np.array_equal(field.data[rows[j]], field.data[rows[0]])
+            first_row += width
+            if m.gold in m.candidate_ids:
+                assert m.candidate_ids[enc.gold[i]] == m.gold
+            else:
+                assert enc.gold[i] == -1
+        assert enc.gold.tolist().count(-1) == 1
+        dim = store.dim
+        assert enc.contexts.shape == (len(widths), dim)
+        assert enc.actions.shape == enc.pairs.shape == (len(widths), 2 * dim)
+        assert np.array_equal(enc.pairs.data[:, :dim], enc.contexts.data)
+        assert np.array_equal(enc.pairs.data[:, dim:],
+                              store.entities([m.gold for m in doc.mentions]))
 
 
 class TestEpisodeGraph:
@@ -317,30 +366,31 @@ class TestEpisodeGraph:
         encoded = encode_document(doc, store, params, "eval")  # no dropout draws
         ep = rollout(doc, store, params, cfg, mode="train", rng=np.random.default_rng(0),
                      order=order, encoded=encoded)
-        records = [encoded[p] for p in order]
+        mentions = [doc.mentions[p] for p in order]
         golds = ep.history_entities
-        batched = candidate_distribution(records, golds[:-1], store, params.selector,
+        batched = candidate_distribution(encoded, order, golds[:-1], store, params.selector,
                                          training=True, rng=np.random.default_rng(0))
-        steps = [candidate_distribution(r, golds[:t], store, params.selector)
-                 for t, r in enumerate(records)]
+        steps = [candidate_distribution(encoded, pos, golds[:t], store, params.selector)
+                 for t, pos in enumerate(order)]
 
-        hinges = [ad.tsum(ad.relu(p - ad.gather(p, r.gold_index) + cfg.margin))
-                  for p, r in zip(steps, records) if r.gold_index is not None]
+        hinges = [ad.tsum(ad.relu(ad.sub(p, ad.gather(p, m.candidate_ids.index(m.gold)))
+                                  + cfg.margin))
+                  for p, m in zip(steps, mentions) if m.gold in m.candidate_ids]
         composed = hinges[0]
         for term in hinges[1:]:
             composed = ad.add(composed, term)
         assert ep.margin_terms == len(hinges) == 5
         assert abs(float(ep.margin.data) - float(composed.data)) <= 1e-12
 
-        for t, (p, r) in enumerate(zip(steps, records)):
-            width = len(r.mention.candidates)
+        for t, (p, m) in enumerate(zip(steps, mentions)):
+            width = len(m.candidates)
             assert np.abs(batched.data[t, :width] - p.data).max() <= 1e-12
             assert not batched.data[t, width:].any()   # padding: exactly 0
             pick = int(np.argmax(p.data))
-            assert ep.predicted[t] == r.mention.candidates[pick].entity_id
+            assert ep.predicted[t] == m.candidates[pick].entity_id
             assert abs(ep.predicted_prob[t] - p.data[pick]) <= 1e-12
         assert ep.flags[order.index(2)] is False      # gold missing
-        assert {len(r.mention.candidates) for r in records} == {1, 2, 3, 4}
+        assert {len(m.candidates) for m in mentions} == {1, 2, 3, 4}
 
         mix = rng.normal(size=batched.shape)
         one = ad.add(ep.margin, ad.tsum(batched * Tensor(mix)))
@@ -378,7 +428,7 @@ class TestEpisodeGraph:
         pol = params.policy
         for t, (pos, (history, acts)) in enumerate(zip(ep.order, seen)):
             assert abs(ep.log_probs.data[t] - float(steps[t].data)) <= 1e-12
-            reps = np.array([encoded[a].action.data for a in acts])
+            reps = encoded.actions.data[list(acts)]
             want = oracles.policy_distribution(history, reps, pol.history_match.diag.data,
                                                pol.action_scorer.diag.data, top_k)
             assert abs(ep.log_probs.data[t] - np.log(want[acts.index(pos)])) <= 1e-12
@@ -418,7 +468,7 @@ class TestEpisodeGraph:
             ep = rollout(doc, store, params, cfg, mode="train", rng=np.random.default_rng(i),
                          encoded=encoded)
             order, steps, seen = _per_step_policy(encoded, store, params,
-                                                  window or len(encoded),
+                                                  window or len(doc.mentions),
                                                   rng=np.random.default_rng(i))
             assert ep.order == tuple(order)
             assert np.abs(ep.log_probs.data - [float(s.data) for s in steps]).max() <= 1e-12
@@ -484,7 +534,7 @@ class TestReinforce:
                 history_entities=("e",), rewards=(r,),
             )
         obj = policy_objective([make_ep(2.0), make_ep(4.0)])
-        assert obj.item() == pytest.approx((-0.5 * 2 + -0.5 * 4) / 2)
+        assert float(obj.data) == pytest.approx((-0.5 * 2 + -0.5 * 4) / 2)
 
 
 class TestTeacherForcing:

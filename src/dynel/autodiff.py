@@ -264,29 +264,19 @@ def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     return _result(ad.sum(axis=axis, keepdims=keepdims), (a,), (back,))
 
 
-def tmax(a: Tensor, axis: int | None = None) -> Tensor:
-    """Max reduction; ties route the gradient to the first argmax."""
+def tmax(a: Tensor, axis: int) -> Tensor:
+    """Max reduction over ``axis``; ties route the gradient to the first argmax."""
     ad = a.data
     if ad.size == 0:
         raise ShapeError("max of empty tensor")
-    if axis is None:
-        idx = int(np.argmax(ad))
-
-        def back(g):
-            out = np.zeros_like(ad)
-            out.flat[idx] = g
-            return out
-
-        return _result(ad.max(), (a,), (back,))
-
     arg = np.expand_dims(np.argmax(ad, axis=axis), axis)
 
-    def back_ax(g):
+    def back(g):
         out = np.zeros_like(ad)
         np.put_along_axis(out, arg, np.expand_dims(g, axis), axis=axis)
         return out
 
-    return _result(ad.max(axis=axis), (a,), (back_ax,))
+    return _result(ad.max(axis=axis), (a,), (back,))
 
 
 # ---------------------------------------------------------------------------
@@ -466,10 +456,6 @@ class DiagonalBilinear:
     @classmethod
     def ones(cls, dim: int) -> "DiagonalBilinear":
         return cls(parameter(np.ones(dim)))
-
-    @property
-    def dim(self) -> int:
-        return self.diag.data.size
 
     def scores(self, rows: Tensor, vec: Tensor) -> Tensor:
         """``rows @ (diag * vec)``: one score per row.  A stack of row

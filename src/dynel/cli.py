@@ -29,7 +29,7 @@ from .harness import (
     write_csv,
 )
 from .local_transformer import check_input_caps
-from .model import load_checkpoint, save_checkpoint
+from .model import load_checkpoint, read_header, save_checkpoint
 from .rewards import (
     REWARD_KINDS,
     EpisodeOutcome,
@@ -54,6 +54,16 @@ def _echo_config(config: TrainConfig) -> None:
 def _load_config(path: str) -> TrainConfig:
     with open(path) as fh:
         return TrainConfig.from_dict(json.load(fh))
+
+
+def _stored_config(checkpoint: str) -> TrainConfig:
+    """The config ``train`` stored with ``checkpoint``: the one description
+    of the model it holds."""
+    meta = read_header(checkpoint)["meta"]
+    if not isinstance(meta, dict) or "config" not in meta:
+        raise ValueError(f"checkpoint {checkpoint} stores no config; save it with "
+                         f"meta={{\"config\": config.to_dict()}}")
+    return TrainConfig.from_dict(meta["config"])
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -99,8 +109,7 @@ def _cmd_train(args) -> int:
              if len(docs) > 1 and args.val_fraction > 0 else 0)
     val_docs, train_docs = docs[:n_val], docs[n_val:]
     result = train(train_docs, val_docs, store, config)
-    save_checkpoint(result.params, args.out,
-                    meta={"config": config.to_dict(), "seed": config.seed})
+    save_checkpoint(result.params, args.out, meta={"config": config.to_dict()})
     if args.metrics:
         with open(args.metrics, "w") as fh:
             for row in result.metrics:
@@ -113,7 +122,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_link(args) -> int:
-    config = _load_config(args.config)
+    config = _stored_config(args.checkpoint)
     _echo_config(config)
     docs, store = load_corpus(args.corpus)
     params = _load_model(docs, store, config, args.checkpoint)
@@ -139,7 +148,7 @@ def _cmd_link(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    config = _load_config(args.config)
+    config = _stored_config(args.checkpoint)
     if args.window is not None:
         config = replace(config, window=parse_window(args.window))
     _echo_config(config)
@@ -272,16 +281,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("link", help="annotate a corpus with predictions")
-    p.add_argument("--config", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--checkpoint", required=True, help="its stored config builds the model")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_link)
 
     p = sub.add_parser("eval", help="evaluate under an ordering strategy")
-    p.add_argument("--config", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--checkpoint", required=True, help="its stored config builds the model")
     p.add_argument("--order", choices=STRATEGIES, default="dynamic")
     p.add_argument("--window", default=None, help="override window (int or L)")
     p.add_argument("--out", default=None)

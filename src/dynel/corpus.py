@@ -101,10 +101,6 @@ class Mention:
     def candidate_ids(self) -> tuple[str, ...]:
         return tuple(c.entity_id for c in self.candidates)
 
-    @property
-    def priors(self) -> np.ndarray:
-        return np.array([c.prior for c in self.candidates], dtype=float)
-
 
 @dataclass(frozen=True)
 class Document:

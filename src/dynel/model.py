@@ -33,6 +33,7 @@ __all__ = [
     "build_model",
     "encode_document",
     "save_checkpoint",
+    "read_header",
     "load_checkpoint",
 ]
 
@@ -218,22 +219,29 @@ def save_checkpoint(params: ModelParams, path: str, meta: dict | None = None) ->
     np.savez(path, __header__=np.bytes_(json.dumps(header, sort_keys=True)), **arrays)
 
 
-def load_checkpoint(params: ModelParams, path: str) -> dict:
-    """Restore arrays into an already-built model of the same ``local_model``,
-    ``dim`` and, for the transformer, vocabulary; returns meta."""
+def read_header(path: str) -> dict:
+    """A checkpoint's header, refused unless dynel wrote it in this version."""
     with np.load(path, allow_pickle=False) as data:
         try:
             header = json.loads(bytes(data["__header__"]).decode())
-            version, meta = header["version"], header["meta"]
+            version, _ = header["version"], header["meta"]
         except (KeyError, TypeError, ValueError) as err:
             raise ValueError(f"checkpoint {path} has no dynel header: it is missing, "
                              f"not JSON or without a version or meta") from err
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        for key in _MODEL_KEYS:
-            if header.get(key) != getattr(params, key):
-                raise ValueError(f"checkpoint {path} has {key} {header.get(key)!r}; "
-                                 f"the model has {getattr(params, key)!r}")
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {version}")
+    return header
+
+
+def load_checkpoint(params: ModelParams, path: str) -> dict:
+    """Restore arrays into an already-built model of the same ``local_model``,
+    ``dim`` and, for the transformer, vocabulary; returns meta."""
+    header = read_header(path)
+    for key in _MODEL_KEYS:
+        if header.get(key) != getattr(params, key):
+            raise ValueError(f"checkpoint {path} has {key} {header.get(key)!r}; "
+                             f"the model has {getattr(params, key)!r}")
+    with np.load(path, allow_pickle=False) as data:
         arrays = {k: data[k] for k in data.files if k != "__header__"}
     params.restore(arrays)
-    return meta
+    return header["meta"]

@@ -162,8 +162,6 @@ def candidate_distribution(
     linked_ids: tuple[str, ...],
     store: EmbeddingStore,
     params: SelectorParams,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
 ) -> Tensor:
     """Probability over a mention's candidates, in candidate order.
 
@@ -207,8 +205,7 @@ def candidate_distribution(
         logits = ad.tsum(feats, axis=-1)
     else:
         rows = feats if valid is None else ad.reshape(feats, (-1, feats.shape[-1]))
-        logits = ad.reshape(params.fusion.apply(rows, training=training, rng=rng),
-                            feats.shape[:-1])
+        logits = ad.reshape(params.fusion.apply(rows), feats.shape[:-1])
     if valid is None:
         return ad.softmax(logits)
     return ad.row_softmax(logits, valid)

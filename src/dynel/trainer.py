@@ -300,7 +300,7 @@ def rollout(
                                       params.policy)
         # every step's distribution in one graph: step t sees the golds before it
         probs = candidate_distribution(encoded, chosen_order, tuple(history_entities[:-1]),
-                                       store, params.selector, training=True, rng=rng)
+                                       store, params.selector)
         for pos, line in zip(chosen_order, probs.data):
             candidates = encoded.mentions[pos].candidates
             pick = int(np.argmax(line[:len(candidates)]))

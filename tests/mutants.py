@@ -13,6 +13,7 @@ from typing import NamedTuple
 
 TRAINER = "tests/test_trainer.py"
 EPISODE = f"{TRAINER}::TestEpisodeGraph"
+CLI = "tests/test_cli.py"
 
 
 class Mutant(NamedTuple):
@@ -103,4 +104,16 @@ MUTANTS = (
            "    if strategy == \"exhaustive-best\":\n        _refuse_long_documents(docs)\n", "",
            ("tests/test_harness.py::TestStrategies::"
             "test_exhaustive_best_refuses_a_long_document_before_linking",)),
+    # the checkpoint's stored config
+    Mutant("link and eval build the default config", "cli.py",
+           "return TrainConfig.from_dict(meta[\"config\"])", "return TrainConfig()",
+           (f"{CLI}::test_link_and_eval_build_the_model_train_stored",)),
+    Mutant("a checkpoint without a config is not refused", "cli.py",
+           "    if not isinstance(meta, dict) or \"config\" not in meta:\n"
+           "        raise ValueError(", "    if False:\n        raise ValueError(",
+           (f"{CLI}::test_link_and_eval_refuse_a_checkpoint_without_a_usable_config"
+            "[no-config-link]",)),
+    Mutant("eval ignores --window", "cli.py",
+           "    if args.window is not None:\n", "    if False:\n",
+           (f"{CLI}::test_eval_offset_equals_dynamic_w1",)),
 )

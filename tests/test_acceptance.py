@@ -481,7 +481,7 @@ def test_criterion_12_cli_reproducibility(tmp_path, capsys):
         assert cli_main(["train", "--config", str(cfg_path), "--corpus", str(corpus),
                          "--out", str(ckpt), "--metrics", str(metrics)]) == 0
         capsys.readouterr()
-        assert cli_main(["eval", "--config", str(cfg_path), "--corpus", str(corpus),
+        assert cli_main(["eval", "--corpus", str(corpus),
                          "--checkpoint", str(ckpt), "--order", "dynamic"]) == 0
         report = capsys.readouterr().out.splitlines()[-1]
         outputs.append((metrics.read_bytes(), report))

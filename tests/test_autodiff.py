@@ -264,7 +264,7 @@ def test_gather_scatter_accumulates_repeats():
 
 def test_max_tie_routes_to_first():
     v = ad.parameter(np.array([5.0, 5.0, 1.0]))
-    assert np.allclose(ad.backward(ad.tmax(v))[v], [1.0, 0.0, 0.0])
+    assert np.allclose(ad.backward(ad.tmax(v, axis=0))[v], [1.0, 0.0, 0.0])
 
 
 # dyadic entries make products and sums exact, so equal scores tie exactly

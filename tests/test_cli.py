@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ import pytest
 from dynel import cli, harness
 from dynel.cli import main
 from dynel.corpus import EmbeddingStore, load_corpus
-from dynel.model import save_checkpoint
-from dynel.trainer import TrainConfig
+from dynel.harness import run_baseline
+from dynel.model import ModelParams, load_checkpoint, save_checkpoint
+from dynel.trainer import TrainConfig, evaluate
 
 
 @pytest.fixture
@@ -136,16 +138,16 @@ def test_train_link_eval_pipeline(corpus_dir, config_path, tmp_path, capsys):
     assert len(metrics.read_text().splitlines()) == 2
 
     linked = tmp_path / "links.jsonl"
-    rc = main(["link", "--config", str(config_path), "--corpus", str(corpus_dir),
-               "--checkpoint", str(ckpt), "--out", str(linked)])
+    rc = main(["link", "--corpus", str(corpus_dir), "--checkpoint", str(ckpt),
+               "--out", str(linked)])
     assert rc == 0
     capsys.readouterr()
     rows = [json.loads(l) for l in linked.read_text().splitlines()]
     assert len(rows) == 6
     assert all(len(r["links"]) == 4 for r in rows)
 
-    rc = main(["eval", "--config", str(config_path), "--corpus", str(corpus_dir),
-               "--checkpoint", str(ckpt), "--order", "offset"])
+    rc = main(["eval", "--corpus", str(corpus_dir), "--checkpoint", str(ckpt),
+               "--order", "offset"])
     assert rc == 0
     report = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert 0.0 <= report["micro_f1"] <= 1.0
@@ -162,8 +164,7 @@ def test_eval_offset_equals_dynamic_w1(corpus_dir, config_path, tmp_path, capsys
         assert main(args) == 0
         return json.loads(capsys.readouterr().out.splitlines()[-1])
 
-    base = ["eval", "--config", str(config_path), "--corpus", str(corpus_dir),
-            "--checkpoint", str(ckpt), "--window", "1"]
+    base = ["eval", "--corpus", str(corpus_dir), "--checkpoint", str(ckpt), "--window", "1"]
     offset = run(base + ["--order", "offset"])
     dynamic = run(base + ["--order", "dynamic"])
     for key in ("micro_f1", "per_doc_accuracy", "flags", "orders",
@@ -271,26 +272,26 @@ def test_link_refuses_a_checkpoint_header_without_meta(corpus_dir, config_path, 
     _, store = load_corpus(corpus_dir)
     config = TrainConfig.from_dict(json.loads(config_path.read_text()))
     ckpt = tmp_path / "no-meta.npz"
-    save_checkpoint(config.build_model(store, np.random.default_rng(0)), str(ckpt))
+    save_checkpoint(config.build_model(store, np.random.default_rng(0)), str(ckpt),
+                    meta={"config": config.to_dict()})
     with np.load(ckpt) as data:
         arrays = {k: data[k] for k in data.files}
     header = json.loads(bytes(arrays["__header__"]).decode())
     del header["meta"]
     arrays["__header__"] = np.bytes_(json.dumps(header))
     np.savez(ckpt, **arrays)
-    rc = main(["link", "--config", str(config_path), "--corpus", str(corpus_dir),
-               "--checkpoint", str(ckpt), "--out", str(tmp_path / "links.jsonl")])
+    rc = main(["link", "--corpus", str(corpus_dir), "--checkpoint", str(ckpt),
+               "--out", str(tmp_path / "links.jsonl")])
     assert rc == 1
     assert capsys.readouterr().err.startswith(f"error: checkpoint {ckpt} has no dynel header")
     assert not (tmp_path / "links.jsonl").exists()
 
 
-def test_link_refuses_a_file_without_a_dynel_header(corpus_dir, config_path, tmp_path,
-                                                    capsys):
+def test_link_refuses_a_file_without_a_dynel_header(corpus_dir, tmp_path, capsys):
     ckpt = tmp_path / "x.npz"
     np.savez(ckpt, a=np.zeros(2))
-    rc = main(["link", "--config", str(config_path), "--corpus", str(corpus_dir),
-               "--checkpoint", str(ckpt), "--out", str(tmp_path / "links.jsonl")])
+    rc = main(["link", "--corpus", str(corpus_dir), "--checkpoint", str(ckpt),
+               "--out", str(tmp_path / "links.jsonl")])
     assert rc == 1
     assert capsys.readouterr().err.startswith(f"error: checkpoint {ckpt} has no dynel header")
     assert not (tmp_path / "links.jsonl").exists()
@@ -361,15 +362,15 @@ def test_transformer_train_link_eval_round_trip(corpus_dir, tmp_path, capsys):
     config_path = tmp_path / "transformer.json"
     config_path.write_text(json.dumps(cfg.to_dict()))
     ckpt = tmp_path / "model.npz"
-    common = ["--config", str(config_path), "--corpus", str(corpus_dir)]
-    assert main(["train", *common, "--out", str(ckpt)]) == 0
+    corpus = ["--corpus", str(corpus_dir)]
+    assert main(["train", "--config", str(config_path), *corpus, "--out", str(ckpt)]) == 0
     capsys.readouterr()
 
     linked = tmp_path / "links.jsonl"
-    assert main(["link", *common, "--checkpoint", str(ckpt), "--out", str(linked)]) == 0
+    assert main(["link", *corpus, "--checkpoint", str(ckpt), "--out", str(linked)]) == 0
     capsys.readouterr()
     rows = [json.loads(line) for line in linked.read_text().splitlines()]
-    assert main(["eval", *common, "--checkpoint", str(ckpt), "--order", "dynamic"]) == 0
+    assert main(["eval", *corpus, "--checkpoint", str(ckpt), "--order", "dynamic"]) == 0
     report = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert report["config_echo"]["local_model"] == "transformer"
 
@@ -387,17 +388,19 @@ def test_transformer_train_link_eval_round_trip(corpus_dir, tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["link", "eval"])
 def test_link_and_eval_refuse_inputs_over_the_transformer_caps(command, corpus_dir, tmp_path,
-                                                                capsys):
+                                                                capsys, monkeypatch):
     cfg = TrainConfig(local_model="transformer", encoder_layers=1, attention_heads=2,
                       head_dim=4, model_dim=20, encoder_ff_dim=12, head_hidden=6,
                       max_seq_len=64, max_candidates=2)
-    config_path = tmp_path / "transformer.json"
-    config_path.write_text(json.dumps(cfg.to_dict()))
-    # refused before the checkpoint is read, so it need not exist
-    rc = main([command, "--config", str(config_path), "--corpus", str(corpus_dir),
-               "--checkpoint", str(tmp_path / "none.npz"), "--out", str(tmp_path / "out")])
+    docs, store = load_corpus(corpus_dir)
+    ckpt = tmp_path / "transformer.npz"
+    save_checkpoint(cfg.build_model(store, np.random.default_rng(0)), str(ckpt),
+                    meta={"config": cfg.to_dict()})
+    monkeypatch.setattr(ModelParams, "restore", lambda *a: pytest.fail("an array was restored"))
+    rc = main([command, "--corpus", str(corpus_dir), "--checkpoint", str(ckpt),
+               "--out", str(tmp_path / "out")])
     assert rc == 1
-    docs, _ = load_corpus(corpus_dir)
+    assert not (tmp_path / "out").exists()
     first = docs[0].mentions[0]
     assert capsys.readouterr().err.strip() == (
         f"error: document {docs[0].id!r}: mention {first.id!r} has 3 candidates; max is 2")
@@ -405,13 +408,15 @@ def test_link_and_eval_refuse_inputs_over_the_transformer_caps(command, corpus_d
 
 def test_link_refuses_a_checkpoint_of_another_local_model(corpus_dir, config_path, tmp_path,
                                                           capsys):
+    # tampered meta: the stored config says attn, the arrays are a transformer's
     docs, store = load_corpus(corpus_dir)
     other = TrainConfig(local_model="transformer", encoder_layers=1, attention_heads=2,
                         head_dim=4, model_dim=20, encoder_ff_dim=12, head_hidden=6)
     ckpt = tmp_path / "transformer.npz"
-    save_checkpoint(other.build_model(store, np.random.default_rng(0)), str(ckpt))
-    rc = main(["link", "--config", str(config_path), "--corpus", str(corpus_dir),
-               "--checkpoint", str(ckpt), "--out", str(tmp_path / "links.jsonl")])
+    save_checkpoint(other.build_model(store, np.random.default_rng(0)), str(ckpt),
+                    meta={"config": json.loads(config_path.read_text())})
+    rc = main(["link", "--corpus", str(corpus_dir), "--checkpoint", str(ckpt),
+               "--out", str(tmp_path / "links.jsonl")])
     assert rc == 1
     assert capsys.readouterr().err.strip() == (
         f"error: checkpoint {ckpt} has local_model 'transformer'; the model has 'attn'")
@@ -423,18 +428,107 @@ def test_link_refuses_a_transformer_checkpoint_of_another_vocabulary(corpus_dir,
     cfg = TrainConfig(local_model="transformer", encoder_layers=1, attention_heads=2,
                       head_dim=4, model_dim=20, encoder_ff_dim=12, head_hidden=6,
                       max_seq_len=64, max_candidates=4)
-    config_path = tmp_path / "transformer.json"
-    config_path.write_text(json.dumps(cfg.to_dict()))
     _, store = load_corpus(corpus_dir)
     # the same number of words under other names: the word table keeps its shape
     renamed = {w: f"x{i:05d}" for i, w in enumerate(sorted(store.word_vecs))}
     other = EmbeddingStore(word_vecs={renamed[w]: v for w, v in store.word_vecs.items()},
                            entity_vecs=store.entity_vecs)
     ckpt = tmp_path / "other-vocab.npz"
-    save_checkpoint(cfg.build_model(other, np.random.default_rng(0)), str(ckpt))
-    rc = main(["link", "--config", str(config_path), "--corpus", str(corpus_dir),
-               "--checkpoint", str(ckpt), "--out", str(tmp_path / "links.jsonl")])
+    save_checkpoint(cfg.build_model(other, np.random.default_rng(0)), str(ckpt),
+                    meta={"config": cfg.to_dict()})
+    rc = main(["link", "--corpus", str(corpus_dir), "--checkpoint", str(ckpt),
+               "--out", str(tmp_path / "links.jsonl")])
     assert rc == 1
     assert capsys.readouterr().err.strip().startswith(
         f"error: checkpoint {ckpt} has vocab_sha256 ")
     assert not (tmp_path / "links.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", ["link", "eval"])
+def test_link_and_eval_take_no_config_flag(command, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", "cfg.json", "--corpus", "corpus",
+              "--checkpoint", "model.npz", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+
+
+def test_link_and_eval_build_the_model_train_stored(corpus_dir, tmp_path, capsys):
+    # fields that shape no array: a model built from defaults would load these
+    # arrays without complaint and link differently
+    cfg = TrainConfig(window=3, epochs=2, lr=0.01, fusion_hidden=8, episodes_per_doc=1,
+                      seed=0, feature_norm=False, policy_top_k=2, selector_top_k=2,
+                      top_words=1)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(cfg.to_dict()))
+    ckpt, linked = tmp_path / "model.npz", tmp_path / "links.jsonl"
+    assert main(["train", "--config", str(config_path), "--corpus", str(corpus_dir),
+                 "--out", str(ckpt)]) == 0
+    echoed = capsys.readouterr().out.splitlines()[0]
+    assert echoed == f"# config_hash={cfg.config_hash()} seed=0"
+    assert main(["link", "--corpus", str(corpus_dir), "--checkpoint", str(ckpt),
+                 "--out", str(linked)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == echoed
+    assert main(["eval", "--corpus", str(corpus_dir), "--checkpoint", str(ckpt),
+                 "--order", "dynamic"]) == 0
+    eval_out = capsys.readouterr().out.splitlines()
+    assert eval_out[0] == echoed
+
+    docs, store = load_corpus(corpus_dir)
+
+    def restored(config):
+        params = config.build_model(store, np.random.default_rng(config.seed))
+        load_checkpoint(params, str(ckpt))
+        return params
+
+    def link_lines(config):
+        lines = []
+        for doc, ep in zip(docs, evaluate(docs, store, restored(config), config)):
+            by_step = {pos: step for step, pos in enumerate(ep.order)}
+            links = [{"mention": m.id, "predicted": ep.predicted[by_step[m.position]],
+                      "probability": ep.predicted_prob[by_step[m.position]],
+                      "step": by_step[m.position]} for m in doc.mentions]
+            lines.append(json.dumps({"id": doc.id, "links": links}, sort_keys=True) + "\n")
+        return "".join(lines)
+
+    assert linked.read_text() == link_lines(cfg)
+    report = run_baseline(docs, store, restored(cfg), cfg, "dynamic", seed=cfg.seed)
+    assert eval_out[-1] == report.to_json()
+    defaults = replace(cfg, window=4, feature_norm=True, policy_top_k=7, selector_top_k=7,
+                       top_words=25)
+    assert link_lines(defaults) != link_lines(cfg)
+
+
+NO_CONFIG = "checkpoint {} stores no config; save it with meta={{\"config\": config.to_dict()}}"
+
+
+@pytest.mark.parametrize("command", ["link", "eval"])
+@pytest.mark.parametrize("meta, message", [
+    (None, NO_CONFIG),
+    (["config"], NO_CONFIG),
+    ({"config": {"lr": "x"}}, "config key 'lr' must be float, got 'x'"),
+], ids=["no-config", "meta-not-an-object", "bad-config"])
+def test_link_and_eval_refuse_a_checkpoint_without_a_usable_config(command, meta, message,
+                                                                  corpus_dir, config_path,
+                                                                  tmp_path, capsys):
+    _, store = load_corpus(corpus_dir)
+    config = TrainConfig.from_dict(json.loads(config_path.read_text()))
+    ckpt, out = tmp_path / "model.npz", tmp_path / "out"
+    save_checkpoint(config.build_model(store, np.random.default_rng(0)), str(ckpt), meta=meta)
+    # refused before the corpus is read, so it need not exist
+    rc = main([command, "--corpus", str(tmp_path / "missing"), "--checkpoint", str(ckpt),
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.strip() == "error: " + message.format(ckpt)
+    assert not out.exists()
+
+
+def test_eval_out_holds_the_printed_report(corpus_dir, config_path, tmp_path, capsys):
+    ckpt, out = tmp_path / "model.npz", tmp_path / "report.json"
+    assert main(["train", "--config", str(config_path), "--corpus", str(corpus_dir),
+                 "--out", str(ckpt)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--corpus", str(corpus_dir), "--checkpoint", str(ckpt),
+                 "--order", "offset", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert out.read_text() == printed[-1] + "\n"
+    assert json.loads(printed[-1])["strategy"] == "offset"

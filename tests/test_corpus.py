@@ -469,7 +469,8 @@ def test_an_int_prior_saves_and_reloads_as_a_number(tmp_path):
     save_corpus(docs, store, tmp_path)
     loaded, _ = load_corpus(tmp_path)
     assert loaded == docs
-    assert loaded[0].mentions[0].priors.dtype == float
+    priors = np.array([c.prior for c in loaded[0].mentions[0].candidates], dtype=float)
+    assert priors.dtype == float
 
 
 # ---------------------------------------------------------------------------

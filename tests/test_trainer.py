@@ -322,7 +322,8 @@ class TestEncodedDocument:
             assert enc.valid[i].tolist() == [j < width for j in range(4)]
             assert np.array_equal(enc.candidates.data[rows[:width]],
                                   store.entities(m.candidate_ids))
-            assert np.array_equal(enc.priors.data[rows[:width]], m.priors)
+            assert np.array_equal(enc.priors.data[rows[:width]],
+                                  np.array([c.prior for c in m.candidates], dtype=float))
             assert enc.types.data[rows[:width]].tolist() == [
                 store.type_score(m.id, e) for e in m.candidate_ids]
             # each padded slot repeats the mention's first candidate
@@ -368,8 +369,7 @@ class TestEpisodeGraph:
                      order=order, encoded=encoded)
         mentions = [doc.mentions[p] for p in order]
         golds = ep.history_entities
-        batched = candidate_distribution(encoded, order, golds[:-1], store, params.selector,
-                                         training=True, rng=np.random.default_rng(0))
+        batched = candidate_distribution(encoded, order, golds[:-1], store, params.selector)
         steps = [candidate_distribution(encoded, pos, golds[:t], store, params.selector)
                  for t, pos in enumerate(order)]
 

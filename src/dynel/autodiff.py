@@ -83,7 +83,9 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "_parents", "_grad_fns")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        if type(data) is not np.ndarray or data.dtype != np.float64:
+            data = np.asarray(data, dtype=np.float64)
+        self.data = data
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
         self._grad_fns: tuple[Callable[[np.ndarray], np.ndarray], ...] = ()
@@ -117,7 +119,9 @@ def parameter(data) -> Tensor:
 
 def _result(data, parents: Sequence[Tensor], grad_fns) -> Tensor:
     out = Tensor(data)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if not _GRAD_ENABLED:
+        return out
+    if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._grad_fns = tuple(grad_fns)

@@ -15,6 +15,12 @@ no candidate-order information.  Scoring heads:
 
 Per-candidate weight sharing keeps the heads well-defined for any
 candidate count and exactly permutation-equivariant.
+
+``document_scores`` scores a whole document in one pass: every mention's
+sequence padded to the longest and stacked, the padded keys masked in
+attention, and the heads run once over every mention's padded candidate
+slots (the padded, key-masked batches of Vaswani et al. 2017 and Devlin
+et al. 2019).  ``local_scores_transformer`` is that pass over one mention.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ __all__ = [
     "ABLATION_FLAGS",
     "build_input",
     "check_input_caps",
+    "document_scores",
     "local_scores_transformer",
     "transformer_ablation",
 ]
@@ -260,8 +267,77 @@ def build_input(
     return x, InputLayout(seq_len, 0, tuple(rows[seps]), mention_index, tuple(rows[cands]))
 
 
-def _row(mat: Tensor, idx: int) -> Tensor:
-    return ad.reshape(ad.gather_rows(mat, [idx]), (-1,))
+def document_scores(
+    mentions: Sequence[Mention],
+    candidates: np.ndarray,
+    slots: np.ndarray,
+    valid: np.ndarray,
+    store: EmbeddingStore,
+    params: TransformerLocalParams,
+    mode: str = "eval",
+    rng: np.random.Generator | None = None,
+) -> Tensor:
+    """Every mention's final candidate distribution from one encoder pass.
+
+    ``candidates`` holds the candidate vectors of all ``mentions``, one row
+    each; line i of ``slots`` holds mention i's rows in it, padded to the
+    widest, and ``valid`` marks the real slots.  Each mention's input rows
+    are built as ``build_input`` builds them, padded to the longest
+    sequence with copies of its ``[CLS]`` row and stacked, and the encoder
+    runs once over the stack with the padded keys masked.  Returns the
+    ``(mentions, widest)`` distributions: each line sums to one over its
+    real slots, in candidate order, and is exactly 0 on its padding.
+    """
+    if mode not in ("train", "eval"):
+        raise ValueError(f"unknown mode {mode!r}")
+    training = mode == "train"
+    cfg = params.config
+    built = [build_input(m, Tensor(candidates[line[real]]), store, params)
+             for m, line, real in zip(mentions, slots, valid)]
+    lengths = np.array([layout.seq_len for _, layout in built])
+    length = lengths.max()
+    keys = np.arange(length) < lengths[:, None]
+    # row r of mention i sits at i * length + r; a padded row reads its [CLS]
+    starts = np.cumsum(lengths) - lengths
+    rows = ad.reshape(ad.concat([ad.reshape(x, (-1,)) for x, _ in built]),
+                      (lengths.sum(), cfg.model_dim))
+    x = ad.gather_rows(rows, (starts[:, None] + np.where(keys, np.arange(length), 0)).ravel())
+    for layer in params.encoder:
+        x = layer.apply(x, training=training, rng=rng, keys=keys)
+
+    base = np.arange(len(built)) * length
+    o_cls = ad.gather_rows(x, base + [layout.cls_index for _, layout in built])
+    o_mention = ad.gather_rows(x, base + [layout.mention_index for _, layout in built])
+    # a padded slot reads its mention's first candidate row
+    columns = np.where(valid, np.arange(valid.shape[1]), 0)
+    cand_rows = base[:, None] + [np.take(layout.candidate_indices, line)
+                                 for (_, layout), line in zip(built, columns)]
+    o_cands = ad.reshape(ad.gather_rows(x, cand_rows.ravel()), valid.shape + (cfg.model_dim,))
+
+    if "drop_n1" in params.ablations:
+        context_head = Tensor(np.zeros(valid.shape))
+    else:
+        summary = dropout(
+            ad.relu(linear(o_cls, params.summary_w, params.summary_b)),
+            cfg.drop_rate, rng, training,
+        )
+        query = ad.matmul(summary, ad.transpose(params.match))
+        context_head = ad.row_softmax(_per_line(o_cands, query), valid)
+
+    if "drop_n2" in params.ablations:
+        similarity = Tensor(np.zeros(valid.shape))
+    else:
+        similarity = _per_line(Tensor(candidates[slots]), o_mention)
+
+    pair = ad.reshape(ad.transpose(ad.stack([context_head, similarity]), (1, 2, 0)), (-1, 2))
+    logits = ad.reshape(params.pair_head.apply(pair, training=training, rng=rng), valid.shape)
+    return ad.row_softmax(logits, valid)
+
+
+def _per_line(stack: Tensor, vectors: Tensor) -> Tensor:
+    """Line i of ``stack @ vectors[i]``: each matrix of a stack against its own vector."""
+    columns = ad.matmul(stack, ad.reshape(vectors, vectors.shape + (1,)))
+    return ad.reshape(columns, stack.shape[:-1])
 
 
 def local_scores_transformer(
@@ -271,39 +347,13 @@ def local_scores_transformer(
     mode: str = "eval",
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Final candidate distribution (sums to one), in candidate order."""
-    if mode not in ("train", "eval"):
-        raise ValueError(f"unknown mode {mode!r}")
-    training = mode == "train"
+    """Final candidate distribution (sums to one), in candidate order: the
+    document pass over ``mention`` alone."""
     n = len(mention.candidates)
-    cfg = params.config
-
-    cand = Tensor(store.entities(mention.candidate_ids))
-    x, layout = build_input(mention, cand, store, params)
-    for layer in params.encoder:
-        x = layer.apply(x, training=training, rng=rng)
-
-    o_cls = _row(x, layout.cls_index)
-    o_mention = _row(x, layout.mention_index)
-    o_cands = ad.gather_rows(x, list(layout.candidate_indices))
-
-    if "drop_n1" in params.ablations:
-        context_head = Tensor(np.zeros(n))
-    else:
-        summary = dropout(
-            ad.relu(linear(o_cls, params.summary_w, params.summary_b)),
-            cfg.drop_rate, rng, training,
-        )
-        context_head = ad.softmax(ad.matmul(o_cands, ad.matmul(params.match, summary)))
-
-    if "drop_n2" in params.ablations:
-        similarity = Tensor(np.zeros(n))
-    else:
-        similarity = ad.matmul(cand, o_mention)
-
-    pair = ad.transpose(ad.stack([context_head, similarity]))
-    logits = ad.reshape(params.pair_head.apply(pair, training=training, rng=rng), (n,))
-    return ad.softmax(logits)
+    probs = document_scores((mention,), store.entities(mention.candidate_ids),
+                            np.arange(n)[None], np.ones((1, n), dtype=bool), store, params,
+                            mode, rng)
+    return ad.reshape(probs, (n,))
 
 
 def transformer_ablation(

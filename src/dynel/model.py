@@ -21,7 +21,7 @@ from .local_attn import LocalAttnParams, context_feature, local_scores_attn
 from .local_transformer import (
     TransformerConfig,
     TransformerLocalParams,
-    local_scores_transformer,
+    document_scores,
 )
 from .policy import PolicyParams, action_representation
 from .selector import SelectorParams
@@ -153,7 +153,8 @@ class EncodedDocument:
     gold: np.ndarray           # (mentions,) gold's column; -1 when missing
     contexts: Tensor           # (mentions, d) context features; the policy's mention half
     actions: Tensor            # (mentions, 2d) action summaries the policy scores
-    pairs: Tensor              # (mentions, 2d) teacher-forced history pairs (context; gold)
+    pairs: Tensor | None       # (mentions, 2d) teacher-forced history pairs (context; gold);
+                               # train mode only
 
 
 def encode_document(
@@ -167,42 +168,51 @@ def encode_document(
 
     The one place that reads a mention's candidate vectors, priors, type
     scores and gold.  Attention scores are softmax-normalised into action
-    weights; the transformer head is already a distribution (``mode`` and
-    ``rng`` drive its dropout).  The pairs do not depend on an order, so
-    every training episode over the document shares them.
+    weights; the transformer scores the whole document in one pass, already
+    as distributions (``mode`` and ``rng`` drive its dropout).  Train mode
+    also builds the teacher-forced pairs: they do not depend on an order,
+    so every training episode over the document shares them.
     """
+    if mode not in ("train", "eval"):
+        raise ValueError(f"unknown mode {mode!r}")
     mentions = doc.mentions
-    cands, feats, locals_, actions = [], [], [], []
-    for m in mentions:
-        cand = Tensor(store.entities(m.candidate_ids))
-        feat = context_feature(m, cand, store, params.local_attn)
-        if params.transformer is None:
-            local = local_scores_attn(cand, feat, params.local_attn)
-            weights = ad.softmax(local)
-        else:
-            local = local_scores_transformer(m, store, params.transformer, mode=mode, rng=rng)
-            weights = local
-        cands.append(cand.data)
-        feats.append(feat)
-        locals_.append(local)
-        actions.append(action_representation(feat, cand, weights))
-
     ids = [m.candidate_ids for m in mentions]
     widths = np.array([len(c) for c in ids])
     columns = np.arange(widths.max())
     valid = columns < widths[:, None]
-    slots = (np.cumsum(widths) - widths)[:, None] + np.where(valid, columns, 0)
+    starts = np.cumsum(widths) - widths
+    slots = starts[:, None] + np.where(valid, columns, 0)
+    cands = [Tensor(store.entities(c)) for c in ids]
+    candidates = np.concatenate([cand.data for cand in cands])
+    feats = [context_feature(m, cand, store, params.local_attn)
+             for m, cand in zip(mentions, cands)]
+    if params.transformer is None:
+        scores = [local_scores_attn(cand, feat, params.local_attn)
+                  for cand, feat in zip(cands, feats)]
+        local = ad.concat(scores)
+        weights = [ad.softmax(s) for s in scores]
+    else:
+        probs = document_scores(mentions, candidates, slots, valid, store,
+                                params.transformer, mode, rng)
+        local = ad.gather(ad.reshape(probs, (-1,)), np.flatnonzero(valid))
+        weights = [ad.gather(local, np.arange(start, start + width))
+                   for start, width in zip(starts, widths)]
+    actions = [action_representation(feat, cand, w)
+               for feat, cand, w in zip(feats, cands, weights)]
+
     gold = np.array([c.index(m.gold) if m.gold in c else -1 for m, c in zip(mentions, ids)])
     contexts = ad.stack(feats)
-    golds = store.entities([m.gold for m in mentions])
-    pairs = ad.add(ad.matmul(contexts, Tensor(np.eye(params.dim, 2 * params.dim))),
-                   Tensor(np.hstack([np.zeros_like(golds), golds])))
+    pairs = None
+    if mode == "train":
+        golds = store.entities([m.gold for m in mentions])
+        pairs = ad.add(ad.matmul(contexts, Tensor(np.eye(params.dim, 2 * params.dim))),
+                       Tensor(np.hstack([np.zeros_like(golds), golds])))
     return EncodedDocument(
         mentions=mentions,
-        candidates=Tensor(np.concatenate(cands)),
+        candidates=Tensor(candidates),
         priors=Tensor([c.prior for m in mentions for c in m.candidates]),
         types=Tensor([store.type_score(m.id, e) for m, c in zip(mentions, ids) for e in c]),
-        local=ad.concat(locals_),
+        local=local,
         slots=slots,
         valid=valid,
         gold=gold,

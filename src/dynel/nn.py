@@ -1,9 +1,10 @@
 """Feed-forward layers, layer norm, dropout and multi-head self-attention.
 
 All blocks are parameter containers over :mod:`dynel.autodiff` tensors.
-Self-attention computes its heads as one ``(heads, rows, head_dim)`` stack:
-one batched ``matmul`` for the scores, one last-axis ``row_softmax`` and one
-batched ``matmul`` with the values.  Initialisation follows the house
+Self-attention computes its heads as one ``(sequences, heads, rows,
+head_dim)`` stack: one batched ``matmul`` for the scores, one last-axis
+``row_softmax`` (masked to each sequence's real keys) and one batched
+``matmul`` with the values.  Initialisation follows the house
 rules: diagonal forms start at ones, dense weights are Glorot-uniform,
 biases and embedding-like vectors are configured where they are built.
 """
@@ -142,21 +143,32 @@ class MultiHeadSelfAttention:
             ad.parameter(np.zeros(model_dim)),
         )
 
-    def apply(self, x: Tensor) -> Tensor:
+    def apply(self, x: Tensor, keys: np.ndarray | None = None) -> Tensor:
         """Attention over the rows of ``x``, all heads as one
-        ``(heads, rows, head_dim)`` stack."""
+        ``(sequences, heads, length, head_dim)`` stack.
+
+        Without ``keys`` the rows are one sequence.  A boolean
+        ``(sequences, length)`` mask ``keys`` splits them into that many
+        sequences of ``length`` rows each, padding included: a row attends
+        only to its own sequence's unmasked rows, so padded keys get weight
+        exactly 0 (the padded batches of Vaswani et al. 2017).
+        """
         if x.data.ndim != 2 or x.data.shape[0] == 0:
             raise ad.ShapeError("attention expects a non-empty sequence matrix")
         rows, inner = x.data.shape[0], self.heads * self.head_dim
+        seqs, length = (1, rows) if keys is None else keys.shape
+        if seqs * length != rows:
+            raise ad.ShapeError(f"a key mask of shape {keys.shape} for {rows} rows")
 
         def split(w: Tensor, b: Tensor) -> Tensor:
-            heads = ad.reshape(linear(x, w, b), (rows, self.heads, self.head_dim))
-            return ad.transpose(heads, (1, 0, 2))
+            heads = ad.reshape(linear(x, w, b), (seqs, length, self.heads, self.head_dim))
+            return ad.transpose(heads, (0, 2, 1, 3))
 
         q, k, v = split(self.wq, self.bq), split(self.wk, self.bk), split(self.wv, self.bv)
-        scores = ad.matmul(q, ad.transpose(k, (0, 2, 1))) * (1.0 / np.sqrt(self.head_dim))
-        out = ad.matmul(ad.row_softmax(scores), v)
-        merged = ad.reshape(ad.transpose(out, (1, 0, 2)), (rows, inner))
+        scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(self.head_dim))
+        mask = None if keys is None else np.broadcast_to(keys[:, None, None, :], scores.shape)
+        out = ad.matmul(ad.row_softmax(scores, mask), v)
+        merged = ad.reshape(ad.transpose(out, (0, 2, 1, 3)), (rows, inner))
         return linear(merged, self.wo, self.bo)
 
     def parameters(self) -> list[Tensor]:
@@ -196,8 +208,12 @@ class EncoderLayer:
         x: Tensor,
         training: bool = False,
         rng: np.random.Generator | None = None,
+        keys: np.ndarray | None = None,
     ) -> Tensor:
-        a = self.attn.apply(x)
+        """The block over the rows of ``x``; ``keys`` as in
+        ``MultiHeadSelfAttention.apply``.  Everything but the attention
+        works row by row, so padded rows never reach a real one."""
+        a = self.attn.apply(x, keys)
         x = self.norm1.apply(ad.add(x, dropout(a, self.drop_rate, rng, training)))
         f = self.ffn.apply(x, training=training, rng=rng)
         x = self.norm2.apply(ad.add(x, dropout(f, self.drop_rate, rng, training)))

@@ -248,6 +248,8 @@ def rollout(
 
     if encoded is None:
         encoded = encode_document(doc, store, params, mode, rng)
+    elif training and encoded.pairs is None:
+        raise ValueError("a train rollout needs a train-mode encoding")
     keeps_window = order is None or training   # a forced eval order bypasses it
 
     window_size = config.window if config.window is not None else n_mentions
@@ -502,7 +504,7 @@ def train(
 
     metrics: list[dict] = []
     best_acc: float | None = None
-    best_arrays = params.snapshot()
+    best_arrays = params.snapshot() if val_docs else None   # read only with validation
     lr = config.lr
     lr_dropped = False
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 TRAINER = "tests/test_trainer.py"
+DOCUMENT_PASS = "tests/test_local_transformer.py::TestDocumentPass"
 EPISODE = f"{TRAINER}::TestEpisodeGraph"
 CLI = "tests/test_cli.py"
 
@@ -43,6 +44,18 @@ MUTANTS = (
            "reps = ad.gather_rows(actions, np.subtract(acts, 1))",
            ("tests/test_policy.py::TestSelectAction::"
             "test_reads_no_action_row_outside_its_window[gapped]",)),
+    # the transformer's document pass
+    Mutant("attention reads padded keys", "nn.py",
+           "mask = None if keys is None else np.broadcast_to(keys[:, None, None, :], scores.shape)",
+           "mask = None",
+           (f"{DOCUMENT_PASS}::test_equals_the_per_mention_oracle[full]",)),
+    Mutant("padding in the context head's softmax", "local_transformer.py",
+           "ad.row_softmax(_per_line(o_cands, query), valid)",
+           "ad.row_softmax(_per_line(o_cands, query))",
+           (f"{DOCUMENT_PASS}::test_equals_the_per_mention_oracle[full]",)),
+    Mutant("padding in the transformer's final softmax", "local_transformer.py",
+           "return ad.row_softmax(logits, valid)", "return ad.row_softmax(logits)",
+           (f"{DOCUMENT_PASS}::test_equals_the_per_mention_oracle[drop_n1]",)),
     # the selector's episode graph
     Mutant("selector history prefix off by one", "selector.py",
            "(len(linked_ids) - len(steps) + 1)", "(len(linked_ids) - len(steps) + 2)",

@@ -271,3 +271,47 @@ def transformer_input(
     layout = {"seq_len": len(rows), "cls_index": 0, "sep_indices": tuple(sep_indices),
               "mention_index": mention_index, "candidate_indices": tuple(cand_indices)}
     return x, layout
+
+
+def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                eps: float = 1e-6) -> np.ndarray:
+    centered = x - x.mean(axis=1, keepdims=True)
+    var = (centered * centered).mean(axis=1, keepdims=True)
+    return centered / np.sqrt(var + eps) * gain + bias
+
+
+def transformer_scores(
+    x: np.ndarray,                      # (seq_len, d) one mention's input rows
+    layout: dict,                       # as ``transformer_input`` returns it
+    cand: np.ndarray,                   # (n, d) candidate entity vectors
+    layers: list[list[np.ndarray]],     # per encoder layer: 8 attention arrays, then
+                                        # norm1 gain, bias, norm2 gain, bias,
+                                        # ffn w1, w2, b1, b2
+    heads: int,
+    head_dim: int,
+    tables: dict[str, np.ndarray],      # summary_w, summary_b, match, pair_w1, pair_w2,
+                                        # pair_b1, pair_b2
+    ablations: frozenset[str] = frozenset(),
+) -> np.ndarray:
+    """One mention's candidate distribution, encoded alone: post-norm
+    encoder layers (attention one head at a time), then the context and
+    similarity heads fused per candidate by the two-layer pair net."""
+    for w in layers:
+        x = _layer_norm(x + multi_head_attention(x, w[:8], heads, head_dim), w[8], w[9])
+        ffn = np.maximum(x @ w[12] + w[14], 0.0) @ w[13] + w[15]
+        x = _layer_norm(x + ffn, w[10], w[11])
+    o_cls = x[layout["cls_index"]]
+    o_mention = x[layout["mention_index"]]
+    o_cands = x[list(layout["candidate_indices"])]
+    n = len(cand)
+    context = np.zeros(n)
+    if "drop_n1" not in ablations:
+        summary = np.maximum(o_cls @ tables["summary_w"] + tables["summary_b"], 0.0)
+        context = _softmax(np.array([row @ (tables["match"] @ summary) for row in o_cands]))
+    similarity = np.zeros(n)
+    if "drop_n2" not in ablations:
+        similarity = np.array([c @ o_mention for c in cand])
+    logits = [float(np.maximum(np.array([c, s]) @ tables["pair_w1"] + tables["pair_b1"], 0.0)
+                    @ tables["pair_w2"][:, 0] + tables["pair_b2"][0])
+              for c, s in zip(context, similarity)]
+    return _softmax(np.array(logits))

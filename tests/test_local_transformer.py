@@ -7,15 +7,17 @@ from hypothesis import strategies as st
 
 from dynel import autodiff as ad
 from dynel.autodiff import Tensor
-from dynel.corpus import CandidateEntity, EmbeddingStore, Mention
+from dynel.corpus import CandidateEntity, Document, EmbeddingStore, Mention
 from dynel.local_transformer import (
     ABLATION_FLAGS,
     TransformerConfig,
     TransformerLocalParams,
     build_input,
+    document_scores,
     local_scores_transformer,
     transformer_ablation,
 )
+from dynel.model import build_model, encode_document
 
 import oracles
 
@@ -227,6 +229,97 @@ def test_full_stack_gradients_match_fd(world, rng):
         analytic = grads[t].ravel() if t in grads else np.zeros(t.data.size)
         for i, g in fd.items():
             assert oracles.rel_err(analytic[i], g) <= 1e-4, name
+
+
+def ragged_document(flags=frozenset()):
+    """A store, a transformer model and a document whose mentions differ in
+    context length (4 to 7 input rows before the candidates) and in
+    candidate count (1 to 4), one candidate without a surface form."""
+    rng = np.random.default_rng(7)
+    store = EmbeddingStore(
+        word_vecs={f"w{i}": rng.normal(size=DIM) for i in range(6)},
+        entity_vecs={f"e{i}": rng.normal(size=DIM) for i in range(4)},
+        entity_surface={"e0": ("w4",), "e1": ("w5",), "e2": ("w4", "w5")},
+    )
+    model = build_model(store, rng, local_model="transformer", transformer_config=CFG)
+    for t in model.transformer.parameters().values():   # off the zero biases
+        t.data += 0.1 * rng.normal(size=t.data.shape)
+    model.transformer = transformer_ablation(model.transformer, flags)
+    shapes = [(("e0", "e1", "e2", "e3"), ("w0", "w1", "w2"), ("w3",)),
+              (("e2",), ("w1",), ()),
+              (("e3", "e1"), (), ("w0", "w1", "w2", "w3")),
+              (("e1", "e0", "e2"), ("w3", "w0"), ())]
+    mentions = tuple(dataclasses.replace(mention(cands, before=before, after=after),
+                                         id=f"m{i}", position=i)
+                     for i, (cands, before, after) in enumerate(shapes))
+    return store, model, Document("d", ("w0",), mentions)
+
+
+def oracle_scores(m, store, params):
+    """``m``'s distribution from the straight-line numpy oracles, encoded alone."""
+    tables = {name.split(".", 1)[1]: t.data for name, t in params.parameters().items()}
+    word = lambda w: tables["word_embed"][params.vocab[w]]
+    cand = store.entities(m.candidate_ids)
+    x, layout = oracles.transformer_input(
+        [word(w) for w in m.context_before + m.surface + m.context_after],
+        1 + len(m.context_before), cand,
+        [[word(w) for w in store.entity_surface.get(e, ())] for e in m.candidate_ids],
+        tables, params.ablations,
+    )
+    layers = [[p.data for p in layer.parameters()] for layer in params.encoder]
+    head = params.pair_head.parameters()
+    tables.update(pair_w1=head[0].data, pair_w2=head[1].data, pair_b1=head[2].data,
+                  pair_b2=head[3].data)
+    return oracles.transformer_scores(x, layout, cand, layers, CFG.heads, CFG.head_dim,
+                                      tables, params.ablations)
+
+
+class TestDocumentPass:
+    """One encoder pass over a whole document, padded and masked, scores
+    every mention as if it were encoded alone."""
+
+    @pytest.mark.parametrize("flags", [(), ("drop_n1",), ("drop_n2",)],
+                             ids=["full", "drop_n1", "drop_n2"])
+    def test_equals_the_per_mention_oracle(self, flags):
+        store, model, doc = ragged_document(frozenset(flags))
+        enc = encode_document(doc, store, model, "eval")
+        probs = document_scores(doc.mentions, enc.candidates.data, enc.slots, enc.valid,
+                                store, model.transformer).data
+        assert probs.shape == enc.valid.shape == (4, 4)
+        assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-12
+        assert np.all(probs[~enc.valid] == 0.0)
+        for i, m in enumerate(doc.mentions):
+            width = len(m.candidates)
+            want = oracle_scores(m, store, model.transformer)
+            assert np.abs(probs[i, :width] - want).max() <= 1e-12
+            assert np.abs(enc.local.data[enc.slots[i, :width]] - want).max() <= 1e-12
+
+    def test_a_mention_scores_the_same_alone(self):
+        store, model, doc = ragged_document()
+        enc = encode_document(doc, store, model, "eval")
+        for i, m in enumerate(doc.mentions):
+            alone = local_scores_transformer(m, store, model.transformer).data
+            assert np.abs(enc.local.data[enc.slots[i, :len(alone)]] - alone).max() <= 1e-12
+
+    def test_gradients_equal_the_per_mention_passes(self):
+        store, model, doc = ragged_document()
+        params = model.transformer
+        enc = encode_document(doc, store, model, "eval")
+        mix = np.random.default_rng(8).normal(size=enc.valid.shape)
+        probs = document_scores(doc.mentions, enc.candidates.data, enc.slots, enc.valid,
+                                store, params)
+        one = ad.tsum(probs * Tensor(mix))
+        per_mention = [ad.tsum(local_scores_transformer(m, store, params)
+                               * Tensor(mix[i, :len(m.candidates)]))
+                       for i, m in enumerate(doc.mentions)]
+        total = per_mention[0]
+        for term in per_mention[1:]:
+            total = ad.add(total, term)
+        g_one, g_total = ad.backward(one), ad.backward(total)
+        assert set(g_one) == set(g_total) == set(params.parameters().values())
+        for name, t in params.parameters().items():
+            scale = max(1.0, np.abs(g_total[t]).max())
+            assert np.abs(g_one[t] - g_total[t]).max() <= 1e-12 * scale, name
 
 
 class TestAblations:

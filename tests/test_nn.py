@@ -138,3 +138,30 @@ def test_attention_matches_the_per_head_oracle(rows, heads, head_dim, seed):
                                             heads, head_dim)
     assert out.shape == expected.shape
     assert np.abs(out - expected).max() <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(lengths=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+       heads=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+@example(lengths=[3, 1, 5], heads=2, seed=0)
+def test_masked_attention_equals_each_sequence_alone(lengths, heads, seed):
+    rng = np.random.default_rng(seed)
+    attn = MultiHeadSelfAttention.build(5, heads, 2, rng)
+    for bias in (attn.bq, attn.bk, attn.bv, attn.bo):  # built as zeros
+        bias.data[...] = rng.normal(size=bias.data.shape)
+    longest = max(lengths)
+    keys = np.arange(longest) < np.array(lengths)[:, None]
+    # padded rows hold values of their own, which no real row may see
+    x = rng.normal(size=(len(lengths) * longest, 5))
+    out = attn.apply(Tensor(x), keys).data
+    weights = [p.data for p in attn.parameters()]
+    for i, length in enumerate(lengths):
+        rows = slice(i * longest, i * longest + length)
+        expected = oracles.multi_head_attention(x[rows], weights, heads, 2)
+        assert np.abs(out[rows] - expected).max() <= 1e-12
+
+
+def test_attention_refuses_a_key_mask_of_another_row_count(rng):
+    attn = MultiHeadSelfAttention.build(4, 1, 4, rng)
+    with pytest.raises(ShapeError, match="key mask"):
+        attn.apply(Tensor(np.ones((5, 4))), np.ones((2, 3), dtype=bool))

@@ -135,6 +135,16 @@ class TestRolloutBasics:
         assert ep.order == tuple(order) and len(ep.predicted) == len(order)
         assert ep.log_probs is None and ep.window_probs == ()
 
+    def test_a_train_rollout_refuses_an_eval_mode_encoding(self):
+        # an eval encode builds no teacher-forced pairs for the policy graph
+        docs, store = anchored_world(num_docs=1)
+        cfg = oracle_selector_config(window=3)
+        params = build(store, cfg)
+        encoded = encode_document(docs[0], store, params, "eval")
+        with pytest.raises(ValueError, match="needs a train-mode encoding"):
+            rollout(docs[0], store, params, cfg, mode="train", rng=np.random.default_rng(0),
+                    encoded=encoded)
+
     def test_forced_order_must_be_permutation(self):
         docs, store = anchored_world(num_docs=1)
         cfg = oracle_selector_config()
@@ -338,10 +348,24 @@ class TestEncodedDocument:
         assert enc.gold.tolist().count(-1) == 1
         dim = store.dim
         assert enc.contexts.shape == (len(widths), dim)
-        assert enc.actions.shape == enc.pairs.shape == (len(widths), 2 * dim)
-        assert np.array_equal(enc.pairs.data[:, :dim], enc.contexts.data)
-        assert np.array_equal(enc.pairs.data[:, dim:],
+        assert enc.actions.shape == (len(widths), 2 * dim)
+        # only training reads the teacher-forced pairs
+        assert enc.pairs is None
+        train_enc = encode_document(doc, store, params, "train", np.random.default_rng(4))
+        assert train_enc.pairs.shape == (len(widths), 2 * dim)
+        assert np.array_equal(train_enc.pairs.data[:, :dim], train_enc.contexts.data)
+        assert np.array_equal(train_enc.pairs.data[:, dim:],
                               store.entities([m.gold for m in doc.mentions]))
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_transformer_path_looks_up_each_candidate_matrix_once(self, mode, monkeypatch):
+        docs, store = anchored_world(num_docs=1)
+        doc = _ragged(docs[0])
+        cfg = TrainConfig(epochs=1, fusion_hidden=8, **_episode_config("transformer"))
+        params = cfg.build_model(store, np.random.default_rng(3))
+        counts = candidate_lookups(monkeypatch, [doc])
+        encode_document(doc, store, params, mode, np.random.default_rng(4))
+        assert counts == Counter(m.candidate_ids for m in doc.mentions)
 
 
 class TestEpisodeGraph:
@@ -364,7 +388,7 @@ class TestEpisodeGraph:
         for t in params.parameters():   # off the symmetric init
             t.data += 0.1 * rng.normal(size=t.data.shape)
         order = [3, 0, 5, 2, 1, 4]
-        encoded = encode_document(doc, store, params, "eval")  # no dropout draws
+        encoded = encode_document(doc, store, params, "train", np.random.default_rng(5))
         ep = rollout(doc, store, params, cfg, mode="train", rng=np.random.default_rng(0),
                      order=order, encoded=encoded)
         mentions = [doc.mentions[p] for p in order]
@@ -419,7 +443,7 @@ class TestEpisodeGraph:
         rng = np.random.default_rng(4)
         for t in params.parameters():   # off the symmetric init
             t.data += 0.1 * rng.normal(size=t.data.shape)
-        encoded = encode_document(doc, store, params, "eval")
+        encoded = encode_document(doc, store, params, "train")
         ep = rollout(doc, store, params, cfg, mode="train", rng=np.random.default_rng(5),
                      encoded=encoded)
         _, steps, seen = _per_step_policy(encoded, store, params, window or n, order=ep.order)
@@ -464,7 +488,7 @@ class TestEpisodeGraph:
             t.data += 0.1 * rng.normal(size=t.data.shape)
         orders = set()
         for i, doc in enumerate(docs):
-            encoded = encode_document(doc, store, params, "eval")
+            encoded = encode_document(doc, store, params, "train")
             ep = rollout(doc, store, params, cfg, mode="train", rng=np.random.default_rng(i),
                          encoded=encoded)
             order, steps, seen = _per_step_policy(encoded, store, params,

@@ -300,23 +300,23 @@ def softmax(a: Tensor) -> Tensor:
 
 
 def log_softmax(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Log-softmax of a non-empty vector.
+    """Log-softmax over each line of the last axis of a non-empty tensor.
 
-    With a boolean ``mask`` of ``a``'s shape, ``a`` may be any non-empty
-    tensor, and each line of its last axis is a log-softmax over its
-    unmasked entries alone, as in ``row_softmax(a, mask)``.  Masked entries
-    come out exactly 0 and take no gradient: never log 0, whose gradient
-    would be NaN.
+    A line is computed exactly as the line alone would be, vector or not.
+    With a boolean ``mask`` of ``a``'s shape, each line is a log-softmax
+    over its unmasked entries alone, as in ``row_softmax(a, mask)``.  Masked
+    entries come out exactly 0 and take no gradient: never log 0, whose
+    gradient would be NaN.
     """
     v = a.data
     if mask is None:
-        if v.ndim != 1 or v.size == 0:
-            raise ShapeError("log_softmax expects a non-empty vector")
-        shifted = v - v.max()
-        lse = np.log(np.exp(shifted).sum())
+        if v.ndim == 0 or v.size == 0:
+            raise ShapeError("log_softmax expects a non-empty vector or stack of vectors")
+        shifted = v - v.max(axis=-1, keepdims=True)
+        lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
         y = shifted - lse
         sm = np.exp(y)
-        return _result(y, (a,), (lambda g: g - sm * g.sum(),))
+        return _result(y, (a,), (lambda g: g - sm * g.sum(axis=-1, keepdims=True),))
     if mask.shape != v.shape or v.size == 0:
         raise ShapeError(f"mask of shape {mask.shape} for log_softmax input {v.shape}")
     top = np.max(v, axis=-1, keepdims=True, where=mask, initial=-np.inf)
@@ -452,7 +452,9 @@ class DiagonalBilinear:
     the policy pools the linked-pair history against the window's actions.
     A stack of query matrices pools once per matrix, each over the rows its
     line of a visibility mask lets it see: a training episode's steps in one
-    call, with the causal prefix mask of Vaswani et al. 2017.
+    call, with the causal prefix mask of Vaswani et al. 2017.  A stack of row
+    matrices, one per query matrix, pools each line over its own rows:
+    documents linked in lockstep, each with its own history.
     """
 
     diag: Tensor
@@ -488,7 +490,14 @@ class DiagonalBilinear:
         per row.  Each matrix then pools only its visible rows, and one that
         sees none pools to zeros.  Without it every row is visible and the
         kept rows are gathered in their original order.
+
+        With a stack of row matrices, line i pools ``queries[i]`` over the
+        visible rows of ``rows[i]`` (all of them without ``visible``): byte
+        for byte the one-matrix pool of those rows alone.  This form serves
+        greedy linking and records no graph.
         """
+        if rows.data.ndim == 3:
+            return Tensor(self._pool_lines(queries.data, rows.data, top_k, visible))
         scores = self.match(queries, rows)
         if visible is not None:
             return matmul(row_softmax(scores, _top_k_visible(scores.data, visible, top_k)),
@@ -498,6 +507,43 @@ class DiagonalBilinear:
             scores = gather(scores, keep)
             rows = gather_rows(rows, keep)
         return matmul(softmax(scores), rows)
+
+    def _pool_lines(self, queries: np.ndarray, rows: np.ndarray, top_k: int,
+                    visible: np.ndarray | None) -> np.ndarray:
+        """The per-line pool as plain arrays.  Each line's visible rows are
+        gathered in row order, and lines with as many pool as one stack, so
+        every product and sum has the shape it has for the line alone:
+        BLAS rounds a product of another shape differently, and a sum padded
+        with zeros can associate differently."""
+        if queries.ndim != 3 or queries.shape[0] != rows.shape[0]:
+            raise ShapeError(f"{rows.shape[0]} row matrices need as many query matrices, "
+                             f"got shape {queries.shape}")
+        if visible is None:
+            if rows.shape[1]:
+                return self._pool_stack(queries, rows, top_k)
+            visible = np.ones(rows.shape[:2], dtype=bool)
+        elif visible.shape != rows.shape[:2]:
+            raise ShapeError(f"visibility mask of shape {visible.shape} for rows {rows.shape}")
+        out = np.zeros((rows.shape[0], rows.shape[2]))
+        counts = visible.sum(axis=1)
+        for count in sorted(set(counts[counts > 0].tolist())):
+            lines = np.flatnonzero(counts == count)
+            kept = rows[lines][visible[lines]].reshape(lines.size, count, -1)
+            out[lines] = self._pool_stack(queries[lines], kept, top_k)
+        return out
+
+    def _pool_stack(self, queries: np.ndarray, rows: np.ndarray, top_k: int) -> np.ndarray:
+        """``pool`` of each query matrix over its own row matrix, every row
+        visible: the one-matrix pool's operations, one stacked call each."""
+        keyed = np.transpose(np.multiply(rows, self.diag.data), (0, 2, 1)).copy()
+        scores = np.matmul(queries, keyed).max(axis=1)
+        if rows.shape[1] > top_k:
+            keep = np.sort(np.argsort(-scores, axis=-1, kind="stable")[:, :top_k], axis=-1)
+            line = np.arange(rows.shape[0])[:, None]
+            scores, rows = scores[line, keep], rows[line, keep]
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        weights = e / e.sum(axis=-1, keepdims=True)
+        return np.matmul(weights[:, None, :], rows)[:, 0]
 
 
 def _top_k_visible(scores: np.ndarray, visible: np.ndarray, top_k: int) -> np.ndarray:

@@ -21,7 +21,16 @@ from .corpus import Document, EmbeddingStore
 from .local_transformer import TransformerConfig, local_scores_transformer
 from .model import EncodedDocument, ModelParams, build_model, encode_document
 from .rewards import REWARD_KINDS
-from .trainer import Episode, TrainConfig, micro_f1, rollout, train
+from .trainer import (
+    LOCKSTEP_BATCH,
+    Episode,
+    TrainConfig,
+    link_documents,
+    link_lockstep,
+    micro_f1,
+    rollout,
+    train,
+)
 
 __all__ = [
     "STRATEGIES",
@@ -153,15 +162,20 @@ def _exhaustive_best_order(
     config: TrainConfig,
     encoded: EncodedDocument | None,
 ) -> list[int]:
+    """The first order, in ``itertools.permutations`` order, with the most
+    correct links; the orders link in lockstep as lines of one encoding."""
     _refuse_long_documents([doc])
     if encoded is None:
         encoded = encode_document(doc, store, params)
+    golds = [m.gold for m in doc.mentions]
     best_order, best_acc = None, -1.0
-    for perm in itertools.permutations(range(len(doc.mentions))):
-        ep = rollout(doc, store, params, config, mode="eval", order=perm, encoded=encoded)
-        acc = sum(ep.flags) / len(ep.flags)
-        if acc > best_acc:
-            best_order, best_acc = list(perm), acc
+    perms = itertools.permutations(range(len(doc.mentions)))
+    while chunk := list(itertools.islice(perms, LOCKSTEP_BATCH)):
+        for perm, links in zip(chunk, link_lockstep([encoded] * len(chunk), store, params,
+                                                    config, chunk)):
+            acc = sum(p == golds[pos] for p, pos in zip(links.predicted, perm)) / len(perm)
+            if acc > best_acc:
+                best_order, best_acc = list(perm), acc
     return best_order
 
 
@@ -214,13 +228,14 @@ def run_baseline(
     if strategy == "exhaustive-best":
         _refuse_long_documents(docs)
     rng = np.random.default_rng(seed)
-    episodes = []
+
+    def order_for(doc: Document, encoded: EncodedDocument) -> list[int] | None:
+        return ordering_for(doc, strategy, store, params, config, rng, encoded)
+
+    # the documents link in lockstep; each one's episode is then rolled from its links
     with ad.no_grad():
-        for doc in docs:
-            encoded = encode_document(doc, store, params)
-            order = ordering_for(doc, strategy, store, params, config, rng, encoded)
-            episodes.append(rollout(doc, store, params, config, mode="eval", order=order,
-                                    encoded=encoded))
+        episodes = [rollout(doc, store, params, config, mode="eval", links=links)
+                    for doc, links in link_documents(docs, store, params, config, order_for)]
     return _report_from_episodes(episodes, strategy, config, seed)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,7 @@ __all__ = [
     "EncodedDocument",
     "build_model",
     "encode_document",
+    "concat_records",
     "save_checkpoint",
     "read_header",
     "load_checkpoint",
@@ -220,6 +222,44 @@ def encode_document(
         actions=ad.stack(actions),
         pairs=pairs,
     )
+
+
+def concat_records(records: Sequence[EncodedDocument]) -> tuple[EncodedDocument, list[int]]:
+    """One eval-mode record of the mentions of every record, in order, and
+    the position in it of each record's first mention.
+
+    Its slots point into the joined candidate arrays, padded to the widest
+    set of all; a padded slot repeats its mention's first row, as
+    ``encode_document`` pads.  The joined arrays carry no graph.
+    """
+    starts = np.cumsum([0] + [len(r.mentions) for r in records])
+    if len(records) == 1:
+        return records[0], [0]
+    widest = max(r.slots.shape[1] for r in records)
+    offsets = np.cumsum([0] + [r.candidates.shape[0] for r in records])
+
+    def padded(r: EncodedDocument, field: str, fill: np.ndarray) -> np.ndarray:
+        extra = widest - r.slots.shape[1]
+        return np.hstack([getattr(r, field), np.repeat(fill, extra, axis=1)])
+
+    def joined(field: str) -> Tensor:
+        return Tensor(np.concatenate([getattr(r, field).data for r in records]))
+
+    return EncodedDocument(
+        mentions=tuple(m for r in records for m in r.mentions),
+        candidates=joined("candidates"),
+        priors=joined("priors"),
+        types=joined("types"),
+        local=joined("local"),
+        slots=np.concatenate([padded(r, "slots", r.slots[:, :1]) + offset
+                              for r, offset in zip(records, offsets)]),
+        valid=np.concatenate([padded(r, "valid", np.zeros((len(r.mentions), 1), bool))
+                              for r in records]),
+        gold=np.concatenate([r.gold for r in records]),
+        contexts=joined("contexts"),
+        actions=joined("actions"),
+        pairs=None,
+    ), starts[:-1].tolist()
 
 
 def save_checkpoint(params: ModelParams, path: str, meta: dict | None = None) -> None:

@@ -72,6 +72,8 @@ class FeedForward:
         training: bool = False,
         rng: np.random.Generator | None = None,
     ) -> Tensor:
+        """The rows of ``x`` through every layer.  A stack of matrices is
+        multiplied matrix by matrix, so each gets the numbers it gets alone."""
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             if x.data.shape[-1] != w.data.shape[0]:
@@ -79,6 +81,8 @@ class FeedForward:
                     f"feed-forward layer {i}: input width {x.data.shape[-1]} "
                     f"!= weight rows {w.data.shape[0]}"
                 )
+            if x.data.ndim == 3:
+                w = ad.stack([w] * x.shape[0])
             x = linear(x, w, b)
             if i < last:
                 x = dropout(ad.relu(x), self.drop_rate, rng, training)

@@ -8,9 +8,10 @@ mention/entity vector; history elements are scored by their best-matching
 action, the top ``top_k`` serve as attention evidence, and a second
 diagonal form turns evidence-weighted matches into action logits.
 
-``select_action`` picks one step's action and returns its window's
-distribution as plain numbers (the training sampling pass and greedy eval
-run it under ``no_grad``); ``advance`` refills the window.  When the
+``select_action`` picks one step's action for each line of a batch (the
+documents that greedy linking takes in lockstep, or the one episode of
+training's sampling pass) and returns each window's distribution as plain
+numbers; ``advance`` refills the window.  When the
 history is fixed in advance, as the gold history of a training episode is,
 ``episode_log_probs`` scores every step of the episode in one graph: step
 t's window against the first t+1 history rows, with the causal prefix mask
@@ -90,40 +91,56 @@ def action_representation(mention_repr: Tensor, cand_vecs: Tensor, psi: Tensor) 
 
 
 def select_action(
-    history: Tensor,
-    window: ActionWindow,
+    histories: Tensor,
+    windows: Sequence[ActionWindow],
     actions: Tensor,
     params: PolicyParams,
     mode: str = "greedy",
     rng: np.random.Generator | None = None,
-) -> tuple[int, np.ndarray]:
-    """Pick the next mention position.
+) -> tuple[list[int], list[np.ndarray]]:
+    """Pick the next mention position of each line.
 
-    ``history`` holds the linked pairs so far, one ``(mention; entity)`` row
-    each, the init pair first; row ``p`` of ``actions`` summarises the
-    mention at position ``p``, and only the window's rows are read.  Returns
-    ``(position, distribution)``; ``distribution`` is aligned with
-    ``window.actions()``.  Single-action windows skip the rng so greedy and
-    sampled rollouts stay trace-identical there.
+    Line i has linked the pairs ``histories[i]``, one ``(mention; entity)``
+    row each, the init pair first; every line has linked as many.  Its
+    window ``windows[i]`` holds positions that are rows of ``actions``, and
+    only the window's rows are read.  Returns each line's position and its
+    window's distribution, aligned with ``windows[i].actions()``.
+
+    Lines whose windows are equally wide are scored as one stack, so a line
+    gets exactly the numbers it gets alone (see ``DiagonalBilinear.pool``).
+    Sampled lines draw in line order.  Single-action windows skip the rng so
+    greedy and sampled rollouts stay trace-identical there.
     """
-    acts = window.actions()
-    if not acts:
-        raise ValueError("cannot select from an empty action window")
-    reps = ad.gather_rows(actions, acts)
-    evidence = params.history_match.pool(reps, history, params.top_k)
-    probs = np.exp(ad.log_softmax(params.action_scorer.scores(reps, evidence)).data)
-
-    if len(acts) == 1:
-        idx = 0
-    elif mode == "greedy":
-        idx = int(np.argmax(probs))
-    elif mode == "sample":
-        if rng is None:
-            raise ValueError("sample mode needs an rng")
-        idx = int(rng.choice(len(acts), p=probs / probs.sum()))
-    else:
+    if mode not in ("greedy", "sample"):
         raise ValueError(f"unknown selection mode {mode!r}")
-    return acts[idx], probs
+    if mode == "sample" and rng is None:
+        raise ValueError("sample mode needs an rng")
+    acts = [window.actions() for window in windows]
+    widths = [len(a) for a in acts]
+    if histories.shape[0] != len(acts):
+        raise ValueError(f"{histories.shape[0]} histories for {len(acts)} windows")
+    if not all(widths):
+        raise ValueError("cannot select from an empty action window")
+    probs: list[np.ndarray] = [np.empty(0)] * len(acts)
+    for width in sorted(set(widths)):
+        lines = [i for i, w in enumerate(widths) if w == width]
+        reps = ad.gather_rows(actions, [acts[i] for i in lines])
+        rows = histories if len(lines) == len(acts) else Tensor(histories.data[lines])
+        evidence = params.history_match.pool(reps, rows, params.top_k)
+        log_probs = ad.log_softmax(params.action_scorer.scores(reps, evidence))
+        for line, line_probs in zip(lines, np.exp(log_probs.data)):
+            probs[line] = line_probs
+
+    positions = []
+    for window_acts, line_probs in zip(acts, probs):
+        if len(window_acts) == 1:
+            idx = 0
+        elif mode == "greedy":
+            idx = int(np.argmax(line_probs))
+        else:
+            idx = int(rng.choice(len(window_acts), p=line_probs / line_probs.sum()))
+        positions.append(window_acts[idx])
+    return positions, probs
 
 
 def episode_log_probs(

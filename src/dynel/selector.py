@@ -7,10 +7,11 @@ Features can be individually disabled, optionally z-normalised across the
 candidate set, and are fused either by a small feed-forward network or by
 a plain sum (handy for analytic oracles).
 
-Greedy linking scores one mention per step against its predicted history.
-A training episode's history is teacher-forced to gold, so once the policy
-has chosen the order every step's distribution is fixed: the episode is
-scored in one call, each step masked to the golds linked before it.
+Greedy linking scores step t of every document it links in lockstep in one
+call, each document against its own predicted history.  A training
+episode's history is teacher-forced to gold, so once the policy has chosen
+the order every step's distribution is fixed: the episode is scored in one
+call, each step masked to the golds linked before it.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "SelectorParams",
+    "Linked",
     "FEATURE_NAMES",
     "FUSION_MODES",
     "linked_context_feature",
@@ -88,6 +90,21 @@ class SelectorParams:
             for i, p in enumerate(self.fusion.parameters()):
                 out[f"selector.fusion.{i}"] = p
         return out
+
+
+@dataclass(frozen=True)
+class Linked:
+    """What each line of a lockstep step has linked before it.
+
+    Line i has linked the entities ``entities[i]``, in link order; every
+    line has linked as many.  ``neighbors[i]`` holds the KG neighbours they
+    bring in, sorted by id as ``neighborhood_scores`` pools them, padded at
+    the tail: its first ``neighbor_counts[i]`` rows are real.
+    """
+
+    entities: np.ndarray          # (lines, linked, d)
+    neighbors: np.ndarray         # (lines, widest, d)
+    neighbor_counts: np.ndarray   # (lines,)
 
 
 def linked_context_feature(
@@ -158,47 +175,79 @@ _COLUMNS = {"prior": "priors", "type": "types", "local": "local"}
 
 def candidate_distribution(
     encoded: EncodedDocument,
-    steps: int | Sequence[int],
-    linked_ids: tuple[str, ...],
+    steps: Sequence[int],
+    linked: tuple[str, ...] | Linked,
     store: EmbeddingStore,
     params: SelectorParams,
 ) -> Tensor:
-    """Probability over a mention's candidates, in candidate order.
+    """Probability over each line's candidates, in candidate order.
 
-    One mention position sees every entity of ``linked_ids`` and gets a
-    vector, with no mask and no padding: greedy linking calls it at every
-    step.
+    Line i is the mention at position ``steps[i]`` of ``encoded``.  Lines
+    are the padded ``encoded.slots``, and a padded candidate gets
+    probability exactly 0.
 
-    A sequence of positions gets one line per position.  Line i is scored
-    with the history a rollout had when it linked position i: the last line
-    sees every entity of ``linked_ids``, each line before it one entity
-    fewer.  A training episode passes the positions in the order the policy
-    chose and the gold entities of every step but the last, so step t sees
-    the golds of steps 0..t-1, all steps in one graph.  Lines are the padded
-    ``encoded.slots``, and a padded candidate gets probability exactly 0.
+    ``linked`` given as entity ids makes the lines the steps of one training
+    episode, in the order the policy chose, with the gold entities of every
+    step but the last: line i sees the first i of them and more if given,
+    so the last line sees every entity.  It is one graph, the prefixes
+    masked.
+
+    ``linked`` given as a ``Linked`` makes the lines step t of documents
+    linked in lockstep (``encoded`` holds them all), each with its own
+    history; no graph is recorded.  Lines with as many candidates are scored
+    as one stack, so each line gets exactly the numbers it gets alone.
     """
-    if isinstance(steps, Sequence):
-        if not steps or len(linked_ids) < len(steps) - 1:
-            raise ValueError(f"{len(steps)} positions need at least {len(steps) - 1} linked "
-                             f"entities, got {len(linked_ids)}")
-        at, valid = encoded.slots[list(steps)], encoded.valid[list(steps)]
-        seen = np.arange(len(steps)) + (len(linked_ids) - len(steps) + 1)
-    else:
-        at, valid, seen = encoded.slots[steps, encoded.valid[steps]], None, None
+    if isinstance(linked, Linked):
+        return _lockstep_distribution(encoded, np.asarray(steps), linked, params)
+    if not steps or len(linked) < len(steps) - 1:
+        raise ValueError(f"{len(steps)} positions need at least {len(steps) - 1} linked "
+                         f"entities, got {len(linked)}")
+    at, valid = encoded.slots[list(steps)], encoded.valid[list(steps)]
+    seen = np.arange(len(steps)) + (len(linked) - len(steps) + 1)
     cand = Tensor(encoded.candidates.data[at])
 
     columns: list[Tensor] = []
     for name in params.features:
         if name == "coherence":
-            pooled = linked_context_feature(cand, linked_ids, store, params, seen)
+            pooled = linked_context_feature(cand, linked, store, params, seen)
             columns.append(params.linked_coherence.scores(cand, pooled))
         elif name == "neighborhood":
-            columns.append(neighborhood_scores(cand, linked_ids, store, params, seen))
+            columns.append(neighborhood_scores(cand, linked, store, params, seen))
         else:
             columns.append(ad.gather(getattr(encoded, _COLUMNS[name]), at))
+    return _fuse(columns, valid, params)
 
-    # features last: (candidates, features), or (steps, candidates, features)
-    feats = ad.transpose(ad.stack(columns), None if valid is None else (1, 2, 0))
+
+def _lockstep_distribution(encoded: EncodedDocument, steps: np.ndarray, linked: Linked,
+                           params: SelectorParams) -> Tensor:
+    widths = encoded.valid[steps].sum(axis=1)
+    hidden = np.arange(linked.neighbors.shape[1])
+    out = np.zeros((steps.size, encoded.slots.shape[1]))
+    for width in sorted(set(widths.tolist())):
+        lines = np.flatnonzero(widths == width)
+        at = encoded.slots[steps[lines], :width]
+        cand = Tensor(encoded.candidates.data[at])
+        columns: list[Tensor] = []
+        for name in params.features:
+            if name == "coherence":
+                bilinear, rows, visible = params.linked_coherence, linked.entities, None
+            elif name == "neighborhood":
+                bilinear, rows = params.neighborhood_coherence, linked.neighbors
+                visible = hidden < linked.neighbor_counts[lines, None]
+            else:
+                columns.append(ad.gather(getattr(encoded, _COLUMNS[name]), at))
+                continue
+            pooled = bilinear.pool(cand, Tensor(rows[lines]), params.top_entities, visible)
+            columns.append(bilinear.scores(cand, pooled))
+        out[lines, :width] = _fuse(columns, None, params).data
+    return Tensor(out)
+
+
+def _fuse(columns: list[Tensor], valid: np.ndarray | None, params: SelectorParams) -> Tensor:
+    """Each line's candidate distribution from its feature columns, each
+    ``(lines, candidates)``; ``valid`` marks the real candidates, or is
+    ``None`` when every candidate is real."""
+    feats = ad.transpose(ad.stack(columns), (1, 2, 0))   # features last
     if params.feature_norm:
         feats = _znorm_columns(feats, valid)
     if params.fusion is None:
@@ -206,6 +255,4 @@ def candidate_distribution(
     else:
         rows = feats if valid is None else ad.reshape(feats, (-1, feats.shape[-1]))
         logits = ad.reshape(params.fusion.apply(rows), feats.shape[:-1])
-    if valid is None:
-        return ad.softmax(logits)
     return ad.row_softmax(logits, valid)

@@ -8,7 +8,9 @@ policy samples the order step by step without recording a graph, then one
 policy graph scores every step's log-probability and one selector graph
 every step's candidates, each step masked to the history before it.
 During evaluation predicted entities populate the history and action
-selection is greedy, one step at a time.  The combined update descends
+selection is greedy; documents link in lockstep, step t of up to
+``LOCKSTEP_BATCH`` of them in one policy call and one selector call.  The
+combined update descends
 
     margin  -  rl_weight * mean_episodes( sum_t R(t) * log pi(a_t) )
 
@@ -21,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, fields
-from typing import Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,14 +31,25 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import Document, EmbeddingStore
 from .local_transformer import TransformerConfig, check_input_caps
-from .model import LOCAL_MODELS, EncodedDocument, ModelParams, build_model, encode_document
+from .model import (
+    LOCAL_MODELS,
+    EncodedDocument,
+    ModelParams,
+    build_model,
+    concat_records,
+    encode_document,
+)
 from .policy import ActionWindow, advance, episode_log_probs, select_action
 from .rewards import REWARD_KINDS, EpisodeOutcome, TransitionRewards, reward_trace
-from .selector import FEATURE_NAMES, FUSION_MODES, candidate_distribution
+from .selector import FEATURE_NAMES, FUSION_MODES, Linked, candidate_distribution
 
 __all__ = [
     "TrainConfig",
     "Episode",
+    "Links",
+    "LOCKSTEP_BATCH",
+    "link_lockstep",
+    "link_documents",
     "micro_f1",
     "Adam",
     "rollout",
@@ -225,32 +238,44 @@ def rollout(
     rng: np.random.Generator | None = None,
     order: Sequence[int] | None = None,
     encoded: EncodedDocument | None = None,
+    links: Links | None = None,
 ) -> Episode:
     """Roll one episode; ``order`` forces the mention sequence.
+
+    Eval mode links greedily with predicted history and records no graph.
+    ``links`` hands in the document's links from ``link_lockstep``, which
+    links many documents at once; without them the document is linked in a
+    batch of one.  A forced eval order bypasses the policy and its window.
 
     Train mode teacher-forces gold entities into the history, so it runs in
     two passes: the policy picks the order step by step without recording a
     graph (or ``order`` gives it, and must then keep the window), then one
     policy graph scores every step's log-probability and one selector graph
-    every step's candidates.  Eval mode is greedy with predicted history and
-    records no graph; a forced eval order bypasses the policy and its
-    window.  ``encoded`` reuses an ``encode_document`` pass made in the same
-    mode.
+    every step's candidates.
+
+    ``encoded`` reuses an ``encode_document`` pass made in the same mode.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
-    training = mode == "train"
-    if training and rng is None:
+    if mode == "eval":
+        if links is None:
+            if encoded is None:
+                encoded = encode_document(doc, store, params)
+            links = link_lockstep([encoded], store, params, config,
+                                  None if order is None else [order])[0]
+        return _episode(doc, links.order, links.predicted, links.predicted_prob,
+                        links.predicted, config, log_probs=None,
+                        window_probs=links.window_probs)
+
+    if rng is None:
         raise ValueError("train mode needs an rng")
     n_mentions = len(doc.mentions)
     if order is not None and sorted(order) != list(range(n_mentions)):
         raise ValueError("forced order must be a permutation of mention positions")
-
     if encoded is None:
         encoded = encode_document(doc, store, params, mode, rng)
-    elif training and encoded.pairs is None:
+    elif encoded.pairs is None:
         raise ValueError("a train rollout needs a train-mode encoding")
-    keeps_window = order is None or training   # a forced eval order bypasses it
 
     window_size = config.window if config.window is not None else n_mentions
     window = ActionWindow(window_size, tuple(range(n_mentions)))
@@ -258,79 +283,162 @@ def rollout(
     history = np.empty((n_mentions + 1, params.policy.init_pair.shape[0]))
     history[0] = params.policy.init_pair.data
     dim = history.shape[1] // 2
-
     chosen_order: list[int] = []
     windows: list[tuple[int, ...]] = []
     window_probs: list[np.ndarray] = []
-    predicted: list[str] = []
-    predicted_prob: list[float] = []
-    history_entities: list[str] = []
-
     with ad.no_grad():
         for step in range(n_mentions):
-            if keeps_window:
-                windows.append(window.actions())
+            windows.append(window.actions())
             if order is None:
-                pos, probs = select_action(
-                    Tensor(history[:step + 1]), window, encoded.actions, params.policy,
-                    mode="sample" if training else "greedy", rng=rng,
+                (pos,), (probs,) = select_action(
+                    Tensor(history[None, :step + 1]), [window], encoded.actions,
+                    params.policy, mode="sample", rng=rng,
                 )
                 window_probs.append(probs)
             else:
                 pos = order[step]
-            mention = encoded.mentions[pos]
             chosen_order.append(pos)
-            if training:
-                linked_id = mention.gold   # teacher forcing
-            else:
-                probs = candidate_distribution(encoded, pos, tuple(history_entities), store,
-                                               params.selector).data
-                pick = int(np.argmax(probs))
-                linked_id = mention.candidates[pick].entity_id
-                predicted.append(linked_id)
-                predicted_prob.append(float(probs[pick]))
-            history_entities.append(linked_id)
-            if keeps_window:
-                window = advance(window, pos)
-            if order is None:
-                history[step + 1, :dim] = encoded.contexts.data[pos]
-                history[step + 1, dim:] = store.entity(linked_id)
+            window = advance(window, pos)
+            history[step + 1, :dim] = encoded.contexts.data[pos]
+            history[step + 1, dim:] = store.entity(encoded.mentions[pos].gold)  # teacher forcing
 
-    log_probs, margin, margin_terms = None, None, 0
-    if training:
-        log_probs = episode_log_probs(windows, chosen_order, encoded.actions, encoded.pairs,
-                                      params.policy)
-        # every step's distribution in one graph: step t sees the golds before it
-        probs = candidate_distribution(encoded, chosen_order, tuple(history_entities[:-1]),
-                                       store, params.selector)
-        for pos, line in zip(chosen_order, probs.data):
-            candidates = encoded.mentions[pos].candidates
-            pick = int(np.argmax(line[:len(candidates)]))
-            predicted.append(candidates[pick].entity_id)
-            predicted_prob.append(float(line[pick]))
-        margin, margin_terms = _margin(probs, encoded, chosen_order, config.margin)
+    golds = tuple(encoded.mentions[pos].gold for pos in chosen_order)
+    log_probs = episode_log_probs(windows, chosen_order, encoded.actions, encoded.pairs,
+                                  params.policy)
+    # every step's distribution in one graph: step t sees the golds before it
+    probs = candidate_distribution(encoded, chosen_order, golds[:-1], store, params.selector)
+    predicted, predicted_prob = [], []
+    for pos, line in zip(chosen_order, probs.data):
+        candidates = encoded.mentions[pos].candidates
+        pick = int(np.argmax(line[:len(candidates)]))
+        predicted.append(candidates[pick].entity_id)
+        predicted_prob.append(float(line[pick]))
+    margin, margin_terms = _margin(probs, encoded, chosen_order, config.margin)
+    return _episode(doc, chosen_order, predicted, predicted_prob, golds, config,
+                    log_probs=log_probs, margin=margin, margin_terms=margin_terms,
+                    window_probs=tuple(window_probs))
 
-    flags = tuple(p == encoded.mentions[pos].gold for p, pos in zip(predicted, chosen_order))
-    outcome = EpisodeOutcome(flags, gamma=config.gamma)
+
+def _episode(doc: Document, order: Sequence[int], predicted: Sequence[str],
+             predicted_prob: Sequence[float], history: Sequence[str], config: TrainConfig,
+             **graphs) -> Episode:
+    """The episode of these links, with its correctness flags and rewards."""
+    flags = tuple(p == doc.mentions[pos].gold for p, pos in zip(predicted, order))
     rewards = reward_trace(
-        config.reward, outcome,
+        config.reward, EpisodeOutcome(flags, gamma=config.gamma),
         lam=config.transition_rewards(),
         per_step_prob=tuple(predicted_prob),
     )
+    return Episode(doc_id=doc.id, order=tuple(order), flags=flags, predicted=tuple(predicted),
+                   predicted_prob=tuple(predicted_prob), history_entities=tuple(history),
+                   rewards=rewards, **graphs)
 
-    return Episode(
-        doc_id=doc.id,
-        order=tuple(chosen_order),
-        log_probs=log_probs,
-        flags=flags,
-        predicted=tuple(predicted),
-        predicted_prob=tuple(predicted_prob),
-        history_entities=tuple(history_entities),
-        rewards=rewards,
-        margin=margin,
-        margin_terms=margin_terms,
-        window_probs=tuple(window_probs),
-    )
+
+# documents linked together: all 256 of an anchored-attn round at once
+# linked 1.1x faster than 32 at a time, and its peak memory rose by 13 MB
+LOCKSTEP_BATCH = 32
+
+
+class Links(NamedTuple):
+    """One document's greedy links, one entry per step."""
+
+    order: tuple[int, ...]
+    predicted: tuple[str, ...]
+    predicted_prob: tuple[float, ...]
+    window_probs: tuple[np.ndarray, ...]   # the policy's, at each step it chose
+
+
+def link_lockstep(
+    records: Sequence[EncodedDocument],
+    store: EmbeddingStore,
+    params: ModelParams,
+    config: TrainConfig,
+    orders: Sequence[Sequence[int] | None] | None = None,
+) -> list[Links]:
+    """Greedy links of up to ``LOCKSTEP_BATCH`` documents, each encoded in
+    eval mode, linked in lockstep with predicted history.
+
+    Step t of every document that has a mention left is one
+    ``select_action`` call and one ``candidate_distribution`` call, each
+    line with its own history; a document leaves the batch once linked.
+    ``orders[i]``, unless ``None``, fixes document i's order, which bypasses
+    the policy and its window.  Each document is linked exactly as it is
+    linked alone.  Records no graph.
+    """
+    if len(records) > LOCKSTEP_BATCH:
+        raise ValueError(f"at most {LOCKSTEP_BATCH} documents link in lockstep, "
+                         f"got {len(records)}")
+    sizes = [len(r.mentions) for r in records]
+    orders = [None] * len(records) if orders is None else list(orders)
+    for order, n in zip(orders, sizes):
+        if order is not None and sorted(order) != list(range(n)):
+            raise ValueError("forced order must be a permutation of mention positions")
+    batch, starts = concat_records(records)
+    dim = params.dim
+    windows = [ActionWindow(n if config.window is None else config.window,
+                            tuple(range(start, start + n))) for n, start in zip(sizes, starts)]
+    # row 0 is the init pair, row t+1 the pair linked at step t
+    history = np.empty((len(records), max(sizes) + 1, 2 * dim))
+    history[:, 0] = params.policy.init_pair.data
+    neighbors: list[set[str]] = [set() for _ in records]
+    neighbor_rows = [np.zeros((0, dim)) for _ in records]   # in id order
+    chosen_orders, predicted, predicted_prob, window_probs = (
+        [[] for _ in records] for _ in range(4))
+
+    with ad.no_grad():
+        for step in range(max(sizes)):
+            active = [i for i, n in enumerate(sizes) if n > step]
+            chosen = {i: starts[i] + orders[i][step] for i in active if orders[i] is not None}
+            free = [i for i in active if orders[i] is None]
+            if free:
+                picks, dists = select_action(Tensor(history[free, :step + 1]),
+                                             [windows[i] for i in free], batch.actions,
+                                             params.policy)
+                for i, pos, probs in zip(free, picks, dists):
+                    windows[i] = advance(windows[i], pos)
+                    chosen[i] = pos
+                    window_probs[i].append(probs)
+            positions = [chosen[i] for i in active]
+
+            counts = np.array([len(neighbors[i]) for i in active])
+            padded = np.zeros((len(active), counts.max(), dim))
+            for line, i in enumerate(active):
+                padded[line, :counts[line]] = neighbor_rows[i]
+            linked = Linked(history[active, 1:step + 1, dim:], padded, counts)
+            probs = candidate_distribution(batch, positions, linked, store,
+                                           params.selector).data
+
+            for line, (i, pos) in enumerate(zip(active, positions)):
+                candidates = batch.mentions[pos].candidates
+                pick = int(np.argmax(probs[line, :len(candidates)]))
+                entity = candidates[pick].entity_id
+                chosen_orders[i].append(pos - starts[i])
+                predicted[i].append(entity)
+                predicted_prob[i].append(float(probs[line, pick]))
+                history[i, step + 1, :dim] = batch.contexts.data[pos]
+                history[i, step + 1, dim:] = store.entity(entity)
+                if not store.neighbors(entity) <= neighbors[i]:
+                    neighbors[i] |= store.neighbors(entity)
+                    neighbor_rows[i] = store.entities(sorted(neighbors[i]))
+    return [Links(*map(tuple, line))
+            for line in zip(chosen_orders, predicted, predicted_prob, window_probs)]
+
+
+def link_documents(
+    docs: Sequence[Document],
+    store: EmbeddingStore,
+    params: ModelParams,
+    config: TrainConfig,
+    order_for: Callable[[Document, EncodedDocument], Sequence[int] | None] | None = None,
+) -> Iterator[tuple[Document, Links]]:
+    """``(doc, links)`` for every document, in order, encoded and linked in
+    lockstep ``LOCKSTEP_BATCH`` at a time.  ``order_for(doc, encoded)``
+    gives a document's fixed order, or ``None`` to let the policy choose."""
+    for start in range(0, len(docs), LOCKSTEP_BATCH):
+        chunk = docs[start:start + LOCKSTEP_BATCH]
+        records = [encode_document(doc, store, params) for doc in chunk]
+        orders = None if order_for is None else [order_for(d, r) for d, r in zip(chunk, records)]
+        yield from zip(chunk, link_lockstep(records, store, params, config, orders))
 
 
 def _margin(probs: Tensor, encoded: EncodedDocument, order: Sequence[int],
@@ -479,9 +587,11 @@ def evaluate(
     params: ModelParams,
     config: TrainConfig,
 ) -> list[Episode]:
-    """Greedy predicted-history rollouts (no gradients recorded)."""
+    """Greedy predicted-history rollouts, linked in lockstep (no gradients
+    recorded)."""
     with ad.no_grad():
-        return [rollout(doc, store, params, config, mode="eval") for doc in docs]
+        return [rollout(doc, store, params, config, mode="eval", links=links)
+                for doc, links in link_documents(docs, store, params, config)]
 
 
 def train(

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from dynel.corpus import CandidateEntity, EmbeddingStore, Mention
+from dynel.selector import Linked
+
+import oracles
 
 
 def make_store(dim: int = 4, words=(), entities=(), seed: int = 0, **extra) -> EmbeddingStore:
@@ -40,6 +43,38 @@ def make_mention(
         candidates=tuple(CandidateEntity(e, p) for e, p in zip(candidates, priors)),
         gold=gold if gold is not None else candidates[0],
     )
+
+
+def linked_lines(histories, store: EmbeddingStore) -> Linked:
+    """The ``Linked`` of lockstep lines that linked the entity ids of each
+    of ``histories`` (all equally long): their rows in link order, and the
+    union of their KG neighbours sorted by id, padded at the tail."""
+    neighbors = [sorted(set().union(*(store.neighbors(e) for e in h))) for h in histories]
+    counts = np.array([len(n) for n in neighbors])
+    padded = np.zeros((len(histories), counts.max(initial=0), store.dim))
+    for line, ids in enumerate(neighbors):
+        if ids:
+            padded[line, :len(ids)] = store.entities(ids)
+    entities = np.array([[store.entity(e) for e in h] for h in histories]).reshape(
+        len(histories), -1, store.dim)
+    return Linked(entities, padded, counts)
+
+
+def selector_oracle(encoded, pos: int, linked_ids, store: EmbeddingStore, params):
+    """``oracles.selector_distribution`` for position ``pos`` of ``encoded``
+    with ``linked_ids`` linked before it, from the record's columns."""
+    at = encoded.slots[pos, encoded.valid[pos]]
+    neighbors = sorted(set().union(*(store.neighbors(e) for e in linked_ids)))
+    vectors = lambda ids: (store.entities(ids) if ids else np.zeros((0, store.dim)))
+    layers = None if params.fusion is None else [
+        (w.data, b.data) for w, b in zip(params.fusion.weights, params.fusion.biases)]
+    return oracles.selector_distribution(
+        encoded.candidates.data[at],
+        {"prior": encoded.priors.data[at], "type": encoded.types.data[at],
+         "local": encoded.local.data[at]},
+        vectors(list(linked_ids)), vectors(neighbors),
+        (params.linked_coherence.diag.data, params.neighborhood_coherence.diag.data),
+        params.top_entities, params.features, params.feature_norm, layers)
 
 
 def candidate_lookups(monkeypatch, docs) -> Counter:

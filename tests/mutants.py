@@ -15,6 +15,8 @@ TRAINER = "tests/test_trainer.py"
 DOCUMENT_PASS = "tests/test_local_transformer.py::TestDocumentPass"
 EPISODE = f"{TRAINER}::TestEpisodeGraph"
 CLI = "tests/test_cli.py"
+SELECTOR = "tests/test_selector.py::TestCandidateDistribution"
+LOCKSTEP = "tests/test_harness.py::test_lockstep_links_each_document_as_it_links_alone"
 
 
 class Mutant(NamedTuple):
@@ -40,8 +42,8 @@ MUTANTS = (
            "    charged = encoded.valid[order]",
            (f"{EPISODE}::test_one_call_per_episode_equals_the_steps_composed[full]",)),
     Mutant("window gather off by one", "policy.py",
-           "reps = ad.gather_rows(actions, acts)",
-           "reps = ad.gather_rows(actions, np.subtract(acts, 1))",
+           "reps = ad.gather_rows(actions, [acts[i] for i in lines])",
+           "reps = ad.gather_rows(actions, [np.subtract(acts[i], 1) for i in lines])",
            ("tests/test_policy.py::TestSelectAction::"
             "test_reads_no_action_row_outside_its_window[gapped]",)),
     # the transformer's document pass
@@ -58,7 +60,7 @@ MUTANTS = (
            (f"{DOCUMENT_PASS}::test_equals_the_per_mention_oracle[drop_n1]",)),
     # the selector's episode graph
     Mutant("selector history prefix off by one", "selector.py",
-           "(len(linked_ids) - len(steps) + 1)", "(len(linked_ids) - len(steps) + 2)",
+           "(len(linked) - len(steps) + 1)", "(len(linked) - len(steps) + 2)",
            (f"{EPISODE}::test_one_call_per_episode_equals_the_steps_composed[full]",)),
     Mutant("neighbour seen from its last linked entity", "selector.py",
            "first.setdefault(neighbor, i)", "first[neighbor] = i",
@@ -91,11 +93,31 @@ MUTANTS = (
            ("tests/test_autodiff.py::test_masked_log_softmax_leaves_masked_entries_at_zero",)),
     # the per-step loop
     Mutant("sampling pass reads one history row too few", "trainer.py",
-           "Tensor(history[:step + 1])", "Tensor(history[:max(step, 1)])",
+           "Tensor(history[None, :step + 1])", "Tensor(history[None, :max(step, 1)])",
            (f"{EPISODE}::test_train_rollout_samples_the_order_of_the_per_step_graph[4]",)),
     Mutant("advance takes any unresolved action", "policy.py",
            "if action not in window.actions():", "if action not in window.unresolved:",
            (f"{TRAINER}::TestRolloutBasics::test_a_forced_train_order_must_keep_the_window",)),
+    # greedy linking in lockstep
+    Mutant("a finished document kept in the batch", "trainer.py",
+           "active = [i for i, n in enumerate(sizes) if n > step]",
+           "active = [i for i, n in enumerate(sizes) if n > 0]",
+           (f"{LOCKSTEP}[2-attn]",)),
+    Mutant("a window group pools another line's history", "policy.py",
+           "else Tensor(histories.data[lines])", "else Tensor(histories.data[:len(lines)])",
+           ("tests/test_policy.py::TestSelectAction::test_a_batch_scores_each_line_as_alone[0]",)),
+    Mutant("padded candidate slots scored as candidates", "selector.py",
+           "widths = encoded.valid[steps].sum(axis=1)",
+           "widths = np.full(steps.size, encoded.valid.shape[1])",
+           (f"{SELECTOR}::test_lockstep_lines_score_as_alone_and_as_the_oracle[ffn-True]",)),
+    Mutant("neighbour padding rows visible", "selector.py",
+           "visible = hidden < linked.neighbor_counts[lines, None]",
+           "visible = hidden < hidden.size + 0 * linked.neighbor_counts[lines, None]",
+           (f"{SELECTOR}::test_lockstep_lines_score_as_alone_and_as_the_oracle[ffn-True]",)),
+    Mutant("kept rows pooled without compaction", "autodiff.py",
+           "kept = rows[lines][visible[lines]].reshape(lines.size, count, -1)",
+           "kept = rows[lines][:, :count]",
+           ("tests/test_autodiff.py::test_per_line_pool_is_bytewise_the_pool_of_each_line_alone",)),
     # the training loop
     Mutant("Adam never marks a row", "trainer.py",
            "touched |= g.reshape(touched.size, -1).any(axis=1)", "touched |= False",

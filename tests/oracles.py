@@ -200,6 +200,37 @@ def pooled_scores(
     return np.array([float(np.sum(c * diag * f)) for c in cand])
 
 
+def selector_distribution(
+    cand: np.ndarray,                   # (n, d) the mention's candidates
+    columns: dict[str, np.ndarray],     # "prior", "type", "local": one value per candidate
+    linked: np.ndarray,                 # (m, d) entities linked before the mention
+    neighbors: np.ndarray,              # (k, d) their KG neighbours
+    diags: tuple[np.ndarray, np.ndarray],   # linked and neighbourhood coherence
+    top_k: int,
+    features: tuple[str, ...],
+    feature_norm: bool,
+    layers: list[tuple[np.ndarray, np.ndarray]] | None,   # fusion (weight, bias); None: sum
+) -> np.ndarray:
+    """One mention's candidate distribution, recomputed feature by feature:
+    each feature a column, optionally standardised over the candidates,
+    fused by a relu network (or summed), then a softmax."""
+    cols = dict(columns)
+    cols["coherence"] = pooled_scores(cand, linked, diags[0], top_k)
+    cols["neighborhood"] = pooled_scores(cand, neighbors, diags[1], top_k)
+    feats = np.stack([np.asarray(cols[name], dtype=float) for name in features], axis=1)
+    if feature_norm:
+        centered = feats - feats.mean(axis=0)
+        feats = centered / np.sqrt((centered * centered).mean(axis=0) + 1e-12)
+    if layers is None:
+        return _softmax(feats.sum(axis=1))
+    x = feats
+    for i, (w, b) in enumerate(layers):
+        x = x @ w + b
+        if i < len(layers) - 1:
+            x = np.maximum(x, 0.0)
+    return _softmax(x[:, 0])
+
+
 def hard_attention_context(
     words: np.ndarray, cand: np.ndarray, diag: np.ndarray, top_r: int
 ) -> np.ndarray:

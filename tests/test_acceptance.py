@@ -228,7 +228,8 @@ def test_criterion_07_dual_implementation_agreement():
         history = Tensor(np.vstack([params.init_pair.data[None], hist]))
         acts = tuple(range(int(rng.integers(1, 5))))
         reps = Tensor(np.stack([rng.normal(size=2 * dim) for _ in acts]))
-        _, probs = select_action(history, ActionWindow(len(acts), acts), reps, params)
+        _, (probs,) = select_action(Tensor(history.data[None]), [ActionWindow(len(acts), acts)],
+                                   reps, params)
         expected = oracles.policy_distribution(
             np.vstack([params.init_pair.data[None], hist]),
             reps.data,

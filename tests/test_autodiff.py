@@ -319,6 +319,35 @@ def test_masked_pool_lines_match_the_oracle_over_their_visible_prefix(data):
             assert not got.data[line].any()
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_per_line_pool_is_bytewise_the_pool_of_each_line_alone(data):
+    # dense random values: a product or a sum of another shape rounds differently
+    dim = data.draw(st.sampled_from([1, 3, 8, 33]))
+    top_k = data.draw(st.integers(1, 6))
+    lines = data.draw(st.integers(1, 5))
+    n_queries = data.draw(st.integers(1, 4))
+    n_rows = data.draw(st.integers(0, top_k + 4))   # below, at and above top_k
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    queries = rng.normal(size=(lines, n_queries, dim))
+    rows = rng.normal(size=(lines, n_rows, dim))
+    if data.draw(st.booleans()):
+        rows[:, 1::2] = rows[:, :-1:2]   # every other row repeated: tied scores
+    visible = np.array(data.draw(st.lists(
+        st.lists(st.booleans(), min_size=n_rows, max_size=n_rows),
+        min_size=lines, max_size=lines)), dtype=bool).reshape(lines, n_rows)
+    visible[0] = False   # a line that sees no row
+    b = DiagonalBilinear(ad.parameter(rng.normal(size=dim)))
+    for mask in (visible, None):
+        got = b.pool(Tensor(queries), Tensor(rows), top_k, mask).data
+        assert got.shape == (lines, dim)
+        for line in range(lines):
+            kept = rows[line] if mask is None else rows[line][mask[line]]
+            want = (b.pool(Tensor(queries[line]), Tensor(kept), top_k).data if len(kept)
+                    else np.zeros(dim))
+            assert got[line].tobytes() == want.tobytes()
+
+
 def test_masked_pool_gradients_match_finite_differences(rng):
     b = DiagonalBilinear(ad.parameter(rng.normal(size=3)))
     queries = ad.parameter(rng.normal(size=(3, 2, 3)))

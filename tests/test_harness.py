@@ -21,7 +21,7 @@ from dynel.harness import (
 from dynel.model import build_model
 from dynel.rewards import REWARD_KINDS
 from dynel.synthetic import SyntheticSpec, generate_synthetic
-from dynel.trainer import Episode, TrainConfig, micro_f1, train
+from dynel.trainer import LOCKSTEP_BATCH, Episode, TrainConfig, micro_f1, rollout, train
 
 from conftest import candidate_lookups, make_mention
 from dynel.corpus import Document
@@ -151,17 +151,17 @@ class TestStrategies:
         mentions = self.docs[1].mentions + self.docs[2].mentions[:4]
         long = Document("long", self.docs[1].words + self.docs[2].words,
                         tuple(replace(m, position=i) for i, m in enumerate(mentions)))
-        rollouts = []
-        real = harness.rollout
+        linked = []
+        for name in ("rollout", "link_lockstep"):   # the episodes, and the orders searched
 
-        def counted(*args, **kwargs):
-            rollouts.append(1)
-            return real(*args, **kwargs)
+            def counted(*args, real=getattr(harness, name), **kwargs):
+                linked.append(1)
+                return real(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "rollout", counted)
+            monkeypatch.setattr(harness, name, counted)
         with pytest.raises(ValueError, match="at most 9 mentions; document 'long' has 10"):
             run_baseline([short, long], self.store, self.params, self.cfg, "exhaustive-best")
-        assert not rollouts
+        assert not linked
 
     def test_report_embeds_config_hash_and_seed(self):
         rep = run_baseline(self.docs, self.store, self.params, self.cfg, "offset",
@@ -175,6 +175,68 @@ class TestStrategies:
         a = run_baseline(self.docs, self.store, self.params, self.cfg, "dynamic")
         b = run_baseline(self.docs, self.store, self.params, self.cfg, "dynamic")
         assert a.to_json() == b.to_json()
+
+
+def ragged_world(num_docs=40, seed=29):
+    """An anchored corpus cut ragged: 1-9 mentions per document, candidate
+    sets cut to 1-4 (which leaves some golds out), KG neighbour sets of 0-5
+    entities, and noise on every vector so that no score is exact."""
+    docs, store = generate_synthetic(SyntheticSpec(
+        num_docs=num_docs, mentions_per_doc=9, candidates_per_mention=4, embedding_dim=40,
+        anchor_fraction=0.4, noise_scale=0.05, seed=seed))
+    rng = np.random.default_rng(seed)
+    docs = [replace(doc, mentions=tuple(
+        replace(m, candidates=m.candidates[:int(rng.integers(1, 5))])
+        for m in doc.mentions[:int(rng.integers(1, 10))])) for doc in docs]
+    entities = sorted(store.entity_vecs)
+    adjacency = {e: frozenset(rng.choice(entities, size=int(rng.integers(1, 6)),
+                                         replace=False).tolist())
+                 for e in entities if rng.random() < 0.6}
+    noisy = lambda table: {k: v + 0.3 * rng.normal(size=v.shape) for k, v in table.items()}
+    return docs, replace(store, word_vecs=noisy(store.word_vecs),
+                         entity_vecs=noisy(store.entity_vecs), kg_adjacency=adjacency)
+
+
+SMALL_TRANSFORMER = dict(local_model="transformer", encoder_layers=1, attention_heads=2,
+                         head_dim=4, model_dim=40, encoder_ff_dim=8, head_hidden=4)
+
+
+@pytest.mark.parametrize("scorer", ["attn", "transformer"])
+@pytest.mark.parametrize("window", [1, 2, None])
+def test_lockstep_links_each_document_as_it_links_alone(scorer, window, monkeypatch):
+    docs, store = ragged_world()
+    mentions = [m for doc in docs for m in doc.mentions]
+    assert len(docs) > LOCKSTEP_BATCH
+    assert {len(doc.mentions) for doc in docs} == set(range(1, 10))
+    assert {len(m.candidates) for m in mentions} == {1, 2, 3, 4}
+    assert any(m.gold not in m.candidate_ids for m in mentions)
+    neighbor_sets = {len(store.neighbors(e)) for e in store.entity_vecs}
+    assert 0 in neighbor_sets and len(neighbor_sets) >= 4
+    cfg = TrainConfig(window=window, fusion_hidden=8, policy_top_k=3, selector_top_k=2,
+                      **(SMALL_TRANSFORMER if scorer == "transformer" else {}))
+    rng = np.random.default_rng(5)
+    params = cfg.build_model(store, rng)
+    for t in params.parameters():   # off the symmetric init
+        t.data += 0.1 * rng.normal(size=t.data.shape)
+
+    for strategy in ("dynamic", "offset", "size", "random"):
+        episodes = []
+        real = harness.rollout
+
+        def kept(*args, **kwargs):
+            episodes.append(real(*args, **kwargs))
+            return episodes[-1]
+
+        monkeypatch.setattr(harness, "rollout", kept)
+        report = run_baseline(docs, store, params, cfg, strategy, seed=3)
+        monkeypatch.setattr(harness, "rollout", real)
+        assert [ep.order for ep in episodes] == list(report.orders)
+        for doc, ep in zip(docs, episodes):
+            alone = rollout(doc, store, params, cfg, mode="eval",
+                            order=None if strategy == "dynamic" else ep.order)
+            assert (alone.order, alone.predicted) == (ep.order, ep.predicted)
+            assert (np.array(alone.predicted_prob).tobytes()
+                    == np.array(ep.predicted_prob).tobytes())
 
 
 class TestSweep:

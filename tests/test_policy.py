@@ -31,6 +31,13 @@ def history_from(pairs, params) -> Tensor:
     return Tensor(np.vstack([params.init_pair.data, *pairs]))
 
 
+def select_one(history: Tensor, window: ActionWindow, actions: Tensor, params, **kwargs):
+    """``select_action`` on a batch of one line: its position and distribution."""
+    (pos,), (probs,) = select_action(Tensor(history.data[None]), [window], actions, params,
+                                     **kwargs)
+    return pos, probs
+
+
 def action_stack(reps) -> Tensor:
     """The ``(mentions, 2d)`` action stack with row ``p`` set to ``reps[p]``
     and every other row NaN, so a read outside the window shows."""
@@ -108,7 +115,7 @@ class TestSelectAction:
         params = make_params(dim, rng=rng)
         window = ActionWindow(3, (4,))
         reps = {4: Tensor(rng.normal(size=2 * dim))}
-        pos, probs = select_action(history_from([], params), window, action_stack(reps), params)
+        pos, probs = select_one(history_from([], params), window, action_stack(reps), params)
         assert pos == 4
         assert probs.tolist() == [1.0]
 
@@ -118,7 +125,7 @@ class TestSelectAction:
         rep = rng.normal(size=2 * dim)
         window = ActionWindow(2, (0, 1))
         reps = {0: Tensor(rep.copy()), 1: Tensor(rep.copy())}
-        _, probs = select_action(history_from([], params), window, action_stack(reps), params)
+        _, probs = select_one(history_from([], params), window, action_stack(reps), params)
         assert np.allclose(probs, [0.5, 0.5], atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(20))
@@ -133,7 +140,7 @@ class TestSelectAction:
         acts = tuple(range(n_actions))
         reps = {a: Tensor(rng.normal(size=2 * dim)) for a in acts}
 
-        _, probs = select_action(history_from(hist, params), ActionWindow(n_actions, acts),
+        _, probs = select_one(history_from(hist, params), ActionWindow(n_actions, acts),
                                  action_stack(reps), params)
         expected = oracles.policy_distribution(
             np.vstack([params.init_pair.data[None], hist]),
@@ -150,7 +157,7 @@ class TestSelectAction:
         hist = rng.normal(size=(3, 2 * dim))  # K=7, t=3 -> 4 evidence elements
         acts = (0, 1)
         reps = {a: Tensor(rng.normal(size=2 * dim)) for a in acts}
-        _, probs = select_action(history_from(hist, params), ActionWindow(2, acts),
+        _, probs = select_one(history_from(hist, params), ActionWindow(2, acts),
                                  action_stack(reps), params)
         full = oracles.policy_distribution(
             np.vstack([params.init_pair.data[None], hist]),
@@ -164,14 +171,14 @@ class TestSelectAction:
     def test_empty_window_rejected(self, rng):
         params = make_params(2)
         with pytest.raises(ValueError, match="empty action window"):
-            select_action(history_from([], params), ActionWindow(2, ()),
+            select_one(history_from([], params), ActionWindow(2, ()),
                           Tensor(np.zeros((1, 4))), params)
 
     def test_distribution_sums_to_one(self, rng):
         params = make_params(3, rng=rng)
         acts = (0, 1, 2)
         reps = {a: Tensor(rng.normal(size=6)) for a in acts}
-        _, probs = select_action(history_from([], params), ActionWindow(3, acts),
+        _, probs = select_one(history_from([], params), ActionWindow(3, acts),
                                  action_stack(reps), params)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -187,12 +194,35 @@ class TestSelectAction:
         rows = np.full((n, 2 * dim), np.nan)
         rows[list(acts)] = rng.normal(size=(len(acts), 2 * dim))
         hist = history_from(rng.normal(size=(3, 2 * dim)), params)
-        _, probs = select_action(hist, window, Tensor(rows), params)
+        _, probs = select_one(hist, window, Tensor(rows), params)
         assert probs.shape == (len(acts),) and np.isfinite(probs).all()
         expected = oracles.policy_distribution(hist.data, rows[list(acts)],
                                                params.history_match.diag.data,
                                                params.action_scorer.diag.data, 2)
         assert np.allclose(probs, expected, atol=1e-12)
+
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_a_batch_scores_each_line_as_alone(self, seed):
+        # lines of windows 1-4 wide over one action stack, each its own history
+        rng = np.random.default_rng(seed)
+        dim, n = 4, 9
+        params = make_params(dim, top_k=int(rng.integers(1, 5)), rng=rng)
+        actions = Tensor(rng.normal(size=(n, 2 * dim)))
+        sizes = (2, 1, 4, 3, 2, 4, 3)
+        histories = rng.normal(size=(len(sizes), int(rng.integers(1, 8)), 2 * dim))
+        histories[:, 0] = params.init_pair.data
+        windows = [ActionWindow(size, tuple(sorted(rng.choice(n, size=size + 1, replace=False))))
+                   for size in sizes]
+        positions, probs = select_action(Tensor(histories), windows, actions, params)
+        for line, window in enumerate(windows):
+            pos, alone = select_one(Tensor(histories[line]), window, actions, params)
+            assert positions[line] == pos and pos in window.actions()
+            assert probs[line].tobytes() == alone.tobytes()
+            want = oracles.policy_distribution(histories[line], actions.data[list(window.actions())],
+                                               params.history_match.diag.data,
+                                               params.action_scorer.diag.data, params.top_k)
+            assert np.abs(probs[line] - want).max() <= 1e-12
 
 
 class TestEpisodeLogProbs:

@@ -15,7 +15,7 @@ from dynel.selector import (
 )
 
 import oracles
-from conftest import make_mention
+from conftest import linked_lines, make_mention, selector_oracle
 
 
 def build_store(rng, n_entities=6, dim=4, adjacency=None, type_vecs=None):
@@ -146,22 +146,30 @@ class TestNeighborhood:
         assert np.allclose(got, expected, atol=1e-10)
 
 
+def one_line(encoded, linked_ids, store, params):
+    """The lockstep form on one line, position 0 of ``encoded``: its real
+    candidates' probabilities."""
+    probs = candidate_distribution(encoded, [0], linked_lines([linked_ids], store), store,
+                                   params).data
+    return probs[0, :encoded.valid[0].sum()]
+
+
 class TestCandidateDistribution:
     def test_single_candidate_is_certain(self, rng):
         store = build_store(rng)
         params = build_params(4, rng)
         m = make_mention(candidates=("e0",), priors=[0.9])
-        probs = candidate_distribution(record(m, store, np.zeros(1)), 0, (), store, params)
-        assert probs.data.tolist() == [1.0]
+        probs = one_line(record(m, store, np.zeros(1)), (), store, params)
+        assert probs.tolist() == [1.0]
 
     def test_prior_only_fusion_is_softmax_of_priors(self, rng):
         store = build_store(rng)
         params = build_params(4, rng, features=("prior",), feature_norm=False,
                               fusion="sum")
         m = make_mention(candidates=("e0", "e1"), priors=[0.8, 0.2])
-        probs = candidate_distribution(record(m, store, np.zeros(2)), 0, (), store, params)
+        probs = one_line(record(m, store, np.zeros(2)), (), store, params)
         expected = np.exp([0.8, 0.2]) / np.exp([0.8, 0.2]).sum()
-        assert np.allclose(probs.data, expected, atol=1e-12)
+        assert np.allclose(probs, expected, atol=1e-12)
 
     def test_distribution_sums_to_one_and_feature_ablation_works(self, rng):
         store = build_store(rng, adjacency={"e2": {"e3"}})
@@ -169,9 +177,8 @@ class TestCandidateDistribution:
         params = build_params(4, rng, features=("coherence", "prior", "local"))
         assert params.fusion.weights[0].data.shape[0] == 3
         m = make_mention(candidates=("e0", "e1"), priors=[0.6, 0.4])
-        probs = candidate_distribution(record(m, store, rng.normal(size=2)), 0, ("e2",),
-                                       store, params)
-        assert probs.data.sum() == pytest.approx(1.0, abs=1e-12)
+        probs = one_line(record(m, store, rng.normal(size=2)), ("e2",), store, params)
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_unknown_feature_rejected(self, rng):
         with pytest.raises(ValueError, match="unknown selector features"):
@@ -183,8 +190,8 @@ class TestCandidateDistribution:
                               fusion="sum")
         local = Tensor(np.array([0.1, 1.4, -0.3]))
         m = make_mention(candidates=("e0", "e1", "e2"), priors=[0.3] * 3)
-        probs = candidate_distribution(record(m, store, local), 0, (), store, params)
-        assert int(np.argmax(probs.data)) == int(np.argmax(local.data))
+        probs = one_line(record(m, store, local), (), store, params)
+        assert int(np.argmax(probs)) == int(np.argmax(local.data))
 
     def test_candidate_permutation_equivariance(self, rng):
         store = build_store(rng, adjacency={"e4": {"e5"}})
@@ -194,9 +201,8 @@ class TestCandidateDistribution:
         m1 = make_mention(candidates=("e0", "e1", "e2"), priors=[0.5, 0.3, 0.2])
         m2 = make_mention(candidates=tuple(f"e{i}" for i in perm),
                           priors=[[0.5, 0.3, 0.2][i] for i in perm])
-        p1 = candidate_distribution(record(m1, store, local), 0, ("e4",), store, params).data
-        p2 = candidate_distribution(record(m2, store, local[perm]), 0, ("e4",), store,
-                                    params).data
+        p1 = one_line(record(m1, store, local), ("e4",), store, params)
+        p2 = one_line(record(m2, store, local[perm]), ("e4",), store, params)
         assert np.allclose(p1[perm], p2, atol=1e-12)
 
     def test_type_feature_reads_store(self, rng):
@@ -206,29 +212,40 @@ class TestCandidateDistribution:
         params = build_params(4, rng, features=("type",), feature_norm=False,
                               fusion="sum")
         m = make_mention(candidates=("e0", "e1"), priors=[0.5, 0.5])
-        probs = candidate_distribution(record(m, store, np.zeros(2)), 0, (), store, params).data
+        probs = one_line(record(m, store, np.zeros(2)), (), store, params)
         expected = np.exp([2.0, -1.0]) / np.exp([2.0, -1.0]).sum()
         assert np.allclose(probs, expected, atol=1e-12)
 
-    def test_one_record_is_scored_without_mask_or_padding(self, rng, monkeypatch):
-        # greedy linking makes this call at every step, so it keeps the plain
-        # vector form: the masked, padded one builds a quarter more tensors.
-        # A wider second mention pads the first one's slots to four
-        store = build_store(rng, adjacency={"e3": {"e4"}, "e5": {"e1"}})
-        params = build_params(4, rng, top_entities=1)
-        m = make_mention(candidates=("e0", "e1", "e2"), priors=[0.5, 0.3, 0.2])
-        wide = make_mention("m1", position=1, candidates=("e0", "e1", "e2", "e3"))
-        encoded = encode_document(Document("d", ("w0",), (m, wide)), store,
-                                  build_model(store, np.random.default_rng(0)))
-        assert encoded.slots.shape == (2, 4)
-
-        def refused(*args, **kwargs):
-            raise AssertionError("masked or padded path taken")
-
-        monkeypatch.setattr(ad, "row_softmax", refused)
-        probs = candidate_distribution(encoded, 0, ("e3", "e5"), store, params)
-        assert probs.shape == (3,)
-        assert probs.data.sum() == pytest.approx(1.0, abs=1e-12)
+    @pytest.mark.parametrize("fusion, feature_norm", [("ffn", True), ("sum", False)])
+    def test_lockstep_lines_score_as_alone_and_as_the_oracle(self, fusion, feature_norm):
+        # lines of 1-4 candidates, 0-4 linked neighbours and a top-k of 2
+        rng = np.random.default_rng(7)
+        store = build_store(rng, n_entities=12, dim=5,
+                            adjacency={"e0": {"e9", "e10"}, "e1": {"e11"},
+                                       "e2": {"e9", "e10", "e11", "e8"}})
+        params = build_params(5, rng, top_entities=2, fusion=fusion, feature_norm=feature_norm)
+        for t in params.parameters().values():
+            t.data += 0.1 * rng.normal(size=t.data.shape)
+        widths = (3, 1, 4, 2, 4, 3)
+        mentions = tuple(make_mention(f"m{i}", position=i, priors=rng.random(n).tolist(),
+                                      candidates=tuple(f"e{3 + (i + j) % 9}" for j in range(n)))
+                         for i, n in enumerate(widths))
+        model = build_model(store, np.random.default_rng(0))
+        encoded = replace(encode_document(Document("d", ("w0",), mentions), store, model),
+                          local=Tensor(rng.normal(size=sum(widths))))
+        histories = [("e1", "e3"), ("e5", "e0"), ("e2", "e0"), ("e6", "e7"), ("e0", "e2"),
+                     ("e7", "e7")]
+        steps = [0, 1, 2, 3, 4, 5]
+        probs = candidate_distribution(encoded, steps, linked_lines(histories, store), store,
+                                       params).data
+        for line, (pos, history) in enumerate(zip(steps, histories)):
+            alone = candidate_distribution(encoded, [pos], linked_lines([history], store), store,
+                                           params).data[0]
+            assert probs[line].tobytes() == alone.tobytes()
+            width = widths[pos]
+            assert not probs[line, width:].any()   # padding: exactly 0
+            want = selector_oracle(encoded, pos, history, store, params)
+            assert np.abs(probs[line, :width] - want).max() <= 1e-12
 
     def test_gradients_match_fd_through_fusion_and_pooling(self, rng):
         store = build_store(rng, adjacency={"e3": {"e4"}})
@@ -237,8 +254,9 @@ class TestCandidateDistribution:
         rec = record(m, store, rng.normal(size=2))
 
         def build():
-            probs = candidate_distribution(rec, 0, ("e3",), store, params)
-            return -ad.log(ad.gather(probs, 0))
+            # one step of an episode that linked e3 before it
+            probs = candidate_distribution(rec, [0], ("e3",), store, params)
+            return -ad.log(ad.gather(ad.reshape(probs, (-1,)), 0))
 
         loss = build()
         named = params.parameters()

@@ -28,7 +28,7 @@ from dynel.trainer import (
 )
 
 import oracles
-from conftest import candidate_lookups
+from conftest import candidate_lookups, linked_lines, selector_oracle
 
 
 def anchored_world(num_docs=8, mentions=6, candidates=4, seed=21):
@@ -191,12 +191,14 @@ class TestOrderingConstruction:
             for doc in self.docs:
                 golds = [m.gold for m in doc.mentions]
                 encoded = encode_document(doc, self.store, self.params)
-                for i, m in enumerate(doc.mentions):
-                    linked = tuple(g for j, g in enumerate(golds) if j != i)
-                    probs = candidate_distribution(
-                        encoded, i, linked, self.store, self.params.selector
-                    )
-                    pick = m.candidates[int(np.argmax(probs.data))].entity_id
+                histories = [tuple(g for j, g in enumerate(golds) if j != i)
+                             for i in range(len(golds))]
+                probs = candidate_distribution(
+                    encoded, range(len(golds)), linked_lines(histories, self.store),
+                    self.store, self.params.selector
+                ).data
+                for m, line in zip(doc.mentions, probs):
+                    pick = m.candidates[int(np.argmax(line[:len(m.candidates)]))].entity_id
                     correct += pick == m.gold
                     total += 1
         assert correct / total == 1.0
@@ -394,8 +396,11 @@ class TestEpisodeGraph:
         mentions = [doc.mentions[p] for p in order]
         golds = ep.history_entities
         batched = candidate_distribution(encoded, order, golds[:-1], store, params.selector)
-        steps = [candidate_distribution(encoded, pos, golds[:t], store, params.selector)
-                 for t, pos in enumerate(order)]
+        # each step alone: a one-step episode that linked the golds before it
+        steps = [ad.gather(ad.reshape(candidate_distribution(
+                     encoded, [pos], golds[:t], store, params.selector), (-1,)),
+                     np.arange(len(m.candidates)))
+                 for t, (pos, m) in enumerate(zip(order, mentions))]
 
         hinges = [ad.tsum(ad.relu(ad.sub(p, ad.gather(p, m.candidate_ids.index(m.gold)))
                                   + cfg.margin))
@@ -409,6 +414,8 @@ class TestEpisodeGraph:
         for t, (p, m) in enumerate(zip(steps, mentions)):
             width = len(m.candidates)
             assert np.abs(batched.data[t, :width] - p.data).max() <= 1e-12
+            want = selector_oracle(encoded, order[t], golds[:t], store, params.selector)
+            assert np.abs(batched.data[t, :width] - want).max() <= 1e-12
             assert not batched.data[t, width:].any()   # padding: exactly 0
             pick = int(np.argmax(p.data))
             assert ep.predicted[t] == m.candidates[pick].entity_id

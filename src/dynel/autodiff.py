@@ -44,7 +44,6 @@ __all__ = [
     "relu",
     "log",
     "sqrt",
-    "softmax",
     "log_softmax",
     "row_softmax",
     "concat",
@@ -287,18 +286,6 @@ def tmax(a: Tensor, axis: int) -> Tensor:
 # softmax family (numerically stabilised by max subtraction)
 # ---------------------------------------------------------------------------
 
-def _softmax1d(v: np.ndarray) -> np.ndarray:
-    e = np.exp(v - v.max())
-    return e / e.sum()
-
-
-def softmax(a: Tensor) -> Tensor:
-    if a.data.ndim != 1 or a.data.size == 0:
-        raise ShapeError("softmax expects a non-empty vector")
-    y = _softmax1d(a.data)
-    return _result(y, (a,), (lambda g: y * (g - float(g @ y)),))
-
-
 def log_softmax(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
     """Log-softmax over each line of the last axis of a non-empty tensor.
 
@@ -450,9 +437,10 @@ class DiagonalBilinear:
     2017): the context feature pools context words against the candidates,
     the selector pools linked entities and KG neighbours against them, and
     the policy pools the linked-pair history against the window's actions.
-    A stack of query matrices pools once per matrix, each over the rows its
-    line of a visibility mask lets it see: a training episode's steps in one
-    call, with the causal prefix mask of Vaswani et al. 2017.  A stack of row
+    Queries always come as a stack of matrices, and each pools over the rows
+    its line of a visibility mask lets it see: a document's mentions in one
+    call, each over its own block of context words, or a training episode's
+    steps, with the causal prefix mask of Vaswani et al. 2017.  A stack of row
     matrices, one per query matrix, pools each line over its own rows:
     documents linked in lockstep, each with its own history.
     """
@@ -464,49 +452,40 @@ class DiagonalBilinear:
         return cls(parameter(np.ones(dim)))
 
     def scores(self, rows: Tensor, vec: Tensor) -> Tensor:
-        """``rows @ (diag * vec)``: one score per row.  A stack of row
-        matrices takes one vector per matrix, as the lines of ``vec``."""
+        """``rows[i] @ (diag * vec[i])``: one score per row of each matrix of
+        a stack, each matrix against its own vector, a line of ``vec``."""
         weighted = mul(self.diag, vec)
-        if rows.data.ndim == 2:
-            return matmul(rows, weighted)
         columns = matmul(rows, reshape(weighted, weighted.shape + (1,)))
         return reshape(columns, rows.shape[:-1])
 
     def match(self, queries: Tensor, rows: Tensor) -> Tensor:
-        """Each row's best score against any query row; a stack of query
-        matrices gives one line of scores per matrix."""
+        """Each row's best score against any row of a query matrix: one line
+        of scores per matrix of the stack ``queries``."""
         keyed = transpose(mul(rows, self.diag))
-        if queries.data.ndim == 2:
-            return tmax(matmul(queries, keyed), axis=0)
         flat = matmul(reshape(queries, (-1, queries.shape[-1])), keyed)
         return tmax(reshape(flat, queries.shape[:-1] + (rows.shape[0],)), axis=-2)
 
     def pool(self, queries: Tensor, rows: Tensor, top_k: int,
              visible: np.ndarray | None = None) -> Tensor:
-        """Softmax-weighted sum of the ``top_k`` best-matching rows.
+        """Softmax-weighted sum of the ``top_k`` best-matching rows, once per
+        matrix of the stack ``queries``.
 
-        Ties in the match score keep the earlier row.  ``visible`` goes with
-        a stack of query matrices: one boolean line per matrix, one entry
-        per row.  Each matrix then pools only its visible rows, and one that
-        sees none pools to zeros.  Without it every row is visible and the
-        kept rows are gathered in their original order.
+        Ties in the match score keep the earlier row.  ``visible`` holds one
+        boolean line per query matrix, one entry per row: each matrix pools
+        only its visible rows, and one that sees none pools to zeros.
+        Without it every row is visible.
 
         With a stack of row matrices, line i pools ``queries[i]`` over the
         visible rows of ``rows[i]`` (all of them without ``visible``): byte
-        for byte the one-matrix pool of those rows alone.  This form serves
-        greedy linking and records no graph.
+        for byte the pool of a one-line stack of those rows alone.  This
+        form serves greedy linking and records no graph.
         """
         if rows.data.ndim == 3:
             return Tensor(self._pool_lines(queries.data, rows.data, top_k, visible))
         scores = self.match(queries, rows)
-        if visible is not None:
-            return matmul(row_softmax(scores, _top_k_visible(scores.data, visible, top_k)),
-                          rows)
-        if rows.data.shape[0] > top_k:
-            keep = np.sort(np.argsort(-scores.data, kind="stable")[:top_k])
-            scores = gather(scores, keep)
-            rows = gather_rows(rows, keep)
-        return matmul(softmax(scores), rows)
+        if visible is None:
+            visible = np.ones(scores.shape, dtype=bool)
+        return matmul(row_softmax(scores, _top_k_visible(scores.data, visible, top_k)), rows)
 
     def _pool_lines(self, queries: np.ndarray, rows: np.ndarray, top_k: int,
                     visible: np.ndarray | None) -> np.ndarray:
@@ -534,7 +513,8 @@ class DiagonalBilinear:
 
     def _pool_stack(self, queries: np.ndarray, rows: np.ndarray, top_k: int) -> np.ndarray:
         """``pool`` of each query matrix over its own row matrix, every row
-        visible: the one-matrix pool's operations, one stacked call each."""
+        visible: the kept rows gathered in row order, then one stacked call
+        per operation."""
         keyed = np.transpose(np.multiply(rows, self.diag.data), (0, 2, 1)).copy()
         scores = np.matmul(queries, keyed).max(axis=1)
         if rows.shape[1] > top_k:

@@ -5,10 +5,16 @@ scored by the best diagonal-bilinear match against any candidate entity,
 only the top ``top_words`` survive, and the kept words are combined with
 softmax weights.  Each candidate is then scored against that pooled
 vector through a second diagonal form.
+
+Both run once per document: the candidates come as the padded
+``(mentions, widest, d)`` stack of ``encode_document`` (a padded slot
+repeats its mention's first candidate, so it never changes a best match),
+and every mention's words are pooled in one masked call.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,18 +43,27 @@ class LocalAttnParams:
 
 
 def context_feature(
-    mention: Mention, cand: Tensor, store: EmbeddingStore, params: LocalAttnParams
+    mentions: Sequence[Mention], cand: Tensor, store: EmbeddingStore, params: LocalAttnParams
 ) -> Tensor:
-    """Softmax-weighted sum of the top-scoring context word vectors, pooled
-    against the candidate matrix ``cand``."""
-    window = mention.context_window
-    if not window:
-        raise ValueError(f"mention {mention.id!r} has an empty context window")
-    words = Tensor(np.stack([store.word(w) for w in window]))
-    return params.word_scorer.pool(cand, words, params.top_words)
+    """Each mention's softmax-weighted sum of its top-scoring context word
+    vectors, pooled against its line of the candidate stack ``cand``.
+
+    The windows are laid end to end in mention order and pooled in one
+    call; line i sees only mention i's block of them.
+    """
+    windows = [m.context_window for m in mentions]
+    for mention, window in zip(mentions, windows):
+        if not window:
+            raise ValueError(f"mention {mention.id!r} has an empty context window")
+    words = Tensor(np.stack([store.word(w) for window in windows for w in window]))
+    sizes = np.array([len(window) for window in windows])[:, None]
+    ends = np.cumsum(sizes)[:, None]
+    column = np.arange(ends[-1, 0])
+    visible = (ends - sizes <= column) & (column < ends)
+    return params.word_scorer.pool(cand, words, params.top_words, visible)
 
 
-def local_scores_attn(cand: Tensor, feat: Tensor, params: LocalAttnParams) -> Tensor:
-    """One bilinear relevance score per row of the candidate matrix ``cand``
-    against the mention's context feature ``feat``."""
-    return params.entity_context.scores(cand, feat)
+def local_scores_attn(cand: Tensor, contexts: Tensor, params: LocalAttnParams) -> Tensor:
+    """One bilinear relevance score per slot of the candidate stack ``cand``:
+    line i against mention i's context feature, line i of ``contexts``."""
+    return params.entity_context.scores(cand, contexts)

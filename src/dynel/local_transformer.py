@@ -26,7 +26,7 @@ et al. 2019).  ``local_scores_transformer`` is that pass over one mention.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -40,20 +40,13 @@ __all__ = [
     "TransformerConfig",
     "TransformerLocalParams",
     "InputLayout",
-    "ABLATION_FLAGS",
     "build_input",
     "check_input_caps",
     "document_scores",
     "local_scores_transformer",
-    "transformer_ablation",
 ]
 
 log = logging.getLogger(__name__)
-
-ABLATION_FLAGS = frozenset(
-    {"drop_position", "drop_type", "drop_segment", "drop_n1", "drop_n2"}
-)
-
 
 # the sizes of a TransformerConfig; each is at least 1
 _SIZES = ("layers", "heads", "head_dim", "model_dim", "ff_dim", "hidden", "max_seq_len",
@@ -95,7 +88,6 @@ class TransformerLocalParams:
     summary_b: Tensor
     match: Tensor                   # model_dim x hidden candidate-match map
     pair_head: FeedForward          # fuses (context, similarity) per candidate
-    ablations: frozenset[str] = frozenset()
 
     @classmethod
     def build(
@@ -256,12 +248,9 @@ def build_input(
     seg_ids[seps] = np.minimum(1 + np.arange(n + 1), n)
     pos_ids = positions.copy()
     pos_ids[cands] = mention_index  # candidates share the mention head's slot
-    if "drop_type" not in params.ablations:
-        x = ad.add(x, ad.gather_rows(params.type_embed, type_ids))
-    if "drop_segment" not in params.ablations:
-        x = ad.add(x, ad.gather_rows(params.segment_embed, seg_ids))
-    if "drop_position" not in params.ablations:
-        x = ad.add(x, ad.gather_rows(params.position_embed, pos_ids))
+    x = ad.add(x, ad.gather_rows(params.type_embed, type_ids))
+    x = ad.add(x, ad.gather_rows(params.segment_embed, seg_ids))
+    x = ad.add(x, ad.gather_rows(params.position_embed, pos_ids))
 
     rows = range(seq_len)
     return x, InputLayout(seq_len, 0, tuple(rows[seps]), mention_index, tuple(rows[cands]))
@@ -314,20 +303,13 @@ def document_scores(
                                  for (_, layout), line in zip(built, columns)]
     o_cands = ad.reshape(ad.gather_rows(x, cand_rows.ravel()), valid.shape + (cfg.model_dim,))
 
-    if "drop_n1" in params.ablations:
-        context_head = Tensor(np.zeros(valid.shape))
-    else:
-        summary = dropout(
-            ad.relu(linear(o_cls, params.summary_w, params.summary_b)),
-            cfg.drop_rate, rng, training,
-        )
-        query = ad.matmul(summary, ad.transpose(params.match))
-        context_head = ad.row_softmax(_per_line(o_cands, query), valid)
-
-    if "drop_n2" in params.ablations:
-        similarity = Tensor(np.zeros(valid.shape))
-    else:
-        similarity = _per_line(Tensor(candidates[slots]), o_mention)
+    summary = dropout(
+        ad.relu(linear(o_cls, params.summary_w, params.summary_b)),
+        cfg.drop_rate, rng, training,
+    )
+    query = ad.matmul(summary, ad.transpose(params.match))
+    context_head = ad.row_softmax(_per_line(o_cands, query), valid)
+    similarity = _per_line(Tensor(candidates[slots]), o_mention)
 
     pair = ad.reshape(ad.transpose(ad.stack([context_head, similarity]), (1, 2, 0)), (-1, 2))
     logits = ad.reshape(params.pair_head.apply(pair, training=training, rng=rng), valid.shape)
@@ -355,13 +337,3 @@ def local_scores_transformer(
                             mode, rng)
     return ad.reshape(probs, (n,))
 
-
-def transformer_ablation(
-    params: TransformerLocalParams, flags: set[str] | frozenset[str]
-) -> TransformerLocalParams:
-    """A parameter-sharing variant with the given components disabled."""
-    flags = frozenset(flags)
-    unknown = flags - ABLATION_FLAGS
-    if unknown:
-        raise ValueError(f"unknown ablation flags: {sorted(unknown)}")
-    return replace(params, ablations=params.ablations | flags)

@@ -1,9 +1,12 @@
 """Bundle of all trainable parameters and the per-document encoding.
 
 ``encode_document`` is the one forward pass over a document's mentions
-that every episode over the document shares: one record per document.  The
-policy's mention half is always the hard-attention context feature (dimension
-d), whichever local scorer weights the candidates.
+that every episode over the document shares: one record per document.  It
+runs once per document on both local scorers, each stage over the padded
+``(mentions, widest, d)`` candidate stack at once: the context features,
+the local scores and the action summaries.  The policy's mention half is
+always the hard-attention context feature (dimension d), whichever local
+scorer weights the candidates.
 """
 
 from __future__ import annotations
@@ -166,14 +169,17 @@ def encode_document(
     mode: str = "eval",
     rng: np.random.Generator | None = None,
 ) -> EncodedDocument:
-    """Encode every mention once, in position order.
+    """Encode every mention of ``doc`` in one pass, in position order.
 
     The one place that reads a mention's candidate vectors, priors, type
-    scores and gold.  Attention scores are softmax-normalised into action
-    weights; the transformer scores the whole document in one pass, already
-    as distributions (``mode`` and ``rng`` drive its dropout).  Train mode
-    also builds the teacher-forced pairs: they do not depend on an order,
-    so every training episode over the document shares them.
+    scores and gold; the candidates are looked up in one call.  Both local
+    scorers score the padded candidate stack at once, and the fork between
+    them is where the ``(mentions, widest)`` scores come from: attention
+    scores are softmax-normalised over the real slots into action weights,
+    while the transformer's document pass returns distributions that are
+    both (``mode`` and ``rng`` drive its dropout).  Train mode also builds
+    the teacher-forced pairs: they do not depend on an order, so every
+    training episode over the document shares them.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -182,28 +188,19 @@ def encode_document(
     widths = np.array([len(c) for c in ids])
     columns = np.arange(widths.max())
     valid = columns < widths[:, None]
-    starts = np.cumsum(widths) - widths
-    slots = starts[:, None] + np.where(valid, columns, 0)
-    cands = [Tensor(store.entities(c)) for c in ids]
-    candidates = np.concatenate([cand.data for cand in cands])
-    feats = [context_feature(m, cand, store, params.local_attn)
-             for m, cand in zip(mentions, cands)]
+    slots = (np.cumsum(widths) - widths)[:, None] + np.where(valid, columns, 0)
+    candidates = store.entities([e for c in ids for e in c])
+    cand = Tensor(candidates[slots])
+    contexts = context_feature(mentions, cand, store, params.local_attn)
     if params.transformer is None:
-        scores = [local_scores_attn(cand, feat, params.local_attn)
-                  for cand, feat in zip(cands, feats)]
-        local = ad.concat(scores)
-        weights = [ad.softmax(s) for s in scores]
+        scores = local_scores_attn(cand, contexts, params.local_attn)
+        weights = ad.row_softmax(scores, valid)
     else:
-        probs = document_scores(mentions, candidates, slots, valid, store,
-                                params.transformer, mode, rng)
-        local = ad.gather(ad.reshape(probs, (-1,)), np.flatnonzero(valid))
-        weights = [ad.gather(local, np.arange(start, start + width))
-                   for start, width in zip(starts, widths)]
-    actions = [action_representation(feat, cand, w)
-               for feat, cand, w in zip(feats, cands, weights)]
+        scores = weights = document_scores(mentions, candidates, slots, valid, store,
+                                           params.transformer, mode, rng)
+    local = ad.gather(ad.reshape(scores, (-1,)), np.flatnonzero(valid))
 
     gold = np.array([c.index(m.gold) if m.gold in c else -1 for m, c in zip(mentions, ids)])
-    contexts = ad.stack(feats)
     pairs = None
     if mode == "train":
         golds = store.entities([m.gold for m in mentions])
@@ -219,7 +216,7 @@ def encode_document(
         valid=valid,
         gold=gold,
         contexts=contexts,
-        actions=ad.stack(actions),
+        actions=action_representation(contexts, cand, weights),
         pairs=pairs,
     )
 

@@ -4,7 +4,8 @@ The state is the history of (mention representation; linked entity) pairs,
 one row each, seeded with a learned initial pair.  At every step the
 candidate actions are the ``window_size`` earliest unresolved mentions in
 document order.  Each action is summarised by its local-score-weighted
-mention/entity vector; history elements are scored by their best-matching
+mention/entity vector, built for every mention of a document at once by
+``action_representation``; history elements are scored by their best-matching
 action, the top ``top_k`` serve as attention evidence, and a second
 diagonal form turns evidence-weighted matches into action logits.
 
@@ -77,17 +78,25 @@ class ActionWindow:
         return self.unresolved[: min(self.window_size, len(self.unresolved))]
 
 
-def action_representation(mention_repr: Tensor, cand_vecs: Tensor, psi: Tensor) -> Tensor:
-    """Local-score-weighted (mention; entity) summary of one action.
+def action_representation(contexts: Tensor, cand: Tensor, weights: Tensor) -> Tensor:
+    """Each action's local-score-weighted (mention; entity) summary, one row
+    per mention.
 
-    ``psi`` holds one weight per candidate; the mention half is scaled by
-    their sum so normalised weights leave the mention vector untouched.
+    Line i of ``weights`` weighs the slots of line i of the candidate stack
+    ``cand``, and is 0 on padded slots.  The mention half, line i of
+    ``contexts``, is scaled by the line's sum, so normalised weights leave
+    it untouched.  The halves are joined by constant ``eye(d, 2d)``
+    products, which copy their rows exactly.
     """
-    if psi.data.ndim != 1 or cand_vecs.data.shape[0] != psi.data.size:
-        raise ad.ShapeError("psi must hold one weight per candidate row")
-    mention_half = ad.mul(mention_repr, ad.tsum(psi))
-    entity_half = ad.matmul(psi, cand_vecs)
-    return ad.concat([mention_half, entity_half])
+    lines, width, dim = cand.shape
+    if weights.shape != (lines, width) or contexts.shape != (lines, dim):
+        raise ad.ShapeError(f"{weights.shape} weights and {contexts.shape} contexts "
+                            f"for a candidate stack of shape {cand.shape}")
+    mention_half = ad.mul(contexts, ad.tsum(weights, axis=-1, keepdims=True))
+    entity_half = ad.reshape(ad.matmul(ad.reshape(weights, (lines, 1, width)), cand),
+                             (lines, dim))
+    return ad.add(ad.matmul(mention_half, Tensor(np.eye(dim, 2 * dim))),
+                  ad.matmul(entity_half, Tensor(np.eye(dim, 2 * dim, dim))))
 
 
 def select_action(

@@ -112,17 +112,15 @@ def linked_context_feature(
     linked_ids: tuple[str, ...],
     store: EmbeddingStore,
     params: SelectorParams,
-    seen: np.ndarray | None = None,
+    seen: np.ndarray,
 ) -> Tensor:
-    """Pooled vector of previously linked entities; zeros when none exist.
-
-    ``seen`` goes with a stack of candidate matrices: matrix i pools only
-    the first ``seen[i]`` linked entities, into line i of the result.
-    """
+    """Pooled vector of previously linked entities, one line per matrix of
+    the candidate stack ``cand_mat``: matrix i pools only the first
+    ``seen[i]`` linked entities.  Zeros where it sees none."""
     if not linked_ids:
         return Tensor(np.zeros(cand_mat.shape[:-2] + (store.dim,)))
     linked = Tensor(store.entities(linked_ids))
-    visible = None if seen is None else np.arange(len(linked_ids)) < seen[:, None]
+    visible = np.arange(len(linked_ids)) < seen[:, None]
     return params.linked_coherence.pool(cand_mat, linked, params.top_entities, visible)
 
 
@@ -131,12 +129,11 @@ def neighborhood_scores(
     linked_ids: tuple[str, ...],
     store: EmbeddingStore,
     params: SelectorParams,
-    seen: np.ndarray | None = None,
+    seen: np.ndarray,
 ) -> Tensor:
-    """Coherence with the union of KG neighbors of the linked entities.
-
-    ``seen`` goes with a stack of candidate matrices: matrix i pools only
-    the neighbours that the first ``seen[i]`` linked entities bring in.
+    """Coherence with the union of KG neighbors of the linked entities, one
+    line per matrix of the candidate stack ``cand_mat``: matrix i pools
+    only the neighbours that the first ``seen[i]`` linked entities bring in.
     """
     first: dict[str, int] = {}   # each neighbour's first linked entity
     for i, entity in enumerate(linked_ids):
@@ -145,8 +142,7 @@ def neighborhood_scores(
     if not first:
         return Tensor(np.zeros(cand_mat.shape[:-1]))
     neighbor_ids = sorted(first)
-    visible = None if seen is None else (
-        np.array([first[e] for e in neighbor_ids]) < seen[:, None])
+    visible = np.array([first[e] for e in neighbor_ids]) < seen[:, None]
     bilinear = params.neighborhood_coherence
     pooled = bilinear.pool(cand_mat, Tensor(store.entities(neighbor_ids)),
                            params.top_entities, visible)

@@ -3,6 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from dynel.autodiff import Tensor
 from dynel.corpus import CandidateEntity, EmbeddingStore, Mention
 from dynel.selector import Linked
 
@@ -45,6 +46,27 @@ def make_mention(
     )
 
 
+def transformer_oracle(m: Mention, store: EmbeddingStore, params) -> np.ndarray:
+    """``m``'s transformer distribution from the straight-line numpy oracles,
+    encoded alone; ``params`` is the model's ``TransformerLocalParams``."""
+    tables = {name.split(".", 1)[1]: t.data for name, t in params.parameters().items()}
+    word = lambda w: tables["word_embed"][params.vocab[w]]
+    cand = store.entities(m.candidate_ids)
+    x, layout = oracles.transformer_input(
+        [word(w) for w in m.context_before + m.surface + m.context_after],
+        1 + len(m.context_before), cand,
+        [[word(w) for w in store.entity_surface.get(e, ())] for e in m.candidate_ids],
+        tables,
+    )
+    layers = [[p.data for p in layer.parameters()] for layer in params.encoder]
+    head = params.pair_head.parameters()
+    tables.update(pair_w1=head[0].data, pair_w2=head[1].data, pair_b1=head[2].data,
+                  pair_b2=head[3].data)
+    cfg = params.config
+    return oracles.transformer_scores(x, layout, cand, layers, cfg.heads, cfg.head_dim,
+                                      tables)
+
+
 def linked_lines(histories, store: EmbeddingStore) -> Linked:
     """The ``Linked`` of lockstep lines that linked the entity ids of each
     of ``histories`` (all equally long): their rows in link order, and the
@@ -77,10 +99,18 @@ def selector_oracle(encoded, pos: int, linked_ids, store: EmbeddingStore, params
         params.top_entities, params.features, params.feature_norm, layers)
 
 
+def document_candidates(doc) -> tuple[str, ...]:
+    """The candidate ids of every mention of ``doc``, in position order: the
+    one ``EmbeddingStore.entities`` call that encodes it."""
+    return tuple(e for m in doc.mentions for e in m.candidate_ids)
+
+
 def candidate_lookups(monkeypatch, docs) -> Counter:
-    """Per candidate-id tuple of a mention in ``docs``, how often
-    ``EmbeddingStore.entities`` is asked for it while the test runs."""
-    known = {m.candidate_ids for doc in docs for m in doc.mentions}
+    """How often ``EmbeddingStore.entities`` is asked, while the test runs,
+    for the candidate ids of a document of ``docs`` (``document_candidates``)
+    or of one of its mentions."""
+    known = {document_candidates(doc) for doc in docs}
+    known |= {m.candidate_ids for doc in docs for m in doc.mentions}
     counts = Counter()
     real = EmbeddingStore.entities
 
@@ -92,6 +122,17 @@ def candidate_lookups(monkeypatch, docs) -> Counter:
 
     monkeypatch.setattr(EmbeddingStore, "entities", counted)
     return counts
+
+
+def candidate_stack(mentions, store: EmbeddingStore) -> tuple[Tensor, np.ndarray]:
+    """The padded ``(mentions, widest, d)`` candidate stack of ``mentions``
+    and its real slots, padded as ``encode_document`` pads: a padded slot
+    repeats its mention's first candidate."""
+    widths = np.array([len(m.candidates) for m in mentions])
+    valid = np.arange(widths.max()) < widths[:, None]
+    columns = np.where(valid, np.arange(widths.max()), 0)
+    return Tensor(np.stack([store.entities(m.candidate_ids)[line]
+                            for m, line in zip(mentions, columns)])), valid
 
 
 @pytest.fixture

@@ -16,6 +16,7 @@ DOCUMENT_PASS = "tests/test_local_transformer.py::TestDocumentPass"
 EPISODE = f"{TRAINER}::TestEpisodeGraph"
 CLI = "tests/test_cli.py"
 SELECTOR = "tests/test_selector.py::TestCandidateDistribution"
+RECORD = "tests/test_model.py::test_the_record_equals_the_per_mention_oracle"
 LOCKSTEP = "tests/test_harness.py::test_lockstep_links_each_document_as_it_links_alone"
 
 
@@ -50,14 +51,23 @@ MUTANTS = (
     Mutant("attention reads padded keys", "nn.py",
            "mask = None if keys is None else np.broadcast_to(keys[:, None, None, :], scores.shape)",
            "mask = None",
-           (f"{DOCUMENT_PASS}::test_equals_the_per_mention_oracle[full]",)),
+           (f"{DOCUMENT_PASS}::test_equals_the_per_mention_oracle",)),
     Mutant("padding in the context head's softmax", "local_transformer.py",
            "ad.row_softmax(_per_line(o_cands, query), valid)",
            "ad.row_softmax(_per_line(o_cands, query))",
-           (f"{DOCUMENT_PASS}::test_equals_the_per_mention_oracle[full]",)),
+           (f"{DOCUMENT_PASS}::test_equals_the_per_mention_oracle",)),
     Mutant("padding in the transformer's final softmax", "local_transformer.py",
            "return ad.row_softmax(logits, valid)", "return ad.row_softmax(logits)",
-           (f"{DOCUMENT_PASS}::test_equals_the_per_mention_oracle[drop_n1]",)),
+           (f"{DOCUMENT_PASS}::test_equals_the_per_mention_oracle",)),
+    # the attn path's document pass
+    Mutant("a context pool sees its neighbour's first word", "local_attn.py",
+           "(column < ends)", "(column <= ends)", (f"{RECORD}[attn]",)),
+    Mutant("action weights summarise padded slots", "model.py",
+           "weights = ad.row_softmax(scores, valid)", "weights = ad.row_softmax(scores)",
+           (f"{RECORD}[attn]",)),
+    Mutant("local gathered from padded slots", "model.py",
+           "np.flatnonzero(valid)", "np.arange(valid.sum())",
+           (f"{RECORD}[attn]", f"{RECORD}[transformer]")),
     # the selector's episode graph
     Mutant("selector history prefix off by one", "selector.py",
            "(len(linked) - len(steps) + 1)", "(len(linked) - len(steps) + 2)",

@@ -246,6 +246,12 @@ def hard_attention_context(
     return weights @ words[keep]
 
 
+def action_summary(context: np.ndarray, cand: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """One action's (mention; entity) summary: the context feature scaled by
+    the weights' sum, then the weighted sum of the candidate rows."""
+    return np.concatenate([context * weights.sum(), weights @ cand])
+
+
 # ---------------------------------------------------------------------------
 # transformer input sequence
 # ---------------------------------------------------------------------------
@@ -256,7 +262,6 @@ def transformer_input(
     cand: np.ndarray,                   # (n, d) candidate entity vectors
     surfaces: list[list[np.ndarray]],   # each candidate's surface word vectors
     tables: dict[str, np.ndarray],      # cls_tok, sep_tok, entity_proj, *_embed
-    ablations: frozenset[str] = frozenset(),
 ) -> tuple[np.ndarray, dict]:
     """``[CLS] ctx... [SEP] (cand [SEP])*`` assembled one row at a time.
 
@@ -294,11 +299,9 @@ def transformer_input(
         type_ids.append(1)
         seg_ids.append(2 + j if j + 1 < n else 1 + j)
     x = np.stack(rows)
-    for flag, table, ids in (("drop_type", "type_embed", type_ids),
-                             ("drop_segment", "segment_embed", seg_ids),
-                             ("drop_position", "position_embed", pos_ids)):
-        if flag not in ablations:
-            x = x + tables[table][ids]
+    for table, ids in (("type_embed", type_ids), ("segment_embed", seg_ids),
+                       ("position_embed", pos_ids)):
+        x = x + tables[table][ids]
     layout = {"seq_len": len(rows), "cls_index": 0, "sep_indices": tuple(sep_indices),
               "mention_index": mention_index, "candidate_indices": tuple(cand_indices)}
     return x, layout
@@ -322,7 +325,6 @@ def transformer_scores(
     head_dim: int,
     tables: dict[str, np.ndarray],      # summary_w, summary_b, match, pair_w1, pair_w2,
                                         # pair_b1, pair_b2
-    ablations: frozenset[str] = frozenset(),
 ) -> np.ndarray:
     """One mention's candidate distribution, encoded alone: post-norm
     encoder layers (attention one head at a time), then the context and
@@ -334,14 +336,9 @@ def transformer_scores(
     o_cls = x[layout["cls_index"]]
     o_mention = x[layout["mention_index"]]
     o_cands = x[list(layout["candidate_indices"])]
-    n = len(cand)
-    context = np.zeros(n)
-    if "drop_n1" not in ablations:
-        summary = np.maximum(o_cls @ tables["summary_w"] + tables["summary_b"], 0.0)
-        context = _softmax(np.array([row @ (tables["match"] @ summary) for row in o_cands]))
-    similarity = np.zeros(n)
-    if "drop_n2" not in ablations:
-        similarity = np.array([c @ o_mention for c in cand])
+    summary = np.maximum(o_cls @ tables["summary_w"] + tables["summary_b"], 0.0)
+    context = _softmax(np.array([row @ (tables["match"] @ summary) for row in o_cands]))
+    similarity = np.array([c @ o_mention for c in cand])
     logits = [float(np.maximum(np.array([c, s]) @ tables["pair_w1"] + tables["pair_b1"], 0.0)
                     @ tables["pair_w2"][:, 0] + tables["pair_b2"][0])
               for c, s in zip(context, similarity)]

@@ -26,7 +26,6 @@ from dynel.local_transformer import (
     TransformerLocalParams,
     build_input,
     local_scores_transformer,
-    transformer_ablation,
 )
 from dynel.model import build_model
 from dynel.policy import ActionWindow
@@ -251,20 +250,22 @@ def test_criterion_07_dual_implementation_agreement():
         sel.linked_coherence.diag.data[...] = rng.normal(size=dim)
         sel.neighborhood_coherence.diag.data[...] = rng.normal(size=dim)
         cands = [f"e{i}" for i in range(3)]
-        cand_mat = Tensor(np.stack([store.entity_vecs[c] for c in cands]))
+        # a one-line stack of the mention's candidates, seeing every linked entity
+        cand_mat = Tensor(np.stack([store.entity_vecs[c] for c in cands])[None])
         linked = tuple(f"e{i}" for i in range(3, 3 + int(rng.integers(1, 4))))
-        pooled = linked_context_feature(cand_mat, linked, store, sel)
+        seen = np.array([len(linked)])
+        pooled = linked_context_feature(cand_mat, linked, store, sel, seen).data[0]
         expected_pool = oracles.pooled_feature(
-            cand_mat.data, np.stack([store.entity_vecs[e] for e in linked]),
+            cand_mat.data[0], np.stack([store.entity_vecs[e] for e in linked]),
             sel.linked_coherence.diag.data, sel.top_entities,
         )
-        worst_pool = max(worst_pool, float(np.abs(pooled.data - expected_pool).max()))
+        worst_pool = max(worst_pool, float(np.abs(pooled - expected_pool).max()))
 
-        got_n = neighborhood_scores(cand_mat, linked, store, sel).data
+        got_n = neighborhood_scores(cand_mat, linked, store, sel, seen).data[0]
         neighbor_ids = sorted(set().union(*[store.neighbors(e) for e in linked], set()))
         if neighbor_ids:
             expected_n = oracles.pooled_scores(
-                cand_mat.data, np.stack([store.entity_vecs[e] for e in neighbor_ids]),
+                cand_mat.data[0], np.stack([store.entity_vecs[e] for e in neighbor_ids]),
                 sel.neighborhood_coherence.diag.data, sel.top_entities,
             )
         else:
@@ -416,16 +417,21 @@ def test_criterion_10_transformer_head_contracts():
 
     def train_arm(seed, drop_n1):
         p = TransformerLocalParams.build(bstore, bcfg, np.random.default_rng(seed))
+        # drop-N1 cuts the context head out of the pair net: the pair net's
+        # input weights on it held at zero, so nothing reads or trains it
+        cut = p.pair_head.weights[0]
         if drop_n1:
-            p = transformer_ablation(p, {"drop_n1"})
+            cut.data[0] = 0.0
         opt = Adam(p.parameters().values())
         pairs = [(m, [c.entity_id for c in m.candidates].index(m.gold))
                  for d in tr for m in d.mentions]
         for _ in range(12):
             for m, gi in pairs:
                 out = local_scores_transformer(m, bstore, p, mode="eval")
-                loss = -ad.log(ad.gather(out, gi))
-                opt.step(ad.backward(loss), 0.02)
+                grads = ad.backward(-ad.log(ad.gather(out, gi)))
+                if drop_n1:
+                    grads[cut][0] = 0.0
+                opt.step(grads, 0.02)
         correct = total = 0
         with ad.no_grad():
             for d in te:

@@ -10,8 +10,15 @@ import oracles
 
 
 def coherence(x, b: DiagonalBilinear, y) -> Tensor:
-    """x . diag(b) . y for one row, through ``DiagonalBilinear.scores``."""
-    return ad.gather(b.scores(Tensor([x]), Tensor(y)), 0)
+    """x . diag(b) . y for one row, through ``DiagonalBilinear.scores`` on a
+    one-line stack."""
+    return ad.reshape(b.scores(Tensor([[x]]), Tensor([y])), ())
+
+
+def softmax(v) -> Tensor:
+    """``row_softmax`` of the one-line matrix ``v``, as a vector."""
+    v = ad.as_tensor(v)
+    return ad.reshape(ad.row_softmax(ad.reshape(v, (1, -1))), v.shape)
 
 
 def test_bilinear_identity_reduces_to_dot():
@@ -45,32 +52,32 @@ def test_bilinear_gradient_is_outer_product():
 
 
 def test_softmax_symmetry():
-    assert np.allclose(ad.softmax(Tensor([0.0, 0.0])).data, [0.5, 0.5])
+    assert np.allclose(softmax(Tensor([0.0, 0.0])).data, [0.5, 0.5])
 
 
 def test_softmax_overflow_guard():
-    out = ad.softmax(Tensor([1000.0, 0.0])).data
+    out = softmax(Tensor([1000.0, 0.0])).data
     assert np.all(np.isfinite(out))
     assert out[0] == pytest.approx(1.0)
 
 
 def test_softmax_closed_form():
-    out = ad.softmax(Tensor(np.log([1.0, 2.0, 3.0]))).data
+    out = softmax(Tensor(np.log([1.0, 2.0, 3.0]))).data
     assert np.allclose(out, [1 / 6, 2 / 6, 3 / 6], atol=1e-12)
 
 
 def test_softmax_empty_rejected():
     with pytest.raises(ShapeError):
-        ad.softmax(Tensor(np.zeros(0)))
+        ad.row_softmax(Tensor(np.zeros((1, 0))))
 
 
 @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8), st.floats(-100, 100))
 @settings(max_examples=100, deadline=None)
 def test_softmax_sums_to_one_and_shift_invariant(vals, shift):
     inputs = np.array(vals)
-    base = ad.softmax(Tensor(inputs)).data
+    base = softmax(Tensor(inputs)).data
     assert abs(base.sum() - 1.0) <= 1e-12
-    shifted = ad.softmax(Tensor(inputs + shift)).data
+    shifted = softmax(Tensor(inputs + shift)).data
     assert np.allclose(base, shifted, atol=1e-9)
 
     def top_gap(x):
@@ -86,8 +93,8 @@ def test_softmax_shift_can_round_inputs_to_a_tie():
     # argmax moves from the larger entry to the first of the tied ones
     inputs = np.array([-8.65e-16, 0.0])
     assert inputs[0] + 9.0 == inputs[1] + 9.0
-    base = ad.softmax(Tensor(inputs)).data
-    shifted = ad.softmax(Tensor(inputs + 9.0)).data
+    base = softmax(Tensor(inputs)).data
+    shifted = softmax(Tensor(inputs + 9.0)).data
     assert np.argmax(base) == 1 and np.argmax(shifted) == 0
     assert shifted[0] == shifted[1]
     assert np.allclose(base, shifted, atol=1e-9)
@@ -95,7 +102,7 @@ def test_softmax_shift_can_round_inputs_to_a_tie():
 
 def test_softmax_gradient_translation_invariance():
     v = ad.parameter(np.array([0.3, -1.2, 0.7]))
-    assert abs(ad.backward(ad.gather(ad.softmax(v), 0))[v].sum()) <= 1e-12
+    assert abs(ad.backward(ad.gather(softmax(v), 0))[v].sum()) <= 1e-12
 
 
 def test_backward_returns_fresh_equal_gradients_on_every_call():
@@ -153,7 +160,7 @@ def _random_graph_loss(arrs):
     m = ad.stack([a, ad.mul(a, vb)])            # 2x4
     h = ad.matmul(m, w)                         # 2x3
     v = ad.matmul(Tensor(np.ones(2)), ad.row_softmax(h))
-    s = ad.softmax(v)
+    s = softmax(v)
     ls = ad.log_softmax(v * 0.5)
     mx = ad.tmax(ad.mul(m, m), axis=1)
     return (
@@ -285,9 +292,9 @@ def test_pool_matches_the_straightline_oracle(data):
 
     queries, rows = matrix(n_queries), matrix(n_rows)
     diag = matrix(1)[0]
-    got = DiagonalBilinear(ad.parameter(diag)).pool(Tensor(queries), Tensor(rows), top_k)
+    got = DiagonalBilinear(ad.parameter(diag)).pool(Tensor(queries[None]), Tensor(rows), top_k)
     expected = oracles.pooled_feature(queries, rows, diag, top_k)
-    assert np.abs(got.data - expected).max() <= 1e-12
+    assert np.abs(got.data[0] - expected).max() <= 1e-12
 
 
 @settings(max_examples=300, deadline=None)
@@ -342,10 +349,12 @@ def test_per_line_pool_is_bytewise_the_pool_of_each_line_alone(data):
         got = b.pool(Tensor(queries), Tensor(rows), top_k, mask).data
         assert got.shape == (lines, dim)
         for line in range(lines):
+            # a one-line stack of the visible rows: what a document linked alone runs
             kept = rows[line] if mask is None else rows[line][mask[line]]
-            want = (b.pool(Tensor(queries[line]), Tensor(kept), top_k).data if len(kept)
-                    else np.zeros(dim))
+            want = b.pool(Tensor(queries[line:line + 1]), Tensor(kept[None]), top_k).data[0]
             assert got[line].tobytes() == want.tobytes()
+            if not len(kept):
+                assert not want.any()
 
 
 def test_masked_pool_gradients_match_finite_differences(rng):
@@ -373,7 +382,7 @@ def test_masked_row_softmax_leaves_masked_entries_at_zero(rng):
     assert np.array_equal(out.data[0], ad.row_softmax(Tensor(x.data[:1])).data[0])
     assert np.array_equal(out.data[1, [1, 3]], [0.0, 0.0])
     assert out.data[1].sum() == pytest.approx(1.0, abs=1e-15)
-    assert np.array_equal(out.data[1, [0, 2]], ad.softmax(Tensor(x.data[1, [0, 2]])).data)
+    assert np.array_equal(out.data[1, [0, 2]], softmax(Tensor(x.data[1, [0, 2]])).data)
     assert not out.data[2].any()
     grad = ad.backward(ad.tsum(out * Tensor(rng.normal(size=(3, 4)))))[x]
     assert not grad[1, [1, 3]].any() and not grad[2].any()
@@ -407,7 +416,7 @@ def test_pool_keeps_the_earlier_of_tied_rows():
     # rows 0 and 2 tie for the last kept place; the earlier one stays
     rows = np.array([[1.0, 5.0], [2.0, 0.0], [1.0, -5.0]])
     b = DiagonalBilinear(ad.parameter(np.array([1.0, 0.0])))
-    got = b.pool(Tensor([[1.0, 1.0]]), Tensor(rows), top_k=2).data
+    got = b.pool(Tensor([[[1.0, 1.0]]]), Tensor(rows), top_k=2).data[0]
     weights = np.exp([1.0, 2.0]) / np.exp([1.0, 2.0]).sum()
     assert np.allclose(got, weights @ rows[[0, 1]], atol=1e-12)
 
@@ -415,9 +424,9 @@ def test_pool_keeps_the_earlier_of_tied_rows():
 def test_pool_gradients_match_finite_differences(rng):
     # differentiable rows are the policy's case: its history holds learned pairs
     b = DiagonalBilinear(ad.parameter(rng.normal(size=3)))
-    queries = ad.parameter(rng.normal(size=(2, 3)))
+    queries = ad.parameter(rng.normal(size=(2, 2, 3)))
     rows = ad.parameter(rng.normal(size=(5, 3)))
-    mix = rng.normal(size=3)
+    mix = rng.normal(size=(2, 3))
 
     def loss():
         return ad.tsum(b.pool(queries, rows, top_k=3) * Tensor(mix))

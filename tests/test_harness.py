@@ -23,7 +23,7 @@ from dynel.rewards import REWARD_KINDS
 from dynel.synthetic import SyntheticSpec, generate_synthetic
 from dynel.trainer import LOCKSTEP_BATCH, Episode, TrainConfig, micro_f1, rollout, train
 
-from conftest import candidate_lookups, make_mention
+from conftest import candidate_lookups, document_candidates, make_mention
 from dynel.corpus import Document
 
 
@@ -122,21 +122,22 @@ class TestStrategies:
                 assert b >= o - 1e-12
 
     def test_similarity_baseline_encodes_each_mention_once(self, monkeypatch):
+        # once each, in one call per document
         calls = []
         real = model.context_feature
 
-        def counted(mention, *args, **kwargs):
-            calls.append(mention.id)
-            return real(mention, *args, **kwargs)
+        def counted(mentions, *args, **kwargs):
+            calls.append(tuple(m.id for m in mentions))
+            return real(mentions, *args, **kwargs)
 
         monkeypatch.setattr(model, "context_feature", counted)
         run_baseline(self.docs, self.store, self.params, self.cfg, "similarity")
-        assert sorted(calls) == sorted(m.id for doc in self.docs for m in doc.mentions)
+        assert sorted(calls) == sorted(tuple(m.id for m in doc.mentions) for doc in self.docs)
 
     def test_dynamic_baseline_looks_up_each_candidate_matrix_once(self, monkeypatch):
         counts = candidate_lookups(monkeypatch, self.docs)
         run_baseline(self.docs, self.store, self.params, self.cfg, "dynamic")
-        assert counts == Counter(m.candidate_ids for doc in self.docs for m in doc.mentions)
+        assert counts == Counter(document_candidates(doc) for doc in self.docs)
 
     def test_exhaustive_best_rejects_long_documents(self):
         mentions = tuple(make_mention(f"m{i}", position=i) for i in range(10))

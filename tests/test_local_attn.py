@@ -8,19 +8,21 @@ from dynel.local_attn import LocalAttnParams, context_feature, local_scores_attn
 from dynel.model import build_model, encode_document
 
 import oracles
-from conftest import make_mention
+from conftest import candidate_stack, make_mention
 
 
 def feature(m, store, params):
-    """The mention's context feature, pooled against its candidate matrix."""
-    return context_feature(m, Tensor(store.entities(m.candidate_ids)), store, params)
+    """The mention's context feature: the document pass over ``m`` alone."""
+    cand, _ = candidate_stack([m], store)
+    return ad.reshape(context_feature([m], cand, store, params), (store.dim,))
 
 
 def attn_scores(m, store, params):
     """Local scores against the mention's own context feature, as
-    ``encode_document`` computes them."""
-    cand = Tensor(store.entities(m.candidate_ids))
-    return local_scores_attn(cand, context_feature(m, cand, store, params), params)
+    ``encode_document`` computes them for a document of ``m`` alone."""
+    cand, _ = candidate_stack([m], store)
+    scores = local_scores_attn(cand, context_feature([m], cand, store, params), params)
+    return ad.reshape(scores, (len(m.candidates),))
 
 
 def store_with(words: dict, entities: dict) -> EmbeddingStore:

@@ -9,17 +9,16 @@ from dynel import autodiff as ad
 from dynel.autodiff import Tensor
 from dynel.corpus import CandidateEntity, Document, EmbeddingStore, Mention
 from dynel.local_transformer import (
-    ABLATION_FLAGS,
     TransformerConfig,
     TransformerLocalParams,
     build_input,
     document_scores,
     local_scores_transformer,
-    transformer_ablation,
 )
 from dynel.model import build_model, encode_document
 
 import oracles
+from conftest import transformer_oracle
 
 DIM = 8
 CFG = TransformerConfig(layers=2, heads=2, head_dim=3, model_dim=DIM, ff_dim=10,
@@ -69,12 +68,11 @@ def test_build_input_matches_the_row_by_row_oracle(data):
                                      min_size=1, max_size=4, unique=True)))
     surfaces = {e: draw_words(0, 3) for e in cands}
     before, surface, after = draw_words(0, 3), draw_words(1, 2), draw_words(0, 3)
-    flags = data.draw(st.sets(st.sampled_from(sorted(ABLATION_FLAGS))))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     store = EmbeddingStore(word_vecs={w: rng.normal(size=DIM) for w in words},
                            entity_vecs={e: rng.normal(size=DIM) for e in cands},
                            entity_surface={e: s for e, s in surfaces.items() if s})
-    params = transformer_ablation(TransformerLocalParams.build(store, CFG, rng), flags)
+    params = TransformerLocalParams.build(store, CFG, rng)
     m = mention(cands, before=before, surface=surface, after=after)
 
     x, layout = inputs(m, store, params)
@@ -84,7 +82,7 @@ def test_build_input_matches_the_row_by_row_oracle(data):
     expected, expected_layout = oracles.transformer_input(
         [word(w) for w in before + surface + after], 1 + len(before),
         store.entities(cands), [[word(w) for w in surfaces[e]] for e in cands],
-        tables, frozenset(flags),
+        tables,
     )
     assert dataclasses.asdict(layout) == expected_layout
     assert np.abs(x.data - expected).max() <= 1e-12
@@ -231,7 +229,7 @@ def test_full_stack_gradients_match_fd(world, rng):
             assert oracles.rel_err(analytic[i], g) <= 1e-4, name
 
 
-def ragged_document(flags=frozenset()):
+def ragged_document():
     """A store, a transformer model and a document whose mentions differ in
     context length (4 to 7 input rows before the candidates) and in
     candidate count (1 to 4), one candidate without a surface form."""
@@ -244,7 +242,6 @@ def ragged_document(flags=frozenset()):
     model = build_model(store, rng, local_model="transformer", transformer_config=CFG)
     for t in model.transformer.parameters().values():   # off the zero biases
         t.data += 0.1 * rng.normal(size=t.data.shape)
-    model.transformer = transformer_ablation(model.transformer, flags)
     shapes = [(("e0", "e1", "e2", "e3"), ("w0", "w1", "w2"), ("w3",)),
               (("e2",), ("w1",), ()),
               (("e3", "e1"), (), ("w0", "w1", "w2", "w3")),
@@ -255,33 +252,12 @@ def ragged_document(flags=frozenset()):
     return store, model, Document("d", ("w0",), mentions)
 
 
-def oracle_scores(m, store, params):
-    """``m``'s distribution from the straight-line numpy oracles, encoded alone."""
-    tables = {name.split(".", 1)[1]: t.data for name, t in params.parameters().items()}
-    word = lambda w: tables["word_embed"][params.vocab[w]]
-    cand = store.entities(m.candidate_ids)
-    x, layout = oracles.transformer_input(
-        [word(w) for w in m.context_before + m.surface + m.context_after],
-        1 + len(m.context_before), cand,
-        [[word(w) for w in store.entity_surface.get(e, ())] for e in m.candidate_ids],
-        tables, params.ablations,
-    )
-    layers = [[p.data for p in layer.parameters()] for layer in params.encoder]
-    head = params.pair_head.parameters()
-    tables.update(pair_w1=head[0].data, pair_w2=head[1].data, pair_b1=head[2].data,
-                  pair_b2=head[3].data)
-    return oracles.transformer_scores(x, layout, cand, layers, CFG.heads, CFG.head_dim,
-                                      tables, params.ablations)
-
-
 class TestDocumentPass:
     """One encoder pass over a whole document, padded and masked, scores
     every mention as if it were encoded alone."""
 
-    @pytest.mark.parametrize("flags", [(), ("drop_n1",), ("drop_n2",)],
-                             ids=["full", "drop_n1", "drop_n2"])
-    def test_equals_the_per_mention_oracle(self, flags):
-        store, model, doc = ragged_document(frozenset(flags))
+    def test_equals_the_per_mention_oracle(self):
+        store, model, doc = ragged_document()
         enc = encode_document(doc, store, model, "eval")
         probs = document_scores(doc.mentions, enc.candidates.data, enc.slots, enc.valid,
                                 store, model.transformer).data
@@ -290,7 +266,7 @@ class TestDocumentPass:
         assert np.all(probs[~enc.valid] == 0.0)
         for i, m in enumerate(doc.mentions):
             width = len(m.candidates)
-            want = oracle_scores(m, store, model.transformer)
+            want = transformer_oracle(m, store, model.transformer)
             assert np.abs(probs[i, :width] - want).max() <= 1e-12
             assert np.abs(enc.local.data[enc.slots[i, :width]] - want).max() <= 1e-12
 
@@ -320,44 +296,6 @@ class TestDocumentPass:
         for name, t in params.parameters().items():
             scale = max(1.0, np.abs(g_total[t]).max())
             assert np.abs(g_one[t] - g_total[t]).max() <= 1e-12 * scale, name
-
-
-class TestAblations:
-    def test_unknown_flag_rejected(self, world):
-        _, params = world
-        with pytest.raises(ValueError, match="unknown ablation"):
-            transformer_ablation(params, {"drop_everything"})
-        assert ABLATION_FLAGS == {
-            "drop_position", "drop_type", "drop_segment", "drop_n1", "drop_n2"
-        }
-
-    def test_drop_both_heads_gives_uniform(self, world):
-        store, params = world
-        ablated = transformer_ablation(params, {"drop_n1", "drop_n2"})
-        n3 = local_scores_transformer(mention(("e0", "e1", "e2")), store, ablated).data
-        assert np.allclose(n3, 1 / 3, atol=1e-12)
-
-    def test_drop_position_makes_context_order_irrelevant(self, world):
-        store, params = world
-        ablated = transformer_ablation(params, {"drop_position"})
-        m1 = mention(before=("w0", "w2"), surface=("w1",), after=())
-        m2 = mention(before=("w2", "w0"), surface=("w1",), after=())
-        p1 = local_scores_transformer(m1, store, ablated).data
-        p2 = local_scores_transformer(m2, store, ablated).data
-        assert np.allclose(p1, p2, atol=1e-12)
-        # with positions active the order matters
-        q1 = local_scores_transformer(m1, store, params).data
-        q2 = local_scores_transformer(m2, store, params).data
-        assert not np.allclose(q1, q2)
-
-    def test_drop_embedding_tables_zero_their_contribution(self, world):
-        store, params = world
-        ablated = transformer_ablation(params, {"drop_type", "drop_segment"})
-        params.type_embed.data[...] = 0.0
-        params.segment_embed.data[...] = 0.0
-        x_zeroed, _ = inputs(mention(), store, params)
-        x_dropped, _ = inputs(mention(), store, ablated)
-        assert np.array_equal(x_zeroed.data, x_dropped.data)
 
 
 def test_missing_surface_form_falls_back_to_projection(world, caplog):

@@ -49,26 +49,36 @@ def action_stack(reps) -> Tensor:
 
 
 class TestActionRepresentation:
+    """One summary per line of a candidate stack, as ``encode_document``
+    builds them for a whole document."""
+
     def test_single_candidate_concatenates(self):
-        d = action_representation(Tensor([1.0, 2.0]), Tensor([[5.0, 6.0]]), Tensor([1.0]))
-        assert np.allclose(d.data, [1.0, 2.0, 5.0, 6.0])
+        d = action_representation(Tensor([[1.0, 2.0]]), Tensor([[[5.0, 6.0]]]),
+                                  Tensor([[1.0]]))
+        assert np.array_equal(d.data, [[1.0, 2.0, 5.0, 6.0]])
 
     def test_opposite_entities_cancel(self):
-        cands = Tensor([[1.0, -2.0], [-1.0, 2.0]])
-        d = action_representation(Tensor([0.5, 0.5]), cands, Tensor([0.5, 0.5]))
-        assert np.allclose(d.data[2:], 0.0)
+        cands = Tensor([[[1.0, -2.0], [-1.0, 2.0]]])
+        d = action_representation(Tensor([[0.5, 0.5]]), cands, Tensor([[0.5, 0.5]]))
+        assert np.allclose(d.data[0, 2:], 0.0)
 
     def test_normalised_weights_keep_mention_half(self, rng):
-        psi = ad.softmax(Tensor(rng.normal(size=3)))
-        mention = rng.normal(size=4)
-        d = action_representation(Tensor(mention), Tensor(rng.normal(size=(3, 4))), psi)
-        assert np.allclose(d.data[:4], mention, atol=1e-12)
+        psi = ad.row_softmax(Tensor(rng.normal(size=(2, 3))))
+        mention = rng.normal(size=(2, 4))
+        d = action_representation(Tensor(mention), Tensor(rng.normal(size=(2, 3, 4))), psi)
+        assert np.allclose(d.data[:, :4], mention, atol=1e-12)
+
+    def test_refuses_weights_of_another_shape(self, rng):
+        with pytest.raises(ad.ShapeError):
+            action_representation(Tensor(rng.normal(size=(2, 4))),
+                                  Tensor(rng.normal(size=(2, 3, 4))), Tensor(np.ones((2, 2))))
 
 
 def relevance(history, actions, params):
     """Each history element's best match against the actions, as ``select_action``
     computes it."""
-    return params.history_match.match(ad.stack(actions), history)
+    line = params.history_match.match(ad.stack([ad.stack(actions)]), history)
+    return ad.reshape(line, (history.shape[0],))
 
 
 class TestStateRelevance:

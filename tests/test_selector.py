@@ -33,7 +33,18 @@ def build_params(dim, rng, **kw) -> SelectorParams:
 
 
 def cand_matrix(store, ids):
-    return Tensor(store.entities(ids))
+    """A one-line candidate stack: the candidates ``ids`` of one mention."""
+    return Tensor(store.entities(ids)[None])
+
+
+def linked_feature(cand, linked, store, params):
+    """``linked_context_feature`` of a one-line stack that sees every linked entity."""
+    return linked_context_feature(cand, linked, store, params, np.array([len(linked)])).data[0]
+
+
+def neighborhood(cand, linked, store, params):
+    """``neighborhood_scores`` of a one-line stack that sees every linked entity."""
+    return neighborhood_scores(cand, linked, store, params, np.array([len(linked)])).data[0]
 
 
 def record(m, store, local):
@@ -48,16 +59,17 @@ class TestLinkedContextFeature:
     def test_empty_history_gives_zero_vector(self, rng):
         store = build_store(rng)
         params = build_params(4, rng)
-        f = linked_context_feature(cand_matrix(store, ["e0", "e1"]), (), store, params)
-        assert np.allclose(f.data, 0.0)
-        scores = params.linked_coherence.scores(cand_matrix(store, ["e0", "e1"]), f).data
+        f = linked_feature(cand_matrix(store, ["e0", "e1"]), (), store, params)
+        assert np.allclose(f, 0.0)
+        scores = params.linked_coherence.scores(cand_matrix(store, ["e0", "e1"]),
+                                                Tensor([f])).data
         assert np.allclose(scores, 0.0)
 
     def test_single_linked_entity_is_its_vector(self, rng):
         store = build_store(rng)
         params = build_params(4, rng)
-        f = linked_context_feature(cand_matrix(store, ["e0"]), ("e3",), store, params)
-        assert np.allclose(f.data, store.entity_vecs["e3"], atol=1e-12)
+        f = linked_feature(cand_matrix(store, ["e0"]), ("e3",), store, params)
+        assert np.allclose(f, store.entity_vecs["e3"], atol=1e-12)
 
     def test_two_equal_scoring_entities_average(self):
         store = EmbeddingStore(
@@ -69,9 +81,9 @@ class TestLinkedContextFeature:
             },
         )
         params = build_params(4, np.random.default_rng(0))
-        f = linked_context_feature(cand_matrix(store, ["c0"]), ("la", "lb"), store, params)
+        f = linked_feature(cand_matrix(store, ["c0"]), ("la", "lb"), store, params)
         mean = (store.entity_vecs["la"] + store.entity_vecs["lb"]) / 2
-        assert np.allclose(f.data, mean, atol=1e-12)
+        assert np.allclose(f, mean, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_topk_pooling_matches_bruteforce(self, seed):
@@ -82,14 +94,14 @@ class TestLinkedContextFeature:
         params.linked_coherence.diag.data[...] = diag
         cands = ["e0", "e1"]
         linked = ("e2", "e3", "e4", "e5")
-        f = linked_context_feature(cand_matrix(store, cands), linked, store, params)
+        f = linked_feature(cand_matrix(store, cands), linked, store, params)
         expected = oracles.pooled_feature(
             np.stack([store.entity_vecs[e] for e in cands]),
             np.stack([store.entity_vecs[e] for e in linked]),
             diag,
             top_k=2,
         )
-        assert np.allclose(f.data, expected, atol=1e-10)
+        assert np.allclose(f, expected, atol=1e-10)
 
 
 class TestCoherence:
@@ -98,15 +110,15 @@ class TestCoherence:
         params = build_params(4, rng)
         pooled = Tensor(np.array([0.5, 0.5, -0.5, 0.5]))
         unit = pooled.data / np.linalg.norm(pooled.data)
-        score = ad.gather(params.linked_coherence.scores(Tensor([unit]), pooled), 0)
-        assert float(score.data) == pytest.approx(np.linalg.norm(pooled.data))
+        score = params.linked_coherence.scores(Tensor([[unit]]), Tensor([pooled.data]))
+        assert float(score.data[0, 0]) == pytest.approx(np.linalg.norm(pooled.data))
 
     def test_random_instance_hand_arithmetic(self, rng):
         params = build_params(3, rng)
         diag = rng.normal(size=3)
         params.linked_coherence.diag.data[...] = diag
         e, f = rng.normal(size=3), rng.normal(size=3)
-        got = float(ad.gather(params.linked_coherence.scores(Tensor([e]), Tensor(f)), 0).data)
+        got = float(params.linked_coherence.scores(Tensor([[e]]), Tensor([f])).data[0, 0])
         assert got == pytest.approx(float(np.sum(e * diag * f)))
 
 
@@ -114,17 +126,13 @@ class TestNeighborhood:
     def test_no_edges_gives_zero(self, rng):
         store = build_store(rng)
         params = build_params(4, rng)
-        scores = neighborhood_scores(
-            cand_matrix(store, ["e0", "e1"]), ("e2",), store, params
-        ).data
+        scores = neighborhood(cand_matrix(store, ["e0", "e1"]), ("e2",), store, params)
         assert np.allclose(scores, 0.0)
 
     def test_single_neighbor_identity_is_dot_product(self, rng):
         store = build_store(rng, adjacency={"e2": {"e3"}})
         params = build_params(4, rng)
-        scores = neighborhood_scores(
-            cand_matrix(store, ["e0", "e1"]), ("e2",), store, params
-        ).data
+        scores = neighborhood(cand_matrix(store, ["e0", "e1"]), ("e2",), store, params)
         n = store.entity_vecs["e3"]
         assert scores[0] == pytest.approx(float(store.entity_vecs["e0"] @ n))
         assert scores[1] == pytest.approx(float(store.entity_vecs["e1"] @ n))
@@ -138,7 +146,7 @@ class TestNeighborhood:
         diag = rng.normal(size=4)
         params.neighborhood_coherence.diag.data[...] = diag
         cands = ["e0", "e1", "e2"]
-        got = neighborhood_scores(cand_matrix(store, cands), ("e3", "e4"), store, params).data
+        got = neighborhood(cand_matrix(store, cands), ("e3", "e4"), store, params)
         pool = np.stack([store.entity_vecs[e] for e in sorted({"e5", "e6", "e7"})])
         expected = oracles.pooled_scores(
             np.stack([store.entity_vecs[e] for e in cands]), pool, diag, top_k=2

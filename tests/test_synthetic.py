@@ -10,13 +10,16 @@ from dynel.local_attn import LocalAttnParams, context_feature, local_scores_attn
 from dynel.synthetic import SyntheticSpec, generate_synthetic, required_dim
 
 import oracles
+from conftest import candidate_stack
 
 
-def attn_scores(m, store, params):
-    """Local scores against the mention's own context feature, as
-    ``encode_document`` computes them."""
-    cand = ad.Tensor(store.entities(m.candidate_ids))
-    return local_scores_attn(cand, context_feature(m, cand, store, params), params)
+def attn_scores(doc, store, params):
+    """Each mention's local scores against its own context feature, in one
+    call per document as ``encode_document`` computes them."""
+    cand, valid = candidate_stack(doc.mentions, store)
+    scores = local_scores_attn(cand, context_feature(doc.mentions, cand, store, params),
+                               params).data
+    return [line[real] for line, real in zip(scores, valid)]
 
 
 def anchored_spec(**kw):
@@ -69,8 +72,7 @@ def test_unambiguous_corpus_solved_by_local_argmax():
     correct = total = 0
     with ad.no_grad():
         for doc in docs:
-            for m in doc.mentions:
-                scores = attn_scores(m, store, params).data
+            for m, scores in zip(doc.mentions, attn_scores(doc, store, params)):
                 correct += m.candidates[int(np.argmax(scores))].entity_id == m.gold
                 total += 1
     assert correct / total == 1.0
@@ -81,10 +83,9 @@ def test_anchored_mentions_tie_exactly_on_local_scores_and_priors():
     params = LocalAttnParams.build(store.dim)
     with ad.no_grad():
         for doc in docs:
-            for m in doc.mentions:
+            for m, scores in zip(doc.mentions, attn_scores(doc, store, params)):
                 if m.position % 2 == 1:
                     continue  # anchors are the odd positions here
-                scores = attn_scores(m, store, params).data
                 ids = [c.entity_id for c in m.candidates]
                 gi = ids.index(m.gold)
                 decoy = next(

@@ -28,7 +28,7 @@ from dynel.trainer import (
 )
 
 import oracles
-from conftest import candidate_lookups, linked_lines, selector_oracle
+from conftest import candidate_lookups, document_candidates, linked_lines, selector_oracle
 
 
 def anchored_world(num_docs=8, mentions=6, candidates=4, seed=21):
@@ -207,7 +207,7 @@ class TestOrderingConstruction:
 class TestMarginLoss:
     def test_hand_cases(self):
         # separated by more than the margin -> no loss from the other candidate
-        probs = ad.softmax(Tensor(np.log([0.9, 0.1])))
+        probs = ad.reshape(ad.row_softmax(Tensor(np.log([[0.9, 0.1]]))), (2,))
         gold_prob = ad.gather(probs, 0)
         hinge = ad.relu(ad.sub(probs, gold_prob) + 0.2)
         # gold term contributes exactly beta
@@ -288,9 +288,10 @@ def _per_step_policy(encoded, store, params, window_size, order=None, rng=None):
     for t in range(n):
         acts, rows = window.actions(), ad.stack(history)
         seen.append((rows.data, acts))
-        reps = ad.gather_rows(encoded.actions, list(acts))
+        reps = ad.gather_rows(encoded.actions, [list(acts)])
         evidence = pol.history_match.pool(reps, rows, pol.top_k)
-        logp = ad.log_softmax(pol.action_scorer.scores(reps, evidence))
+        logp = ad.reshape(ad.log_softmax(pol.action_scorer.scores(reps, evidence)),
+                          (len(acts),))
         if order is not None:
             idx = acts.index(order[t])
         elif len(acts) == 1:
@@ -367,7 +368,7 @@ class TestEncodedDocument:
         params = cfg.build_model(store, np.random.default_rng(3))
         counts = candidate_lookups(monkeypatch, [doc])
         encode_document(doc, store, params, mode, np.random.default_rng(4))
-        assert counts == Counter(m.candidate_ids for m in doc.mentions)
+        assert counts == Counter([document_candidates(doc)])
 
 
 class TestEpisodeGraph:
@@ -937,7 +938,7 @@ def test_one_training_update_looks_up_each_candidate_matrix_once(monkeypatch):
     # one epoch over one document is one update: encode_document + 2 rollouts
     train(docs, [], store, TrainConfig(window=3, epochs=1, episodes_per_doc=2,
                                        fusion_hidden=8))
-    assert counts == Counter(m.candidate_ids for m in docs[0].mentions)
+    assert counts == Counter([document_candidates(docs[0])])
 
 
 def test_config_round_trip_and_hash():

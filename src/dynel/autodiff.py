@@ -350,31 +350,33 @@ def row_softmax(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
 # structural ops
 # ---------------------------------------------------------------------------
 
-def concat(parts: Sequence[Tensor]) -> Tensor:
+def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
+    """Tensors that agree on every axis but ``axis``, joined along it; each
+    part's gradient is its slice of the joined gradient, C-ordered (see
+    ``reshape``)."""
     parts = [as_tensor(p) for p in parts]
-    if not parts or any(p.data.ndim != 1 for p in parts):
-        raise ShapeError("concat expects a non-empty list of vectors")
-    data = np.concatenate([p.data for p in parts])
-    offsets = np.cumsum([0] + [p.data.size for p in parts])
-
-    grad_fns = []
-    for i in range(len(parts)):
-        lo, hi = offsets[i], offsets[i + 1]
-        grad_fns.append(lambda g, lo=lo, hi=hi: g[lo:hi])
-    return _result(data, parts, grad_fns)
+    try:
+        data = np.concatenate([p.data for p in parts], axis=axis)
+    except ValueError as err:   # no parts, scalars, another shape or no such axis
+        raise ShapeError(f"cannot concatenate shapes {[p.shape for p in parts]} "
+                         f"on axis {axis}") from err
+    ends = np.cumsum([p.shape[axis] for p in parts])
+    return _result(data, parts, [lambda g, at=np.arange(end - p.shape[axis], end):
+                                 np.take(g, at, axis) for p, end in zip(parts, ends)])
 
 
-def stack(rows: Sequence[Tensor]) -> Tensor:
-    """Equally shaped tensors (vectors or more) along a new first axis."""
+def stack(rows: Sequence[Tensor], axis: int = 0) -> Tensor:
+    """Equally shaped tensors (vectors or more) along a new axis ``axis``;
+    each row's gradient is its index of the stacked gradient, C-ordered."""
     rows = [as_tensor(r) for r in rows]
     try:
-        data = np.stack([r.data for r in rows])
-    except ValueError as err:   # no rows, or rows of another shape
-        raise ShapeError("stack expects a non-empty list of equally shaped tensors") from err
+        data = np.stack([r.data for r in rows], axis=axis)
+    except ValueError as err:   # no rows, rows of another shape or no such axis
+        raise ShapeError(f"cannot stack shapes {[r.shape for r in rows]} "
+                         f"on axis {axis}") from err
     if data.ndim < 2:
         raise ShapeError("stack expects vectors or larger")
-    grad_fns = [lambda g, i=i: g[i] for i in range(len(rows))]
-    return _result(data, rows, grad_fns)
+    return _result(data, rows, [lambda g, i=i: np.take(g, i, axis) for i in range(len(rows))])
 
 
 def gather(a: Tensor, idx) -> Tensor:

@@ -37,6 +37,14 @@ class CorpusError(ValueError):
     """Malformed corpus data; the message names the offending file/line."""
 
 
+# The largest magnitude a corpus value may have.  In one-epoch runs at window
+# 2 on a 6-document synthetic corpus (dim 16, unit-scale vectors), one word or
+# entity vector scaled by 1e151 trains on both scorers, and one entity scaled
+# by 1e152 makes a gradient non-finite: the square of a value near 1e154
+# overflows.  The bound is the square root of that edge, rounded down, so even
+# a product of two values at the bound stays below it.
+MAX_MAGNITUDE = 1e75
+
 # Each record refuses, when it is built, a field not of the exact type that
 # docs.jsonl carries back unchanged, so what save and load see is typed.
 _STR = frozenset({str})
@@ -212,7 +220,8 @@ def _check_corpus(
     There must be a document.  Word and entity ids fill whitespace-separated
     columns, so they are non-empty strings free of whitespace, and an entity
     surface is a tuple of word ids.  Every vector is a 1-D array of real
-    numbers, finite and at least one value wide.  Document ids are unique;
+    numbers, finite, of magnitude at most ``MAX_MAGNITUDE`` and at least one
+    value wide.  Document ids are unique;
     mention ids key ``type_vecs.tsv`` alone, so they are unique across the
     corpus and free of tabs and line breaks.  Every mention has a non-empty
     context window.  Every word and entity that a mention, an entity
@@ -241,6 +250,9 @@ def _check_corpus(
             fail(file, key, f"{what} has width 0")
         if not np.isfinite(vec).all():
             fail(file, key, f"{what} has a non-finite value")
+        if np.abs(vec).max() > MAX_MAGNITUDE:
+            fail(file, key, f"{what} has a value of magnitude {np.abs(vec).max():.3g}, "
+                            f"above {MAX_MAGNITUDE:g}")
 
     if not docs:
         raise CorpusError("docs.jsonl contains no documents")

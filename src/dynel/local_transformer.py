@@ -16,11 +16,12 @@ no candidate-order information.  Scoring heads:
 Per-candidate weight sharing keeps the heads well-defined for any
 candidate count and exactly permutation-equivariant.
 
-``document_scores`` scores a whole document in one pass: every mention's
-sequence padded to the longest and stacked, the padded keys masked in
-attention, and the heads run once over every mention's padded candidate
-slots (the padded, key-masked batches of Vaswani et al. 2017 and Devlin
-et al. 2019).  ``local_scores_transformer`` is that pass over one mention.
+``document_scores`` scores a whole document in one pass: ``document_input``
+builds every mention's sequence at once, padded to the longest, the
+padded keys are masked in attention, and the heads run once over every
+mention's padded candidate slots (the padded, key-masked batches of
+Vaswani et al. 2017 and Devlin et al. 2019).  ``local_scores_transformer``
+is that pass over one mention.
 """
 
 from __future__ import annotations
@@ -39,9 +40,8 @@ from .nn import EncoderLayer, FeedForward, dropout, glorot, linear
 __all__ = [
     "TransformerConfig",
     "TransformerLocalParams",
-    "InputLayout",
-    "build_input",
     "check_input_caps",
+    "document_input",
     "document_scores",
     "local_scores_transformer",
 ]
@@ -151,17 +151,6 @@ class TransformerLocalParams:
         return out
 
 
-@dataclass(frozen=True)
-class InputLayout:
-    """Row bookkeeping for one built input sequence."""
-
-    seq_len: int
-    cls_index: int
-    sep_indices: tuple[int, ...]
-    mention_index: int
-    candidate_indices: tuple[int, ...]
-
-
 def _context_tokens(mention: Mention) -> tuple[str, ...]:
     return mention.context_before + mention.surface + mention.context_after
 
@@ -193,67 +182,80 @@ def check_input_caps(docs: Sequence[Document], cfg: TransformerConfig) -> None:
                 raise ValueError(f"document {doc.id!r}: {error}")
 
 
-def build_input(
-    mention: Mention, cand: Tensor, store: EmbeddingStore, params: TransformerLocalParams
-) -> tuple[Tensor, InputLayout]:
-    """Sum token/type/segment/position embeddings into the input matrix.
+def document_input(
+    mentions: Sequence[Mention],
+    candidates: np.ndarray,
+    slots: np.ndarray,
+    valid: np.ndarray,
+    store: EmbeddingStore,
+    params: TransformerLocalParams,
+) -> tuple[Tensor, np.ndarray, np.ndarray, np.ndarray]:
+    """Every mention's input rows, padded to the longest sequence.
 
-    ``cand`` holds the candidate vectors, one row per candidate.  The
-    distinct rows (``[CLS]``, ``[SEP]``, the context block, the candidate
-    block) are built once each, then gathered into layout order.
+    Mention i's sequence ``[CLS] ctx... [SEP] (cand [SEP])*`` fills rows
+    ``i * length`` on; each row sums its token, type, segment and position
+    rows, and a padded row is its mention's ``[CLS]`` row.  The distinct
+    token rows (``[CLS]``, ``[SEP]``, every context word, every candidate
+    token) are built once each and gathered into place, as are the rows of
+    the three tables.  Returns the ``(mentions * length, d)`` rows, the
+    ``(mentions, length)`` mask of real rows, each mention head's row and,
+    in the shape of ``slots``, each slot's candidate row (a padded slot
+    reads its mention's first).
     """
-    error = _cap_error(mention, params.config)
-    if error:
-        raise ValueError(error)
-    ctx = _context_tokens(mention)
-    c, n = len(ctx), len(mention.candidates)
-    seq_len = _seq_len(mention)
-    mention_index = 1 + len(mention.context_before)
+    for mention in mentions:
+        error = _cap_error(mention, params.config)
+        if error:
+            raise ValueError(error)
+    contexts = [_context_tokens(m) for m in mentions]
+    ctx = np.array([len(c) for c in contexts])
+    widths = valid.sum(axis=1)
+    lengths = 2 + ctx + 2 * widths
+    keys = np.arange(lengths.max()) < lengths[:, None]
 
     # candidate tokens: (mean surface word + projection) * 0.5, or the
     # projection alone for an entity without a surface form
-    surfaces = [store.entity_surface.get(e, ()) for e in mention.candidate_ids]
-    sizes = [len(surface) for surface in surfaces]
-    owner = np.repeat(np.arange(n), sizes)  # the candidate of each surface word
-    tokens = ad.matmul(cand, params.entity_proj)
-    if owner.size:
-        mean = (owner == np.arange(n)[:, None]) / np.maximum(sizes, 1)[:, None]
+    ids = [e for m in mentions for e in m.candidate_ids]
+    surfaces = [store.entity_surface.get(e, ()) for e in ids]
+    sizes = np.array([len(surface) for surface in surfaces])
+    tokens = ad.matmul(Tensor(candidates[slots[valid]]), params.entity_proj)
+    if sizes.any():
+        owner = np.repeat(np.arange(len(ids)), sizes)  # the candidate of each surface word
+        mean = (owner == np.arange(len(ids))[:, None]) / np.maximum(sizes, 1)[:, None]
         words = ad.gather_rows(params.word_embed, [params.vocab[w] for s in surfaces for w in s])
         half = np.where(sizes, 0.5, 1.0)[:, None]
         tokens = ad.add(ad.matmul(Tensor(mean), words), tokens) * Tensor(half)
-    for entity_id, size in zip(mention.candidate_ids, sizes):
-        if not size:
-            log.warning("entity %s has no surface form; using projection only", entity_id)
+    for entity_id in (e for e, size in zip(ids, sizes) if not size):
+        log.warning("entity %s has no surface form; using projection only", entity_id)
 
-    # distinct rows: 0 [CLS], 1 [SEP], 2.. context, 2+c.. candidates
-    context = ad.gather_rows(params.word_embed, [params.vocab[w] for w in ctx])
-    distinct = ad.reshape(
-        ad.concat([params.cls_tok, params.sep_tok, ad.reshape(context, (-1,)),
-                   ad.reshape(tokens, (-1,))]),
-        (2 + c + n, params.config.model_dim),
-    )
-    # layout: [CLS] ctx... [SEP] (cand [SEP])*
-    seps, cands = slice(1 + c, seq_len, 2), slice(2 + c, seq_len, 2)
-    order = np.zeros(seq_len, dtype=np.intp)
-    order[1:1 + c] = 2 + np.arange(c)
-    order[seps] = 1
-    order[cands] = 2 + c + np.arange(n)
-    x = ad.gather_rows(distinct, order)
+    # distinct rows: 0 [CLS], 1 [SEP], then every context word, then every candidate token
+    words = ad.gather_rows(params.word_embed, [params.vocab[w] for c in contexts for w in c])
+    distinct = ad.concat([ad.stack([params.cls_tok, params.sep_tok]), words, tokens])
+    first_word = 2 + np.cumsum(ctx) - ctx
+    first_token = 2 + ctx.sum() + np.cumsum(widths) - widths
 
-    positions = np.arange(seq_len)
-    type_ids = (positions > c).astype(np.intp)
-    seg_ids = np.zeros(seq_len, dtype=np.intp)
-    seg_ids[cands] = 1 + np.arange(n)
-    # a separator takes the next candidate's segment; the last keeps n
-    seg_ids[seps] = np.minimum(1 + np.arange(n + 1), n)
-    pos_ids = positions.copy()
-    pos_ids[cands] = mention_index  # candidates share the mention head's slot
-    x = ad.add(x, ad.gather_rows(params.type_embed, type_ids))
-    x = ad.add(x, ad.gather_rows(params.segment_embed, seg_ids))
-    x = ad.add(x, ad.gather_rows(params.position_embed, pos_ids))
+    # each row's distinct row, type, segment and position; a padded row
+    # keeps the zeros of its mention's [CLS]
+    token, kind, segment, position = (np.zeros(keys.shape, dtype=np.intp) for _ in range(4))
+    heads = np.array([1 + len(m.context_before) for m in mentions])
+    for i, (c, n, seq) in enumerate(zip(ctx, widths, lengths)):
+        seps, cands = slice(1 + c, seq, 2), slice(2 + c, seq, 2)
+        token[i, 1:1 + c] = first_word[i] + np.arange(c)
+        token[i, seps] = 1
+        token[i, cands] = first_token[i] + np.arange(n)
+        kind[i, 1 + c:seq] = 1
+        segment[i, cands] = 1 + np.arange(n)
+        # a separator takes the next candidate's segment; the last keeps n
+        segment[i, seps] = np.minimum(1 + np.arange(n + 1), n)
+        position[i, :seq] = np.arange(seq)
+        position[i, cands] = heads[i]  # candidates share the mention head's slot
+    x = ad.gather_rows(distinct, token.ravel())
+    for table, index in ((params.type_embed, kind), (params.segment_embed, segment),
+                         (params.position_embed, position)):
+        x = ad.add(x, ad.gather_rows(table, index.ravel()))
 
-    rows = range(seq_len)
-    return x, InputLayout(seq_len, 0, tuple(rows[seps]), mention_index, tuple(rows[cands]))
+    base = np.arange(len(mentions)) * keys.shape[1]
+    columns = np.where(valid, np.arange(valid.shape[1]), 0)
+    return x, keys, base + heads, (base + 2 + ctx)[:, None] + 2 * columns
 
 
 def document_scores(
@@ -270,10 +272,8 @@ def document_scores(
 
     ``candidates`` holds the candidate vectors of all ``mentions``, one row
     each; line i of ``slots`` holds mention i's rows in it, padded to the
-    widest, and ``valid`` marks the real slots.  Each mention's input rows
-    are built as ``build_input`` builds them, padded to the longest
-    sequence with copies of its ``[CLS]`` row and stacked, and the encoder
-    runs once over the stack with the padded keys masked.  Returns the
+    widest, and ``valid`` marks the real slots.  The encoder runs once over
+    ``document_input``'s rows with the padded keys masked.  Returns the
     ``(mentions, widest)`` distributions: each line sums to one over its
     real slots, in candidate order, and is exactly 0 on its padding.
     """
@@ -281,26 +281,13 @@ def document_scores(
         raise ValueError(f"unknown mode {mode!r}")
     training = mode == "train"
     cfg = params.config
-    built = [build_input(m, Tensor(candidates[line[real]]), store, params)
-             for m, line, real in zip(mentions, slots, valid)]
-    lengths = np.array([layout.seq_len for _, layout in built])
-    length = lengths.max()
-    keys = np.arange(length) < lengths[:, None]
-    # row r of mention i sits at i * length + r; a padded row reads its [CLS]
-    starts = np.cumsum(lengths) - lengths
-    rows = ad.reshape(ad.concat([ad.reshape(x, (-1,)) for x, _ in built]),
-                      (lengths.sum(), cfg.model_dim))
-    x = ad.gather_rows(rows, (starts[:, None] + np.where(keys, np.arange(length), 0)).ravel())
+    x, keys, heads, cand_rows = document_input(mentions, candidates, slots, valid, store,
+                                               params)
     for layer in params.encoder:
         x = layer.apply(x, training=training, rng=rng, keys=keys)
 
-    base = np.arange(len(built)) * length
-    o_cls = ad.gather_rows(x, base + [layout.cls_index for _, layout in built])
-    o_mention = ad.gather_rows(x, base + [layout.mention_index for _, layout in built])
-    # a padded slot reads its mention's first candidate row
-    columns = np.where(valid, np.arange(valid.shape[1]), 0)
-    cand_rows = base[:, None] + [np.take(layout.candidate_indices, line)
-                                 for (_, layout), line in zip(built, columns)]
+    o_cls = ad.gather_rows(x, np.arange(len(mentions)) * keys.shape[1])
+    o_mention = ad.gather_rows(x, heads)
     o_cands = ad.reshape(ad.gather_rows(x, cand_rows.ravel()), valid.shape + (cfg.model_dim,))
 
     summary = dropout(
@@ -311,7 +298,7 @@ def document_scores(
     context_head = ad.row_softmax(_per_line(o_cands, query), valid)
     similarity = _per_line(Tensor(candidates[slots]), o_mention)
 
-    pair = ad.reshape(ad.transpose(ad.stack([context_head, similarity]), (1, 2, 0)), (-1, 2))
+    pair = ad.reshape(ad.stack([context_head, similarity], axis=-1), (-1, 2))
     logits = ad.reshape(params.pair_head.apply(pair, training=training, rng=rng), valid.shape)
     return ad.row_softmax(logits, valid)
 

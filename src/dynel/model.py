@@ -204,8 +204,7 @@ def encode_document(
     pairs = None
     if mode == "train":
         golds = store.entities([m.gold for m in mentions])
-        pairs = ad.add(ad.matmul(contexts, Tensor(np.eye(params.dim, 2 * params.dim))),
-                       Tensor(np.hstack([np.zeros_like(golds), golds])))
+        pairs = ad.concat([contexts, Tensor(golds)], axis=-1)
     return EncodedDocument(
         mentions=mentions,
         candidates=Tensor(candidates),

@@ -85,8 +85,7 @@ def action_representation(contexts: Tensor, cand: Tensor, weights: Tensor) -> Te
     Line i of ``weights`` weighs the slots of line i of the candidate stack
     ``cand``, and is 0 on padded slots.  The mention half, line i of
     ``contexts``, is scaled by the line's sum, so normalised weights leave
-    it untouched.  The halves are joined by constant ``eye(d, 2d)``
-    products, which copy their rows exactly.
+    it untouched.
     """
     lines, width, dim = cand.shape
     if weights.shape != (lines, width) or contexts.shape != (lines, dim):
@@ -95,8 +94,7 @@ def action_representation(contexts: Tensor, cand: Tensor, weights: Tensor) -> Te
     mention_half = ad.mul(contexts, ad.tsum(weights, axis=-1, keepdims=True))
     entity_half = ad.reshape(ad.matmul(ad.reshape(weights, (lines, 1, width)), cand),
                              (lines, dim))
-    return ad.add(ad.matmul(mention_half, Tensor(np.eye(dim, 2 * dim))),
-                  ad.matmul(entity_half, Tensor(np.eye(dim, 2 * dim, dim))))
+    return ad.concat([mention_half, entity_half], axis=-1)
 
 
 def select_action(
@@ -168,9 +166,9 @@ def episode_log_probs(
     line t is the log of ``select_action``'s distribution on that history,
     at the chosen slot.  Windows are padded to the widest; a padded slot
     repeats its step's first action, so it never changes a best match, and
-    the log-softmax leaves it out.  Both stacks are gathered by constant
-    one-hot products, which copy rows exactly and scatter their gradients
-    with one matrix product.
+    the log-softmax leaves it out.  The query stack is gathered by a
+    constant one-hot product, which copies rows exactly and scatters its
+    gradient with one matrix product.
     """
     steps, width = len(windows), max(len(w) for w in windows)
     slots = np.array([w + (w[0],) * (width - len(w)) for w in windows])
@@ -179,10 +177,8 @@ def episode_log_probs(
     queries = ad.reshape(ad.matmul(Tensor(picks), actions), slots.shape + (-1,))
 
     # row 0 is the init pair, row t the pair linked at step t-1
-    linked = np.zeros((steps, pairs.shape[0]))
-    linked[np.arange(1, steps), list(order[:-1])] = 1.0
-    history = ad.add(ad.matmul(Tensor(linked), pairs),
-                     ad.mul(Tensor(np.eye(steps, 1)), params.init_pair))
+    history = ad.concat([ad.reshape(params.init_pair, (1, -1)),
+                         ad.gather_rows(pairs, list(order[:-1]))])
 
     visible = np.tri(steps, dtype=bool)
     evidence = params.history_match.pool(queries, history, params.top_k, visible)

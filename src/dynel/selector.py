@@ -243,7 +243,7 @@ def _fuse(columns: list[Tensor], valid: np.ndarray | None, params: SelectorParam
     """Each line's candidate distribution from its feature columns, each
     ``(lines, candidates)``; ``valid`` marks the real candidates, or is
     ``None`` when every candidate is real."""
-    feats = ad.transpose(ad.stack(columns), (1, 2, 0))   # features last
+    feats = ad.stack(columns, axis=-1)
     if params.feature_norm:
         feats = _znorm_columns(feats, valid)
     if params.fusion is None:

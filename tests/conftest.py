@@ -1,10 +1,12 @@
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from dynel.autodiff import Tensor
 from dynel.corpus import CandidateEntity, EmbeddingStore, Mention
+from dynel.local_transformer import document_input
 from dynel.selector import Linked
 
 import oracles
@@ -65,6 +67,28 @@ def transformer_oracle(m: Mention, store: EmbeddingStore, params) -> np.ndarray:
     cfg = params.config
     return oracles.transformer_scores(x, layout, cand, layers, cfg.heads, cfg.head_dim,
                                       tables)
+
+
+def built_input(mentions, store: EmbeddingStore, params):
+    """``document_input`` over ``mentions``, each mention's candidates
+    looked up in order: its rows and each mention's layout, as
+    ``oracles.transformer_input`` gives it (the fields as attributes),
+    counted from the mention's first row."""
+    ids = [m.candidate_ids for m in mentions]
+    widths = np.array([len(c) for c in ids])
+    columns = np.arange(widths.max())
+    valid = columns < widths[:, None]
+    slots = (np.cumsum(widths) - widths)[:, None] + np.where(valid, columns, 0)
+    x, keys, heads, cand_rows = document_input(
+        mentions, store.entities([e for c in ids for e in c]), slots, valid, store, params)
+    layouts = []
+    for i, start in enumerate(np.arange(len(mentions)) * keys.shape[1]):
+        cands = tuple((cand_rows[i, valid[i]] - start).tolist())
+        layouts.append(SimpleNamespace(
+            seq_len=int(keys[i].sum()), cls_index=0,
+            sep_indices=(cands[0] - 1,) + tuple(c + 1 for c in cands),
+            mention_index=int(heads[i] - start), candidate_indices=cands))
+    return x, layouts
 
 
 def linked_lines(histories, store: EmbeddingStore) -> Linked:

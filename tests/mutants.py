@@ -12,7 +12,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 TRAINER = "tests/test_trainer.py"
-DOCUMENT_PASS = "tests/test_local_transformer.py::TestDocumentPass"
+TRANSFORMER = "tests/test_local_transformer.py"
+DOCUMENT_PASS = f"{TRANSFORMER}::TestDocumentPass"
 EPISODE = f"{TRAINER}::TestEpisodeGraph"
 CLI = "tests/test_cli.py"
 SELECTOR = "tests/test_selector.py::TestCandidateDistribution"
@@ -59,6 +60,20 @@ MUTANTS = (
     Mutant("padding in the transformer's final softmax", "local_transformer.py",
            "return ad.row_softmax(logits, valid)", "return ad.row_softmax(logits)",
            (f"{DOCUMENT_PASS}::test_equals_the_per_mention_oracle",)),
+    # the transformer's document input
+    Mutant("a candidate row takes its own position", "local_transformer.py",
+           "position[i, cands] = heads[i]", "position[i, cands] = position[i, cands]",
+           (f"{TRANSFORMER}::test_candidate_rows_share_position_component",)),
+    Mutant("a padded row takes its own position, not its [CLS] row's", "local_transformer.py",
+           "position[i, :seq] = np.arange(seq)", "position[i] = np.arange(keys.shape[1])",
+           (f"{TRANSFORMER}::test_build_input_matches_the_row_by_row_oracle",)),
+    Mutant("a separator's segment off by one", "local_transformer.py",
+           "np.minimum(1 + np.arange(n + 1), n)", "np.minimum(np.arange(n + 1), n)",
+           (f"{TRANSFORMER}::test_build_input_matches_the_row_by_row_oracle",)),
+    Mutant("a concat gradient sliced on the wrong axis", "autodiff.py",
+           "np.take(g, at, axis) for p, end", "np.take(g, at, 0) for p, end",
+           ("tests/test_autodiff.py::"
+            "test_axis_joins_copy_numpy_and_match_finite_differences[concat--1]",)),
     # the attn path's document pass
     Mutant("a context pool sees its neighbour's first word", "local_attn.py",
            "(column < ends)", "(column <= ends)", (f"{RECORD}[attn]",)),
@@ -96,7 +111,7 @@ MUTANTS = (
            "scores(queries, evidence), valid)", "scores(queries, evidence), valid | True)",
            (f"{EPISODE}::test_log_probs_equal_the_per_step_policy[4-2]",)),
     Mutant("history shifted by one step", "policy.py",
-           "list(order[:-1])] = 1.0", "list(order[1:])] = 1.0",
+           "ad.gather_rows(pairs, list(order[:-1]))", "ad.gather_rows(pairs, list(order[1:]))",
            (f"{EPISODE}::test_log_probs_equal_the_per_step_policy[None-2]",)),
     Mutant("masked log-softmax entries pass gradient", "autodiff.py",
            "        g = np.where(mask, g, 0.0)\n", "",

@@ -24,7 +24,6 @@ from dynel.harness import (
 from dynel.local_transformer import (
     TransformerConfig,
     TransformerLocalParams,
-    build_input,
     local_scores_transformer,
 )
 from dynel.model import build_model
@@ -42,6 +41,7 @@ from dynel.synthetic import SyntheticSpec, generate_synthetic
 from dynel.trainer import Adam, TrainConfig, rollout, train
 
 import oracles
+from conftest import built_input
 
 S1 = (False, True, False, True, True, True, True)
 S2 = (True, True, True, False, False, False, True)
@@ -389,8 +389,7 @@ def test_criterion_10_transformer_head_contracts():
 
     # candidate rows share the position slot: only used rows get gradient
     grads = ad.backward(-ad.log(ad.gather(n3, 0)))
-    _, layout = build_input(mention, Tensor(store.entities(mention.candidate_ids)),
-                            store, params)
+    _, (layout,) = built_input((mention,), store, params)
     grad = grads[params.position_embed]
     used = {0, *range(1, 4), *layout.sep_indices, layout.mention_index}
     for row in range(tcfg.max_seq_len):

@@ -236,6 +236,43 @@ def test_transpose_refuses_what_is_no_axis_permutation(shape, axes):
         ad.transpose(Tensor(np.ones(shape)), axes)
 
 
+@pytest.mark.parametrize("axis", [0, 1, -1])
+@pytest.mark.parametrize("join", ["concat", "stack"])
+def test_axis_joins_copy_numpy_and_match_finite_differences(join, axis, rng):
+    """``concat`` and ``stack`` equal ``np.concatenate`` and ``np.stack``
+    exactly, and each part's gradient is its slice along ``axis``."""
+    op, numpy_op = {"concat": (ad.concat, np.concatenate), "stack": (ad.stack, np.stack)}[join]
+    shapes = [[2, 3, 4] for _ in range(3)]
+    if join == "concat":   # the parts differ along the joined axis
+        for i, shape in enumerate(shapes):
+            shape[axis] = 1 + i
+    parts = [ad.parameter(rng.normal(size=shape)) for shape in shapes]
+    joined = op(parts, axis=axis)
+    assert np.array_equal(joined.data, numpy_op([p.data for p in parts], axis=axis))
+    mix = rng.normal(size=joined.shape)
+
+    def loss():
+        out = op(parts, axis=axis)
+        return ad.tsum(ad.mul(ad.mul(out, out), Tensor(mix)))
+
+    grads = ad.backward(loss())
+    for p in parts:
+        assert grads[p].shape == p.shape
+        for i, g in oracles.fd_gradient(lambda: float(loss().data), p.data).items():
+            assert oracles.rel_err(grads[p].ravel()[i], g) <= 1e-6
+
+
+@pytest.mark.parametrize("join, shapes, axis", [
+    ("concat", [], 0), ("concat", [(), ()], 0), ("concat", [(2, 3), (3,)], 0),
+    ("concat", [(2, 3), (3, 3)], 1), ("concat", [(2, 3), (2, 4)], 0), ("concat", [(2, 3)], 2),
+    ("stack", [], 0), ("stack", [(), ()], 0), ("stack", [(2, 3), (2, 4)], -1),
+    ("stack", [(2, 3)], 3),
+])
+def test_axis_joins_refuse_mismatched_shapes(join, shapes, axis):
+    with pytest.raises(ShapeError):
+        getattr(ad, join)([Tensor(np.ones(shape)) for shape in shapes], axis=axis)
+
+
 def test_row_softmax_of_a_stack_equals_each_slice_exactly(rng):
     stack = ad.parameter(rng.normal(size=(3, 4, 5)) * 10)
     mix = rng.normal(size=(3, 4, 5))

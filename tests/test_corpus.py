@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynel.corpus import (
+    MAX_MAGNITUDE,
     CandidateEntity,
     CorpusError,
     Document,
@@ -351,6 +352,12 @@ def test_type_vec_rows_checked_at_load(tmp_path, row, problem):
                                            "array of real numbers"),
     ("type_vecs", {"m0": np.ones(2)}, "type_vecs.tsv record 'm0': key 'm0' is not a "
                                       "(mention id, entity id) pair"),
+    # values whose products overflow in training
+    ("word_vecs", {"w0": np.array([1.0, 7.07e159])}, "words.vec record 'w0': word 'w0' has a "
+                                                     "value of magnitude 7.07e+159, above 1e+75"),
+    ("type_vecs", {("m0", "e0"): np.array([-2e75, 1.0])}, "type_vecs.tsv record ('m0', 'e0'): "
+                                                          "type vector has a value of magnitude "
+                                                          "2e+75, above 1e+75"),
 ])
 def test_save_refuses_what_load_would_reject(tmp_path, field, value, problem):
     docs, store = one_mention_corpus()
@@ -406,6 +413,33 @@ def test_non_finite_vector_rejected_at_load_with_line(tmp_path, name, token):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(CorpusError, match=re.escape(f"{name} line {lineno}: {kind} {key!r} "
                                                     f"has a non-finite value")):
+        load_corpus(tmp_path)
+
+
+@pytest.mark.parametrize("name, token, magnitude", [
+    ("words.vec", "7.07e159", "7.07e+159"), ("entities.vec", "-1.5e75", "1.5e+75"),
+])
+def test_a_value_beyond_the_magnitude_bound_rejected_at_load_with_line(tmp_path, name, token,
+                                                                        magnitude):
+    # the word is in the first mention's context, the entity is its gold; a
+    # value at the bound loads
+    docs, store = small_corpus()
+    save_corpus(docs, store, tmp_path)
+    mention = docs[0].mentions[0]
+    kind, key = (("word", mention.context_window[0]) if name == "words.vec"
+                 else ("entity", mention.gold))
+    path = tmp_path / name
+    lines = path.read_text().splitlines()
+    lineno = next(n for n, line in enumerate(lines, start=1) if line.split()[0] == key)
+    parts = lines[lineno - 1].split()
+    for value in (repr(MAX_MAGNITUDE), token):
+        lines[lineno - 1] = " ".join([key, value] + parts[2:])
+        path.write_text("\n".join(lines) + "\n")
+        if value != token:
+            load_corpus(tmp_path)
+    with pytest.raises(CorpusError, match=re.escape(f"{name} line {lineno}: {kind} {key!r} "
+                                                    f"has a value of magnitude {magnitude}, "
+                                                    f"above 1e+75")):
         load_corpus(tmp_path)
 
 
@@ -487,10 +521,13 @@ any_ids = st.text(min_size=0, max_size=4)
 def corpora(draw, flawed: bool):
     # a flawed corpus may hold bad ids, name ids that have no vector or mention,
     # hold an empty KG neighbour set, context window or document list, mix type
-    # vector widths, or hold vectors that are not finite or have width 0
+    # vector widths, or hold vectors that are not finite, of width 0 or beyond
+    # the magnitude bound
     ids = any_ids if flawed and draw(st.booleans()) else good_ids
     finite = not flawed or draw(st.booleans())
-    values = st.floats(allow_nan=not finite, allow_infinity=not finite, width=64)
+    bound = None if flawed else MAX_MAGNITUDE
+    values = st.floats(min_value=bound and -bound, max_value=bound, allow_nan=not finite,
+                       allow_infinity=not finite, width=64)
     width = 0 if flawed and draw(st.integers(0, 4)) == 0 else 2
     vectors = st.lists(values, min_size=width, max_size=width).map(np.array)
 

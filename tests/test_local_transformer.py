@@ -11,14 +11,13 @@ from dynel.corpus import CandidateEntity, Document, EmbeddingStore, Mention
 from dynel.local_transformer import (
     TransformerConfig,
     TransformerLocalParams,
-    build_input,
     document_scores,
     local_scores_transformer,
 )
 from dynel.model import build_model, encode_document
 
 import oracles
-from conftest import transformer_oracle
+from conftest import built_input, transformer_oracle
 
 DIM = 8
 CFG = TransformerConfig(layers=2, heads=2, head_dim=3, model_dim=DIM, ff_dim=10,
@@ -55,37 +54,50 @@ def mention(cands=("e0", "e1"), priors=None, before=("w0",), surface=("w1",),
 
 
 def inputs(m, store, params):
-    return build_input(m, Tensor(store.entities(m.candidate_ids)), store, params)
+    """``m``'s input rows from the document builder over ``m`` alone, and their layout."""
+    x, (layout,) = built_input((m,), store, params)
+    return x, layout
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_build_input_matches_the_row_by_row_oracle(data):
+    """The document builder gives each mention of a ragged document the rows
+    the row-by-row oracle builds for it alone, and each padded row is a copy
+    of its mention's [CLS] row."""
     words = [f"w{i}" for i in range(5)]
     draw_words = lambda lo, hi: tuple(data.draw(st.lists(st.sampled_from(words),
                                                          min_size=lo, max_size=hi)))
-    cands = tuple(data.draw(st.lists(st.sampled_from(["e0", "e1", "e2", "e3", "e4"]),
-                                     min_size=1, max_size=4, unique=True)))
-    surfaces = {e: draw_words(0, 3) for e in cands}
-    before, surface, after = draw_words(0, 3), draw_words(1, 2), draw_words(0, 3)
+    entities = ["e0", "e1", "e2", "e3", "e4"]
+    surfaces = {e: draw_words(0, 3) for e in entities}
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     store = EmbeddingStore(word_vecs={w: rng.normal(size=DIM) for w in words},
-                           entity_vecs={e: rng.normal(size=DIM) for e in cands},
+                           entity_vecs={e: rng.normal(size=DIM) for e in entities},
                            entity_surface={e: s for e, s in surfaces.items() if s})
     params = TransformerLocalParams.build(store, CFG, rng)
-    m = mention(cands, before=before, surface=surface, after=after)
+    mentions = []
+    for i in range(data.draw(st.integers(1, 3))):
+        cands = tuple(data.draw(st.lists(st.sampled_from(entities), min_size=1, max_size=4,
+                                         unique=True)))
+        before, surface, after = draw_words(0, 3), draw_words(1, 2), draw_words(0, 3)
+        mentions.append(dataclasses.replace(
+            mention(cands, before=before, surface=surface, after=after), id=f"m{i}",
+            position=i))
 
-    x, layout = inputs(m, store, params)
+    x, layouts = built_input(mentions, store, params)
+    lines = x.data.reshape(len(mentions), -1, DIM)
 
     tables = {name.split(".", 1)[1]: t.data for name, t in params.parameters().items()}
     word = lambda w: tables["word_embed"][params.vocab[w]]
-    expected, expected_layout = oracles.transformer_input(
-        [word(w) for w in before + surface + after], 1 + len(before),
-        store.entities(cands), [[word(w) for w in surfaces[e]] for e in cands],
-        tables,
-    )
-    assert dataclasses.asdict(layout) == expected_layout
-    assert np.abs(x.data - expected).max() <= 1e-12
+    for m, layout, line in zip(mentions, layouts, lines):
+        expected, expected_layout = oracles.transformer_input(
+            [word(w) for w in m.context_before + m.surface + m.context_after],
+            1 + len(m.context_before), store.entities(m.candidate_ids),
+            [[word(w) for w in surfaces[e]] for e in m.candidate_ids], tables,
+        )
+        assert vars(layout) == expected_layout
+        assert np.abs(line[:layout.seq_len] - expected).max() <= 1e-12
+        assert np.abs(line[layout.seq_len:] - expected[0]).max(initial=0.0) <= 1e-12
 
 
 def test_scorer_reads_the_candidate_matrix_once(world, monkeypatch):

@@ -202,31 +202,20 @@ def sqrt(a: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """``a @ b`` over vectors, matrices, or two stacks of matrices with the
-    same leading shape (one product per stacked pair)."""
+    """``a @ b`` over matrices, or two stacks of matrices with the same
+    leading shape (one product per stacked pair)."""
     ad, bd = a.data, b.data
-    if ad.ndim == 0 or bd.ndim == 0:
-        raise ShapeError("matmul expects vectors, matrices or stacks of matrices")
+    if ad.ndim < 2 or bd.ndim < 2:
+        raise ShapeError(f"matmul expects matrices or stacks of matrices, "
+                         f"got {ad.shape} @ {bd.shape}")
     if max(ad.ndim, bd.ndim) > 2 and ad.shape[:-2] != bd.shape[:-2]:
         raise ShapeError(f"matmul stacks {ad.shape} @ {bd.shape} differ in leading shape")
     try:
         data = np.matmul(ad, bd)
     except ValueError as err:
         raise ShapeError(f"matmul shapes {ad.shape} @ {bd.shape}") from err
-
-    if ad.ndim >= 2 and bd.ndim >= 2:
-        ga = lambda g: g @ np.swapaxes(bd, -1, -2)
-        gb = lambda g: np.swapaxes(ad, -1, -2) @ g
-    elif ad.ndim == 1 and bd.ndim == 2:
-        ga = lambda g: g @ bd.T
-        gb = lambda g: np.outer(ad, g)
-    elif ad.ndim == 2 and bd.ndim == 1:
-        ga = lambda g: np.outer(g, bd)
-        gb = lambda g: ad.T @ g
-    else:  # 1-d dot 1-d -> scalar
-        ga = lambda g: g * bd
-        gb = lambda g: g * ad
-    return _result(data, (a, b), (ga, gb))
+    return _result(data, (a, b), (lambda g: g @ np.swapaxes(bd, -1, -2),
+                                  lambda g: np.swapaxes(ad, -1, -2) @ g))
 
 
 def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:

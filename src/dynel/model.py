@@ -162,6 +162,14 @@ class EncodedDocument:
                                # train mode only
 
 
+def _slots(widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``slots`` and ``valid`` of mentions with ``widths`` candidates each,
+    laid end to end in the flat candidate arrays."""
+    columns = np.arange(widths.max())
+    valid = columns < widths[:, None]
+    return (np.cumsum(widths) - widths)[:, None] + np.where(valid, columns, 0), valid
+
+
 def encode_document(
     doc: Document,
     store: EmbeddingStore,
@@ -185,10 +193,7 @@ def encode_document(
         raise ValueError(f"unknown mode {mode!r}")
     mentions = doc.mentions
     ids = [m.candidate_ids for m in mentions]
-    widths = np.array([len(c) for c in ids])
-    columns = np.arange(widths.max())
-    valid = columns < widths[:, None]
-    slots = (np.cumsum(widths) - widths)[:, None] + np.where(valid, columns, 0)
+    slots, valid = _slots(np.array([len(c) for c in ids]))
     candidates = store.entities([e for c in ids for e in c])
     cand = Tensor(candidates[slots])
     contexts = context_feature(mentions, cand, store, params.local_attn)
@@ -224,19 +229,14 @@ def concat_records(records: Sequence[EncodedDocument]) -> tuple[EncodedDocument,
     """One eval-mode record of the mentions of every record, in order, and
     the position in it of each record's first mention.
 
-    Its slots point into the joined candidate arrays, padded to the widest
-    set of all; a padded slot repeats its mention's first row, as
-    ``encode_document`` pads.  The joined arrays carry no graph.
+    Its slots point into the joined candidate arrays, laid out as
+    ``encode_document`` lays out its own, padded to the widest set of all.
+    The joined arrays carry no graph.
     """
     starts = np.cumsum([0] + [len(r.mentions) for r in records])
     if len(records) == 1:
         return records[0], [0]
-    widest = max(r.slots.shape[1] for r in records)
-    offsets = np.cumsum([0] + [r.candidates.shape[0] for r in records])
-
-    def padded(r: EncodedDocument, field: str, fill: np.ndarray) -> np.ndarray:
-        extra = widest - r.slots.shape[1]
-        return np.hstack([getattr(r, field), np.repeat(fill, extra, axis=1)])
+    slots, valid = _slots(np.concatenate([r.valid.sum(axis=1) for r in records]))
 
     def joined(field: str) -> Tensor:
         return Tensor(np.concatenate([getattr(r, field).data for r in records]))
@@ -247,10 +247,8 @@ def concat_records(records: Sequence[EncodedDocument]) -> tuple[EncodedDocument,
         priors=joined("priors"),
         types=joined("types"),
         local=joined("local"),
-        slots=np.concatenate([padded(r, "slots", r.slots[:, :1]) + offset
-                              for r, offset in zip(records, offsets)]),
-        valid=np.concatenate([padded(r, "valid", np.zeros((len(r.mentions), 1), bool))
-                              for r in records]),
+        slots=slots,
+        valid=valid,
         gold=np.concatenate([r.gold for r in records]),
         contexts=joined("contexts"),
         actions=joined("actions"),

@@ -35,7 +35,8 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, training: b
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """x @ W (+ b). Works for a single vector or a batch of row vectors."""
+    """x @ W (+ b) for a matrix of row vectors, or a stack of them with a
+    stack of weights."""
     out = ad.matmul(x, weight)
     if bias is not None:
         out = ad.add(out, bias)

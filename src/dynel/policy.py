@@ -115,8 +115,10 @@ def select_action(
 
     Lines whose windows are equally wide are scored as one stack, so a line
     gets exactly the numbers it gets alone (see ``DiagonalBilinear.pool``).
-    Sampled lines draw in line order.  Single-action windows skip the rng so
-    greedy and sampled rollouts stay trace-identical there.
+    A distribution holding a NaN or an infinity is refused with a
+    ``RuntimeError``, in both modes.  Sampled lines draw in line order.
+    Single-action windows skip the rng so greedy and sampled rollouts stay
+    trace-identical there.
     """
     if mode not in ("greedy", "sample"):
         raise ValueError(f"unknown selection mode {mode!r}")
@@ -135,7 +137,10 @@ def select_action(
         rows = histories if len(lines) == len(acts) else Tensor(histories.data[lines])
         evidence = params.history_match.pool(reps, rows, params.top_k)
         log_probs = ad.log_softmax(params.action_scorer.scores(reps, evidence))
-        for line, line_probs in zip(lines, np.exp(log_probs.data)):
+        group = np.exp(log_probs.data)
+        if not np.isfinite(group).all():
+            raise RuntimeError("non-finite window distribution")
+        for line, line_probs in zip(lines, group):
             probs[line] = line_probs
 
     positions = []

@@ -11,7 +11,8 @@ Greedy linking scores step t of every document it links in lockstep in one
 call, each document against its own predicted history.  A training
 episode's history is teacher-forced to gold, so once the policy has chosen
 the order every step's distribution is fixed: the episode is scored in one
-call, each step masked to the golds linked before it.
+call, each step masked to the golds linked before it.  Both hand their
+history in as one ``Linked``, and one body computes the features of both.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ __all__ = [
     "Linked",
     "FEATURE_NAMES",
     "FUSION_MODES",
-    "linked_context_feature",
-    "neighborhood_scores",
     "candidate_distribution",
 ]
 
@@ -94,59 +93,44 @@ class SelectorParams:
 
 @dataclass(frozen=True)
 class Linked:
-    """What each line of a lockstep step has linked before it.
+    """What each line has linked before it: the rows of both pooled
+    features, and which of them each line sees.
 
-    Line i has linked the entities ``entities[i]``, in link order; every
-    line has linked as many.  ``neighbors[i]`` holds the KG neighbours they
-    bring in, sorted by id as ``neighborhood_scores`` pools them, padded at
-    the tail: its first ``neighbor_counts[i]`` rows are real.
+    ``entities`` holds the linked entities' rows, ``neighbors`` the KG
+    neighbours they bring in, sorted by id.  Each is one ``(rows, d)``
+    matrix that every line shares (a training episode's steps), or a
+    ``(lines, rows, d)`` stack, one matrix per line (documents linked in
+    lockstep).  ``entities_visible`` and ``neighbors_visible`` hold one
+    boolean line per line, one entry per row, or are ``None`` when every
+    line sees every row.
     """
 
-    entities: np.ndarray          # (lines, linked, d)
-    neighbors: np.ndarray         # (lines, widest, d)
-    neighbor_counts: np.ndarray   # (lines,)
+    entities: np.ndarray
+    entities_visible: np.ndarray | None
+    neighbors: np.ndarray
+    neighbors_visible: np.ndarray | None
+
+    @classmethod
+    def prefixes(cls, entity_ids: Sequence[str], store: EmbeddingStore, lines: int) -> "Linked":
+        """Shared rows for the ``lines`` steps of a training episode that
+        linked ``entity_ids`` in order: line t sees the first
+        ``t + len(entity_ids) - lines + 1`` of them, so the last line sees
+        them all, and the neighbours those bring in."""
+        if lines < 1 or len(entity_ids) < lines - 1:
+            raise ValueError(f"{lines} lines need at least {lines - 1} linked entities, "
+                             f"got {len(entity_ids)}")
+        first: dict[str, int] = {}   # each neighbour's first linked entity
+        for i, entity in enumerate(entity_ids):
+            for neighbor in store.neighbors(entity):
+                first.setdefault(neighbor, i)
+        neighbor_ids = sorted(first)
+        seen = np.arange(lines)[:, None] + (len(entity_ids) - lines + 1)
+        return cls(_rows(store, entity_ids), np.arange(len(entity_ids)) < seen,
+                   _rows(store, neighbor_ids), np.array([first[e] for e in neighbor_ids]) < seen)
 
 
-def linked_context_feature(
-    cand_mat: Tensor,
-    linked_ids: tuple[str, ...],
-    store: EmbeddingStore,
-    params: SelectorParams,
-    seen: np.ndarray,
-) -> Tensor:
-    """Pooled vector of previously linked entities, one line per matrix of
-    the candidate stack ``cand_mat``: matrix i pools only the first
-    ``seen[i]`` linked entities.  Zeros where it sees none."""
-    if not linked_ids:
-        return Tensor(np.zeros(cand_mat.shape[:-2] + (store.dim,)))
-    linked = Tensor(store.entities(linked_ids))
-    visible = np.arange(len(linked_ids)) < seen[:, None]
-    return params.linked_coherence.pool(cand_mat, linked, params.top_entities, visible)
-
-
-def neighborhood_scores(
-    cand_mat: Tensor,
-    linked_ids: tuple[str, ...],
-    store: EmbeddingStore,
-    params: SelectorParams,
-    seen: np.ndarray,
-) -> Tensor:
-    """Coherence with the union of KG neighbors of the linked entities, one
-    line per matrix of the candidate stack ``cand_mat``: matrix i pools
-    only the neighbours that the first ``seen[i]`` linked entities bring in.
-    """
-    first: dict[str, int] = {}   # each neighbour's first linked entity
-    for i, entity in enumerate(linked_ids):
-        for neighbor in store.neighbors(entity):
-            first.setdefault(neighbor, i)
-    if not first:
-        return Tensor(np.zeros(cand_mat.shape[:-1]))
-    neighbor_ids = sorted(first)
-    visible = np.array([first[e] for e in neighbor_ids]) < seen[:, None]
-    bilinear = params.neighborhood_coherence
-    pooled = bilinear.pool(cand_mat, Tensor(store.entities(neighbor_ids)),
-                           params.top_entities, visible)
-    return bilinear.scores(cand_mat, pooled)
+def _rows(store: EmbeddingStore, entity_ids: Sequence[str]) -> np.ndarray:
+    return store.entities(entity_ids) if entity_ids else np.zeros((0, store.dim))
 
 
 def _znorm_columns(mat: Tensor, valid: np.ndarray | None) -> Tensor:
@@ -172,71 +156,58 @@ _COLUMNS = {"prior": "priors", "type": "types", "local": "local"}
 def candidate_distribution(
     encoded: EncodedDocument,
     steps: Sequence[int],
-    linked: tuple[str, ...] | Linked,
-    store: EmbeddingStore,
+    linked: Linked,
     params: SelectorParams,
 ) -> Tensor:
     """Probability over each line's candidates, in candidate order.
 
-    Line i is the mention at position ``steps[i]`` of ``encoded``.  Lines
-    are the padded ``encoded.slots``, and a padded candidate gets
-    probability exactly 0.
+    Line i is the mention at position ``steps[i]`` of ``encoded``, scored
+    against what ``linked`` says it has linked.  Lines are the padded
+    ``encoded.slots``, and a padded candidate gets probability exactly 0.
 
-    ``linked`` given as entity ids makes the lines the steps of one training
-    episode, in the order the policy chose, with the gold entities of every
-    step but the last: line i sees the first i of them and more if given,
-    so the last line sees every entity.  It is one graph, the prefixes
-    masked.
-
-    ``linked`` given as a ``Linked`` makes the lines step t of documents
-    linked in lockstep (``encoded`` holds them all), each with its own
-    history; no graph is recorded.  Lines with as many candidates are scored
-    as one stack, so each line gets exactly the numbers it gets alone.
+    Shared rows (a training episode's steps) are one graph over the padded
+    lines.  Per-line rows (step t of documents linked in lockstep, which
+    ``encoded`` holds together) record no graph: lines with as many
+    candidates are scored as one stack, so each line gets exactly the
+    numbers it gets alone.
     """
-    if isinstance(linked, Linked):
-        return _lockstep_distribution(encoded, np.asarray(steps), linked, params)
-    if not steps or len(linked) < len(steps) - 1:
-        raise ValueError(f"{len(steps)} positions need at least {len(steps) - 1} linked "
-                         f"entities, got {len(linked)}")
-    at, valid = encoded.slots[list(steps)], encoded.valid[list(steps)]
-    seen = np.arange(len(steps)) + (len(linked) - len(steps) + 1)
-    cand = Tensor(encoded.candidates.data[at])
-
-    columns: list[Tensor] = []
-    for name in params.features:
-        if name == "coherence":
-            pooled = linked_context_feature(cand, linked, store, params, seen)
-            columns.append(params.linked_coherence.scores(cand, pooled))
-        elif name == "neighborhood":
-            columns.append(neighborhood_scores(cand, linked, store, params, seen))
-        else:
-            columns.append(ad.gather(getattr(encoded, _COLUMNS[name]), at))
-    return _fuse(columns, valid, params)
-
-
-def _lockstep_distribution(encoded: EncodedDocument, steps: np.ndarray, linked: Linked,
-                           params: SelectorParams) -> Tensor:
+    steps = np.asarray(steps)
+    if linked.entities.ndim == 2:
+        return _distribution(encoded, encoded.slots[steps], encoded.valid[steps], linked,
+                             slice(None), params)
     widths = encoded.valid[steps].sum(axis=1)
-    hidden = np.arange(linked.neighbors.shape[1])
     out = np.zeros((steps.size, encoded.slots.shape[1]))
     for width in sorted(set(widths.tolist())):
         lines = np.flatnonzero(widths == width)
         at = encoded.slots[steps[lines], :width]
-        cand = Tensor(encoded.candidates.data[at])
-        columns: list[Tensor] = []
-        for name in params.features:
-            if name == "coherence":
-                bilinear, rows, visible = params.linked_coherence, linked.entities, None
-            elif name == "neighborhood":
-                bilinear, rows = params.neighborhood_coherence, linked.neighbors
-                visible = hidden < linked.neighbor_counts[lines, None]
-            else:
-                columns.append(ad.gather(getattr(encoded, _COLUMNS[name]), at))
-                continue
-            pooled = bilinear.pool(cand, Tensor(rows[lines]), params.top_entities, visible)
-            columns.append(bilinear.scores(cand, pooled))
-        out[lines, :width] = _fuse(columns, None, params).data
+        out[lines, :width] = _distribution(encoded, at, None, linked, lines, params).data
     return Tensor(out)
+
+
+def _distribution(encoded: EncodedDocument, at: np.ndarray, valid: np.ndarray | None,
+                  linked: Linked, lines: np.ndarray | slice, params: SelectorParams) -> Tensor:
+    """The distribution of the lines ``lines`` of ``linked``, whose
+    candidates are the rows ``at`` of ``encoded``'s candidate arrays."""
+    cand = Tensor(encoded.candidates.data[at])
+    columns: list[Tensor] = []
+    for name in params.features:
+        if name in _COLUMNS:
+            columns.append(ad.gather(getattr(encoded, _COLUMNS[name]), at))
+            continue
+        if name == "coherence":
+            bilinear, rows, visible = (params.linked_coherence, linked.entities,
+                                       linked.entities_visible)
+        else:
+            bilinear, rows, visible = (params.neighborhood_coherence, linked.neighbors,
+                                       linked.neighbors_visible)
+        if rows.shape[-2] == 0:   # nothing linked to pool: a zero column, no graph edge
+            columns.append(Tensor(np.zeros(at.shape)))
+            continue
+        rows = rows if rows.ndim == 2 else rows[lines]
+        visible = None if visible is None else visible[lines]
+        pooled = bilinear.pool(cand, Tensor(rows), params.top_entities, visible)
+        columns.append(bilinear.scores(cand, pooled))
+    return _fuse(columns, valid, params)
 
 
 def _fuse(columns: list[Tensor], valid: np.ndarray | None, params: SelectorParams) -> Tensor:

@@ -282,7 +282,6 @@ def rollout(
     # row 0 is the init pair, row t+1 the pair linked at step t
     history = np.empty((n_mentions + 1, params.policy.init_pair.shape[0]))
     history[0] = params.policy.init_pair.data
-    dim = history.shape[1] // 2
     chosen_order: list[int] = []
     windows: list[tuple[int, ...]] = []
     window_probs: list[np.ndarray] = []
@@ -299,14 +298,14 @@ def rollout(
                 pos = order[step]
             chosen_order.append(pos)
             window = advance(window, pos)
-            history[step + 1, :dim] = encoded.contexts.data[pos]
-            history[step + 1, dim:] = store.entity(encoded.mentions[pos].gold)  # teacher forcing
+            history[step + 1] = encoded.pairs.data[pos]   # teacher forcing
 
     golds = tuple(encoded.mentions[pos].gold for pos in chosen_order)
     log_probs = episode_log_probs(windows, chosen_order, encoded.actions, encoded.pairs,
                                   params.policy)
     # every step's distribution in one graph: step t sees the golds before it
-    probs = candidate_distribution(encoded, chosen_order, golds[:-1], store, params.selector)
+    linked = Linked.prefixes(golds[:-1], store, len(chosen_order))
+    probs = candidate_distribution(encoded, chosen_order, linked, params.selector)
     predicted, predicted_prob = [], []
     for pos, line in zip(chosen_order, probs.data):
         candidates = encoded.mentions[pos].candidates
@@ -404,9 +403,10 @@ def link_lockstep(
             padded = np.zeros((len(active), counts.max(), dim))
             for line, i in enumerate(active):
                 padded[line, :counts[line]] = neighbor_rows[i]
-            linked = Linked(history[active, 1:step + 1, dim:], padded, counts)
-            probs = candidate_distribution(batch, positions, linked, store,
-                                           params.selector).data
+            linked = Linked(entities=history[active, 1:step + 1, dim:], entities_visible=None,
+                            neighbors=padded,
+                            neighbors_visible=np.arange(counts.max()) < counts[:, None])
+            probs = candidate_distribution(batch, positions, linked, params.selector).data
 
             for line, (i, pos) in enumerate(zip(active, positions)):
                 candidates = batch.mentions[pos].candidates
@@ -627,12 +627,16 @@ def train(
         entropy_sum = 0.0
         for di in doc_order:
             doc = train_docs[int(di)]
+            where = f"at epoch {epoch}, document {doc.id}"
             encoded = encode_document(doc, store, params, "train", data_rng)
-            episodes = [
-                rollout(doc, store, params, config, mode="train", rng=data_rng,
-                        encoded=encoded)
-                for _ in range(config.episodes_per_doc)
-            ]
+            try:
+                episodes = [
+                    rollout(doc, store, params, config, mode="train", rng=data_rng,
+                            encoded=encoded)
+                    for _ in range(config.episodes_per_doc)
+                ]
+            except RuntimeError as err:   # a non-finite window distribution
+                raise RuntimeError(f"{err} {where}") from err
             skipped_margin_terms += sum(len(ep.order) - ep.margin_terms for ep in episodes)
             window_probs = [probs for ep in episodes for probs in ep.window_probs]
             sampled_steps += len(window_probs)
@@ -642,7 +646,6 @@ def train(
             loss = _chain_sum(margins) * (1.0 / len(margins)) if margins else Tensor(0.0)
             obj = policy_objective(episodes)
             loss = ad.add(loss, obj * (-config.rl_weight))
-            where = f"at epoch {epoch}, document {doc.id}"
             if not np.isfinite(loss.data):
                 raise RuntimeError(f"non-finite loss {where}")
             grads = ad.backward(loss)

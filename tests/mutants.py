@@ -85,7 +85,7 @@ MUTANTS = (
            (f"{RECORD}[attn]", f"{RECORD}[transformer]")),
     # the selector's episode graph
     Mutant("selector history prefix off by one", "selector.py",
-           "(len(linked) - len(steps) + 1)", "(len(linked) - len(steps) + 2)",
+           "(len(entity_ids) - lines + 1)", "(len(entity_ids) - lines + 2)",
            (f"{EPISODE}::test_one_call_per_episode_equals_the_steps_composed[full]",)),
     Mutant("neighbour seen from its last linked entity", "selector.py",
            "first.setdefault(neighbor, i)", "first[neighbor] = i",
@@ -100,6 +100,9 @@ MUTANTS = (
     Mutant("padding in the candidate softmax", "selector.py",
            "return ad.row_softmax(logits, valid)", "return ad.row_softmax(logits)",
            (f"{EPISODE}::test_one_call_per_episode_equals_the_steps_composed[sum-raw]",)),
+    Mutant("empty rows pooled, not a zero column", "selector.py",
+           "if rows.shape[-2] == 0:", "if False:",
+           (f"{EPISODE}::test_a_one_mention_update_gives_linked_coherence_no_gradient",)),
     # the policy's episode graph
     Mutant("policy visibility prefix off by one", "policy.py",
            "visible = np.tri(steps, dtype=bool)", "visible = np.tri(steps, k=1, dtype=bool)",
@@ -120,6 +123,11 @@ MUTANTS = (
     Mutant("sampling pass reads one history row too few", "trainer.py",
            "Tensor(history[None, :step + 1])", "Tensor(history[None, :max(step, 1)])",
            (f"{EPISODE}::test_train_rollout_samples_the_order_of_the_per_step_graph[4]",)),
+    Mutant("a non-finite window distribution let through", "policy.py",
+           "if not np.isfinite(group).all():", "if False:",
+           (f"{TRAINER}::TestTrainLoop::"
+            "test_a_non_finite_window_distribution_is_named_at_the_document",
+            f"{CLI}::test_link_and_eval_refuse_a_non_finite_window_distribution[eval]")),
     Mutant("advance takes any unresolved action", "policy.py",
            "if action not in window.actions():", "if action not in window.unresolved:",
            (f"{TRAINER}::TestRolloutBasics::test_a_forced_train_order_must_keep_the_window",)),
@@ -135,10 +143,10 @@ MUTANTS = (
            "widths = encoded.valid[steps].sum(axis=1)",
            "widths = np.full(steps.size, encoded.valid.shape[1])",
            (f"{SELECTOR}::test_lockstep_lines_score_as_alone_and_as_the_oracle[ffn-True]",)),
-    Mutant("neighbour padding rows visible", "selector.py",
-           "visible = hidden < linked.neighbor_counts[lines, None]",
-           "visible = hidden < hidden.size + 0 * linked.neighbor_counts[lines, None]",
-           (f"{SELECTOR}::test_lockstep_lines_score_as_alone_and_as_the_oracle[ffn-True]",)),
+    Mutant("neighbour padding rows visible", "trainer.py",
+           "neighbors_visible=np.arange(counts.max()) < counts[:, None]",
+           "neighbors_visible=None",
+           (f"{LOCKSTEP}[None-attn]",)),
     Mutant("kept rows pooled without compaction", "autodiff.py",
            "kept = rows[lines][visible[lines]].reshape(lines.size, count, -1)",
            "kept = rows[lines][:, :count]",

@@ -36,7 +36,7 @@ from dynel.rewards import (
     reward_r3,
     transition_counts,
 )
-from dynel.selector import SelectorParams, linked_context_feature, neighborhood_scores
+from dynel.selector import Linked, SelectorParams
 from dynel.synthetic import SyntheticSpec, generate_synthetic
 from dynel.trainer import Adam, TrainConfig, rollout, train
 
@@ -253,23 +253,25 @@ def test_criterion_07_dual_implementation_agreement():
         # a one-line stack of the mention's candidates, seeing every linked entity
         cand_mat = Tensor(np.stack([store.entity_vecs[c] for c in cands])[None])
         linked = tuple(f"e{i}" for i in range(3, 3 + int(rng.integers(1, 4))))
-        seen = np.array([len(linked)])
-        pooled = linked_context_feature(cand_mat, linked, store, sel, seen).data[0]
+        prefixes = Linked.prefixes(linked, store, 1)
+        pooled = sel.linked_coherence.pool(cand_mat, Tensor(prefixes.entities), sel.top_entities,
+                                           prefixes.entities_visible).data[0]
         expected_pool = oracles.pooled_feature(
             cand_mat.data[0], np.stack([store.entity_vecs[e] for e in linked]),
             sel.linked_coherence.diag.data, sel.top_entities,
         )
         worst_pool = max(worst_pool, float(np.abs(pooled - expected_pool).max()))
 
-        got_n = neighborhood_scores(cand_mat, linked, store, sel, seen).data[0]
+        # e3, always linked, brings in e6: the neighbourhood is never empty
+        bilinear = sel.neighborhood_coherence
+        got_n = bilinear.scores(cand_mat, bilinear.pool(
+            cand_mat, Tensor(prefixes.neighbors), sel.top_entities, prefixes.neighbors_visible,
+        )).data[0]
         neighbor_ids = sorted(set().union(*[store.neighbors(e) for e in linked], set()))
-        if neighbor_ids:
-            expected_n = oracles.pooled_scores(
-                cand_mat.data[0], np.stack([store.entity_vecs[e] for e in neighbor_ids]),
-                sel.neighborhood_coherence.diag.data, sel.top_entities,
-            )
-        else:
-            expected_n = np.zeros(3)
+        expected_n = oracles.pooled_scores(
+            cand_mat.data[0], np.stack([store.entity_vecs[e] for e in neighbor_ids]),
+            sel.neighborhood_coherence.diag.data, sel.top_entities,
+        )
         worst_pool = max(worst_pool, float(np.abs(got_n - expected_n).max()))
 
     assert worst_policy <= 1e-10

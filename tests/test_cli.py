@@ -522,6 +522,27 @@ def test_link_and_eval_refuse_a_checkpoint_without_a_usable_config(command, meta
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["link", "eval"])
+def test_link_and_eval_refuse_a_non_finite_window_distribution(command, tmp_path, capsys):
+    # a finite init pair whose history match overflows: greedy linking would
+    # take the argmax of NaN probabilities without a word
+    corpus = tmp_path / "corpus"
+    assert main(["gen-corpus", "--out", str(corpus), "--docs", "4", "--mentions", "4",
+                 "--candidates", "3", "--dim", "16", "--seed", "0"]) == 0
+    _, store = load_corpus(corpus)
+    config = TrainConfig(window=2, fusion_hidden=8)
+    params = config.build_model(store, np.random.default_rng(0))
+    params.policy.init_pair.data[...] = 1e308
+    ckpt, out = tmp_path / "model.npz", tmp_path / "out"
+    save_checkpoint(params, str(ckpt), meta={"config": config.to_dict()})
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        rc = main([command, "--corpus", str(corpus), "--checkpoint", str(ckpt),
+                   "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.strip() == "error: non-finite window distribution"
+
+
 def test_eval_out_holds_the_printed_report(corpus_dir, config_path, tmp_path, capsys):
     ckpt, out = tmp_path / "model.npz", tmp_path / "report.json"
     assert main(["train", "--config", str(config_path), "--corpus", str(corpus_dir),

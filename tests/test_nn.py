@@ -21,7 +21,7 @@ def test_feed_forward_identity_passthrough():
         weights=[ad.parameter(np.eye(2))],
         biases=[ad.parameter(np.zeros(2))],
     )
-    x = Tensor([3.0, -1.5])
+    x = Tensor([[3.0, -1.5]])
     assert np.allclose(ff.apply(x).data, x.data)
 
 
@@ -30,20 +30,20 @@ def test_feed_forward_hand_relu():
     w = ad.parameter(np.array([[1.0, 1.0], [1.0, -1.0]]))
     identity = ad.parameter(np.eye(2))
     zeros = [ad.parameter(np.zeros(2)) for _ in range(2)]
-    out = FeedForward([w, identity], zeros).apply(Tensor([1.0, 2.0]))
-    assert np.allclose(out.data, [3.0, 0.0])
+    out = FeedForward([w, identity], zeros).apply(Tensor([[1.0, 2.0]]))
+    assert np.allclose(out.data, [[3.0, 0.0]])
 
 
 def test_feed_forward_shape_mismatch():
     w = ad.parameter(np.zeros((3, 2)))
     b = ad.parameter(np.zeros(2))
     with pytest.raises(ShapeError):
-        FeedForward([w], [b]).apply(Tensor([1.0, 2.0]))
+        FeedForward([w], [b]).apply(Tensor([[1.0, 2.0]]))
 
 
 def test_dropout_eval_mode_is_identity(rng):
     ff = FeedForward.build([3, 4, 2], rng, drop_rate=0.5)
-    x = Tensor([0.3, -0.2, 1.0])
+    x = Tensor([[0.3, -0.2, 1.0]])
     a = ff.apply(x, training=False, rng=np.random.default_rng(1))
     b = ff.apply(x, training=False, rng=np.random.default_rng(999))
     assert np.array_equal(a.data, b.data)

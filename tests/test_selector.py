@@ -7,12 +7,7 @@ from dynel import autodiff as ad
 from dynel.autodiff import Tensor
 from dynel.corpus import Document, EmbeddingStore
 from dynel.model import build_model, encode_document
-from dynel.selector import (
-    SelectorParams,
-    candidate_distribution,
-    linked_context_feature,
-    neighborhood_scores,
-)
+from dynel.selector import Linked, SelectorParams, candidate_distribution
 
 import oracles
 from conftest import linked_lines, make_mention, selector_oracle
@@ -37,14 +32,23 @@ def cand_matrix(store, ids):
     return Tensor(store.entities(ids)[None])
 
 
-def linked_feature(cand, linked, store, params):
-    """``linked_context_feature`` of a one-line stack that sees every linked entity."""
-    return linked_context_feature(cand, linked, store, params, np.array([len(linked)])).data[0]
+def linked_feature(cand, linked, store, params, line=-1):
+    """The pooled linked entities of a one-line stack, seeing what line
+    ``line`` of a training episode over ``linked`` sees (line t the first t
+    entities); by default the last line, which sees every one."""
+    prefixes = Linked.prefixes(linked, store, len(linked) + 1)
+    return params.linked_coherence.pool(cand, Tensor(prefixes.entities), params.top_entities,
+                                        prefixes.entities_visible[[line]]).data[0]
 
 
 def neighborhood(cand, linked, store, params):
-    """``neighborhood_scores`` of a one-line stack that sees every linked entity."""
-    return neighborhood_scores(cand, linked, store, params, np.array([len(linked)])).data[0]
+    """The KG-neighbourhood scores of a one-line stack that sees every
+    linked entity."""
+    prefixes = Linked.prefixes(linked, store, 1)
+    bilinear = params.neighborhood_coherence
+    pooled = bilinear.pool(cand, Tensor(prefixes.neighbors), params.top_entities,
+                           prefixes.neighbors_visible)
+    return bilinear.scores(cand, pooled).data[0]
 
 
 def record(m, store, local):
@@ -59,7 +63,8 @@ class TestLinkedContextFeature:
     def test_empty_history_gives_zero_vector(self, rng):
         store = build_store(rng)
         params = build_params(4, rng)
-        f = linked_feature(cand_matrix(store, ["e0", "e1"]), (), store, params)
+        # an episode's first step sees none of the entities linked after it
+        f = linked_feature(cand_matrix(store, ["e0", "e1"]), ("e2",), store, params, line=0)
         assert np.allclose(f, 0.0)
         scores = params.linked_coherence.scores(cand_matrix(store, ["e0", "e1"]),
                                                 Tensor([f])).data
@@ -125,9 +130,15 @@ class TestCoherence:
 class TestNeighborhood:
     def test_no_edges_gives_zero(self, rng):
         store = build_store(rng)
-        params = build_params(4, rng)
-        scores = neighborhood(cand_matrix(store, ["e0", "e1"]), ("e2",), store, params)
-        assert np.allclose(scores, 0.0)
+        params = build_params(4, rng, features=("neighborhood",), feature_norm=False,
+                              fusion="sum")
+        linked = Linked.prefixes(("e2",), store, 1)
+        assert linked.neighbors.shape == (0, 4)
+        # no rows to pool: a zero column, so the plain sum's softmax is uniform
+        m = make_mention(candidates=("e0", "e1"), priors=[0.9, 0.1])
+        probs = candidate_distribution(record(m, store, rng.normal(size=2)), [0], linked,
+                                       params)
+        assert np.allclose(probs.data, 0.5)
 
     def test_single_neighbor_identity_is_dot_product(self, rng):
         store = build_store(rng, adjacency={"e2": {"e3"}})
@@ -157,8 +168,7 @@ class TestNeighborhood:
 def one_line(encoded, linked_ids, store, params):
     """The lockstep form on one line, position 0 of ``encoded``: its real
     candidates' probabilities."""
-    probs = candidate_distribution(encoded, [0], linked_lines([linked_ids], store), store,
-                                   params).data
+    probs = candidate_distribution(encoded, [0], linked_lines([linked_ids], store), params).data
     return probs[0, :encoded.valid[0].sum()]
 
 
@@ -244,10 +254,10 @@ class TestCandidateDistribution:
         histories = [("e1", "e3"), ("e5", "e0"), ("e2", "e0"), ("e6", "e7"), ("e0", "e2"),
                      ("e7", "e7")]
         steps = [0, 1, 2, 3, 4, 5]
-        probs = candidate_distribution(encoded, steps, linked_lines(histories, store), store,
+        probs = candidate_distribution(encoded, steps, linked_lines(histories, store),
                                        params).data
         for line, (pos, history) in enumerate(zip(steps, histories)):
-            alone = candidate_distribution(encoded, [pos], linked_lines([history], store), store,
+            alone = candidate_distribution(encoded, [pos], linked_lines([history], store),
                                            params).data[0]
             assert probs[line].tobytes() == alone.tobytes()
             width = widths[pos]
@@ -263,7 +273,7 @@ class TestCandidateDistribution:
 
         def build():
             # one step of an episode that linked e3 before it
-            probs = candidate_distribution(rec, [0], ("e3",), store, params)
+            probs = candidate_distribution(rec, [0], Linked.prefixes(("e3",), store, 1), params)
             return -ad.log(ad.gather(ad.reshape(probs, (-1,)), 0))
 
         loss = build()

@@ -15,7 +15,7 @@ from dynel.harness import ordering_for
 from dynel.local_transformer import TransformerConfig
 from dynel.model import build_model, encode_document, load_checkpoint, save_checkpoint
 from dynel.policy import ActionWindow, advance
-from dynel.selector import candidate_distribution
+from dynel.selector import Linked, candidate_distribution
 from dynel.synthetic import SyntheticSpec, generate_synthetic
 from dynel.trainer import (
     Adam,
@@ -195,7 +195,7 @@ class TestOrderingConstruction:
                              for i in range(len(golds))]
                 probs = candidate_distribution(
                     encoded, range(len(golds)), linked_lines(histories, self.store),
-                    self.store, self.params.selector
+                    self.params.selector
                 ).data
                 for m, line in zip(doc.mentions, probs):
                     pick = m.candidates[int(np.argmax(line[:len(m.candidates)]))].entity_id
@@ -376,6 +376,20 @@ class TestEpisodeGraph:
     policy graph; each must equal one call per step, each with the golds
     linked before it."""
 
+    def test_a_one_mention_update_gives_linked_coherence_no_gradient(self):
+        # nothing is linked before the only step, so the coherence column is
+        # a zero with no graph edge, and Adam leaves the parameter as it is
+        docs, store = anchored_world(num_docs=1)
+        doc = replace(docs[0], mentions=docs[0].mentions[:1])
+        cfg = TrainConfig(window=None, epochs=1, fusion_hidden=8, margin=0.9)
+        params = cfg.build_model(store, np.random.default_rng(0))
+        encoded = encode_document(doc, store, params, "train", np.random.default_rng(1))
+        ep = rollout(doc, store, params, cfg, mode="train", rng=np.random.default_rng(2),
+                     encoded=encoded)
+        grads = ad.backward(ep.margin)
+        assert params.selector.fusion.weights[0] in grads
+        assert params.selector.linked_coherence.diag not in grads
+
     @pytest.mark.parametrize("case", ["full", "features", "sum-raw", "transformer"])
     def test_one_call_per_episode_equals_the_steps_composed(self, case):
         docs, store = anchored_world(num_docs=1)
@@ -396,11 +410,13 @@ class TestEpisodeGraph:
                      order=order, encoded=encoded)
         mentions = [doc.mentions[p] for p in order]
         golds = ep.history_entities
-        batched = candidate_distribution(encoded, order, golds[:-1], store, params.selector)
+        batched = candidate_distribution(encoded, order,
+                                         Linked.prefixes(golds[:-1], store, len(order)),
+                                         params.selector)
         # each step alone: a one-step episode that linked the golds before it
         steps = [ad.gather(ad.reshape(candidate_distribution(
-                     encoded, [pos], golds[:t], store, params.selector), (-1,)),
-                     np.arange(len(m.candidates)))
+                     encoded, [pos], Linked.prefixes(golds[:t], store, 1), params.selector),
+                     (-1,)), np.arange(len(m.candidates)))
                  for t, (pos, m) in enumerate(zip(order, mentions))]
 
         hinges = [ad.tsum(ad.relu(ad.sub(p, ad.gather(p, m.candidate_ids.index(m.gold)))
@@ -692,6 +708,20 @@ class TestTrainLoop:
         params.selector.fusion.weights[0].data[0, 0] = np.nan
         with pytest.raises(RuntimeError, match=(
                 f"non-finite loss at epoch 0, document {re.escape(docs[0].id)}$")):
+            train(docs[:1], docs[1:], store, cfg, params=params)
+
+    def test_a_non_finite_window_distribution_is_named_at_the_document(self):
+        # a finite init pair whose history match overflows: NaN window
+        # probabilities, which rng.choice would meet first
+        docs, store = generate_synthetic(SyntheticSpec(num_docs=4, mentions_per_doc=4,
+                                                       candidates_per_mention=3,
+                                                       embedding_dim=16))
+        cfg = TrainConfig(window=2, epochs=1, fusion_hidden=8, episodes_per_doc=1, seed=0)
+        params = cfg.build_model(store, np.random.default_rng(0))
+        params.policy.init_pair.data[...] = 1e308
+        with np.errstate(all="ignore"), pytest.raises(RuntimeError, match=(
+                f"^non-finite window distribution at epoch 0, document "
+                f"{re.escape(docs[0].id)}$")):
             train(docs[:1], docs[1:], store, cfg, params=params)
 
     @pytest.mark.parametrize("what", ["gradient", "value"])

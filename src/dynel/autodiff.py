@@ -8,18 +8,18 @@ hold no gradient state, so nothing needs clearing between calls.  The op
 set is deliberately minimal: exactly what the linker's scorers, policy
 network and training losses need.  No GPU, no generic dtype support.
 
-Gradients through ``gather_rows`` leave the gather row-sparse, as the
-gathered rows' indices and gradients; ``backward`` scatters these parts into
-one dense array per receiving node as they arrive, so a word table gathered
-one token at a time costs one table-sized array per ``backward``, not one
-per token.  The sums are bit-identical to adding one dense table per gather.
+Every gradient is a dense array.  ``gather`` is the one gather, of entries
+of a vector or rows of a matrix; its gradient is one table of the gathered
+tensor's shape, and ``backward`` adds into a fresh one in place rather
+than copying it, so a word table gathered once per document costs one
+table-sized array per gather.
 """
 
 from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -49,7 +49,6 @@ __all__ = [
     "concat",
     "stack",
     "gather",
-    "gather_rows",
 ]
 
 
@@ -117,6 +116,10 @@ def parameter(data) -> Tensor:
 
 
 def _result(data, parents: Sequence[Tensor], grad_fns) -> Tensor:
+    """A tensor of ``data`` whose gradient reaches each parent through its
+    grad function.  A grad function returns its input, a view of it or a
+    new array, and never an array it keeps: ``backward`` adds in place into
+    a new array it is handed (see ``backward``)."""
     out = Tensor(data)
     if not _GRAD_ENABLED:
         return out
@@ -369,9 +372,11 @@ def stack(rows: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def gather(a: Tensor, idx) -> Tensor:
-    """Entries ``idx`` of a vector, in the shape of ``idx`` (a scalar for one index)."""
-    if a.data.ndim != 1:
-        raise ShapeError("gather expects a vector")
+    """Entries of a vector or rows of a matrix, ``idx`` along axis 0, in the
+    shape of ``idx`` (a scalar or one row for one index).  The gradient is
+    one dense table, repeats summed in ``idx``'s order."""
+    if a.data.ndim not in (1, 2):
+        raise ShapeError("gather expects a vector or a matrix")
     idx = np.asarray(idx, dtype=np.intp)
     ad = a.data
 
@@ -381,39 +386,6 @@ def gather(a: Tensor, idx) -> Tensor:
         return out
 
     return _result(ad[idx], (a,), (back,))
-
-
-class _RowPart(NamedTuple):
-    """The gradient of one ``gather_rows``: ``rows[i]`` belongs to row ``idx[i]``."""
-
-    idx: np.ndarray
-    rows: np.ndarray
-
-
-def _add_part(out: np.ndarray, part: _RowPart) -> None:
-    """``out +=`` the dense table of ``part``.
-
-    A row gathered more than once is summed on its own first, as in the
-    part's own table; ``np.add.at`` straight into ``out`` would add the
-    repeats one by one to the running total and round differently.
-    """
-    idx, rows = part
-    if idx.size > 1:
-        uniq, inverse = np.unique(idx, return_inverse=True)
-        if uniq.size < idx.size:
-            sums = np.zeros((uniq.size,) + rows.shape[1:])
-            np.add.at(sums, inverse, rows)
-            out[uniq] += sums
-            return
-    out[idx] += rows
-
-
-def gather_rows(a: Tensor, idx) -> Tensor:
-    """Rows ``idx`` of a matrix; its gradient flows row-sparse (see ``backward``)."""
-    if a.data.ndim != 2:
-        raise ShapeError("gather_rows expects a matrix")
-    idx = np.asarray(idx, dtype=np.intp)
-    return _result(a.data[idx], (a,), (lambda g: _RowPart(idx, g),))
 
 
 # ---------------------------------------------------------------------------
@@ -538,9 +510,7 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
     A parameter is a leaf that requires a gradient.  Each returned array is
     fresh, owned by the caller and shared with no other key; intermediate
     nodes get none, and a loss that needs no gradient returns ``{}``.  Each
-    node's incoming gradients are summed in arrival order, left to right;
-    the row-sparse parts from ``gather_rows`` are scattered so that every
-    row gets the same sums, in the same order, as one dense table per gather.
+    node's incoming gradients are summed in arrival order, left to right.
     """
     if loss.data.shape != ():
         raise ShapeError("backward expects a scalar loss")
@@ -564,10 +534,10 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
             if p.requires_grad and id(p) not in seen:
                 stack_.append((p, False))
 
-    # a flowing gradient is a dense array; ``owned`` holds the keys whose
-    # array backward allocated itself, the only arrays it adds into in place
-    # or hands out unchanged (a grad function may return its input, so any
-    # other array can be shared with another node)
+    # ``owned`` holds the keys whose flowing array no other key or node can
+    # see, the only arrays backward adds into in place or hands out
+    # unchanged: a new array a grad function made, or a sum backward made.
+    # A grad function's input, or a view of it, can be another key's too
     flowing: dict[int, np.ndarray] = {id(loss): np.ones(())}
     owned: set[int] = set()
     grads: dict[Tensor, np.ndarray] = {}
@@ -584,18 +554,10 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
             contrib = fn(g)
             pkey = id(parent)
             acc = flowing.get(pkey)
-            if type(contrib) is _RowPart:
-                if acc is None:
-                    acc = np.zeros_like(parent.data)
-                    np.add.at(acc, *contrib)  # into zeros this is the part's own table
-                else:
-                    if pkey not in owned:
-                        acc = acc.copy()
-                    _add_part(acc, contrib)
-                flowing[pkey] = acc
-                owned.add(pkey)
-            elif acc is None:
+            if acc is None:
                 flowing[pkey] = contrib
+                if type(contrib) is np.ndarray and contrib.base is None and contrib is not g:
+                    owned.add(pkey)
             elif pkey in owned:
                 acc += contrib
             else:

@@ -195,12 +195,13 @@ def document_input(
     Mention i's sequence ``[CLS] ctx... [SEP] (cand [SEP])*`` fills rows
     ``i * length`` on; each row sums its token, type, segment and position
     rows, and a padded row is its mention's ``[CLS]`` row.  The distinct
-    token rows (``[CLS]``, ``[SEP]``, every context word, every candidate
-    token) are built once each and gathered into place, as are the rows of
-    the three tables.  Returns the ``(mentions * length, d)`` rows, the
-    ``(mentions, length)`` mask of real rows, each mention head's row and,
-    in the shape of ``slots``, each slot's candidate row (a padded slot
-    reads its mention's first).
+    token rows (``[CLS]``, ``[SEP]``, every distinct word of the contexts
+    and the candidates' surface forms, every candidate token) are built
+    once each and gathered into place, as are the rows of the three
+    tables.  Returns the ``(mentions * length, d)`` rows, the ``(mentions,
+    length)`` mask of real rows, each mention head's row and, in the shape
+    of ``slots``, each slot's candidate row (a padded slot reads its
+    mention's first).
     """
     for mention in mentions:
         error = _cap_error(mention, params.config)
@@ -212,26 +213,32 @@ def document_input(
     lengths = 2 + ctx + 2 * widths
     keys = np.arange(lengths.max()) < lengths[:, None]
 
-    # candidate tokens: (mean surface word + projection) * 0.5, or the
-    # projection alone for an entity without a surface form
+    # every distinct word of the document, context and surface, gathered
+    # once; context positions and surface words index into these rows
     ids = [e for m in mentions for e in m.candidate_ids]
     surfaces = [store.entity_surface.get(e, ()) for e in ids]
     sizes = np.array([len(surface) for surface in surfaces])
+    vocab_ids, word_row = np.unique([params.vocab[w] for c in contexts for w in c]
+                                    + [params.vocab[w] for s in surfaces for w in s],
+                                    return_inverse=True)
+    words = ad.gather(params.word_embed, vocab_ids)
+
+    # candidate tokens: (mean surface word + projection) * 0.5, or the
+    # projection alone for an entity without a surface form
     tokens = ad.matmul(Tensor(candidates[slots[valid]]), params.entity_proj)
     if sizes.any():
         owner = np.repeat(np.arange(len(ids)), sizes)  # the candidate of each surface word
         mean = (owner == np.arange(len(ids))[:, None]) / np.maximum(sizes, 1)[:, None]
-        words = ad.gather_rows(params.word_embed, [params.vocab[w] for s in surfaces for w in s])
+        surface_words = ad.gather(words, word_row[ctx.sum():])
         half = np.where(sizes, 0.5, 1.0)[:, None]
-        tokens = ad.add(ad.matmul(Tensor(mean), words), tokens) * Tensor(half)
+        tokens = ad.add(ad.matmul(Tensor(mean), surface_words), tokens) * Tensor(half)
     for entity_id in (e for e, size in zip(ids, sizes) if not size):
         log.warning("entity %s has no surface form; using projection only", entity_id)
 
-    # distinct rows: 0 [CLS], 1 [SEP], then every context word, then every candidate token
-    words = ad.gather_rows(params.word_embed, [params.vocab[w] for c in contexts for w in c])
+    # distinct rows: 0 [CLS], 1 [SEP], then every distinct word, then every candidate token
     distinct = ad.concat([ad.stack([params.cls_tok, params.sep_tok]), words, tokens])
-    first_word = 2 + np.cumsum(ctx) - ctx
-    first_token = 2 + ctx.sum() + np.cumsum(widths) - widths
+    first_word = np.cumsum(ctx) - ctx
+    first_token = 2 + len(vocab_ids) + np.cumsum(widths) - widths
 
     # each row's distinct row, type, segment and position; a padded row
     # keeps the zeros of its mention's [CLS]
@@ -239,7 +246,7 @@ def document_input(
     heads = np.array([1 + len(m.context_before) for m in mentions])
     for i, (c, n, seq) in enumerate(zip(ctx, widths, lengths)):
         seps, cands = slice(1 + c, seq, 2), slice(2 + c, seq, 2)
-        token[i, 1:1 + c] = first_word[i] + np.arange(c)
+        token[i, 1:1 + c] = 2 + word_row[first_word[i]:first_word[i] + c]
         token[i, seps] = 1
         token[i, cands] = first_token[i] + np.arange(n)
         kind[i, 1 + c:seq] = 1
@@ -248,10 +255,10 @@ def document_input(
         segment[i, seps] = np.minimum(1 + np.arange(n + 1), n)
         position[i, :seq] = np.arange(seq)
         position[i, cands] = heads[i]  # candidates share the mention head's slot
-    x = ad.gather_rows(distinct, token.ravel())
+    x = ad.gather(distinct, token.ravel())
     for table, index in ((params.type_embed, kind), (params.segment_embed, segment),
                          (params.position_embed, position)):
-        x = ad.add(x, ad.gather_rows(table, index.ravel()))
+        x = ad.add(x, ad.gather(table, index.ravel()))
 
     base = np.arange(len(mentions)) * keys.shape[1]
     columns = np.where(valid, np.arange(valid.shape[1]), 0)
@@ -286,9 +293,9 @@ def document_scores(
     for layer in params.encoder:
         x = layer.apply(x, training=training, rng=rng, keys=keys)
 
-    o_cls = ad.gather_rows(x, np.arange(len(mentions)) * keys.shape[1])
-    o_mention = ad.gather_rows(x, heads)
-    o_cands = ad.reshape(ad.gather_rows(x, cand_rows.ravel()), valid.shape + (cfg.model_dim,))
+    o_cls = ad.gather(x, np.arange(len(mentions)) * keys.shape[1])
+    o_mention = ad.gather(x, heads)
+    o_cands = ad.reshape(ad.gather(x, cand_rows.ravel()), valid.shape + (cfg.model_dim,))
 
     summary = dropout(
         ad.relu(linear(o_cls, params.summary_w, params.summary_b)),

@@ -32,11 +32,21 @@ from .autodiff import DiagonalBilinear, Tensor
 __all__ = [
     "PolicyParams",
     "ActionWindow",
+    "NonFiniteWindow",
     "action_representation",
     "select_action",
     "episode_log_probs",
     "advance",
 ]
+
+
+class NonFiniteWindow(RuntimeError):
+    """A window distribution holding a NaN or an infinity; ``line`` is a
+    line of the ``select_action`` call whose distribution holds one."""
+
+    def __init__(self, line: int):
+        super().__init__("non-finite window distribution")
+        self.line = line
 
 
 @dataclass
@@ -116,9 +126,9 @@ def select_action(
     Lines whose windows are equally wide are scored as one stack, so a line
     gets exactly the numbers it gets alone (see ``DiagonalBilinear.pool``).
     A distribution holding a NaN or an infinity is refused with a
-    ``RuntimeError``, in both modes.  Sampled lines draw in line order.
-    Single-action windows skip the rng so greedy and sampled rollouts stay
-    trace-identical there.
+    ``NonFiniteWindow`` naming its line, in both modes.  Sampled lines draw
+    in line order.  Single-action windows skip the rng so greedy and
+    sampled rollouts stay trace-identical there.
     """
     if mode not in ("greedy", "sample"):
         raise ValueError(f"unknown selection mode {mode!r}")
@@ -133,13 +143,13 @@ def select_action(
     probs: list[np.ndarray] = [np.empty(0)] * len(acts)
     for width in sorted(set(widths)):
         lines = [i for i, w in enumerate(widths) if w == width]
-        reps = ad.gather_rows(actions, [acts[i] for i in lines])
+        reps = ad.gather(actions, [acts[i] for i in lines])
         rows = histories if len(lines) == len(acts) else Tensor(histories.data[lines])
         evidence = params.history_match.pool(reps, rows, params.top_k)
         log_probs = ad.log_softmax(params.action_scorer.scores(reps, evidence))
         group = np.exp(log_probs.data)
         if not np.isfinite(group).all():
-            raise RuntimeError("non-finite window distribution")
+            raise NonFiniteWindow(lines[int(np.argmin(np.isfinite(group).all(axis=1)))])
         for line, line_probs in zip(lines, group):
             probs[line] = line_probs
 
@@ -183,7 +193,7 @@ def episode_log_probs(
 
     # row 0 is the init pair, row t the pair linked at step t-1
     history = ad.concat([ad.reshape(params.init_pair, (1, -1)),
-                         ad.gather_rows(pairs, list(order[:-1]))])
+                         ad.gather(pairs, list(order[:-1]))])
 
     visible = np.tri(steps, dtype=bool)
     evidence = params.history_match.pool(queries, history, params.top_k, visible)

@@ -39,7 +39,7 @@ from .model import (
     concat_records,
     encode_document,
 )
-from .policy import ActionWindow, advance, episode_log_probs, select_action
+from .policy import ActionWindow, NonFiniteWindow, advance, episode_log_probs, select_action
 from .rewards import REWARD_KINDS, EpisodeOutcome, TransitionRewards, reward_trace
 from .selector import FEATURE_NAMES, FUSION_MODES, Linked, candidate_distribution
 
@@ -362,7 +362,8 @@ def link_lockstep(
     line with its own history; a document leaves the batch once linked.
     ``orders[i]``, unless ``None``, fixes document i's order, which bypasses
     the policy and its window.  Each document is linked exactly as it is
-    linked alone.  Records no graph.
+    linked alone.  Records no graph.  A non-finite window distribution is
+    refused with a ``NonFiniteWindow`` naming its record.
     """
     if len(records) > LOCKSTEP_BATCH:
         raise ValueError(f"at most {LOCKSTEP_BATCH} documents link in lockstep, "
@@ -390,9 +391,12 @@ def link_lockstep(
             chosen = {i: starts[i] + orders[i][step] for i in active if orders[i] is not None}
             free = [i for i in active if orders[i] is None]
             if free:
-                picks, dists = select_action(Tensor(history[free, :step + 1]),
-                                             [windows[i] for i in free], batch.actions,
-                                             params.policy)
+                try:
+                    picks, dists = select_action(Tensor(history[free, :step + 1]),
+                                                 [windows[i] for i in free], batch.actions,
+                                                 params.policy)
+                except NonFiniteWindow as err:   # name the record, not the line
+                    raise NonFiniteWindow(free[err.line]) from err
                 for i, pos, probs in zip(free, picks, dists):
                     windows[i] = advance(windows[i], pos)
                     chosen[i] = pos
@@ -433,12 +437,17 @@ def link_documents(
 ) -> Iterator[tuple[Document, Links]]:
     """``(doc, links)`` for every document, in order, encoded and linked in
     lockstep ``LOCKSTEP_BATCH`` at a time.  ``order_for(doc, encoded)``
-    gives a document's fixed order, or ``None`` to let the policy choose."""
+    gives a document's fixed order, or ``None`` to let the policy choose.
+    A non-finite window distribution is refused naming its document."""
     for start in range(0, len(docs), LOCKSTEP_BATCH):
         chunk = docs[start:start + LOCKSTEP_BATCH]
         records = [encode_document(doc, store, params) for doc in chunk]
         orders = None if order_for is None else [order_for(d, r) for d, r in zip(chunk, records)]
-        yield from zip(chunk, link_lockstep(records, store, params, config, orders))
+        try:
+            links = link_lockstep(records, store, params, config, orders)
+        except NonFiniteWindow as err:
+            raise RuntimeError(f"{err} at document {chunk[err.line].id}") from err
+        yield from zip(chunk, links)
 
 
 def _margin(probs: Tensor, encoded: EncodedDocument, order: Sequence[int],
@@ -635,7 +644,7 @@ def train(
                             encoded=encoded)
                     for _ in range(config.episodes_per_doc)
                 ]
-            except RuntimeError as err:   # a non-finite window distribution
+            except NonFiniteWindow as err:
                 raise RuntimeError(f"{err} {where}") from err
             skipped_margin_terms += sum(len(ep.order) - ep.margin_terms for ep in episodes)
             window_probs = [probs for ep in episodes for probs in ep.window_probs]

@@ -44,8 +44,8 @@ MUTANTS = (
            "    charged = encoded.valid[order]",
            (f"{EPISODE}::test_one_call_per_episode_equals_the_steps_composed[full]",)),
     Mutant("window gather off by one", "policy.py",
-           "reps = ad.gather_rows(actions, [acts[i] for i in lines])",
-           "reps = ad.gather_rows(actions, [np.subtract(acts[i], 1) for i in lines])",
+           "reps = ad.gather(actions, [acts[i] for i in lines])",
+           "reps = ad.gather(actions, [np.subtract(acts[i], 1) for i in lines])",
            ("tests/test_policy.py::TestSelectAction::"
             "test_reads_no_action_row_outside_its_window[gapped]",)),
     # the transformer's document pass
@@ -70,6 +70,23 @@ MUTANTS = (
     Mutant("a separator's segment off by one", "local_transformer.py",
            "np.minimum(1 + np.arange(n + 1), n)", "np.minimum(np.arange(n + 1), n)",
            (f"{TRANSFORMER}::test_build_input_matches_the_row_by_row_oracle",)),
+    Mutant("a context word reads the next distinct row", "local_transformer.py",
+           "token[i, 1:1 + c] = 2 + word_row[", "token[i, 1:1 + c] = 3 + word_row[",
+           (f"{TRANSFORMER}::test_word_gradient_equals_two_dense_gathers_bit_for_bit",
+            f"{TRANSFORMER}::test_build_input_matches_the_row_by_row_oracle")),
+    # the one gather and backward's ownership of the arrays it adds into
+    Mutant("a gather's gradient keeps one of repeated rows", "autodiff.py",
+           "np.add.at(out, idx, g)", "out[idx] = g",
+           ("tests/test_autodiff.py::test_gather_scatter_accumulates_repeats",
+            f"{TRANSFORMER}::test_word_gradient_equals_two_dense_gathers_bit_for_bit")),
+    Mutant("backward owns the gradient a grad function passed on", "autodiff.py",
+           "contrib.base is None and contrib is not g:", "contrib.base is None:",
+           ("tests/test_autodiff.py::test_a_gradient_handed_to_two_keys_is_never_added_into"
+            "[itself]",)),
+    Mutant("backward owns a view of the gradient a grad function passed on", "autodiff.py",
+           "contrib.base is None and contrib is not g:", "contrib is not g:",
+           ("tests/test_autodiff.py::test_a_gradient_handed_to_two_keys_is_never_added_into"
+            "[a view]",)),
     Mutant("a concat gradient sliced on the wrong axis", "autodiff.py",
            "np.take(g, at, axis) for p, end", "np.take(g, at, 0) for p, end",
            ("tests/test_autodiff.py::"
@@ -114,7 +131,7 @@ MUTANTS = (
            "scores(queries, evidence), valid)", "scores(queries, evidence), valid | True)",
            (f"{EPISODE}::test_log_probs_equal_the_per_step_policy[4-2]",)),
     Mutant("history shifted by one step", "policy.py",
-           "ad.gather_rows(pairs, list(order[:-1]))", "ad.gather_rows(pairs, list(order[1:]))",
+           "ad.gather(pairs, list(order[:-1]))", "ad.gather(pairs, list(order[1:]))",
            (f"{EPISODE}::test_log_probs_equal_the_per_step_policy[None-2]",)),
     Mutant("masked log-softmax entries pass gradient", "autodiff.py",
            "        g = np.where(mask, g, 0.0)\n", "",
@@ -128,6 +145,10 @@ MUTANTS = (
            (f"{TRAINER}::TestTrainLoop::"
             "test_a_non_finite_window_distribution_is_named_at_the_document",
             f"{CLI}::test_link_and_eval_refuse_a_non_finite_window_distribution[eval]")),
+    Mutant("a lockstep refusal names the line, not the document", "trainer.py",
+           "raise NonFiniteWindow(free[err.line])", "raise NonFiniteWindow(err.line)",
+           (f"{TRAINER}::TestTrainLoop::"
+            "test_linking_names_the_document_of_a_non_finite_window",)),
     Mutant("advance takes any unresolved action", "policy.py",
            "if action not in window.actions():", "if action not in window.unresolved:",
            (f"{TRAINER}::TestRolloutBasics::test_a_forced_train_order_must_keep_the_window",)),

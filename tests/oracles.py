@@ -307,6 +307,34 @@ def transformer_input(
     return x, layout
 
 
+def two_gather_word_gradient(
+    n_words: int,
+    context_words: list[int],          # every context word's table row, mention by mention
+    context_grads: np.ndarray,         # (context words, d) each one's input row gradient
+    surfaces: list[list[int]],         # each candidate's surface words' table rows
+    token_grads: np.ndarray,           # (candidates, d) each candidate token row's gradient
+) -> np.ndarray:
+    """The word table's gradient as two gathers of the transformer input
+    gave it: one of every context word, one of every surface word.
+
+    A candidate's token row is (mean surface word + projection) * 0.5, so
+    its surface words share half its gradient, in one product.  Each gather
+    then scatters one dense table, repeats summed in order, and the two
+    tables are added.
+    """
+    sizes = np.array([len(s) for s in surfaces])
+    owner = np.repeat(np.arange(len(surfaces)), sizes)
+    mean = (owner == np.arange(len(surfaces))[:, None]) / np.maximum(sizes, 1)[:, None]
+    surface_grads = mean.T @ (token_grads * np.where(sizes, 0.5, 1.0)[:, None])
+    tables = []
+    for rows, grads in (([w for s in surfaces for w in s], surface_grads),
+                        (context_words, context_grads)):
+        table = np.zeros((n_words, grads.shape[1]))
+        np.add.at(table, rows, grads)
+        tables.append(table)
+    return tables[0] + tables[1]
+
+
 def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
                 eps: float = 1e-6) -> np.ndarray:
     centered = x - x.mean(axis=1, keepdims=True)

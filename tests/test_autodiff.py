@@ -471,65 +471,19 @@ def test_pool_gradients_match_finite_differences(rng):
 
 
 # ---------------------------------------------------------------------------
-# row-sparse gradients of gather_rows
+# gathers of rows, and gradients handed to more than one key
 # ---------------------------------------------------------------------------
-
-def dense_gather_rows(a: Tensor, idx) -> Tensor:
-    """``gather_rows`` with the dense gradient it used to have: one |rows| x d
-    ``np.add.at`` table per gather, which ``backward`` adds in arrival order."""
-    idx = np.asarray(idx, dtype=np.intp)
-
-    def back(g):
-        out = np.zeros_like(a.data)
-        np.add.at(out, idx, g)
-        return out
-
-    return ad._result(a.data[idx], (a,), (back,))
-
-
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_gather_gradients_equal_dense_tables_summed_in_arrival_order(data):
-    n_rows = data.draw(st.integers(1, 5))
-    dim = data.draw(st.integers(1, 3))
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    index_lists = st.lists(st.integers(0, n_rows - 1), min_size=1, max_size=5)
-    # (source, indices): 0 gathers the table, 1 a product's output, None uses the
-    # table densely; the terms are summed in the drawn order
-    uses = data.draw(st.permutations(
-        [(0, i) for i in data.draw(st.lists(index_lists, min_size=1, max_size=4))]
-        + [(1, i) for i in data.draw(st.lists(index_lists, min_size=1, max_size=2))]
-        + [(None, None)]))
-    table_data, mix_data = rng.normal(size=(n_rows, dim)), rng.normal(size=(dim, dim))
-    weights = [rng.normal(size=(n_rows if src is None else len(idx), dim))
-               for src, idx in uses]
-
-    def grads(gather):
-        table, mix = ad.parameter(table_data.copy()), ad.parameter(mix_data.copy())
-        sources = (table, ad.matmul(table, mix))
-        terms = [ad.tsum(ad.mul(table if src is None else gather(sources[src], idx),
-                                Tensor(w)))
-                 for (src, idx), w in zip(uses, weights)]
-        loss = terms[0]
-        for term in terms[1:]:
-            loss = ad.add(loss, term)
-        grads = ad.backward(loss)
-        return grads[table], grads[mix]
-
-    for got, want in zip(grads(ad.gather_rows), grads(dense_gather_rows)):
-        assert np.array_equal(got, want)
-
 
 def test_gather_gradients_are_bit_identical_over_two_backward_calls(rng):
     table = ad.parameter(rng.normal(size=(4, 3)))
     bias = ad.parameter(rng.normal(size=(3, 3)))
     w1, w2 = Tensor(rng.normal(size=(3, 3))), Tensor(rng.normal(size=(2, 3)))
     # `add` hands one gradient array to both operands, and `picked` is
-    # gathered again, so its gradient arrives row-sparse and dense
-    picked = ad.add(ad.add(ad.gather_rows(table, [0, 2, 0]),
-                           ad.gather_rows(table, [2, 2, 1])), bias)
+    # gathered again, so its gradient is a sum of two
+    picked = ad.add(ad.add(ad.gather(table, [0, 2, 0]),
+                           ad.gather(table, [2, 2, 1])), bias)
     loss = ad.add(ad.tsum(ad.mul(picked, w1)),
-                  ad.tsum(ad.mul(ad.gather_rows(picked, [1, 1]), w2)))
+                  ad.tsum(ad.mul(ad.gather(picked, [1, 1]), w2)))
     first = ad.backward(loss)
     second = ad.backward(loss)
     # exactly the parameters: the gathered intermediate `picked` has no entry
@@ -539,14 +493,14 @@ def test_gather_gradients_are_bit_identical_over_two_backward_calls(rng):
         assert not np.shares_memory(first[t], second[t])
 
 
-def test_gather_rows_with_repeats_matches_finite_differences(rng):
+def test_gather_with_repeats_matches_finite_differences(rng):
     table = ad.parameter(rng.normal(size=(4, 3)))
     w1, w2 = rng.normal(size=(4, 3)), rng.normal(size=(3, 3))
 
     def loss():
-        halves = ad.gather_rows(table, [1, 1, 3, 1]) * 0.5
+        halves = ad.gather(table, [1, 1, 3, 1]) * 0.5
         first = ad.sqrt(ad.mul(halves, halves) + 1.0)
-        second = ad.gather_rows(table, [3, 0, 3])
+        second = ad.gather(table, [3, 0, 3])
         return ad.tsum(first * Tensor(w1)) + ad.tsum(ad.mul(second, second) * Tensor(w2))
 
     grad = ad.backward(loss())[table]
@@ -554,3 +508,18 @@ def test_gather_rows_with_repeats_matches_finite_differences(rng):
     assert np.all(grad[2] == 0.0)  # never gathered
     for i, g in fd.items():
         assert oracles.rel_err(grad.ravel()[i], g) <= 1e-6
+
+
+@pytest.mark.parametrize("through", ["itself", "a view"])
+def test_a_gradient_handed_to_two_keys_is_never_added_into(rng, through):
+    # both `add`s hand one gradient array to both operands: `p` receives it
+    # (or a transposed view of it), then its second term `p * c`, while
+    # `q`, reached after that term, still holds the array
+    p, q = ad.parameter(rng.normal(size=(3, 3))), ad.parameter(rng.normal(size=(3, 3)))
+    w, c = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
+    first = p if through == "itself" else ad.transpose(p)
+    shared = ad.add(first, ad.add(p * Tensor(c), q))
+    grads = ad.backward(ad.tsum(shared * Tensor(w)))
+    assert np.array_equal(grads[q], w)
+    assert np.array_equal(grads[p], (w if through == "itself" else w.T) + w * c)
+    assert not np.shares_memory(grads[p], grads[q])

@@ -529,7 +529,7 @@ def test_link_and_eval_refuse_a_non_finite_window_distribution(command, tmp_path
     corpus = tmp_path / "corpus"
     assert main(["gen-corpus", "--out", str(corpus), "--docs", "4", "--mentions", "4",
                  "--candidates", "3", "--dim", "16", "--seed", "0"]) == 0
-    _, store = load_corpus(corpus)
+    docs, store = load_corpus(corpus)
     config = TrainConfig(window=2, fusion_hidden=8)
     params = config.build_model(store, np.random.default_rng(0))
     params.policy.init_pair.data[...] = 1e308
@@ -540,7 +540,9 @@ def test_link_and_eval_refuse_a_non_finite_window_distribution(command, tmp_path
         rc = main([command, "--corpus", str(corpus), "--checkpoint", str(ckpt),
                    "--out", str(out)])
     assert rc == 1
-    assert capsys.readouterr().err.strip() == "error: non-finite window distribution"
+    # every document of the lockstep batch fails; the first is named
+    assert capsys.readouterr().err.strip() == (
+        f"error: non-finite window distribution at document {docs[0].id}")
 
 
 def test_eval_out_holds_the_printed_report(corpus_dir, config_path, tmp_path, capsys):

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dynel import autodiff as ad
@@ -11,6 +11,7 @@ from dynel.corpus import CandidateEntity, Document, EmbeddingStore, Mention
 from dynel.local_transformer import (
     TransformerConfig,
     TransformerLocalParams,
+    document_input,
     document_scores,
     local_scores_transformer,
 )
@@ -98,6 +99,55 @@ def test_build_input_matches_the_row_by_row_oracle(data):
         assert vars(layout) == expected_layout
         assert np.abs(line[:layout.seq_len] - expected).max() <= 1e-12
         assert np.abs(line[layout.seq_len:] - expected[0]).max(initial=0.0) <= 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_word_gradient_equals_two_dense_gathers_bit_for_bit(data):
+    """The document's words, gathered once, take the gradient that one
+    gather of the context words and one of the surface words, each a dense
+    table, would give; words repeat within contexts, within surfaces and
+    across both, and the last two words are never used."""
+    words = [f"w{i}" for i in range(5)]
+    used = st.sampled_from(words[:3])
+    draw_words = lambda lo, hi: tuple(data.draw(st.lists(used, min_size=lo, max_size=hi)))
+    entities = ["e0", "e1", "e2", "e3"]
+    surfaces = {e: draw_words(0, 3) for e in entities}
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    store = EmbeddingStore(word_vecs={w: rng.normal(size=DIM) for w in words},
+                           entity_vecs={e: rng.normal(size=DIM) for e in entities},
+                           entity_surface={e: s for e, s in surfaces.items() if s})
+    params = TransformerLocalParams.build(store, CFG, rng)
+    mentions = tuple(
+        dataclasses.replace(mention(tuple(data.draw(st.lists(st.sampled_from(entities),
+                                                             min_size=1, max_size=4,
+                                                             unique=True))),
+                                    before=draw_words(0, 3), surface=draw_words(1, 2),
+                                    after=draw_words(0, 3)), id=f"m{i}", position=i)
+        for i in range(data.draw(st.integers(1, 3))))
+    contexts = [m.context_before + m.surface + m.context_after for m in mentions]
+    context_words = [params.vocab[w] for c in contexts for w in c]
+    cand_surfaces = [[params.vocab[w] for w in surfaces[e]] for m in mentions
+                     for e in m.candidate_ids]
+    surface_words = [w for s in cand_surfaces for w in s]
+    assume(len(set(context_words)) < len(context_words))
+    assume(len(set(surface_words)) < len(surface_words))
+    assume(set(context_words) & set(surface_words))
+
+    widths = np.array([len(m.candidates) for m in mentions])
+    valid = np.arange(widths.max()) < widths[:, None]
+    slots = (np.cumsum(widths) - widths)[:, None] + np.where(valid, np.arange(widths.max()), 0)
+    x, keys, _, cand_rows = document_input(
+        mentions, store.entities([e for m in mentions for e in m.candidate_ids]), slots,
+        valid, store, params)
+    mix = rng.normal(size=x.shape)
+    got = ad.backward(ad.tsum(x * Tensor(mix)))[params.word_embed]
+
+    starts = np.arange(len(mentions)) * keys.shape[1]
+    context_rows = [start + 1 + j for start, c in zip(starts, contexts) for j in range(len(c))]
+    want = oracles.two_gather_word_gradient(len(words), context_words, mix[context_rows],
+                                            cand_surfaces, mix[cand_rows[valid]])
+    assert got.tobytes() == want.tobytes()
 
 
 def test_scorer_reads_the_candidate_matrix_once(world, monkeypatch):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynel import autodiff as ad
+from dynel import trainer
 from dynel.autodiff import Tensor
 from dynel.corpus import CandidateEntity, EmbeddingStore
 from dynel.harness import ordering_for
@@ -22,6 +23,7 @@ from dynel.trainer import (
     Episode,
     TrainConfig,
     evaluate,
+    link_documents,
     policy_objective,
     rollout,
     train,
@@ -288,7 +290,7 @@ def _per_step_policy(encoded, store, params, window_size, order=None, rng=None):
     for t in range(n):
         acts, rows = window.actions(), ad.stack(history)
         seen.append((rows.data, acts))
-        reps = ad.gather_rows(encoded.actions, [list(acts)])
+        reps = ad.gather(encoded.actions, [list(acts)])
         evidence = pol.history_match.pool(reps, rows, pol.top_k)
         logp = ad.reshape(ad.log_softmax(pol.action_scorer.scores(reps, evidence)),
                           (len(acts),))
@@ -302,7 +304,7 @@ def _per_step_policy(encoded, store, params, window_size, order=None, rng=None):
         pos = acts[idx]
         chosen.append(pos)
         log_probs.append(ad.gather(logp, idx))
-        context = ad.reshape(ad.gather_rows(encoded.contexts, [pos]), (-1,))
+        context = ad.reshape(ad.gather(encoded.contexts, [pos]), (-1,))
         history.append(ad.concat([context, Tensor(store.entity(encoded.mentions[pos].gold))]))
         window = advance(window, pos)
     return chosen, log_probs, seen
@@ -723,6 +725,28 @@ class TestTrainLoop:
                 f"^non-finite window distribution at epoch 0, document "
                 f"{re.escape(docs[0].id)}$")):
             train(docs[:1], docs[1:], store, cfg, params=params)
+
+    def test_linking_names_the_document_of_a_non_finite_window(self, monkeypatch):
+        # document 2 alone has NaN action rows; document 0's order is fixed,
+        # so document 2 is line 1 of the lockstep batch's policy call
+        docs, store = generate_synthetic(SyntheticSpec(num_docs=4, mentions_per_doc=4,
+                                                       candidates_per_mention=3,
+                                                       embedding_dim=16))
+        cfg = TrainConfig(window=2, fusion_hidden=8)
+        params = cfg.build_model(store, np.random.default_rng(0))
+        real = trainer.encode_document
+
+        def encode(doc, *args, **kwargs):
+            record = real(doc, *args, **kwargs)
+            if doc is docs[2]:
+                record.actions.data[...] = np.nan
+            return record
+
+        monkeypatch.setattr(trainer, "encode_document", encode)
+        fixed = lambda doc, record: range(len(doc.mentions)) if doc is docs[0] else None
+        with pytest.raises(RuntimeError, match=(
+                f"^non-finite window distribution at document {re.escape(docs[2].id)}$")):
+            list(link_documents(docs, store, params, cfg, fixed))
 
     @pytest.mark.parametrize("what", ["gradient", "value"])
     def test_divergence_is_named_at_the_parameter(self, what, monkeypatch):

@@ -288,15 +288,11 @@ def log_softmax(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
     gradient would be NaN.
     """
     v = a.data
+    if v.ndim == 0 or v.size == 0:
+        raise ShapeError("log_softmax expects a non-empty vector or stack of vectors")
     if mask is None:
-        if v.ndim == 0 or v.size == 0:
-            raise ShapeError("log_softmax expects a non-empty vector or stack of vectors")
-        shifted = v - v.max(axis=-1, keepdims=True)
-        lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-        y = shifted - lse
-        sm = np.exp(y)
-        return _result(y, (a,), (lambda g: g - sm * g.sum(axis=-1, keepdims=True),))
-    if mask.shape != v.shape or v.size == 0:
+        mask = np.True_
+    elif mask.shape != v.shape:
         raise ShapeError(f"mask of shape {mask.shape} for log_softmax input {v.shape}")
     top = np.max(v, axis=-1, keepdims=True, where=mask, initial=-np.inf)
     shifted = np.subtract(v, top, where=mask, out=np.zeros_like(v))
@@ -318,23 +314,21 @@ def row_softmax(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
 
     With a boolean ``mask`` of ``a``'s shape, each line is a softmax over
     its unmasked entries alone: masked entries come out exactly 0, and a
-    line with nothing unmasked is all zeros.  Where a line is wholly
-    unmasked it is bit-identical to the unmasked softmax.
+    line with nothing unmasked is all zeros.  Without a mask every entry is
+    unmasked.
     """
     if a.data.ndim < 2 or a.data.shape[-1] == 0:
         raise ShapeError("row_softmax expects a matrix or stack with nonzero width")
     v = a.data
     if mask is None:
-        e = np.exp(v - v.max(axis=-1, keepdims=True))
-        y = e / e.sum(axis=-1, keepdims=True)
-    else:
-        if mask.shape != v.shape:
-            raise ShapeError(f"mask of shape {mask.shape} for softmax input {v.shape}")
-        top = np.max(v, axis=-1, keepdims=True, where=mask, initial=-np.inf)
-        e = np.exp(v - top, where=mask, out=np.zeros_like(v))
-        total = e.sum(axis=-1, keepdims=True)
-        # != 0 rather than > 0, so that a NaN line stays NaN
-        y = np.divide(e, total, where=total != 0, out=np.zeros_like(v))
+        mask = np.True_
+    elif mask.shape != v.shape:
+        raise ShapeError(f"mask of shape {mask.shape} for softmax input {v.shape}")
+    top = np.max(v, axis=-1, keepdims=True, where=mask, initial=-np.inf)
+    e = np.exp(v - top, where=mask, out=np.zeros_like(v))
+    total = e.sum(axis=-1, keepdims=True)
+    # != 0 rather than > 0, so that a NaN line stays NaN
+    y = np.divide(e, total, where=total != 0, out=np.zeros_like(v))
     return _result(y, (a,), (lambda g: y * (g - (g * y).sum(axis=-1, keepdims=True)),))
 
 

@@ -17,7 +17,7 @@ test suite pins the resulting values exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 __all__ = [
     "REWARD_KINDS",
@@ -84,14 +84,20 @@ def error_indices(flags: Sequence[bool]) -> tuple[int, ...]:
     return tuple(i + 1 for i, ok in enumerate(flags) if not ok)
 
 
+def _transitions(flags: Sequence[bool]) -> Iterator[str]:
+    """The (previous, current) correctness key of each step, ``tt``, ``tf``,
+    ``ff`` or ``ft``, with a correct virtual step 0."""
+    prev = True
+    for ok in flags:
+        yield ("t" if prev else "f") + ("t" if ok else "f")
+        prev = ok
+
+
 def transition_counts(flags: Sequence[bool]) -> dict[str, int]:
     """Counts of TT/TF/FF/FT flag transitions, with a correct virtual step 0."""
     counts = {"tt": 0, "tf": 0, "ff": 0, "ft": 0}
-    prev = True
-    for ok in flags:
-        key = ("t" if prev else "f") + ("t" if ok else "f")
+    for key in _transitions(flags):
         counts[key] += 1
-        prev = ok
     return counts
 
 
@@ -114,17 +120,8 @@ def reward_r2(
 ) -> float:
     """Transition reward summed over consecutive correctness pairs."""
     total = 0.0
-    prev = True
-    for ok in outcome.flags:
-        if prev and ok:
-            total += lam.tt
-        elif prev and not ok:
-            total += lam.tf
-        elif not prev and not ok:
-            total += lam.ff
-        else:
-            total += lam.ft
-        prev = ok
+    for key in _transitions(outcome.flags):
+        total += getattr(lam, key)
     return _prefactor(outcome, t) * total
 
 

@@ -172,78 +172,39 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[list[Document], EmbeddingSt
     def noise_word() -> tuple[str, ...]:
         return (noise_words[int(rng.integers(len(noise_words)))],)
 
+    def mention(doc_id: str, pos: int, word: str, gold: str,
+                head: tuple[tuple[str, float], ...], junk_mass: float) -> Mention:
+        """Mention ``pos``, named by ``word`` in its surface and its context,
+        with the ``head`` candidates and their priors, and junk candidates
+        sharing ``junk_mass`` up to ``candidates_per_mention``.  It draws
+        the junk, then the candidate order, then the noise word."""
+        junk = pick_junk(spec.candidates_per_mention - len(head))
+        cands = [CandidateEntity(e, prior) for e, prior in head] + [
+            CandidateEntity(j, round(junk_mass / max(len(junk), 1), 6)) for j in junk
+        ]
+        order = rng.permutation(len(cands))
+        after = noise_word()
+        return Mention(id=f"{doc_id}_m{pos}", surface=(word,), position=pos,
+                       context_before=(word,), context_after=after,
+                       candidates=tuple(cands[i] for i in order), gold=gold)
+
     docs: list[Document] = []
     for d in range(spec.num_docs):
         mentions: list[Mention] = []
         doc_id = f"doc{d:04d}"
         for p in range(n_pairs):
-            variant_x = bool(rng.integers(2))
-            gold_anchor = f"ent_p{p}_ax" if variant_x else f"ent_p{p}_az"
-            alt_anchor = f"ent_p{p}_az" if variant_x else f"ent_p{p}_ax"
-            gold_cand = f"ent_p{p}_cx" if variant_x else f"ent_p{p}_cz"
-            decoy_cand = f"ent_p{p}_cz" if variant_x else f"ent_p{p}_cx"
-            anchor_word = f"w_p{p}_x" if variant_x else f"w_p{p}_z"
-
-            junk = pick_junk(spec.candidates_per_mention - 2)
-            cands = [
-                CandidateEntity(gold_cand, TIED_PRIOR),
-                CandidateEntity(decoy_cand, TIED_PRIOR),
-            ] + [CandidateEntity(j, round(0.10 / max(len(junk), 1), 6)) for j in junk]
-            order = rng.permutation(len(cands))
-            mentions.append(
-                Mention(
-                    id=f"{doc_id}_m{2 * p}",
-                    surface=(f"w_p{p}_amb",),
-                    position=2 * p,
-                    context_before=(f"w_p{p}_amb",),
-                    context_after=noise_word(),
-                    candidates=tuple(cands[i] for i in order),
-                    gold=gold_cand,
-                )
-            )
-
-            junk = pick_junk(spec.candidates_per_mention - 2)
-            cands = [
-                CandidateEntity(gold_anchor, ANCHOR_GOLD_PRIOR),
-                CandidateEntity(alt_anchor, 0.01),
-            ] + [CandidateEntity(j, round(0.07 / max(len(junk), 1), 6)) for j in junk]
-            order = rng.permutation(len(cands))
-            mentions.append(
-                Mention(
-                    id=f"{doc_id}_m{2 * p + 1}",
-                    surface=(anchor_word,),
-                    position=2 * p + 1,
-                    context_before=(anchor_word,),
-                    context_after=noise_word(),
-                    candidates=tuple(cands[i] for i in order),
-                    gold=gold_anchor,
-                )
-            )
-
+            # the anchored mention sits at 2p and its anchor at 2p + 1
+            gold, alt = ("x", "z") if rng.integers(2) else ("z", "x")
+            mentions.append(mention(
+                doc_id, 2 * p, f"w_p{p}_amb", f"ent_p{p}_c{gold}",
+                ((f"ent_p{p}_c{gold}", TIED_PRIOR), (f"ent_p{p}_c{alt}", TIED_PRIOR)), 0.10))
+            mentions.append(mention(
+                doc_id, 2 * p + 1, f"w_p{p}_{gold}", f"ent_p{p}_a{gold}",
+                ((f"ent_p{p}_a{gold}", ANCHOR_GOLD_PRIOR), (f"ent_p{p}_a{alt}", 0.01)), 0.07))
         for g in range(n_fill):
-            pos = 2 * n_pairs + g
-            junk = pick_junk(spec.candidates_per_mention - 1)
-            cands = [CandidateEntity(f"ent_f{g}", ANCHOR_GOLD_PRIOR)] + [
-                CandidateEntity(j, round(0.07 / max(len(junk), 1), 6)) for j in junk
-            ]
-            order = rng.permutation(len(cands))
-            mentions.append(
-                Mention(
-                    id=f"{doc_id}_m{pos}",
-                    surface=(f"w_f{g}",),
-                    position=pos,
-                    context_before=(f"w_f{g}",),
-                    context_after=noise_word(),
-                    candidates=tuple(cands[i] for i in order),
-                    gold=f"ent_f{g}",
-                )
-            )
-
-        words: list[str] = []
-        for m in mentions:
-            for w in m.surface + m.context_window:
-                if w not in words:
-                    words.append(w)
+            mentions.append(mention(doc_id, 2 * n_pairs + g, f"w_f{g}", f"ent_f{g}",
+                                    ((f"ent_f{g}", ANCHOR_GOLD_PRIOR),), 0.07))
+        words = dict.fromkeys(w for m in mentions for w in m.surface + m.context_window)
         docs.append(Document(doc_id, tuple(words), tuple(mentions)))
 
     store = EmbeddingStore(

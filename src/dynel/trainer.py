@@ -487,7 +487,7 @@ def policy_objective(episodes: Sequence[Episode]) -> Tensor:
 
 
 class Adam:
-    """Adam over a fixed parameter list (beta1 0.9, beta2 0.999, eps 1e-8).
+    """Adam over a fixed parameter list, with Kingma & Ba's default constants.
 
     Row-lazy and exact (Kingma & Ba 2015, *Adam*).  A row (an entry, for a
     vector) whose gradients have all been zero so far has m = v = 0, so its
@@ -498,10 +498,10 @@ class Adam:
     one update touches a few hundred rows then costs those rows alone.
     """
 
-    def __init__(self, params: Sequence[Tensor], beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: Sequence[Tensor]):
         self.params = list(params)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
         # per parameter, the rows that have ever had a nonzero gradient

@@ -188,6 +188,15 @@ MUTANTS = (
            "sum(probs.size > 1 for probs in window_probs)",
            "sum(probs.size > 0 for probs in window_probs)",
            (f"{TRAINER}::TestTrainLoop::test_policy_entropy_and_multi_action_share_per_epoch",)),
+    # the rewards
+    Mutant("the virtual step 0 counts as wrong", "rewards.py",
+           "    prev = True\n", "    prev = False\n",
+           ("tests/test_rewards.py::TestR2::test_nonzero_ft_is_honoured",)),
+    # the synthetic generator
+    Mutant("the noise word drawn before the candidate order", "synthetic.py",
+           "        order = rng.permutation(len(cands))\n        after = noise_word()\n",
+           "        after = noise_word()\n        order = rng.permutation(len(cands))\n",
+           ("tests/test_synthetic.py::test_every_spec_of_the_grid_gives_the_pinned_corpus",)),
     # the baselines
     Mutant("exhaustive-best refuses only when it reaches the document", "harness.py",
            "    if strategy == \"exhaustive-best\":\n        _refuse_long_documents(docs)\n", "",

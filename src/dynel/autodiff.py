@@ -278,6 +278,26 @@ def tmax(a: Tensor, axis: int) -> Tensor:
 # softmax family (numerically stabilised by max subtraction)
 # ---------------------------------------------------------------------------
 
+_FLOOR = np.finfo(np.float64).min   # keeps a line with nothing unmasked from -inf - -inf
+
+
+def _exp_lines(v: np.ndarray, mask: np.ndarray | None):
+    """The one softmax kernel.  Returns ``mask`` (all true for ``None``);
+    each line of the last axis shifted by its max over the unmasked entries,
+    masked entries to -inf; the exps, masked ones 0; and each line's sum: at
+    least 1, as the max exps to 1, or raised from 0 to 1 with nothing
+    unmasked, so that line divides to zeros and logs to 0.  A NaN line stays
+    NaN, and no step warns."""
+    if mask is None:
+        mask = np.True_
+    elif mask.shape != v.shape:
+        raise ShapeError(f"mask of shape {mask.shape} for softmax input {v.shape}")
+    shifted = np.where(mask, v, -np.inf)
+    shifted -= shifted.max(axis=-1, keepdims=True, initial=_FLOOR)
+    e = np.exp(shifted)
+    return mask, shifted, e, np.maximum(e.sum(axis=-1, keepdims=True), 1.0)
+
+
 def log_softmax(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
     """Log-softmax over each line of the last axis of a non-empty tensor.
 
@@ -290,19 +310,11 @@ def log_softmax(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
     v = a.data
     if v.ndim == 0 or v.size == 0:
         raise ShapeError("log_softmax expects a non-empty vector or stack of vectors")
-    if mask is None:
-        mask = np.True_
-    elif mask.shape != v.shape:
-        raise ShapeError(f"mask of shape {mask.shape} for log_softmax input {v.shape}")
-    top = np.max(v, axis=-1, keepdims=True, where=mask, initial=-np.inf)
-    shifted = np.subtract(v, top, where=mask, out=np.zeros_like(v))
-    total = np.exp(shifted, where=mask, out=np.zeros_like(v)).sum(axis=-1, keepdims=True)
-    # a line with nothing unmasked stays 0; a NaN line stays NaN through ``shifted``
-    lse = np.log(total, where=total > 0, out=np.zeros_like(total))
-    y = np.subtract(shifted, lse, where=mask, out=np.zeros_like(v))
-    sm = np.exp(y, where=mask, out=np.zeros_like(v))
+    mask, shifted, _, total = _exp_lines(v, mask)
+    y = np.where(mask, shifted - np.log(total), 0.0)
 
     def back(g):
+        sm = np.exp(y, where=mask, out=np.zeros_like(y))
         g = np.where(mask, g, 0.0)
         return g - sm * g.sum(axis=-1, keepdims=True)
 
@@ -319,16 +331,8 @@ def row_softmax(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
     """
     if a.data.ndim < 2 or a.data.shape[-1] == 0:
         raise ShapeError("row_softmax expects a matrix or stack with nonzero width")
-    v = a.data
-    if mask is None:
-        mask = np.True_
-    elif mask.shape != v.shape:
-        raise ShapeError(f"mask of shape {mask.shape} for softmax input {v.shape}")
-    top = np.max(v, axis=-1, keepdims=True, where=mask, initial=-np.inf)
-    e = np.exp(v - top, where=mask, out=np.zeros_like(v))
-    total = e.sum(axis=-1, keepdims=True)
-    # != 0 rather than > 0, so that a NaN line stays NaN
-    y = np.divide(e, total, where=total != 0, out=np.zeros_like(v))
+    _, _, e, total = _exp_lines(a.data, mask)
+    y = e / total
     return _result(y, (a,), (lambda g: y * (g - (g * y).sum(axis=-1, keepdims=True)),))
 
 
@@ -397,9 +401,9 @@ class DiagonalBilinear:
     Queries always come as a stack of matrices, and each pools over the rows
     its line of a visibility mask lets it see: a document's mentions in one
     call, each over its own block of context words, or a training episode's
-    steps, with the causal prefix mask of Vaswani et al. 2017.  A stack of row
-    matrices, one per query matrix, pools each line over its own rows:
-    documents linked in lockstep, each with its own history.
+    steps, with the causal prefix mask of Vaswani et al. 2017.  One row
+    matrix per query matrix pools each line over its own rows: documents
+    linked in lockstep, each with its own history.
     """
 
     diag: Tensor
@@ -422,7 +426,7 @@ class DiagonalBilinear:
         flat = matmul(reshape(queries, (-1, queries.shape[-1])), keyed)
         return tmax(reshape(flat, queries.shape[:-1] + (rows.shape[0],)), axis=-2)
 
-    def pool(self, queries: Tensor, rows: Tensor, top_k: int,
+    def pool(self, queries: Tensor, rows: Tensor | Sequence[np.ndarray], top_k: int,
              visible: np.ndarray | None = None) -> Tensor:
         """Softmax-weighted sum of the ``top_k`` best-matching rows, once per
         matrix of the stack ``queries``.
@@ -432,40 +436,35 @@ class DiagonalBilinear:
         only its visible rows, and one that sees none pools to zeros.
         Without it every row is visible.
 
-        With a stack of row matrices, line i pools ``queries[i]`` over the
-        visible rows of ``rows[i]`` (all of them without ``visible``): byte
-        for byte the pool of a one-line stack of those rows alone.  This
-        form serves greedy linking and records no graph.
+        With one row matrix per line, a sequence (or stack) of plain arrays,
+        line i pools ``queries[i]`` over all of ``rows[i]``: byte for byte the
+        pool of those rows alone, zeros when it has none.  This form serves
+        greedy linking, takes no ``visible`` and records no graph.
         """
-        if rows.data.ndim == 3:
-            return Tensor(self._pool_lines(queries.data, rows.data, top_k, visible))
+        if not isinstance(rows, Tensor):
+            return Tensor(self._pool_lines(queries.data, rows, top_k))
         scores = self.match(queries, rows)
         if visible is None:
             visible = np.ones(scores.shape, dtype=bool)
         return matmul(row_softmax(scores, _top_k_visible(scores.data, visible, top_k)), rows)
 
-    def _pool_lines(self, queries: np.ndarray, rows: np.ndarray, top_k: int,
-                    visible: np.ndarray | None) -> np.ndarray:
-        """The per-line pool as plain arrays.  Each line's visible rows are
-        gathered in row order, and lines with as many pool as one stack, so
-        every product and sum has the shape it has for the line alone:
-        BLAS rounds a product of another shape differently, and a sum padded
-        with zeros can associate differently."""
-        if queries.ndim != 3 or queries.shape[0] != rows.shape[0]:
-            raise ShapeError(f"{rows.shape[0]} row matrices need as many query matrices, "
+    def _pool_lines(self, queries: np.ndarray, rows: Sequence[np.ndarray],
+                    top_k: int) -> np.ndarray:
+        """The per-line pool as plain arrays.  Lines with as many rows pool
+        as one stack, so every product and sum has the shape it has for the
+        line alone: BLAS rounds a product of another shape differently, and
+        a sum padded with zeros can associate differently."""
+        if queries.ndim != 3 or len(queries) != len(rows):
+            raise ShapeError(f"{len(rows)} row matrices need as many query matrices, "
                              f"got shape {queries.shape}")
-        if visible is None:
-            if rows.shape[1]:
-                return self._pool_stack(queries, rows, top_k)
-            visible = np.ones(rows.shape[:2], dtype=bool)
-        elif visible.shape != rows.shape[:2]:
-            raise ShapeError(f"visibility mask of shape {visible.shape} for rows {rows.shape}")
-        out = np.zeros((rows.shape[0], rows.shape[2]))
-        counts = visible.sum(axis=1)
-        for count in sorted(set(counts[counts > 0].tolist())):
-            lines = np.flatnonzero(counts == count)
-            kept = rows[lines][visible[lines]].reshape(lines.size, count, -1)
-            out[lines] = self._pool_stack(queries[lines], kept, top_k)
+        counts = [len(r) for r in rows]
+        out = np.zeros((len(rows), queries.shape[2]))
+        for count in sorted(set(counts) - {0}):
+            lines = [i for i, c in enumerate(counts) if c == count]
+            if len(lines) == len(rows):   # one group of every line: nothing to gather
+                return self._pool_stack(queries, np.asarray(rows), top_k)
+            out[lines] = self._pool_stack(queries[lines], np.array([rows[i] for i in lines]),
+                                          top_k)
         return out
 
     def _pool_stack(self, queries: np.ndarray, rows: np.ndarray, top_k: int) -> np.ndarray:
@@ -478,9 +477,8 @@ class DiagonalBilinear:
             keep = np.sort(np.argsort(-scores, axis=-1, kind="stable")[:, :top_k], axis=-1)
             line = np.arange(rows.shape[0])[:, None]
             scores, rows = scores[line, keep], rows[line, keep]
-        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        weights = e / e.sum(axis=-1, keepdims=True)
-        return np.matmul(weights[:, None, :], rows)[:, 0]
+        _, _, e, total = _exp_lines(scores, None)
+        return np.matmul((e / total)[:, None, :], rows)[:, 0]
 
 
 def _top_k_visible(scores: np.ndarray, visible: np.ndarray, top_k: int) -> np.ndarray:

@@ -125,10 +125,10 @@ def select_action(
 
     Lines whose windows are equally wide are scored as one stack, so a line
     gets exactly the numbers it gets alone (see ``DiagonalBilinear.pool``).
-    A distribution holding a NaN or an infinity is refused with a
-    ``NonFiniteWindow`` naming its line, in both modes.  Sampled lines draw
-    in line order.  Single-action windows skip the rng so greedy and
-    sampled rollouts stay trace-identical there.
+    A distribution holding a NaN or an infinity, or whose logits are all
+    -inf, is refused with a ``NonFiniteWindow`` naming its line, in both
+    modes.  Sampled lines draw in line order.  Single-action windows skip
+    the rng so greedy and sampled rollouts stay trace-identical there.
     """
     if mode not in ("greedy", "sample"):
         raise ValueError(f"unknown selection mode {mode!r}")
@@ -144,13 +144,13 @@ def select_action(
     for width in sorted(set(widths)):
         lines = [i for i, w in enumerate(widths) if w == width]
         reps = ad.gather(actions, [acts[i] for i in lines])
-        rows = histories if len(lines) == len(acts) else Tensor(histories.data[lines])
+        rows = histories.data if len(lines) == len(acts) else histories.data[lines]
         evidence = params.history_match.pool(reps, rows, params.top_k)
-        log_probs = ad.log_softmax(params.action_scorer.scores(reps, evidence))
-        group = np.exp(log_probs.data)
-        if not np.isfinite(group).all():
-            raise NonFiniteWindow(lines[int(np.argmin(np.isfinite(group).all(axis=1)))])
-        for line, line_probs in zip(lines, group):
+        log_probs = ad.log_softmax(params.action_scorer.scores(reps, evidence)).data
+        finite = np.isfinite(log_probs.max(axis=1))   # no NaN, no inf, not all -inf
+        if not finite.all():
+            raise NonFiniteWindow(lines[int(np.argmin(finite))])
+        for line, line_probs in zip(lines, np.exp(log_probs)):
             probs[line] = line_probs
 
     positions = []

@@ -108,9 +108,34 @@ def _prefactor(outcome: EpisodeOutcome, t: int) -> float:
     return outcome.gamma ** (n - t) / n
 
 
+def _base(kind: str, outcome: EpisodeOutcome, lam: TransitionRewards | None,
+          per_step_prob: Sequence[float] | None) -> float:
+    """The named family's R(t) without its prefactor: the same for every t."""
+    n = outcome.length
+    if kind == "r1":
+        return -n + first_error_index(outcome.flags)
+    if kind == "r2-1":
+        total = 0.0
+        for key in _transitions(outcome.flags):
+            total += getattr(lam, key)
+        return total
+    if kind == "r2-2":
+        if per_step_prob is None:
+            raise ValueError("r2-2 needs per_step_prob")
+        if len(per_step_prob) != n:
+            raise ValueError("per_step_prob length must equal the episode length")
+        total = 0.0
+        for i, ok in enumerate(outcome.flags):
+            total += 0.0 if ok else -n * per_step_prob[i]
+        return total
+    if kind == "r3":
+        return sum(-1.0 + (idx - n) / n for idx in error_indices(outcome.flags))
+    raise ValueError(f"unknown reward kind {kind!r}")
+
+
 def reward_r1(outcome: EpisodeOutcome, t: int) -> float:
     """First-error reward: the earlier the first mistake, the worse."""
-    return _prefactor(outcome, t) * (-outcome.length + first_error_index(outcome.flags))
+    return _prefactor(outcome, t) * _base("r1", outcome, None, None)
 
 
 def reward_r2(
@@ -119,30 +144,19 @@ def reward_r2(
     lam: TransitionRewards = TransitionRewards(),
 ) -> float:
     """Transition reward summed over consecutive correctness pairs."""
-    total = 0.0
-    for key in _transitions(outcome.flags):
-        total += getattr(lam, key)
-    return _prefactor(outcome, t) * total
+    return _prefactor(outcome, t) * _base("r2-1", outcome, lam, None)
 
 
 def reward_r2_prob(outcome: EpisodeOutcome, t: int, per_step_prob: Sequence[float]) -> float:
     """Probability-scaled transition reward (r2-2): each wrong link costs
     ``-L * per_step_prob[i]``, the model's probability for the entity it
     wrongly chose at step ``i+1``; correct links cost nothing."""
-    n = outcome.length
-    if len(per_step_prob) != n:
-        raise ValueError("per_step_prob length must equal the episode length")
-    total = 0.0
-    for i, ok in enumerate(outcome.flags):
-        total += 0.0 if ok else -n * per_step_prob[i]
-    return _prefactor(outcome, t) * total
+    return _prefactor(outcome, t) * _base("r2-2", outcome, None, per_step_prob)
 
 
 def reward_r3(outcome: EpisodeOutcome, t: int) -> float:
     """Every wrong link costs -1 + (index - L)/L: accuracy first, then order."""
-    n = outcome.length
-    total = sum(-1.0 + (idx - n) / n for idx in error_indices(outcome.flags))
-    return _prefactor(outcome, t) * total
+    return _prefactor(outcome, t) * _base("r3", outcome, None, None)
 
 
 def reward_trace(
@@ -154,17 +168,8 @@ def reward_trace(
     """R(t) for every step t = 1..L under the named reward family.
 
     ``kind`` is one of ``r1``, ``r2-1``, ``r2-2``, ``r3``; ``r2-2`` needs
-    ``per_step_prob``.
+    ``per_step_prob``.  The family's base is computed once, then scaled by
+    each step's prefactor.
     """
-    n = outcome.length
-    if kind == "r1":
-        return tuple(reward_r1(outcome, t) for t in range(1, n + 1))
-    if kind == "r2-1":
-        return tuple(reward_r2(outcome, t, lam) for t in range(1, n + 1))
-    if kind == "r2-2":
-        if per_step_prob is None:
-            raise ValueError("r2-2 needs per_step_prob")
-        return tuple(reward_r2_prob(outcome, t, per_step_prob) for t in range(1, n + 1))
-    if kind == "r3":
-        return tuple(reward_r3(outcome, t) for t in range(1, n + 1))
-    raise ValueError(f"unknown reward kind {kind!r}")
+    base = _base(kind, outcome, lam, per_step_prob)
+    return tuple(_prefactor(outcome, t) * base for t in range(1, outcome.length + 1))

@@ -98,16 +98,16 @@ class Linked:
 
     ``entities`` holds the linked entities' rows, ``neighbors`` the KG
     neighbours they bring in, sorted by id.  Each is one ``(rows, d)``
-    matrix that every line shares (a training episode's steps), or a
-    ``(lines, rows, d)`` stack, one matrix per line (documents linked in
-    lockstep).  ``entities_visible`` and ``neighbors_visible`` hold one
-    boolean line per line, one entry per row, or are ``None`` when every
-    line sees every row.
+    matrix that every line shares (a training episode's steps), with
+    ``entities_visible`` or ``neighbors_visible`` holding one boolean line
+    per line, one entry per row; or a sequence of one matrix per line, each
+    line seeing all of its own (documents linked in lockstep), with ``None``
+    for both masks.
     """
 
-    entities: np.ndarray
+    entities: np.ndarray | Sequence[np.ndarray]
     entities_visible: np.ndarray | None
-    neighbors: np.ndarray
+    neighbors: np.ndarray | Sequence[np.ndarray]
     neighbors_visible: np.ndarray | None
 
     @classmethod
@@ -172,7 +172,7 @@ def candidate_distribution(
     numbers it gets alone.
     """
     steps = np.asarray(steps)
-    if linked.entities.ndim == 2:
+    if linked.entities_visible is not None:
         return _distribution(encoded, encoded.slots[steps], encoded.valid[steps], linked,
                              slice(None), params)
     widths = encoded.valid[steps].sum(axis=1)
@@ -200,12 +200,13 @@ def _distribution(encoded: EncodedDocument, at: np.ndarray, valid: np.ndarray | 
         else:
             bilinear, rows, visible = (params.neighborhood_coherence, linked.neighbors,
                                        linked.neighbors_visible)
-        if rows.shape[-2] == 0:   # nothing linked to pool: a zero column, no graph edge
+        if visible is None:   # one matrix per line, seen whole
+            pooled = bilinear.pool(cand, [rows[i] for i in lines], params.top_entities)
+        elif len(rows):
+            pooled = bilinear.pool(cand, Tensor(rows), params.top_entities, visible)
+        else:   # nothing linked to pool: a zero column, no graph edge
             columns.append(Tensor(np.zeros(at.shape)))
             continue
-        rows = rows if rows.ndim == 2 else rows[lines]
-        visible = None if visible is None else visible[lines]
-        pooled = bilinear.pool(cand, Tensor(rows), params.top_entities, visible)
         columns.append(bilinear.scores(cand, pooled))
     return _fuse(columns, valid, params)
 

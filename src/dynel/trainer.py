@@ -402,14 +402,8 @@ def link_lockstep(
                     chosen[i] = pos
                     window_probs[i].append(probs)
             positions = [chosen[i] for i in active]
-
-            counts = np.array([len(neighbors[i]) for i in active])
-            padded = np.zeros((len(active), counts.max(), dim))
-            for line, i in enumerate(active):
-                padded[line, :counts[line]] = neighbor_rows[i]
             linked = Linked(entities=history[active, 1:step + 1, dim:], entities_visible=None,
-                            neighbors=padded,
-                            neighbors_visible=np.arange(counts.max()) < counts[:, None])
+                            neighbors=[neighbor_rows[i] for i in active], neighbors_visible=None)
             probs = candidate_distribution(batch, positions, linked, params.selector).data
 
             for line, (i, pos) in enumerate(zip(active, positions)):

@@ -93,18 +93,11 @@ def built_input(mentions, store: EmbeddingStore, params):
 
 def linked_lines(histories, store: EmbeddingStore) -> Linked:
     """The ``Linked`` of lockstep lines that linked the entity ids of each
-    of ``histories`` (all equally long): their rows in link order, and the
-    union of their KG neighbours sorted by id, padded at the tail, where
-    the count mask hides them."""
+    of ``histories``: one matrix per line of their rows in link order, and
+    one of the union of their KG neighbours sorted by id."""
+    rows = lambda ids: store.entities(ids) if ids else np.zeros((0, store.dim))
     neighbors = [sorted(set().union(*(store.neighbors(e) for e in h))) for h in histories]
-    counts = np.array([len(n) for n in neighbors])
-    padded = np.zeros((len(histories), counts.max(initial=0), store.dim))
-    for line, ids in enumerate(neighbors):
-        if ids:
-            padded[line, :len(ids)] = store.entities(ids)
-    entities = np.array([[store.entity(e) for e in h] for h in histories]).reshape(
-        len(histories), -1, store.dim)
-    return Linked(entities, None, padded, np.arange(padded.shape[1]) < counts[:, None])
+    return Linked([rows(list(h)) for h in histories], None, [rows(n) for n in neighbors], None)
 
 
 def selector_oracle(encoded, pos: int, linked_ids, store: EmbeddingStore, params):

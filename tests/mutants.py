@@ -19,6 +19,8 @@ CLI = "tests/test_cli.py"
 SELECTOR = "tests/test_selector.py::TestCandidateDistribution"
 RECORD = "tests/test_model.py::test_the_record_equals_the_per_mention_oracle"
 LOCKSTEP = "tests/test_harness.py::test_lockstep_links_each_document_as_it_links_alone"
+SOFTMAX = "tests/test_autodiff.py::test_both_softmaxes_are_bytewise_the_reference_formulas"
+PER_LINE_POOL = "tests/test_autodiff.py::test_per_line_pool_is_bytewise_the_pool_of_each_line_alone"
 
 
 class Mutant(NamedTuple):
@@ -118,7 +120,7 @@ MUTANTS = (
            "return ad.row_softmax(logits, valid)", "return ad.row_softmax(logits)",
            (f"{EPISODE}::test_one_call_per_episode_equals_the_steps_composed[sum-raw]",)),
     Mutant("empty rows pooled, not a zero column", "selector.py",
-           "if rows.shape[-2] == 0:", "if False:",
+           "elif len(rows):", "elif True:",
            (f"{EPISODE}::test_a_one_mention_update_gives_linked_coherence_no_gradient",)),
     # the policy's episode graph
     Mutant("policy visibility prefix off by one", "policy.py",
@@ -136,12 +138,19 @@ MUTANTS = (
     Mutant("masked log-softmax entries pass gradient", "autodiff.py",
            "        g = np.where(mask, g, 0.0)\n", "",
            ("tests/test_autodiff.py::test_masked_log_softmax_leaves_masked_entries_at_zero",)),
+    # the softmax kernel
+    Mutant("masked entries enter the line sum", "autodiff.py",
+           "np.maximum(e.sum(axis=-1, keepdims=True), 1.0)",
+           "np.maximum((e + np.logical_not(mask)).sum(axis=-1, keepdims=True), 1.0)",
+           (SOFTMAX,)),
+    Mutant("a line with nothing unmasked shifted by -inf", "autodiff.py",
+           "initial=_FLOOR)", "initial=-np.inf)", (SOFTMAX,)),
     # the per-step loop
     Mutant("sampling pass reads one history row too few", "trainer.py",
            "Tensor(history[None, :step + 1])", "Tensor(history[None, :max(step, 1)])",
            (f"{EPISODE}::test_train_rollout_samples_the_order_of_the_per_step_graph[4]",)),
     Mutant("a non-finite window distribution let through", "policy.py",
-           "if not np.isfinite(group).all():", "if False:",
+           "if not finite.all():", "if False:",
            (f"{TRAINER}::TestTrainLoop::"
             "test_a_non_finite_window_distribution_is_named_at_the_document",
             f"{CLI}::test_link_and_eval_refuse_a_non_finite_window_distribution[eval]")),
@@ -158,20 +167,18 @@ MUTANTS = (
            "active = [i for i, n in enumerate(sizes) if n > 0]",
            (f"{LOCKSTEP}[2-attn]",)),
     Mutant("a window group pools another line's history", "policy.py",
-           "else Tensor(histories.data[lines])", "else Tensor(histories.data[:len(lines)])",
+           "else histories.data[lines]", "else histories.data[:len(lines)]",
            ("tests/test_policy.py::TestSelectAction::test_a_batch_scores_each_line_as_alone[0]",)),
     Mutant("padded candidate slots scored as candidates", "selector.py",
            "widths = encoded.valid[steps].sum(axis=1)",
            "widths = np.full(steps.size, encoded.valid.shape[1])",
            (f"{SELECTOR}::test_lockstep_lines_score_as_alone_and_as_the_oracle[ffn-True]",)),
-    Mutant("neighbour padding rows visible", "trainer.py",
-           "neighbors_visible=np.arange(counts.max()) < counts[:, None]",
-           "neighbors_visible=None",
-           (f"{LOCKSTEP}[None-attn]",)),
-    Mutant("kept rows pooled without compaction", "autodiff.py",
-           "kept = rows[lines][visible[lines]].reshape(lines.size, count, -1)",
-           "kept = rows[lines][:, :count]",
-           ("tests/test_autodiff.py::test_per_line_pool_is_bytewise_the_pool_of_each_line_alone",)),
+    Mutant("a row-count group pools its first line's rows", "autodiff.py",
+           "np.array([rows[i] for i in lines])", "np.array([rows[lines[0]] for i in lines])",
+           (PER_LINE_POOL,)),
+    Mutant("a row-count group pools the first lines' queries", "autodiff.py",
+           "self._pool_stack(queries[lines],", "self._pool_stack(queries[:len(lines)],",
+           (PER_LINE_POOL,)),
     # the training loop
     Mutant("Adam never marks a row", "trainer.py",
            "touched |= g.reshape(touched.size, -1).any(axis=1)", "touched |= False",

@@ -116,6 +116,35 @@ def solve_flag_reconstruction() -> dict[str, list[tuple[bool, ...]]]:
 
 
 # ---------------------------------------------------------------------------
+# masked softmax: straight-line formulas, one `where=` pass per step
+# ---------------------------------------------------------------------------
+
+def masked_row_softmax(v: np.ndarray, mask, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The softmax of each line of ``v`` over its ``mask``-ed entries, and
+    its gradient for the upstream gradient ``g``: masked entries 0, a line
+    with nothing unmasked all zeros, a NaN line NaN."""
+    top = np.max(v, axis=-1, keepdims=True, where=mask, initial=-np.inf)
+    e = np.exp(v - top, where=mask, out=np.zeros_like(v))
+    total = e.sum(axis=-1, keepdims=True)
+    y = np.divide(e, total, where=total != 0, out=np.zeros_like(v))
+    return y, y * (g - (g * y).sum(axis=-1, keepdims=True))
+
+
+def masked_log_softmax(v: np.ndarray, mask, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The log-softmax of each line of ``v`` over its ``mask``-ed entries,
+    and its gradient for the upstream gradient ``g``: masked entries 0 with
+    no gradient, a line with nothing unmasked all zeros."""
+    top = np.max(v, axis=-1, keepdims=True, where=mask, initial=-np.inf)
+    shifted = np.subtract(v, top, where=mask, out=np.zeros_like(v))
+    total = np.exp(shifted, where=mask, out=np.zeros_like(v)).sum(axis=-1, keepdims=True)
+    lse = np.log(total, where=total > 0, out=np.zeros_like(total))
+    y = np.subtract(shifted, lse, where=mask, out=np.zeros_like(v))
+    sm = np.exp(y, where=mask, out=np.zeros_like(v))
+    g = np.where(mask, g, 0.0)
+    return y, g - sm * g.sum(axis=-1, keepdims=True)
+
+
+# ---------------------------------------------------------------------------
 # policy distribution (straight-line recompute)
 # ---------------------------------------------------------------------------
 

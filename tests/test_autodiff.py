@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -365,27 +367,26 @@ def test_per_line_pool_is_bytewise_the_pool_of_each_line_alone(data):
     top_k = data.draw(st.integers(1, 6))
     lines = data.draw(st.integers(1, 5))
     n_queries = data.draw(st.integers(1, 4))
-    n_rows = data.draw(st.integers(0, top_k + 4))   # below, at and above top_k
+    # each line's own row count, below, at and above top_k, or one for all
+    counts = data.draw(st.lists(st.integers(0, top_k + 4), min_size=lines, max_size=lines))
+    if data.draw(st.booleans()):
+        counts = [counts[0]] * lines
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     queries = rng.normal(size=(lines, n_queries, dim))
-    rows = rng.normal(size=(lines, n_rows, dim))
+    rows = [rng.normal(size=(n, dim)) for n in counts]
     if data.draw(st.booleans()):
-        rows[:, 1::2] = rows[:, :-1:2]   # every other row repeated: tied scores
-    visible = np.array(data.draw(st.lists(
-        st.lists(st.booleans(), min_size=n_rows, max_size=n_rows),
-        min_size=lines, max_size=lines)), dtype=bool).reshape(lines, n_rows)
-    visible[0] = False   # a line that sees no row
+        for own in rows:
+            own[1::2] = own[:-1:2]   # every other row repeated: tied scores
     b = DiagonalBilinear(ad.parameter(rng.normal(size=dim)))
-    for mask in (visible, None):
-        got = b.pool(Tensor(queries), Tensor(rows), top_k, mask).data
-        assert got.shape == (lines, dim)
-        for line in range(lines):
-            # a one-line stack of the visible rows: what a document linked alone runs
-            kept = rows[line] if mask is None else rows[line][mask[line]]
-            want = b.pool(Tensor(queries[line:line + 1]), Tensor(kept[None]), top_k).data[0]
-            assert got[line].tobytes() == want.tobytes()
-            if not len(kept):
-                assert not want.any()
+    stacked = len(set(counts)) == 1 and data.draw(st.booleans())
+    got = b.pool(Tensor(queries), np.array(rows) if stacked else rows, top_k).data
+    assert got.shape == (lines, dim)
+    for line, own in enumerate(rows):
+        # a one-line pool of the line's rows: what a document linked alone runs
+        want = b.pool(Tensor(queries[line:line + 1]), [own], top_k).data[0]
+        assert got[line].tobytes() == want.tobytes()
+        if not len(own):
+            assert not want.any()
 
 
 def test_masked_pool_gradients_match_finite_differences(rng):
@@ -419,6 +420,38 @@ def test_masked_row_softmax_leaves_masked_entries_at_zero(rng):
     assert not grad[1, [1, 3]].any() and not grad[2].any()
     with pytest.raises(ShapeError):
         ad.row_softmax(x, mask[:2])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_both_softmaxes_are_bytewise_the_reference_formulas(data):
+    shape = (*data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)),
+             data.draw(st.integers(1, 40)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    v = rng.normal(size=shape) * data.draw(st.sampled_from([1e-3, 1.0, 30.0, 1e3]))
+    if data.draw(st.booleans()):
+        v = np.round(v)   # ties, and whole lines of one value
+    if data.draw(st.booleans()):
+        mask = None
+    else:
+        mask = rng.random(shape) < data.draw(st.sampled_from([0.2, 0.7, 1.0]))
+        mask[rng.random(shape[:-1]) < 0.25] = False   # lines with nothing unmasked
+        # any finite value behind the mask, the extremes included
+        extremes = [np.finfo(np.float64).max, -np.finfo(np.float64).max, 1e300, 0.0]
+        v = np.where(mask, v, rng.choice(extremes, size=shape) * rng.random(shape).round())
+    if data.draw(st.booleans()):
+        v[rng.random(shape) < 0.05] = np.nan   # NaN lines
+    g = rng.normal(size=shape)
+    for op, reference in ((ad.row_softmax, oracles.masked_row_softmax),
+                          (ad.log_softmax, oracles.masked_log_softmax)):
+        x = ad.parameter(v)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = op(x, mask)
+            grad = ad.backward(ad.tsum(out * Tensor(g)))[x]
+        want_out, want_grad = reference(v, np.True_ if mask is None else mask, g)
+        assert out.data.tobytes() == want_out.tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
 
 
 def test_masked_log_softmax_leaves_masked_entries_at_zero(rng):

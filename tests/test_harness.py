@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dynel import harness, model
-from dynel.autodiff import DiagonalBilinear
+from dynel.autodiff import DiagonalBilinear, Tensor
 from dynel.harness import (
     GAMMA1_GRID,
     WINDOW_GRID,
@@ -342,8 +342,12 @@ def test_grad_check_pools_with_the_top_k_caps_of_its_config(monkeypatch):
     real = DiagonalBilinear.pool
 
     def recorded(self, queries, rows, top_k, visible=None):
-        # a masked pool truncates where some line sees more than top_k rows
-        seen = rows.data.shape[0] if visible is None else int(visible.sum(axis=-1).max())
+        # a masked pool truncates where some line sees more than top_k rows,
+        # a per-line pool where some line has more
+        if visible is not None:
+            seen = int(visible.sum(axis=-1).max())
+        else:
+            seen = rows.data.shape[0] if isinstance(rows, Tensor) else max(map(len, rows))
         calls.append((seen, top_k))
         return real(self, queries, rows, top_k, visible)
 

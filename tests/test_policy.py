@@ -7,6 +7,7 @@ from dynel import autodiff as ad
 from dynel.autodiff import Tensor
 from dynel.policy import (
     ActionWindow,
+    NonFiniteWindow,
     PolicyParams,
     action_representation,
     advance,
@@ -128,6 +129,16 @@ class TestSelectAction:
         pos, probs = select_one(history_from([], params), window, action_stack(reps), params)
         assert pos == 4
         assert probs.tolist() == [1.0]
+
+    @pytest.mark.parametrize("mode", ["greedy", "sample"])
+    def test_a_window_whose_logits_are_all_minus_inf_is_refused(self, mode):
+        # every action's logit overflows to -inf and none to NaN: no action
+        # has a probability, so the window is refused rather than given zeros
+        params = make_params(2)
+        params.action_scorer.diag.data[...] = np.inf
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteWindow):
+            select_action(Tensor(np.ones((1, 2, 4))), [ActionWindow(3, (0, 1, 2))],
+                          Tensor(-np.ones((3, 4))), params, mode, np.random.default_rng(0))
 
     def test_identical_reps_split_evenly(self, rng):
         dim = 2

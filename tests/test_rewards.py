@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynel.rewards import (
+    REWARD_KINDS,
     EpisodeOutcome,
     TransitionRewards,
     error_indices,
@@ -169,8 +170,16 @@ def test_all_correct_maximises_every_reward():
 
 def test_reward_trace_matches_pointwise():
     out = EpisodeOutcome(S2)
-    trace = reward_trace("r3", out)
-    assert trace == tuple(reward_r3(out, t) for t in range(1, 8))
+    lam = TransitionRewards(0.5, -2.0, -1.0, 0.25)
+    probs = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3)
+    pointwise = {"r1": lambda t: reward_r1(out, t),
+                 "r2-1": lambda t: reward_r2(out, t, lam),
+                 "r2-2": lambda t: reward_r2_prob(out, t, probs),
+                 "r3": lambda t: reward_r3(out, t)}
+    assert set(pointwise) == set(REWARD_KINDS)
+    for kind, reward in pointwise.items():
+        trace = reward_trace(kind, out, lam, probs)
+        assert trace == tuple(reward(t) for t in range(1, 8)), kind
     with pytest.raises(ValueError):
         reward_trace("r9", out)
 

@@ -279,7 +279,8 @@ def read_header(path: str) -> dict:
 
 def load_checkpoint(params: ModelParams, path: str) -> dict:
     """Restore arrays into an already-built model of the same ``local_model``,
-    ``dim`` and, for the transformer, vocabulary; returns meta."""
+    ``dim`` and, for the transformer, vocabulary; returns meta.  An array
+    holding a NaN or an infinity is refused, and the model left as it was."""
     header = read_header(path)
     for key in _MODEL_KEYS:
         if header.get(key) != getattr(params, key):
@@ -287,5 +288,8 @@ def load_checkpoint(params: ModelParams, path: str) -> dict:
                              f"the model has {getattr(params, key)!r}")
     with np.load(path, allow_pickle=False) as data:
         arrays = {k: data[k] for k in data.files if k != "__header__"}
+    for key, array in arrays.items():   # a non-numeric array is refused as restore refuses it
+        if not np.isfinite(np.asarray(array, dtype=float)).all():
+            raise ValueError(f"checkpoint {path} has a non-finite value in {key}")
     params.restore(arrays)
     return header["meta"]

@@ -9,11 +9,11 @@ mention/entity vector, built for every mention of a document at once by
 action, the top ``top_k`` serve as attention evidence, and a second
 diagonal form turns evidence-weighted matches into action logits.
 
-``select_action`` picks one step's action for each line of a batch (the
-documents that greedy linking takes in lockstep, or the one episode of
-training's sampling pass) and returns each window's distribution as plain
-numbers; ``advance`` refills the window.  When the
-history is fixed in advance, as the gold history of a training episode is,
+``select_action`` picks one step's action for each line of a batch and
+returns each window's distribution as plain numbers; ``advance`` refills
+the window.  The trainer's one stepping loop calls both, with one line per
+training episode or per document linked in lockstep.  When the history is
+fixed in advance, as the gold history of a training episode is,
 ``episode_log_probs`` scores every step of the episode in one graph: step
 t's window against the first t+1 history rows, with the causal prefix mask
 of Vaswani et al. 2017.
@@ -206,4 +206,5 @@ def advance(window: ActionWindow, action: int) -> ActionWindow:
     """The window once ``action`` is linked: refilled from the unresolved."""
     if action not in window.actions():
         raise ValueError(f"action {action} is not in the current window {window.actions()}")
-    return ActionWindow(window.window_size, tuple(p for p in window.unresolved if p != action))
+    at = window.unresolved.index(action)
+    return ActionWindow(window.window_size, window.unresolved[:at] + window.unresolved[at + 1:])

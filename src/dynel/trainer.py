@@ -1,14 +1,14 @@
 """Joint training: REINFORCE over mention order, margin loss over entities.
 
-One sampled rollout produces everything an update needs.  During training
-the history and linked-entity list are teacher-forced to gold while the
-correctness flags record what the selector would actually have picked.
-So once the order is sampled every step's distributions are fixed: the
-policy samples the order step by step without recording a graph, then one
-policy graph scores every step's log-probability and one selector graph
-every step's candidates, each step masked to the history before it.
-During evaluation predicted entities populate the history and action
-selection is greedy; documents link in lockstep, step t of up to
+One stepping loop, ``_Walk``, picks every episode's order: the policy picks
+the next mention from each line's window, given the pairs already linked.
+Training and linking differ only in where the next history row comes from.
+A training episode teacher-forces the gold pair, while its correctness
+flags record what the selector would have picked, so once its order is
+sampled every step's distributions are fixed: one policy graph scores every
+step's log-probability and one selector graph every step's candidates,
+each step masked to the history before it.  Linking is greedy and writes
+the predicted pair: documents link in lockstep, step t of up to
 ``LOCKSTEP_BATCH`` of them in one policy call and one selector call.  The
 combined update descends
 
@@ -229,6 +229,69 @@ class Episode:
     window_probs: tuple[np.ndarray, ...] = ()
 
 
+class _Walk:
+    """The one stepping loop: lines that each link one mention per step.
+
+    Line i steps its window ``windows[i]`` through ``advance``, taking the
+    positions of ``orders[i]``, a permutation of the window's, or where that
+    is ``None`` the ones picked by one ``select_action`` call per step over
+    every such line, in ``mode`` with ``rng``.  Iterating, once, yields
+    ``(step, active, positions)``, and the caller writes row ``step + 1`` of
+    ``history[i]``, the pair active line i linked, before the next step; row
+    0 is the init pair.  The walk, those rows included, runs under
+    ``no_grad``.  ``windows``, ``orders`` and ``window_probs`` then hold each
+    line's windows, positions and policy distributions, step by step.  A
+    non-finite window distribution is refused naming its line.
+    """
+
+    def __init__(self, windows: Sequence[ActionWindow], orders: Sequence[Sequence[int] | None],
+                 actions: Tensor, params: ModelParams, mode: str,
+                 rng: np.random.Generator | None = None):
+        for window, order in zip(windows, orders):
+            if order is not None and sorted(order) != list(window.unresolved):
+                raise ValueError("forced order must be a permutation of mention positions")
+        self.current, self.fixed = list(windows), list(orders)
+        self.select = (actions, params.policy, mode, rng)   # select_action's other arguments
+        self.sizes = [len(window.unresolved) for window in windows]
+        # row 0 is the init pair, row t+1 the pair linked at step t
+        self.history = np.empty((len(windows), max(self.sizes) + 1, 2 * params.dim))
+        self.history[:, 0] = params.policy.init_pair.data
+        self.windows, self.orders, self.window_probs = ([[] for _ in windows] for _ in range(3))
+
+    def __iter__(self) -> Iterator[tuple[int, list[int], list[int]]]:
+        history, current, fixed, select = self.history, self.current, self.fixed, self.select
+        windows, orders, window_probs = self.windows, self.orders, self.window_probs
+        begin = 0
+        with ad.no_grad():
+            for end in sorted(set(self.sizes)):
+                # which lines step, and which the policy steps, changes only as a line ends
+                active = [i for i, n in enumerate(self.sizes) if n >= end]
+                free = [i for i in active if fixed[i] is None]
+                every = len(free) == len(current)
+                rows = slice(None) if every else free   # every line free: a view, not a copy
+                for step in range(begin, end):
+                    if free:
+                        try:
+                            picked = zip(*select_action(
+                                Tensor(history[rows, :step + 1]),
+                                current if every else [current[i] for i in free], *select))
+                        except NonFiniteWindow as err:   # name the walk's line, not the call's
+                            raise NonFiniteWindow(free[err.line]) from err
+                    positions = []
+                    for i in active:
+                        if fixed[i] is None:
+                            pos, probs = next(picked)
+                            window_probs[i].append(probs)
+                        else:
+                            pos = fixed[i][step]
+                        windows[i].append(current[i].actions())
+                        current[i] = advance(current[i], pos)
+                        orders[i].append(pos)
+                        positions.append(pos)
+                    yield step, active, positions
+                begin = end
+
+
 def rollout(
     doc: Document,
     store: EmbeddingStore,
@@ -242,16 +305,12 @@ def rollout(
 ) -> Episode:
     """Roll one episode; ``order`` forces the mention sequence.
 
-    Eval mode links greedily with predicted history and records no graph.
-    ``links`` hands in the document's links from ``link_lockstep``, which
-    links many documents at once; without them the document is linked in a
-    batch of one.  A forced eval order bypasses the policy and its window.
-
-    Train mode teacher-forces gold entities into the history, so it runs in
-    two passes: the policy picks the order step by step without recording a
-    graph (or ``order`` gives it, and must then keep the window), then one
-    policy graph scores every step's log-probability and one selector graph
-    every step's candidates.
+    Eval mode takes the document's links from ``link_lockstep``, handed in
+    as ``links`` or else made in a batch of one, and records no graph.
+    Train mode runs in two passes: the walk samples the order, or follows
+    ``order``, which must then keep the window, on the gold history; then
+    one policy graph scores every step's log-probability and one selector
+    graph every step's candidates.
 
     ``encoded`` reuses an ``encode_document`` pass made in the same mode.
     """
@@ -269,36 +328,19 @@ def rollout(
 
     if rng is None:
         raise ValueError("train mode needs an rng")
-    n_mentions = len(doc.mentions)
-    if order is not None and sorted(order) != list(range(n_mentions)):
-        raise ValueError("forced order must be a permutation of mention positions")
     if encoded is None:
         encoded = encode_document(doc, store, params, mode, rng)
     elif encoded.pairs is None:
         raise ValueError("a train rollout needs a train-mode encoding")
 
+    n_mentions = len(doc.mentions)
     window_size = config.window if config.window is not None else n_mentions
-    window = ActionWindow(window_size, tuple(range(n_mentions)))
-    # row 0 is the init pair, row t+1 the pair linked at step t
-    history = np.empty((n_mentions + 1, params.policy.init_pair.shape[0]))
-    history[0] = params.policy.init_pair.data
-    chosen_order: list[int] = []
-    windows: list[tuple[int, ...]] = []
-    window_probs: list[np.ndarray] = []
-    with ad.no_grad():
-        for step in range(n_mentions):
-            windows.append(window.actions())
-            if order is None:
-                (pos,), (probs,) = select_action(
-                    Tensor(history[None, :step + 1]), [window], encoded.actions,
-                    params.policy, mode="sample", rng=rng,
-                )
-                window_probs.append(probs)
-            else:
-                pos = order[step]
-            chosen_order.append(pos)
-            window = advance(window, pos)
-            history[step + 1] = encoded.pairs.data[pos]   # teacher forcing
+    walk = _Walk([ActionWindow(window_size, tuple(range(n_mentions)))], [order],
+                 encoded.actions, params, "sample", rng)
+    history, pairs = walk.history[0], encoded.pairs.data
+    for step, _, (pos,) in walk:
+        history[step + 1] = pairs[pos]   # teacher forcing
+    (chosen_order,), (windows,), (window_probs,) = walk.orders, walk.windows, walk.window_probs
 
     golds = tuple(encoded.mentions[pos].gold for pos in chosen_order)
     log_probs = episode_log_probs(windows, chosen_order, encoded.actions, encoded.pairs,
@@ -355,71 +397,53 @@ def link_lockstep(
     orders: Sequence[Sequence[int] | None] | None = None,
 ) -> list[Links]:
     """Greedy links of up to ``LOCKSTEP_BATCH`` documents, each encoded in
-    eval mode, linked in lockstep with predicted history.
+    eval mode: the lines of one walk, each writing its predicted pair.
 
     Step t of every document that has a mention left is one
-    ``select_action`` call and one ``candidate_distribution`` call, each
-    line with its own history; a document leaves the batch once linked.
-    ``orders[i]``, unless ``None``, fixes document i's order, which bypasses
-    the policy and its window.  Each document is linked exactly as it is
-    linked alone.  Records no graph.  A non-finite window distribution is
-    refused with a ``NonFiniteWindow`` naming its record.
+    ``candidate_distribution`` call after the walk's policy call.
+    ``orders[i]``, unless ``None``, fixes document i's order, and its window
+    is the whole document.  Each document is linked exactly as it is linked
+    alone.  Records no graph, as the walk runs under ``no_grad``.  A
+    non-finite window distribution is refused with a ``NonFiniteWindow``
+    naming its record.
     """
     if len(records) > LOCKSTEP_BATCH:
         raise ValueError(f"at most {LOCKSTEP_BATCH} documents link in lockstep, "
                          f"got {len(records)}")
     sizes = [len(r.mentions) for r in records]
-    orders = [None] * len(records) if orders is None else list(orders)
-    for order, n in zip(orders, sizes):
-        if order is not None and sorted(order) != list(range(n)):
-            raise ValueError("forced order must be a permutation of mention positions")
+    orders = [None] * len(records) if orders is None else orders
     batch, starts = concat_records(records)
     dim = params.dim
-    windows = [ActionWindow(n if config.window is None else config.window,
-                            tuple(range(start, start + n))) for n, start in zip(sizes, starts)]
-    # row 0 is the init pair, row t+1 the pair linked at step t
-    history = np.empty((len(records), max(sizes) + 1, 2 * dim))
-    history[:, 0] = params.policy.init_pair.data
+    # a fixed order bypasses the window: its window is the whole document
+    windows = [ActionWindow(n if config.window is None or order is not None else config.window,
+                            tuple(range(start, start + n)))
+               for n, start, order in zip(sizes, starts, orders)]
+    walk = _Walk(windows, [None if order is None else [start + pos for pos in order]
+                           for order, start in zip(orders, starts)],
+                 batch.actions, params, "greedy")
     neighbors: list[set[str]] = [set() for _ in records]
     neighbor_rows = [np.zeros((0, dim)) for _ in records]   # in id order
-    chosen_orders, predicted, predicted_prob, window_probs = (
-        [[] for _ in records] for _ in range(4))
+    predicted, predicted_prob = [[] for _ in records], [[] for _ in records]
 
-    with ad.no_grad():
-        for step in range(max(sizes)):
-            active = [i for i, n in enumerate(sizes) if n > step]
-            chosen = {i: starts[i] + orders[i][step] for i in active if orders[i] is not None}
-            free = [i for i in active if orders[i] is None]
-            if free:
-                try:
-                    picks, dists = select_action(Tensor(history[free, :step + 1]),
-                                                 [windows[i] for i in free], batch.actions,
-                                                 params.policy)
-                except NonFiniteWindow as err:   # name the record, not the line
-                    raise NonFiniteWindow(free[err.line]) from err
-                for i, pos, probs in zip(free, picks, dists):
-                    windows[i] = advance(windows[i], pos)
-                    chosen[i] = pos
-                    window_probs[i].append(probs)
-            positions = [chosen[i] for i in active]
-            linked = Linked(entities=history[active, 1:step + 1, dim:], entities_visible=None,
-                            neighbors=[neighbor_rows[i] for i in active], neighbors_visible=None)
-            probs = candidate_distribution(batch, positions, linked, params.selector).data
+    for step, active, positions in walk:
+        linked = Linked(entities=walk.history[active, 1:step + 1, dim:], entities_visible=None,
+                        neighbors=[neighbor_rows[i] for i in active], neighbors_visible=None)
+        probs = candidate_distribution(batch, positions, linked, params.selector).data
 
-            for line, (i, pos) in enumerate(zip(active, positions)):
-                candidates = batch.mentions[pos].candidates
-                pick = int(np.argmax(probs[line, :len(candidates)]))
-                entity = candidates[pick].entity_id
-                chosen_orders[i].append(pos - starts[i])
-                predicted[i].append(entity)
-                predicted_prob[i].append(float(probs[line, pick]))
-                history[i, step + 1, :dim] = batch.contexts.data[pos]
-                history[i, step + 1, dim:] = store.entity(entity)
-                if not store.neighbors(entity) <= neighbors[i]:
-                    neighbors[i] |= store.neighbors(entity)
-                    neighbor_rows[i] = store.entities(sorted(neighbors[i]))
-    return [Links(*map(tuple, line))
-            for line in zip(chosen_orders, predicted, predicted_prob, window_probs)]
+        for line, (i, pos) in enumerate(zip(active, positions)):
+            candidates = batch.mentions[pos].candidates
+            pick = int(np.argmax(probs[line, :len(candidates)]))
+            entity = candidates[pick].entity_id
+            predicted[i].append(entity)
+            predicted_prob[i].append(float(probs[line, pick]))
+            walk.history[i, step + 1, :dim] = batch.contexts.data[pos]
+            walk.history[i, step + 1, dim:] = store.entity(entity)
+            if not store.neighbors(entity) <= neighbors[i]:
+                neighbors[i] |= store.neighbors(entity)
+                neighbor_rows[i] = store.entities(sorted(neighbors[i]))
+    return [Links(tuple(pos - start for pos in order), *map(tuple, line))
+            for order, start, *line in zip(walk.orders, starts, predicted, predicted_prob,
+                                           walk.window_probs)]
 
 
 def link_documents(

@@ -145,27 +145,37 @@ MUTANTS = (
            (SOFTMAX,)),
     Mutant("a line with nothing unmasked shifted by -inf", "autodiff.py",
            "initial=_FLOOR)", "initial=-np.inf)", (SOFTMAX,)),
-    # the per-step loop
+    # the one stepping loop, the walk
     Mutant("sampling pass reads one history row too few", "trainer.py",
-           "Tensor(history[None, :step + 1])", "Tensor(history[None, :max(step, 1)])",
+           "Tensor(history[rows, :step + 1])", "Tensor(history[rows, :max(step, 1)])",
            (f"{EPISODE}::test_train_rollout_samples_the_order_of_the_per_step_graph[4]",)),
     Mutant("a non-finite window distribution let through", "policy.py",
            "if not finite.all():", "if False:",
            (f"{TRAINER}::TestTrainLoop::"
             "test_a_non_finite_window_distribution_is_named_at_the_document",
             f"{CLI}::test_link_and_eval_refuse_a_non_finite_window_distribution[eval]")),
-    Mutant("a lockstep refusal names the line, not the document", "trainer.py",
+    Mutant("a refusal names the policy call's line, not the walk's", "trainer.py",
            "raise NonFiniteWindow(free[err.line])", "raise NonFiniteWindow(err.line)",
            (f"{TRAINER}::TestTrainLoop::"
             "test_linking_names_the_document_of_a_non_finite_window",)),
     Mutant("advance takes any unresolved action", "policy.py",
            "if action not in window.actions():", "if action not in window.unresolved:",
            (f"{TRAINER}::TestRolloutBasics::test_a_forced_train_order_must_keep_the_window",)),
-    # greedy linking in lockstep
-    Mutant("a finished document kept in the batch", "trainer.py",
-           "active = [i for i, n in enumerate(sizes) if n > step]",
-           "active = [i for i, n in enumerate(sizes) if n > 0]",
+    Mutant("a finished line kept in the walk", "trainer.py",
+           "active = [i for i, n in enumerate(self.sizes) if n >= end]",
+           "active = [i for i, n in enumerate(self.sizes) if n > 0]",
            (f"{LOCKSTEP}[2-attn]",)),
+    # greedy linking in lockstep
+    Mutant("a gold row written in linking", "trainer.py",
+           "walk.history[i, step + 1, dim:] = store.entity(entity)",
+           "walk.history[i, step + 1, dim:] = store.entity(batch.mentions[pos].gold)",
+           (f"{TRAINER}::TestTeacherForcing::"
+            "test_linking_steps_on_the_predicted_pair_after_a_wrong_link",)),
+    Mutant("a fixed linking order that keeps config.window", "trainer.py",
+           "n if config.window is None or order is not None else config.window",
+           "n if config.window is None else config.window",
+           (f"{TRAINER}::TestRolloutBasics::"
+            "test_a_forced_eval_order_outside_the_window_is_linked",)),
     Mutant("a window group pools another line's history", "policy.py",
            "else histories.data[lines]", "else histories.data[:len(lines)]",
            ("tests/test_policy.py::TestSelectAction::test_a_batch_scores_each_line_as_alone[0]",)),
@@ -209,6 +219,13 @@ MUTANTS = (
            "    if strategy == \"exhaustive-best\":\n        _refuse_long_documents(docs)\n", "",
            ("tests/test_harness.py::TestStrategies::"
             "test_exhaustive_best_refuses_a_long_document_before_linking",)),
+    # the checkpoint
+    Mutant("a non-finite checkpoint array restored", "model.py",
+           "        if not np.isfinite(np.asarray(array, dtype=float)).all():\n"
+           "            raise ValueError(",
+           "        if False:\n            raise ValueError(",
+           (f"{TRAINER}::test_load_checkpoint_refuses_a_non_finite_array[nan]",
+            f"{CLI}::test_link_and_eval_refuse_a_non_finite_checkpoint[link]")),
     # the checkpoint's stored config
     Mutant("link and eval build the default config", "cli.py",
            "return TrainConfig.from_dict(meta[\"config\"])", "return TrainConfig()",

@@ -523,6 +523,26 @@ def test_link_and_eval_refuse_a_checkpoint_without_a_usable_config(command, meta
 
 
 @pytest.mark.parametrize("command", ["link", "eval"])
+def test_link_and_eval_refuse_a_non_finite_checkpoint(command, corpus_dir, config_path,
+                                                       tmp_path, capsys):
+    # restored, it would link every mention with probability NaN, and the
+    # links file would hold NaN, which is not JSON
+    _, store = load_corpus(corpus_dir)
+    config = TrainConfig.from_dict(json.loads(config_path.read_text()))
+    params = config.build_model(store, np.random.default_rng(0))
+    params.selector.linked_coherence.diag.data[0] = np.nan
+    ckpt, out = tmp_path / "model.npz", tmp_path / "out"
+    save_checkpoint(params, str(ckpt), meta={"config": config.to_dict()})
+    capsys.readouterr()
+    rc = main([command, "--corpus", str(corpus_dir), "--checkpoint", str(ckpt),
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.strip() == (
+        f"error: checkpoint {ckpt} has a non-finite value in selector.linked_coherence")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["link", "eval"])
 def test_link_and_eval_refuse_a_non_finite_window_distribution(command, tmp_path, capsys):
     # a finite init pair whose history match overflows: greedy linking would
     # take the argmax of NaN probabilities without a word

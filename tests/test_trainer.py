@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from collections import Counter
@@ -15,7 +16,7 @@ from dynel.corpus import CandidateEntity, EmbeddingStore
 from dynel.harness import ordering_for
 from dynel.local_transformer import TransformerConfig
 from dynel.model import build_model, encode_document, load_checkpoint, save_checkpoint
-from dynel.policy import ActionWindow, advance
+from dynel.policy import ActionWindow, advance, select_action
 from dynel.selector import Linked, candidate_distribution
 from dynel.synthetic import SyntheticSpec, generate_synthetic
 from dynel.trainer import (
@@ -530,6 +531,30 @@ class TestEpisodeGraph:
             orders.add(ep.order)
         assert len(orders) > 1
 
+    def test_sampled_training_orders_are_pinned(self, monkeypatch):
+        # every draw of the sampling pass, in the order it is made: one epoch
+        # of orders, window distributions and log-probabilities at three windows
+        docs, store = anchored_world(num_docs=4)
+        digest, episodes = hashlib.sha256(), []
+        real = trainer.rollout
+
+        def kept(*args, **kwargs):
+            episodes.append(real(*args, **kwargs))
+            digest.update(np.array(episodes[-1].order, dtype=np.int64).tobytes())
+            for probs in episodes[-1].window_probs:
+                digest.update(probs.tobytes())
+            digest.update(episodes[-1].log_probs.data.tobytes())
+            return episodes[-1]
+
+        monkeypatch.setattr(trainer, "rollout", kept)
+        for window in (2, 4, None):
+            train(docs, [], store, TrainConfig(window=window, epochs=1, episodes_per_doc=2,
+                                               fusion_hidden=8, lr=0.01, seed=7))
+        assert len(episodes) == 3 * len(docs) * 2
+        assert len({ep.order for ep in episodes}) > 3
+        assert digest.hexdigest() == ("0459f1060a38dad9712a1de8f0c399c0"
+                                      "99a773aeed06c5d4b00bac77167940b1")
+
     def test_steps_without_gold_are_counted_in_the_epoch_metrics(self):
         docs, store = anchored_world(num_docs=3)
         docs = [_ragged(docs[0]), _ragged(docs[1], missing=4), docs[2]]
@@ -606,6 +631,35 @@ class TestTeacherForcing:
         with ad.no_grad():
             ep = rollout(docs[0], store, params, cfg, mode="eval")
         assert ep.history_entities == ep.predicted
+
+
+    def test_linking_steps_on_the_predicted_pair_after_a_wrong_link(self):
+        # step 1's window is scored on the pair step 0 linked, a wrong entity
+        # here: no mention keeps its gold among its candidates
+        docs, store = anchored_world(num_docs=1)
+        doc = replace(docs[0], mentions=tuple(
+            replace(m, candidates=tuple(c for c in m.candidates if c.entity_id != m.gold))
+            for m in docs[0].mentions))
+        cfg = oracle_selector_config(window=3)
+        params = build(store, cfg)
+        rng = np.random.default_rng(2)
+        for t in params.parameters():   # off the symmetric init
+            t.data += 0.1 * rng.normal(size=t.data.shape)
+        with ad.no_grad():
+            ep = rollout(doc, store, params, cfg, mode="eval")
+        assert not any(ep.flags)
+        encoded = encode_document(doc, store, params)
+        first = ep.order[0]
+        window = advance(ActionWindow(3, tuple(range(len(doc.mentions)))), first)
+
+        def step_one(entity):
+            pair = np.concatenate([encoded.contexts.data[first], store.entity(entity)])
+            history = Tensor(np.stack([params.policy.init_pair.data, pair])[None])
+            return select_action(history, [window], encoded.actions, params.policy)[1][0]
+
+        assert len(ep.window_probs[1]) == 3
+        assert ep.window_probs[1].tobytes() == step_one(ep.predicted[0]).tobytes()
+        assert not np.array_equal(step_one(doc.mentions[first].gold), ep.window_probs[1])
 
 
 class TestAdam:
@@ -843,6 +897,35 @@ def test_load_checkpoint_refuses_another_model(field, tmp_path):
     with pytest.raises(ValueError, match=re.escape(message)):
         load_checkpoint(target, path)
     assert all(np.array_equal(a, before[k]) for k, a in target.snapshot().items())
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_load_checkpoint_refuses_a_non_finite_array(value, tmp_path):
+    # restored, it would link every mention with probability NaN
+    _, store = anchored_world(num_docs=1)
+    saved = build(store, oracle_selector_config(), seed=1)
+    saved.selector.linked_coherence.diag.data[3] = value
+    path = str(tmp_path / "model.npz")
+    save_checkpoint(saved, path)
+    target = build(store, oracle_selector_config())
+    before = target.snapshot()
+    with pytest.raises(ValueError, match=(
+            f"^checkpoint {re.escape(path)} has a non-finite value in "
+            f"selector.linked_coherence$")):
+        load_checkpoint(target, path)
+    assert all(np.array_equal(a, before[k]) for k, a in target.snapshot().items())
+
+
+def test_load_checkpoint_refuses_a_non_numeric_array(tmp_path):
+    _, store = anchored_world(num_docs=1)
+    path = str(tmp_path / "model.npz")
+    save_checkpoint(build(store, oracle_selector_config(), seed=1), path)
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    arrays["policy.init_pair"] = np.full(arrays["policy.init_pair"].shape, "x")
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError, match="could not convert string to float"):
+        load_checkpoint(build(store, oracle_selector_config()), path)
 
 
 _JSON_LEAVES = (st.none() | st.booleans() | st.integers(-10**6, 10**6)

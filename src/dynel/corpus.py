@@ -168,21 +168,20 @@ class EmbeddingStore:
             return v.size
         raise CorpusError("embedding store is empty")
 
-    def word(self, word_id: str) -> np.ndarray:
-        try:
-            return self.word_vecs[word_id]
-        except KeyError:
-            raise CorpusError(f"unknown word id {word_id!r}") from None
-
-    def entity(self, entity_id: str) -> np.ndarray:
-        try:
-            return self.entity_vecs[entity_id]
-        except KeyError:
-            raise CorpusError(f"unknown entity id {entity_id!r}") from None
+    def words(self, word_ids: Iterable[str]) -> np.ndarray:
+        return self._lookup(self.word_vecs, word_ids, "word")
 
     def entities(self, entity_ids: Iterable[str]) -> np.ndarray:
-        """The vectors of ``entity_ids`` stacked as rows, in the given order."""
-        return np.stack([self.entity(e) for e in entity_ids])
+        return self._lookup(self.entity_vecs, entity_ids, "entity")
+
+    def _lookup(self, table: dict[str, np.ndarray], ids: Iterable[str], kind: str) -> np.ndarray:
+        """The vectors of ``ids`` as rows, in the given order, ``(0, dim)``
+        for none: the one way from ids to the rows of either table."""
+        try:
+            rows = [table[key] for key in ids]
+        except KeyError as err:
+            raise CorpusError(f"unknown {kind} id {err.args[0]!r}") from None
+        return np.array(rows) if rows else np.zeros((0, self.dim))
 
     def neighbors(self, entity_id: str) -> frozenset[str]:
         return self.kg_adjacency.get(entity_id, frozenset())
@@ -339,11 +338,11 @@ def save_corpus(docs: Iterable[Document], store: EmbeddingStore, path: str | Pat
             }
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
-    def write_vecs(name: str, table: Mapping[str, np.ndarray]) -> None:
+    def write_vecs(name: str, table: Mapping, head=lambda key: f"{key} ") -> None:
         with open(path / name, "w", encoding="utf-8") as fh:
             for key in sorted(table):
                 vals = " ".join(repr(float(v)) for v in table[key])
-                fh.write(f"{key} {vals}\n")
+                fh.write(f"{head(key)}{vals}\n")
 
     write_vecs("words.vec", store.word_vecs)
     write_vecs("entities.vec", store.entity_vecs)
@@ -355,10 +354,15 @@ def save_corpus(docs: Iterable[Document], store: EmbeddingStore, path: str | Pat
             for dst in sorted(store.kg_adjacency[src]):
                 fh.write(f"{src}\t{dst}\n")
     if store.type_vecs:
-        with open(path / "type_vecs.tsv", "w", encoding="utf-8") as fh:
-            for (mid, eid) in sorted(store.type_vecs):
-                vals = " ".join(repr(float(v)) for v in store.type_vecs[(mid, eid)])
-                fh.write(f"{mid}\t{eid}\t{vals}\n")
+        write_vecs("type_vecs.tsv", store.type_vecs, lambda key: "\t".join(key) + "\t")
+
+
+def _parse_floats(values: Iterable[str], file: str, lineno: int) -> np.ndarray:
+    """The values of a row that ``save_corpus`` wrote, from line ``lineno`` of ``file``."""
+    try:
+        return np.array([float(x) for x in values])
+    except ValueError:
+        raise CorpusError(f"{file} line {lineno}: non-numeric value") from None
 
 
 def _tuple(value):
@@ -410,10 +414,7 @@ def _load_vecs(path: Path, lines: dict, width: int | None = None,
                 raise CorpusError(f"{path.name} line {lineno}: expected id + floats")
             if parts[0] in table:
                 raise CorpusError(f"{path.name} line {lineno}: duplicate id {parts[0]!r}")
-            try:
-                vec = np.array([float(x) for x in parts[1:]])
-            except ValueError:
-                raise CorpusError(f"{path.name} line {lineno}: non-numeric value") from None
+            vec = _parse_floats(parts[1:], path.name, lineno)
             if width is None:
                 width, width_of = vec.size, f"line {lineno}"
             elif vec.size != width:
@@ -450,10 +451,7 @@ def load_corpus(path: str | Path) -> tuple[list[Document], EmbeddingStore]:
         if len(parts) != 3:
             raise CorpusError(f"type_vecs.tsv line {lineno}: expected 3 columns")
         mid, eid, rest = parts
-        try:
-            type_vecs[(mid, eid)] = np.array([float(x) for x in rest.split()])
-        except ValueError:
-            raise CorpusError(f"type_vecs.tsv line {lineno}: non-numeric value") from None
+        type_vecs[(mid, eid)] = _parse_floats(rest.split(), "type_vecs.tsv", lineno)
         lines["type_vecs.tsv"][(mid, eid)] = lineno
     store = EmbeddingStore(word_vecs, entity_vecs, surfaces, type_vecs=type_vecs,
                            kg_adjacency={k: frozenset(v) for k, v in sorted(adjacency.items())})

@@ -55,7 +55,7 @@ def context_feature(
     for mention, window in zip(mentions, windows):
         if not window:
             raise ValueError(f"mention {mention.id!r} has an empty context window")
-    words = Tensor(np.stack([store.word(w) for window in windows for w in window]))
+    words = Tensor(store.words([w for window in windows for w in window]))
     sizes = np.array([len(window) for window in windows])[:, None]
     ends = np.cumsum(sizes)[:, None]
     column = np.arange(ends[-1, 0])

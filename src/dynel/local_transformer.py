@@ -101,13 +101,13 @@ class TransformerLocalParams:
                 f"transformer scorer needs embedding dim == model_dim "
                 f"({store.dim} != {config.model_dim})"
             )
-        vocab = {w: i for i, w in enumerate(sorted(store.word_vecs))}
-        table = np.stack([store.word_vecs[w] for w in sorted(store.word_vecs)])
+        words = sorted(store.word_vecs)
+        vocab = {w: i for i, w in enumerate(words)}
         d = config.model_dim
         return cls(
             config=config,
             vocab=vocab,
-            word_embed=ad.parameter(table.copy()),
+            word_embed=ad.parameter(store.words(words)),
             cls_tok=ad.parameter(glorot(rng, d, d, shape=(d,))),
             sep_tok=ad.parameter(glorot(rng, d, d, shape=(d,))),
             entity_proj=ad.parameter(glorot(rng, d, d)),

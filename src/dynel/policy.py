@@ -204,7 +204,9 @@ def episode_log_probs(
 
 def advance(window: ActionWindow, action: int) -> ActionWindow:
     """The window once ``action`` is linked: refilled from the unresolved."""
-    if action not in window.actions():
-        raise ValueError(f"action {action} is not in the current window {window.actions()}")
-    at = window.unresolved.index(action)
+    acts = window.actions()   # the window leads the unresolved
+    try:
+        at = acts.index(action)
+    except ValueError:
+        raise ValueError(f"action {action} is not in the current window {acts}") from None
     return ActionWindow(window.window_size, window.unresolved[:at] + window.unresolved[at + 1:])

@@ -125,12 +125,8 @@ class Linked:
                 first.setdefault(neighbor, i)
         neighbor_ids = sorted(first)
         seen = np.arange(lines)[:, None] + (len(entity_ids) - lines + 1)
-        return cls(_rows(store, entity_ids), np.arange(len(entity_ids)) < seen,
-                   _rows(store, neighbor_ids), np.array([first[e] for e in neighbor_ids]) < seen)
-
-
-def _rows(store: EmbeddingStore, entity_ids: Sequence[str]) -> np.ndarray:
-    return store.entities(entity_ids) if entity_ids else np.zeros((0, store.dim))
+        return cls(store.entities(entity_ids), np.arange(len(entity_ids)) < seen,
+                   store.entities(neighbor_ids), np.array([first[e] for e in neighbor_ids]) < seen)
 
 
 def _znorm_columns(mat: Tensor, valid: np.ndarray | None) -> Tensor:

@@ -348,16 +348,22 @@ def rollout(
     # every step's distribution in one graph: step t sees the golds before it
     linked = Linked.prefixes(golds[:-1], store, len(chosen_order))
     probs = candidate_distribution(encoded, chosen_order, linked, params.selector)
-    predicted, predicted_prob = [], []
-    for pos, line in zip(chosen_order, probs.data):
-        candidates = encoded.mentions[pos].candidates
-        pick = int(np.argmax(line[:len(candidates)]))
-        predicted.append(candidates[pick].entity_id)
-        predicted_prob.append(float(line[pick]))
+    predicted, predicted_prob = _greedy_picks(probs.data, encoded, chosen_order)
     margin, margin_terms = _margin(probs, encoded, chosen_order, config.margin)
     return _episode(doc, chosen_order, predicted, predicted_prob, golds, config,
                     log_probs=log_probs, margin=margin, margin_terms=margin_terms,
                     window_probs=tuple(window_probs))
+
+
+def _greedy_picks(probs: np.ndarray, encoded: EncodedDocument,
+                  positions: Sequence[int]) -> tuple[list[str], list[float]]:
+    """Line i's most probable candidate of the mention at ``positions[i]``,
+    the earliest on a tie, and its probability.  Padded slots come after the
+    real ones and hold 0, or NaN on a line that is all NaN, whose first slot
+    is picked; so a padded slot is never picked."""
+    picks = probs.argmax(axis=1)
+    return ([encoded.mentions[pos].candidates[k].entity_id for pos, k in zip(positions, picks)],
+            probs[np.arange(len(picks)), picks].tolist())
 
 
 def _episode(doc: Document, order: Sequence[int], predicted: Sequence[str],
@@ -422,22 +428,19 @@ def link_lockstep(
                            for order, start in zip(orders, starts)],
                  batch.actions, params, "greedy")
     neighbors: list[set[str]] = [set() for _ in records]
-    neighbor_rows = [np.zeros((0, dim)) for _ in records]   # in id order
+    neighbor_rows = [store.entities([]) for _ in records]   # in id order
     predicted, predicted_prob = [[] for _ in records], [[] for _ in records]
 
     for step, active, positions in walk:
         linked = Linked(entities=walk.history[active, 1:step + 1, dim:], entities_visible=None,
                         neighbors=[neighbor_rows[i] for i in active], neighbors_visible=None)
         probs = candidate_distribution(batch, positions, linked, params.selector).data
-
-        for line, (i, pos) in enumerate(zip(active, positions)):
-            candidates = batch.mentions[pos].candidates
-            pick = int(np.argmax(probs[line, :len(candidates)]))
-            entity = candidates[pick].entity_id
+        entities, entity_probs = _greedy_picks(probs, batch, positions)
+        walk.history[active, step + 1, :dim] = batch.contexts.data[positions]
+        walk.history[active, step + 1, dim:] = store.entities(entities)
+        for i, entity, prob in zip(active, entities, entity_probs):
             predicted[i].append(entity)
-            predicted_prob[i].append(float(probs[line, pick]))
-            walk.history[i, step + 1, :dim] = batch.contexts.data[pos]
-            walk.history[i, step + 1, dim:] = store.entity(entity)
+            predicted_prob[i].append(prob)
             if not store.neighbors(entity) <= neighbors[i]:
                 neighbors[i] |= store.neighbors(entity)
                 neighbor_rows[i] = store.entities(sorted(neighbors[i]))

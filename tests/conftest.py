@@ -95,9 +95,9 @@ def linked_lines(histories, store: EmbeddingStore) -> Linked:
     """The ``Linked`` of lockstep lines that linked the entity ids of each
     of ``histories``: one matrix per line of their rows in link order, and
     one of the union of their KG neighbours sorted by id."""
-    rows = lambda ids: store.entities(ids) if ids else np.zeros((0, store.dim))
     neighbors = [sorted(set().union(*(store.neighbors(e) for e in h))) for h in histories]
-    return Linked([rows(list(h)) for h in histories], None, [rows(n) for n in neighbors], None)
+    return Linked([store.entities(list(h)) for h in histories], None,
+                  [store.entities(n) for n in neighbors], None)
 
 
 def selector_oracle(encoded, pos: int, linked_ids, store: EmbeddingStore, params):
@@ -105,14 +105,13 @@ def selector_oracle(encoded, pos: int, linked_ids, store: EmbeddingStore, params
     with ``linked_ids`` linked before it, from the record's columns."""
     at = encoded.slots[pos, encoded.valid[pos]]
     neighbors = sorted(set().union(*(store.neighbors(e) for e in linked_ids)))
-    vectors = lambda ids: (store.entities(ids) if ids else np.zeros((0, store.dim)))
     layers = None if params.fusion is None else [
         (w.data, b.data) for w, b in zip(params.fusion.weights, params.fusion.biases)]
     return oracles.selector_distribution(
         encoded.candidates.data[at],
         {"prior": encoded.priors.data[at], "type": encoded.types.data[at],
          "local": encoded.local.data[at]},
-        vectors(list(linked_ids)), vectors(neighbors),
+        store.entities(list(linked_ids)), store.entities(neighbors),
         (params.linked_coherence.diag.data, params.neighborhood_coherence.diag.data),
         params.top_entities, params.features, params.feature_norm, layers)
 

@@ -159,7 +159,7 @@ MUTANTS = (
            (f"{TRAINER}::TestTrainLoop::"
             "test_linking_names_the_document_of_a_non_finite_window",)),
     Mutant("advance takes any unresolved action", "policy.py",
-           "if action not in window.actions():", "if action not in window.unresolved:",
+           "at = acts.index(action)", "at = window.unresolved.index(action)",
            (f"{TRAINER}::TestRolloutBasics::test_a_forced_train_order_must_keep_the_window",)),
     Mutant("a finished line kept in the walk", "trainer.py",
            "active = [i for i, n in enumerate(self.sizes) if n >= end]",
@@ -167,10 +167,16 @@ MUTANTS = (
            (f"{LOCKSTEP}[2-attn]",)),
     # greedy linking in lockstep
     Mutant("a gold row written in linking", "trainer.py",
-           "walk.history[i, step + 1, dim:] = store.entity(entity)",
-           "walk.history[i, step + 1, dim:] = store.entity(batch.mentions[pos].gold)",
+           "walk.history[active, step + 1, dim:] = store.entities(entities)",
+           "walk.history[active, step + 1, dim:] = store.entities("
+           "[batch.mentions[pos].gold for pos in positions])",
            (f"{TRAINER}::TestTeacherForcing::"
             "test_linking_steps_on_the_predicted_pair_after_a_wrong_link",)),
+    Mutant("a step's rows written in another line order", "trainer.py",
+           "walk.history[active, step + 1, dim:] = store.entities(entities)",
+           "walk.history[active, step + 1, dim:] = store.entities(entities[::-1])",
+           (f"{TRAINER}::TestTeacherForcing::"
+            "test_a_ragged_lockstep_batch_picks_own_candidates_and_links_as_alone",)),
     Mutant("a fixed linking order that keeps config.window", "trainer.py",
            "n if config.window is None or order is not None else config.window",
            "n if config.window is None else config.window",

@@ -268,10 +268,25 @@ def test_save_refuses_duplicate_document_and_mention_ids(tmp_path):
 
 
 def test_entities_stacks_rows_in_order():
-    store = EmbeddingStore(word_vecs={}, entity_vecs={"a": np.zeros(2), "b": np.ones(2)})
-    assert np.array_equal(store.entities(["b", "a", "b"]), [[1, 1], [0, 0], [1, 1]])
-    with pytest.raises(CorpusError, match="unknown entity id 'c'"):
-        store.entities(["a", "c"])
+    # both tables: the dict's rows byte for byte, in the given order and with
+    # repeats; (0, dim) for no ids; int rows as np.stack gives them, alone
+    # or beside float rows; an unknown id named
+    rng = np.random.default_rng(0)
+    table = lambda: {"a": rng.normal(size=3), "b": rng.normal(size=3), "i": np.arange(3),
+                     "j": np.array([7, -2, 5])}
+    store = EmbeddingStore(word_vecs=table(), entity_vecs=table())
+    for kind, lookup, vecs in (("word", store.words, store.word_vecs),
+                               ("entity", store.entities, store.entity_vecs)):
+        for ids in (["b", "a", "b"], ["a", "i", "a"], ["i", "j", "i"], ["j"]):
+            want = np.stack([vecs[key] for key in ids])
+            got = lookup(ids)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert lookup(iter(["b", "a"])).tobytes() == np.stack([vecs["b"], vecs["a"]]).tobytes()
+        empty = lookup([])
+        assert empty.shape == (0, 3) and empty.dtype == np.float64
+        with pytest.raises(CorpusError, match=f"unknown {kind} id 'c'"):
+            lookup(["a", "c"])
 
 
 def test_mixed_widths_in_one_vector_file_name_the_line(tmp_path):

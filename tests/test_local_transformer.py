@@ -153,20 +153,16 @@ def test_word_gradient_equals_two_dense_gathers_bit_for_bit(data):
 def test_scorer_reads_the_candidate_matrix_once(world, monkeypatch):
     store, params = world
     m = mention(("e0", "e1", "e2"))
-    stacked, single = [], []
+    stacked, single, lookup = [], [], EmbeddingStore._lookup
 
-    def entities(self, ids):
-        stacked.append(tuple(ids))
-        return np.stack([self.entity_vecs[e] for e in ids])
+    def spy(self, table, ids, kind):   # every lookup of either table passes here
+        ids = tuple(ids)
+        (stacked if len(ids) > 1 else single).append((kind, ids))
+        return lookup(self, table, ids, kind)
 
-    def entity(self, entity_id):
-        single.append(entity_id)
-        return self.entity_vecs[entity_id]
-
-    monkeypatch.setattr(EmbeddingStore, "entities", entities)
-    monkeypatch.setattr(EmbeddingStore, "entity", entity)
+    monkeypatch.setattr(EmbeddingStore, "_lookup", spy)
     local_scores_transformer(m, store, params)
-    assert stacked == [m.candidate_ids]
+    assert stacked == [("entity", m.candidate_ids)]
     assert single == []
 
 

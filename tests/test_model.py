@@ -53,7 +53,7 @@ def oracle_record(doc, store, model):
     contexts, local, actions = [], [], []
     for m in doc.mentions:
         cand = store.entities(m.candidate_ids)
-        words = np.stack([store.word(w) for w in m.context_window])
+        words = store.words(m.context_window)
         context = oracles.hard_attention_context(words, cand, attn.word_scorer.diag.data,
                                                  TOP_WORDS)
         if model.transformer is None:

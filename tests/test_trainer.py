@@ -306,7 +306,7 @@ def _per_step_policy(encoded, store, params, window_size, order=None, rng=None):
         chosen.append(pos)
         log_probs.append(ad.gather(logp, idx))
         context = ad.reshape(ad.gather(encoded.contexts, [pos]), (-1,))
-        history.append(ad.concat([context, Tensor(store.entity(encoded.mentions[pos].gold))]))
+        history.append(ad.concat([context, Tensor(store.entities([encoded.mentions[pos].gold])[0])]))
         window = advance(window, pos)
     return chosen, log_probs, seen
 
@@ -653,13 +653,41 @@ class TestTeacherForcing:
         window = advance(ActionWindow(3, tuple(range(len(doc.mentions)))), first)
 
         def step_one(entity):
-            pair = np.concatenate([encoded.contexts.data[first], store.entity(entity)])
+            pair = np.concatenate([encoded.contexts.data[first], store.entities([entity])[0]])
             history = Tensor(np.stack([params.policy.init_pair.data, pair])[None])
             return select_action(history, [window], encoded.actions, params.policy)[1][0]
 
         assert len(ep.window_probs[1]) == 3
         assert ep.window_probs[1].tobytes() == step_one(ep.predicted[0]).tobytes()
         assert not np.array_equal(step_one(doc.mentions[first].gold), ep.window_probs[1])
+
+
+    def test_a_ragged_lockstep_batch_picks_own_candidates_and_links_as_alone(self):
+        # mentions of 1-4 candidates, so most lines of a step carry padded
+        # slots, and documents of 2-6 mentions, so lines leave the walk
+        docs, store = anchored_world(num_docs=8, seed=8)
+        rng = np.random.default_rng(8)
+        docs = [replace(doc, mentions=tuple(
+            replace(m, candidates=m.candidates[:int(rng.integers(1, 5))])
+            for m in doc.mentions[:int(rng.integers(2, 7))])) for doc in docs]
+        assert {len(m.candidates) for doc in docs for m in doc.mentions} == {1, 2, 3, 4}
+        assert len({len(doc.mentions) for doc in docs}) > 2
+        cfg = TrainConfig(window=2, fusion_hidden=8)
+        params = cfg.build_model(store, rng)
+        for t in params.parameters():   # off the symmetric init
+            t.data += 0.1 * rng.normal(size=t.data.shape)
+        with ad.no_grad():
+            records = [encode_document(doc, store, params) for doc in docs]
+            links = trainer.link_lockstep(records, store, params, cfg)
+            for doc, record, link in zip(docs, records, links):
+                for pos, entity in zip(link.order, link.predicted):
+                    assert entity in doc.mentions[pos].candidate_ids
+                (alone,) = trainer.link_lockstep([record], store, params, cfg)
+                assert (alone.order, alone.predicted) == (link.order, link.predicted)
+                assert (np.array(alone.predicted_prob).tobytes()
+                        == np.array(link.predicted_prob).tobytes())
+                assert ([p.tobytes() for p in alone.window_probs]
+                        == [p.tobytes() for p in link.window_probs])
 
 
 class TestAdam:
